@@ -310,11 +310,12 @@ class Schedule:
     def _validate_assignment(self, key: int, a: TaskAssignment) -> None:
         if key != a.task:
             raise ScheduleError(f"assignment keyed {key} but holds task {a.task}")
-        route = self._adapter.route(a.processor)
-        if len(a.comms) != len(route):
+        # the memoized node tuple: one route walk per processor, not per task
+        hops = len(self._adapter.route_nodes(a.processor))
+        if len(a.comms) != hops:
             raise ScheduleError(
                 f"task {a.task}: communication vector length {len(a.comms)} does "
-                f"not match route length {len(route)} to processor {a.processor!r}"
+                f"not match route length {hops} to processor {a.processor!r}"
             )
 
     # -- accessors --------------------------------------------------------------
@@ -359,7 +360,11 @@ class Schedule:
         """Definition 2: ``max_i T(i) + w_{P(i)}`` (0 for an empty schedule)."""
         if not self.assignments:
             return 0
-        return max(self.completion_of(t) for t in self.assignments)
+        work: dict[ProcKey, Time] = {}
+        for a in self.assignments.values():
+            if a.processor not in work:
+                work[a.processor] = self._adapter.work(a.processor)
+        return max(a.start + work[a.processor] for a in self.assignments.values())
 
     @property
     def earliest_emission(self) -> Time:

@@ -196,6 +196,59 @@ def solution_to_dict(solution: Any) -> dict[str, Any]:
     }
 
 
+#: stands in for each spliced value while a template is cut: NUL-framed,
+#: so no solver or platform text holds it (the hole count is checked).
+_HOLE = "\x00hole\x00"
+
+
+class SolutionTemplate:
+    """``json.dumps(solution_to_dict(s))``, rendered without re-encoding
+    the parts every rebind of one stored solution shares.
+
+    A rebind changes only the problem, the schedule's platform and the
+    processor key of each task; times, communication vectors, solver,
+    stats and extra detail stay the same.  The template is the model
+    rebind's encoding with those values cut out, so :meth:`render`
+    encodes just them.  It is built from :func:`solution_to_dict` output,
+    so the wire format keeps one definition.  Render only rebinds of the
+    same stored solution as the model; anything else would be answered
+    with the model's times.
+    """
+
+    __slots__ = ("_parts", "_tasks")
+
+    def __init__(self, model: Any) -> None:
+        d = solution_to_dict(model)
+        d["problem"] = _HOLE
+        d["schedule"]["platform"] = _HOLE
+        for a in d["schedule"]["assignments"]:
+            a["processor"] = _HOLE
+        self._tasks = model.schedule.tasks()
+        self._parts: Any = json.dumps(d).split(json.dumps(_HOLE))
+        if len(self._parts) != len(self._tasks) + 3:
+            self._parts = None  # a field holds the marker: encode in full
+
+    def render(self, solution: Any) -> str:
+        parts = self._parts
+        if parts is None:
+            return json.dumps(solution_to_dict(solution))
+        out = [
+            parts[0], json.dumps(problem_to_dict(solution.problem)),
+            parts[1], json.dumps(solution.schedule.platform.to_dict()),
+            parts[2],
+        ]
+        assignments = solution.schedule.assignments
+        keys: dict[Any, str] = {}  # one encode per processor, not per task
+        for task, part in zip(self._tasks, parts[3:]):
+            proc = assignments[task].processor
+            key = keys.get(proc)
+            if key is None:
+                key = keys[proc] = json.dumps(proc)  # a tuple key is an array
+            out.append(key)
+            out.append(part)
+        return "".join(out)
+
+
 def solution_from_dict(d: Mapping[str, Any]) -> Any:
     from ..solve.problem import Solution  # local import: solve sits above io
 

@@ -17,14 +17,16 @@ Request flow (both entry points)::
 form's relabel maps; times are untouched, so the rebound schedule
 replay-validates bit-exactly on the relabeled platform.
 
-Two entry points share that flow:
+Two entry points share that flow, and one helper for a hit (rebind →
+replay-check → quarantine if either fails):
 
 * :func:`cached_solve` — synchronous, used by the batch runner
   (``run_batch(cache=...)``);
 * :class:`ScheduleService` — the asyncio front-end behind ``repro serve``:
   a bounded worker pool for the solves, plus **request coalescing** —
   concurrent requests with the same fingerprint await one in-flight solve
-  instead of each paying for it.
+  instead of each paying for it.  Rebinds of answers up to
+  :data:`INLINE_REBIND_TASKS` tasks run on the event loop itself.
 
 Uncacheable requests (online mode — policy runs carry traces and
 callables; options with no canonical encoding) fall through to a direct
@@ -45,10 +47,11 @@ from ..obs import tracing as _trace
 from ..solve import Problem, Solution, solve
 from .canon import CanonError, CanonicalForm, canonical_form, problem_fingerprint
 from .frontend import LINE_LIMIT, ChaosState, JsonLinesFrontend
-from .store import SolutionStore
+from .store import SolutionStore, StoreEntry
 
 __all__ = [
     "CachedOutcome",
+    "INLINE_REBIND_TASKS",
     "LINE_LIMIT",
     "ScheduleService",
     "ServiceClosingError",
@@ -56,6 +59,15 @@ __all__ = [
     "cached_solve",
     "rebind_solution",
 ]
+
+#: largest answer (in tasks) the service rebinds and replay-checks on the
+#: event loop instead of the thread pool.  The pool gives no CPU
+#: parallelism under the GIL, but it keeps the loop answering while a big
+#: rebind runs, and the fleet supervisor declares a worker dead when a
+#: ping waits past its 1 s deadline.  A served hit costs about 5 µs per
+#: task (a 4,096-task spider hit: 21 ms on a 2-core x86 container), so
+#: the inline worst case stays near 5-10 ms.
+INLINE_REBIND_TASKS = 1024
 
 
 class ServiceClosingError(RuntimeError):
@@ -73,6 +85,10 @@ class CachedOutcome:
     fingerprint: Optional[str] = None
     #: True when this request piggybacked on another's in-flight solve.
     coalesced: bool = False
+    #: the store entry a service hit was rebound from; the protocol layer
+    #: renders the answer through the entry's template (``None``: encode
+    #: the solution in full).
+    entry: Optional[StoreEntry] = None
 
 
 def cache_key(
@@ -164,6 +180,44 @@ def _solve_canonical(
     return solution
 
 
+def _checked_rebind(
+    solution: Solution,
+    problem: Problem,
+    canon: Optional[CanonicalForm],
+    verify: bool,
+    engine: Optional[str],
+) -> Solution:
+    """Rebind ``solution`` onto ``problem``'s platform and, with
+    ``verify``, replay-validate the result there (raises if it fails)."""
+    with _trace.span("service.rebind", verify=verify):
+        rebound = rebind_solution(solution, problem, canon)
+        if verify:
+            # looked up on the instance at call time, so a wrapped
+            # Solution.validate (replay counting) sees every check
+            rebound.validate(engine=engine)
+    return rebound
+
+
+def _serve_hit(
+    hit: Solution,
+    problem: Problem,
+    canon: Optional[CanonicalForm],
+    verify: bool,
+    engine: Optional[str],
+    store: SolutionStore,
+    fingerprint: str,
+) -> Optional[Solution]:
+    """The hit path both entry points share: :func:`_checked_rebind` on a
+    store hit.  A hit that no longer rebinds or replays is damaged
+    evidence: it is quarantined and ``None`` returned, so the caller
+    answers by solving fresh."""
+    try:
+        return _checked_rebind(hit, problem, canon, verify, engine)
+    except Exception as exc:
+        store.quarantine(fingerprint, f"{type(exc).__name__}: {exc}")
+        return None
+
+
 def cached_solve(
     problem: Problem,
     store: SolutionStore,
@@ -187,41 +241,35 @@ def cached_solve(
     fingerprint, canon = key
     hit = store.get(fingerprint)
     if hit is not None:
-        try:
-            rebound = rebind_solution(hit, problem, canon)
-            if verify_rebind:
-                rebound.validate(engine=engine)
-            return CachedOutcome(
-                rebound, cached=True, fingerprint=fingerprint,
-            )
-        except Exception as exc:
-            # a hit that no longer rebinds/replays is damaged evidence:
-            # quarantine it and answer by solving fresh
-            store.quarantine(fingerprint, f"{type(exc).__name__}: {exc}")
+        rebound = _serve_hit(hit, problem, canon, verify_rebind, engine,
+                             store, fingerprint)
+        if rebound is not None:
+            return CachedOutcome(rebound, cached=True, fingerprint=fingerprint)
     solution = _solve_canonical(problem, fingerprint, canon, store, solve_engine)
-    rebound = rebind_solution(solution, problem, canon)
-    if verify_rebind:
-        rebound.validate(engine=engine)
-    return CachedOutcome(
-        rebound, cached=False, fingerprint=fingerprint,
-    )
+    rebound = _checked_rebind(solution, problem, canon, verify_rebind, engine)
+    return CachedOutcome(rebound, cached=False, fingerprint=fingerprint)
 
 
 class ScheduleService(JsonLinesFrontend):
     """Asyncio scheduling service over a :class:`SolutionStore`.
 
-    ``workers`` bounds the thread pool the CPU-bound work — solves *and*
-    rebinds with their replay checks — runs on; the event loop itself only
-    does cache lookups and protocol I/O, so one large rebind cannot stall
-    every other connection.  Identical concurrent fingerprints are
-    coalesced:
+    ``workers`` bounds the thread pool that every solve runs on.  A
+    rebind with its replay check — a hit, a coalesced waiter, or the
+    requester's own after a miss — runs on the event loop when the answer
+    has at most :data:`INLINE_REBIND_TASKS` tasks, and on the pool above
+    that, so one large rebind cannot stall every other connection.  A
+    small hit therefore never leaves the loop: lookup, rebind, replay
+    check and (in the protocol layer) rendering from the entry's template
+    run in one step.  Identical concurrent fingerprints are coalesced:
     the first request solves, the rest await its future and rebind the
     shared canonical solution onto their own platforms.
 
     The JSON-lines serving loops (stdio/TCP, graceful drain on
     SIGTERM/``op:"shutdown"``) come from :class:`JsonLinesFrontend`;
-    ``chaos_ops=True`` arms the fault-injection op the chaos harness
-    uses (never the default — a production worker cannot be chaos'd).
+    they write the text :func:`repro.service.protocol.serve_line`
+    renders.  ``chaos_ops=True`` arms the fault-injection op the chaos
+    harness uses (never the default — a production worker cannot be
+    chaos'd).
     """
 
     def __init__(
@@ -291,7 +339,8 @@ class ScheduleService(JsonLinesFrontend):
         if self._closing:
             raise ServiceClosingError("service is shutting down")
         self._record("requests")
-        key = cache_key(problem)
+        with _trace.span("service.canon"):
+            key = cache_key(problem)
         try:
             if key is None:
                 solution = await loop.run_in_executor(
@@ -308,29 +357,25 @@ class ScheduleService(JsonLinesFrontend):
             if inflight is not None:
                 self._record("coalesced")
                 solution = await asyncio.shield(inflight)
-                rebound = await loop.run_in_executor(
-                    self._pool, self._rebound, solution, problem, canon
+                rebound = await self._rebind(
+                    _checked_rebind, solution, problem, canon
                 )
                 return CachedOutcome(
                     rebound, cached=False,
                     fingerprint=fingerprint, coalesced=True,
                 )
-            hit = self.store.get(fingerprint)
-            if hit is not None:
-                try:
-                    rebound = await loop.run_in_executor(
-                        self._pool, self._rebound, hit, problem, canon
-                    )
+            entry = self.store.lookup(fingerprint)
+            if entry is not None:
+                rebound = await self._rebind(
+                    _serve_hit, entry.solution, problem, canon,
+                    self.store, fingerprint,
+                )
+                if rebound is not None:
                     return CachedOutcome(
                         rebound, cached=True, fingerprint=fingerprint,
+                        entry=entry,
                     )
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    # damaged evidence: quarantine and solve fresh below
-                    self.store.quarantine(
-                        fingerprint, f"{type(exc).__name__}: {exc}"
-                    )
+                # damaged evidence, now quarantined: solve fresh below
             future: asyncio.Future = loop.create_future()
             self._inflight[fingerprint] = future
 
@@ -354,8 +399,8 @@ class ScheduleService(JsonLinesFrontend):
             )
             exec_future.add_done_callback(_transfer)
             solution = await asyncio.shield(future)
-            rebound = await loop.run_in_executor(
-                self._pool, self._rebound, solution, problem, canon
+            rebound = await self._rebind(
+                _checked_rebind, solution, problem, canon
             )
             return CachedOutcome(
                 rebound, cached=False, fingerprint=fingerprint,
@@ -366,12 +411,32 @@ class ScheduleService(JsonLinesFrontend):
             self._record("errors")
             raise
 
-    def _rebound(self, solution: Solution, problem: Problem, canon) -> Solution:
-        with _trace.span("service.rebind", verify=self.verify_rebinds):
-            rebound = rebind_solution(solution, problem, canon)
-            if self.verify_rebinds:
-                rebound.validate(engine=self.engine)  # one linear scan (default)
-        return rebound
+    async def _rebind(self, step, solution: Solution, problem: Problem,
+                      canon: Optional[CanonicalForm], *extra: Any) -> Any:
+        """Run one rebind ``step`` (:func:`_checked_rebind` or
+        :func:`_serve_hit`, which takes ``extra``) of ``solution`` onto
+        ``problem``: right here on the loop when the answer is small
+        (:data:`INLINE_REBIND_TASKS`), on the thread pool when not."""
+        args = (solution, problem, canon, self.verify_rebinds, self.engine,
+                *extra)
+        schedule = solution.schedule
+        if schedule is None or len(schedule.assignments) <= INLINE_REBIND_TASKS:
+            return step(*args)
+        return await asyncio.get_running_loop().run_in_executor(
+            self._pool, step, *args
+        )
+
+    # -- protocol (local imports: the protocol module imports this one) -----
+
+    async def handle_line(self, raw_line: str) -> dict[str, Any]:
+        from .protocol import handle_request
+
+        return await handle_request(self, raw_line)
+
+    async def render_line(self, raw_line: str) -> str:
+        from .protocol import serve_line
+
+        return await serve_line(self, raw_line)
 
     def stats(self) -> dict[str, Any]:
         from ..core.compiled import compile_stats

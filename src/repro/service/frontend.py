@@ -15,17 +15,21 @@ Two subclasses serve through it:
   consistent-hashes requests across supervised worker processes
   (``repro serve --shards N``).
 
-The mixin calls :meth:`handle_line` for each request line; the default
-delegates to :func:`repro.service.protocol.handle_request`, the router
-overrides it with forwarding logic.
+The mixin writes, for each request line, the text :meth:`render_line`
+returns.  By default that is :meth:`handle_line`'s response dict,
+JSON-encoded — the router's forwarding logic answers that way.  The
+single-process service overrides :meth:`render_line` with
+:func:`repro.service.protocol.serve_line`, which renders the response
+text itself (a cache hit straight from its entry's template).
 
 **Chaos hooks** (:class:`ChaosState`): a worker launched with
 ``--chaos-ops`` accepts ``op:"inject"`` requests that make it misbehave
 on purpose — answer slowly, stop answering entirely (hang), or emit a
-truncated JSON line (garble).  The hooks live here because they model
-*transport-level* failure: the chaos harness uses them to prove the
-fleet never turns a worker's garbage into a client's answer.  Without
-``--chaos-ops`` the op does not exist.
+truncated JSON line (garble).  They model *transport-level* failure:
+the chaos harness uses them to prove the fleet never turns a worker's
+garbage into a client's answer.  The protocol layer applies them, so an
+inject's own ack is never garbled.  Without ``--chaos-ops`` the op does
+not exist.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ class ChaosState:
     * ``hang`` — stop answering *everything* (health pings included)
       until the supervisor's deadline declares the worker dead;
     * ``garble`` — truncate the next ``count`` response lines mid-JSON
-      (framing says "complete line", the payload is cut off).
+      (framing says "complete line", the payload is cut off); the
+      inject's own ack is not one of them.
     """
 
     __slots__ = ("slow_s", "slow_left", "garble_left", "hung")
@@ -102,12 +107,8 @@ class ChaosState:
 
 class JsonLinesFrontend:
     """Serving-loop mixin (see module docstring).  Subclasses provide
-    :meth:`handle_line` semantics (default: the protocol module's
-    ``handle_request``) and, optionally, ``begin_shutdown()``."""
-
-    #: armed only on chaos-enabled workers; ``None`` means the inject op
-    #: does not exist and responses are never touched.
-    chaos: Optional[ChaosState] = None
+    :meth:`handle_line` (or :meth:`render_line`) and, optionally,
+    ``begin_shutdown()``."""
 
     # -- shutdown signalling -------------------------------------------------
 
@@ -143,11 +144,13 @@ class JsonLinesFrontend:
     # -- per-line dispatch ---------------------------------------------------
 
     async def handle_line(self, raw_line: str) -> dict[str, Any]:
-        """Serve one raw request line; the default is the single-process
-        protocol path (decode → op dispatch → encode)."""
-        from .protocol import handle_request  # local import: protocol uses engine
+        """Serve one raw request line; returns the response dict."""
+        raise NotImplementedError
 
-        return await handle_request(self, raw_line)
+    async def render_line(self, raw_line: str) -> str:
+        """Serve one raw request line; returns the response line's text
+        (no newline) — by default :meth:`handle_line`'s dict, encoded."""
+        return json.dumps(await self.handle_line(raw_line))
 
     # -- serving loops (JSON-lines protocol) --------------------------------
 
@@ -167,10 +170,7 @@ class JsonLinesFrontend:
         pending: set[asyncio.Task] = set()
         stop = self._stop_event()
 
-        async def deliver(response: dict) -> None:
-            text = json.dumps(response)
-            if self.chaos is not None:
-                text = self.chaos.mangle(text)
+        async def deliver(text: str) -> None:
             try:
                 await send(text)
             except Exception as exc:  # noqa: BLE001 - client went away mid-send
@@ -178,7 +178,7 @@ class JsonLinesFrontend:
                       file=sys.stderr)
 
         async def respond(raw_line: str) -> None:
-            await deliver(await self.handle_line(raw_line))
+            await deliver(await self.render_line(raw_line))
 
         read_task: Optional[asyncio.Task] = None
         while not stop.is_set():
@@ -195,9 +195,10 @@ class JsonLinesFrontend:
             except ValueError as exc:
                 # a request line past the reader's limit: framing is lost,
                 # so answer what we can and drop the connection cleanly
-                await deliver({"id": None, "ok": False,
-                               "error": f"request line too long: {exc}",
-                               "error_kind": "bad_request"})
+                await deliver(json.dumps({
+                    "id": None, "ok": False,
+                    "error": f"request line too long: {exc}",
+                    "error_kind": "bad_request"}))
                 read_task = None
                 break
             read_task = None
@@ -214,8 +215,8 @@ class JsonLinesFrontend:
                 if isinstance(request, dict) and request.get("op") == "shutdown":
                     if pending:
                         await asyncio.gather(*pending)
-                    await deliver({"id": request.get("id"), "ok": True,
-                                   "shutdown": True})
+                    await deliver(json.dumps({"id": request.get("id"),
+                                              "ok": True, "shutdown": True}))
                     break
             # respond() never raises (deliver swallows transport errors),
             # so a discarded done task cannot hide an unretrieved exception

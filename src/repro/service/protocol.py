@@ -21,6 +21,13 @@ Solve responses::
     {"id": "r1", "ok": true, "cached": false, "coalesced": false,
      "fingerprint": "…", "solution": { ...solution_to_dict... }}
 
+:func:`serve_line` renders each response line's text and is what the
+serving loop writes; :func:`handle_request` returns the same response
+as a dict.  A cache hit's ``solution`` is rendered from its store
+entry's :class:`~repro.io.json_io.SolutionTemplate` — the same bytes
+``solution_to_dict`` + ``json.dumps`` give, without re-encoding what
+every rebind of the entry shares.
+
 A solve request may carry ``"deadline": seconds``; the server also
 enforces its own ``request_timeout`` ceiling (the tighter one wins) and
 answers an expired request with ``error_kind:"timeout"`` instead of
@@ -54,7 +61,13 @@ import time
 from typing import Any, Mapping, Optional
 
 from ..core.types import InfeasibleScheduleError, ReproError
-from ..io.json_io import problem_from_dict, problem_to_dict, solution_from_dict, solution_to_dict
+from ..io.json_io import (
+    SolutionTemplate,
+    problem_from_dict,
+    problem_to_dict,
+    solution_from_dict,
+    solution_to_dict,
+)
 from ..obs import metrics as _obs
 from ..obs import tracing as _trace
 from ..solve import Problem, Solution
@@ -70,6 +83,7 @@ __all__ = [
     "ServiceTimeout",
     "error_kind_of",
     "handle_request",
+    "serve_line",
     "smoke",
 ]
 
@@ -127,21 +141,42 @@ def _observe_op(service: Any, op: str, t0: float) -> None:
     _obs.counter("service.ops", op=op).inc()
 
 
-async def handle_request(service: Any, raw_line: str) -> dict[str, Any]:
-    """Decode one request line, serve it, encode the response dict.
+async def serve_line(service: Any, raw_line: str) -> str:
+    """Decode one request line, serve it, render the response line's text
+    (no newline) — what the serving loop writes.
 
     Every request — including malformed ones — is timed into the
     service's per-op latency histogram (surfaced as percentiles by the
-    ``stats`` op) and spanned as ``service.request`` when tracing is on."""
+    ``stats`` op) and spanned as ``service.request`` when tracing is on.
+    On a chaos-armed service an armed garble truncates the text here; an
+    ``inject`` ack is never garbled, so arming a garble cannot eat it."""
+    op, text = await _serve_line(service, raw_line)
+    chaos = getattr(service, "chaos", None)
+    if chaos is not None and op != "inject":
+        text = chaos.mangle(text)
+    return text
+
+
+async def handle_request(service: Any, raw_line: str) -> dict[str, Any]:
+    """:func:`serve_line`'s response as a dict (before any chaos garble):
+    the in-process entry point for tests, scripts and benchmarks."""
+    _op, text = await _serve_line(service, raw_line)
+    return json.loads(text)
+
+
+async def _serve_line(service: Any, raw_line: str) -> tuple[str, str]:
+    """``(op, response text)`` of one request line."""
     t0 = time.perf_counter()
     try:
-        request = json.loads(raw_line)
+        with _trace.span("service.decode"):
+            request = json.loads(raw_line)
         if not isinstance(request, dict):
             raise ValueError("request must be a JSON object")
     except ValueError as exc:
         _observe_op(service, "malformed", t0)
-        return {"id": None, "ok": False, "error": f"malformed request: {exc}",
-                "error_kind": "bad_request"}
+        return "malformed", json.dumps({
+            "id": None, "ok": False, "error": f"malformed request: {exc}",
+            "error_kind": "bad_request"})
     op = request.get("op", "solve")
     chaos = getattr(service, "chaos", None)
     if chaos is not None and op != "inject":
@@ -150,14 +185,68 @@ async def handle_request(service: Any, raw_line: str) -> dict[str, Any]:
         # before serving — health pings included, as a real stall would
         await chaos.gate()
     with _trace.span("service.request", op=op):
-        response = await _serve_op(service, request, op)
+        text = await _serve_op(service, request, op)
     _observe_op(service, op, t0)
-    return response
+    return op, text
 
 
-async def _serve_op(
-    service: Any, request: dict[str, Any], op: str
-) -> dict[str, Any]:
+async def _serve_op(service: Any, request: dict[str, Any], op: str) -> str:
+    if op != "solve":
+        return json.dumps(_answer_op(service, request, op))
+    rid = request.get("id")
+    try:
+        with _trace.span("service.decode", part="problem"):
+            problem = problem_from_dict(request["problem"])
+    except Exception as exc:  # noqa: BLE001 - any bad payload is the client's fault
+        return json.dumps({
+            "id": rid, "ok": False,
+            "error": f"bad problem payload: {type(exc).__name__}: {exc}",
+            "error_kind": "bad_request"})
+    # per-request deadline: the service's configured ceiling, tightened
+    # (never loosened) by the request's own "deadline" field
+    deadline = getattr(service, "request_timeout", None)
+    requested = request.get("deadline")
+    if isinstance(requested, (int, float)) and requested > 0:
+        deadline = requested if deadline is None else min(deadline, requested)
+    try:
+        if deadline is not None:
+            outcome = await asyncio.wait_for(service.submit(problem), deadline)
+        else:
+            outcome = await service.submit(problem)
+    except asyncio.TimeoutError:
+        service.timeouts = getattr(service, "timeouts", 0) + 1
+        _obs.counter("service.timeouts").inc()
+        return json.dumps({
+            "id": rid, "ok": False,
+            "error": f"request exceeded its {deadline}s deadline",
+            "error_kind": "timeout"})
+    except Exception as exc:  # noqa: BLE001 - one bad request must not kill the loop
+        return json.dumps({
+            "id": rid, "ok": False, "error": f"{type(exc).__name__}: {exc}",
+            "error_kind": error_kind_of(exc)})
+    with _trace.span("service.encode", cached=outcome.cached):
+        # the same bytes as json.dumps of the whole response dict, with
+        # "solution" last
+        head = json.dumps({
+            "id": rid, "ok": True, "cached": outcome.cached,
+            "coalesced": outcome.coalesced, "fingerprint": outcome.fingerprint,
+        })
+        return f'{head[:-1]}, "solution": {_solution_text(outcome)}}}'
+
+
+def _solution_text(outcome: Any) -> str:
+    """``json.dumps(solution_to_dict(outcome.solution))``; a hit renders
+    it from its store entry's template, built on the entry's first hit."""
+    entry = outcome.entry
+    if entry is None:
+        return json.dumps(solution_to_dict(outcome.solution))
+    if entry.template is None:
+        entry.template = SolutionTemplate(outcome.solution)
+    return entry.template.render(outcome.solution)
+
+
+def _answer_op(service: Any, request: dict[str, Any], op: str) -> dict[str, Any]:
+    """The response to every op but ``solve``."""
     rid = request.get("id")
     if op == "ping":
         return {"id": rid, "ok": True, "pong": True,
@@ -173,44 +262,8 @@ async def _serve_op(
     chaos = getattr(service, "chaos", None)
     if op == "inject" and chaos is not None:
         return chaos.inject(request)
-    if op != "solve":
-        return {"id": rid, "ok": False, "error": f"unknown op {op!r}",
-                "error_kind": "bad_request"}
-    try:
-        problem = problem_from_dict(request["problem"])
-    except Exception as exc:  # noqa: BLE001 - any bad payload is the client's fault
-        return {"id": rid, "ok": False,
-                "error": f"bad problem payload: {type(exc).__name__}: {exc}",
-                "error_kind": "bad_request"}
-    # per-request deadline: the service's configured ceiling, tightened
-    # (never loosened) by the request's own "deadline" field
-    deadline = getattr(service, "request_timeout", None)
-    requested = request.get("deadline")
-    if isinstance(requested, (int, float)) and requested > 0:
-        deadline = requested if deadline is None else min(deadline, requested)
-    try:
-        if deadline is not None:
-            outcome = await asyncio.wait_for(service.submit(problem), deadline)
-        else:
-            outcome = await service.submit(problem)
-    except asyncio.TimeoutError:
-        service.timeouts = getattr(service, "timeouts", 0) + 1
-        _obs.counter("service.timeouts").inc()
-        return {"id": rid, "ok": False,
-                "error": f"request exceeded its {deadline}s deadline",
-                "error_kind": "timeout"}
-    except Exception as exc:  # noqa: BLE001 - one bad request must not kill the loop
-        return {"id": rid, "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_kind": error_kind_of(exc)}
-    return {
-        "id": rid,
-        "ok": True,
-        "cached": outcome.cached,
-        "coalesced": outcome.coalesced,
-        "fingerprint": outcome.fingerprint,
-        "solution": solution_to_dict(outcome.solution),
-    }
+    return {"id": rid, "ok": False, "error": f"unknown op {op!r}",
+            "error_kind": "bad_request"}
 
 
 class ServiceClient:

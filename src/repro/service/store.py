@@ -8,7 +8,10 @@ representative, so one entry serves every relabeled-isomorphic request).
 Two tiers:
 
 * a bounded in-memory LRU of live ``Solution`` objects — the hot path,
-  no deserialisation on hit;
+  no deserialisation on hit.  Each is held in a :class:`StoreEntry`,
+  which also keeps the entry's response template once the protocol
+  layer has built one on the entry's first hit; eviction and quarantine
+  drop the template with the entry;
 * an optional SQLite file of JSON payloads (``path=None`` disables it) —
   survives restarts, backs multi-process batch runs, and re-feeds the
   memory tier on miss.
@@ -45,11 +48,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from ..io.json_io import solution_from_dict, solution_to_dict
+from ..io.json_io import SolutionTemplate, solution_from_dict, solution_to_dict
 from ..obs import metrics as _obs
 from ..solve.problem import Solution
 
-__all__ = ["SolutionStore", "StoreStats"]
+__all__ = ["SolutionStore", "StoreEntry", "StoreStats"]
+
+
+class StoreEntry:
+    """One memory-tier entry: a canonical solution, plus the
+    :class:`~repro.io.json_io.SolutionTemplate` its rebinds are rendered
+    from — ``None`` until the entry serves its first hit."""
+
+    __slots__ = ("solution", "template")
+
+    def __init__(self, solution: Solution) -> None:
+        self.solution = solution
+        self.template: Optional[SolutionTemplate] = None
 
 
 @dataclass
@@ -129,7 +144,7 @@ class SolutionStore:
             raise ValueError(f"store capacity must be >= 1, got {self.capacity}")
         resolve_engine(self.engine)  # reject typos before the first write
         self._lock = threading.Lock()
-        self._memory: OrderedDict[str, Solution] = OrderedDict()
+        self._memory: OrderedDict[str, StoreEntry] = OrderedDict()
         self._db: Optional[sqlite3.Connection] = None
         if self.path is not None:
             # one shared connection; our lock serialises access, and the
@@ -177,12 +192,18 @@ class SolutionStore:
         failures (locked or corrupt database file) likewise degrade to the
         memory tier (``sqlite_errors``).  Callers must not mutate the
         returned object (rebinding copies)."""
+        entry = self.lookup(fingerprint)
+        return None if entry is None else entry.solution
+
+    def lookup(self, fingerprint: str) -> Optional[StoreEntry]:
+        """:meth:`get`, returning the memory-tier entry itself (a SQLite
+        hit is promoted first), so the caller can reach its template."""
         with self._lock:
-            sol = self._memory.get(fingerprint)
-            if sol is not None:
+            entry = self._memory.get(fingerprint)
+            if entry is not None:
                 self._memory.move_to_end(fingerprint)
                 self.stats.record("memory_hits")
-                return sol
+                return entry
             if self._db is not None:
                 try:
                     row = self._db.execute(
@@ -204,8 +225,7 @@ class SolutionStore:
                         )
                     else:
                         self.stats.record("sqlite_hits")
-                        self._admit(fingerprint, sol)
-                        return sol
+                        return self._admit(fingerprint, sol)
             self.stats.record("misses")
             return None
 
@@ -254,10 +274,13 @@ class SolutionStore:
                 with self._lock:
                     self.stats.record("rejected")
                 raise
-        payload = json.dumps(solution_to_dict(solution), sort_keys=True)
+        # only the SQLite tier stores text: a memory-only store (the
+        # ``repro serve`` default) never pays for encoding the payload
+        payload = (None if self._db is None
+                   else json.dumps(solution_to_dict(solution), sort_keys=True))
         with self._lock:
             self.stats.record("writes")
-            if self._db is not None:
+            if self._db is not None:  # open now, so open above: payload is set
                 try:
                     with self._db:
                         self._db.execute(
@@ -271,14 +294,15 @@ class SolutionStore:
                     self.stats.record("sqlite_errors")
             self._admit(fingerprint, solution)
 
-    def _admit(self, fingerprint: str, solution: Solution) -> None:
-        """Insert into the memory LRU, evicting the coldest past capacity.
-        Caller holds the lock."""
-        self._memory[fingerprint] = solution
+    def _admit(self, fingerprint: str, solution: Solution) -> StoreEntry:
+        """Insert a fresh entry into the memory LRU, evicting the coldest
+        past capacity.  Caller holds the lock."""
+        entry = self._memory[fingerprint] = StoreEntry(solution)
         self._memory.move_to_end(fingerprint)
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)
             self.stats.record("evictions")
+        return entry
 
     # -- quarantine ----------------------------------------------------------
 

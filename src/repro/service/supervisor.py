@@ -270,6 +270,20 @@ class WorkerSlot:
     #: consecutive failed *boots* (drives the exponential backoff; a
     #: worker that came up healthy resets it).
     crash_streak: int = 0
+    #: garbled frames of the workers this slot has already replaced.
+    garbled_before: int = 0
+
+    @property
+    def garbled_frames(self) -> int:
+        """Garbled frames over every worker this slot has run: a restart
+        must not forget the frame that killed its predecessor."""
+        live = self.worker.garbled_frames if self.worker is not None else 0
+        return self.garbled_before + live
+
+    def replace_worker(self, worker: WorkerProcess) -> None:
+        if self.worker is not None:
+            self.garbled_before += self.worker.garbled_frames
+        self.worker = worker
 
 
 class Supervisor:
@@ -363,7 +377,7 @@ class Supervisor:
                     return
                 slot.state = "starting"
                 worker = WorkerProcess(slot.shard_id, self.config)
-                slot.worker = worker
+                slot.replace_worker(worker)
                 try:
                     await worker.start()
                     ok = await self._wait_ready(worker)
@@ -443,10 +457,7 @@ class Supervisor:
             "up": sum(1 for s in self.slots if s.state == "up"),
             "failed": sum(1 for s in self.slots if s.state == "failed"),
             "restarts": sum(s.restarts for s in self.slots),
-            "garbled_frames": sum(
-                s.worker.garbled_frames for s in self.slots
-                if s.worker is not None
-            ),
+            "garbled_frames": sum(s.garbled_frames for s in self.slots),
             "slots": {
                 str(s.shard_id): {
                     "state": s.state,

@@ -8,12 +8,17 @@ bit-exactly on the *relabeled* platform.
 """
 
 import asyncio
+import contextvars
 import json
 import random
+import threading
 import time
 
 import pytest
 
+from repro.core.schedule import TaskAssignment
+from repro.io.json_io import problem_to_dict, solution_to_dict
+from repro.obs import tracing as obs_tracing
 from repro.platforms.chain import Chain
 from repro.platforms.generators import random_tree
 from repro.platforms.spider import Spider
@@ -26,8 +31,10 @@ from repro.service import (
     SolutionStore,
     cached_solve,
 )
-from repro.service.protocol import handle_request, smoke
-from repro.solve import Problem, registered_solvers, solve
+from repro.service import engine as engine_module
+from repro.service.engine import cache_key
+from repro.service.protocol import handle_request, serve_line, smoke
+from repro.solve import Problem, Solution, registered_solvers, solve
 
 
 def _relabel(platform, seed: int = 7):
@@ -284,6 +291,171 @@ class TestProtocol:
         )
         assert not response["ok"] and response["error_kind"] == "error"
         service._pool.shutdown(wait=True)
+
+
+def _solve_line(rid, problem) -> str:
+    return json.dumps({"id": rid, "op": "solve",
+                       "problem": problem_to_dict(problem)})
+
+
+@pytest.fixture()
+def replay_threads(monkeypatch):
+    """Names of the threads every ``Solution.validate`` call ran on, in
+    call order (the store's write check included)."""
+    threads: list[str] = []
+    original = Solution.validate
+
+    def validate(self, engine=None):
+        threads.append(threading.current_thread().name)
+        return original(self, engine)
+
+    monkeypatch.setattr(Solution, "validate", validate)
+    return threads
+
+
+class TestHitPath:
+    """The served hit path: one replay per hit, template-rendered bytes
+    that equal the full encoder's, quarantine of damaged hits, and the
+    loop/pool split by answer size."""
+
+    @pytest.mark.parametrize(
+        "solver", registered_solvers("offline"), ids=lambda s: s.name
+    )
+    def test_served_lines_equal_the_full_encoding(self, solver):
+        """Misses, coalesced waiters, first hits (template built) and
+        later hits (template rendered) of relabeled platforms — spider
+        keys are tuples — all serve the bytes of encoding the outcome."""
+        platform = _platform_for(solver)
+        problems = [Problem(_relabel(platform, seed), "makespan", n=12)
+                    for seed in range(6)]
+        outcome_of = contextvars.ContextVar("outcome")
+
+        async def go():
+            service = ScheduleService(store=SolutionStore(), workers=2)
+            submit = service.submit
+
+            async def recording_submit(problem):
+                outcome = await submit(problem)
+                outcome_of.set(outcome)  # this request's task context
+                return outcome
+
+            service.submit = recording_submit
+
+            async def one(rid, problem):
+                text = await serve_line(service, _solve_line(rid, problem))
+                return rid, text, outcome_of.get()
+
+            try:
+                # three concurrent requests coalesce on one solve, then
+                # three sequential relabeled hits
+                served = list(await asyncio.gather(
+                    *(one(f"r{i}", p) for i, p in enumerate(problems[:3]))))
+                for i, p in enumerate(problems[3:], start=3):
+                    served.append(await one(f"r{i}", p))
+            finally:
+                service.close()
+            return served
+
+        served = asyncio.run(go())
+        for rid, text, outcome in served:
+            assert text == json.dumps({
+                "id": rid, "ok": True, "cached": outcome.cached,
+                "coalesced": outcome.coalesced,
+                "fingerprint": outcome.fingerprint,
+                "solution": solution_to_dict(outcome.solution),
+            })
+        kinds = [(o.cached, o.coalesced) for _, _, o in served]
+        assert kinds == [(False, False)] + [(False, True)] * 2 + [(True, False)] * 3
+
+    def test_one_replay_per_hit_two_per_miss(self, replay_threads):
+        problem = Problem(Spider([Chain([2, 3], [3, 5]), Chain([1], [4])]),
+                          "makespan", n=10)
+        relabeled = Problem(_relabel(problem.platform), "makespan", n=10)
+        service = ScheduleService(store=SolutionStore(), workers=1)
+        counts = []
+        try:
+            for rid, p in enumerate((problem, problem, relabeled)):
+                before = len(replay_threads)
+                response = asyncio.run(
+                    handle_request(service, _solve_line(rid, p)))
+                assert response["ok"]
+                counts.append(len(replay_threads) - before)
+        finally:
+            service.close()
+        assert counts == [2, 1, 1]  # store write + rebind, then rebind only
+
+    def test_damaged_hit_is_quarantined_and_resolved_inline(
+        self, replay_threads
+    ):
+        problem = Problem(Star([(2, 3), (1, 5), (3, 2)]), "makespan", n=5)
+        fingerprint, canon = cache_key(problem)
+        damaged = solve(Problem(canon.platform, "makespan", n=5))
+        a = damaged.schedule.assignments[1]
+        damaged.schedule.assignments[1] = TaskAssignment(
+            a.task, a.processor, -1, a.comms)  # starts before time 0
+        store = SolutionStore(validate_on_write=False)  # let corruption in
+        store.put(fingerprint, damaged)
+
+        async def go():
+            service = ScheduleService(store=store, workers=1)
+            try:
+                first = await service.submit(problem)
+                second = await service.submit(problem)
+            finally:
+                service._pool.shutdown(wait=True)
+            return first, second
+
+        first, second = asyncio.run(go())
+        # the failed check, the fresh answer's and the next hit's rebind
+        # checks all ran on the event loop (the main thread here); the
+        # store skips its own check (validate_on_write is off)
+        assert replay_threads == [threading.main_thread().name] * 3
+        assert not first.cached  # the damaged hit was not served ...
+        first.solution.validate()
+        assert second.cached  # ... and the fresh answer replaced it
+        assert store.get(fingerprint) is not damaged
+
+    def test_rebinds_run_on_the_loop_up_to_the_task_bound(
+        self, replay_threads, monkeypatch
+    ):
+        problem = Problem(Chain([2, 3], [3, 5]), "makespan", n=6)
+
+        def serve_twice():
+            async def go():
+                service = ScheduleService(store=SolutionStore(), workers=1)
+                try:
+                    await service.submit(problem)
+                    await service.submit(problem)
+                finally:
+                    service.close()
+
+            replay_threads.clear()
+            asyncio.run(go())
+            # [store write (pool), miss rebind, hit rebind]
+            return replay_threads[1:]
+
+        loop_thread = threading.main_thread().name
+        assert serve_twice() == [loop_thread, loop_thread]
+        monkeypatch.setattr(engine_module, "INLINE_REBIND_TASKS", 5)
+        assert all(name.startswith("repro-serve") for name in serve_twice())
+
+    def test_served_hit_emits_decode_canon_rebind_encode_spans(self):
+        problem = Problem(Chain([2, 3], [3, 5]), "makespan", n=5)
+        service = ScheduleService(store=SolutionStore(), workers=1)
+        previous = obs_tracing.set_tracing(True)
+        try:
+            asyncio.run(handle_request(service, _solve_line(1, problem)))
+            obs_tracing.clear_spans()
+            asyncio.run(handle_request(service, _solve_line(2, problem)))
+            names = [s["name"] for s in obs_tracing.spans()]
+        finally:
+            obs_tracing.set_tracing(previous)
+            obs_tracing.clear_spans()
+            service.close()
+        for name in ("service.decode", "service.canon", "service.rebind",
+                     "service.encode", "service.request"):
+            assert name in names, names
+        assert "service.solve_canonical" not in names  # it was a hit
 
 
 class TestServeEndToEnd:

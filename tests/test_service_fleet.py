@@ -330,6 +330,84 @@ class TestFleetEndToEnd:
 
 
 # ---------------------------------------------------------------------------
+# Fault accounting: garble injections and counts across restarts
+# ---------------------------------------------------------------------------
+
+
+class TestGarbleAccounting:
+    def test_garble_ack_is_intact_and_the_next_solve_is_cut(self):
+        """Through the real serving loop, one request at a time."""
+        from repro.service.engine import ScheduleService
+        from repro.service.store import SolutionStore
+
+        lines = [json.dumps({"id": "g", "op": "inject", "fault": "garble",
+                             "count": 1}),
+                 solve_line(spider_problem(), "s1"),
+                 solve_line(spider_problem(), "s2")]
+        sent: list[str] = []
+
+        async def go():
+            service = ScheduleService(store=SolutionStore(), workers=1,
+                                      chaos_ops=True)
+            pending = list(lines)
+
+            async def readline():
+                # lockstep: line k is read once k responses went out
+                while len(sent) < len(lines) - len(pending):
+                    await asyncio.sleep(0.005)
+                return (pending.pop(0) + "\n").encode() if pending else b""
+
+            async def send(text):
+                sent.append(text)
+
+            try:
+                await service.handle_connection(readline, send)
+            finally:
+                service.close()
+
+        asyncio.run(go())
+        ack = json.loads(sent[0])
+        assert ack == {"id": "g", "ok": True, "fault": "garble", "count": 1}
+        with pytest.raises(ValueError):
+            json.loads(sent[1])  # the next response line is truncated ...
+        assert json.loads(sent[2])["ok"]  # ... and only that one
+
+    def test_garbled_frames_survive_the_worker_restart(self):
+        async def scenario():
+            router = ShardRouter(1, WorkerConfig(threads=1, capacity=8,
+                                                 chaos_ops=True))
+            await router.start()
+            try:
+                first_pid = router.supervisor.worker(0).pid
+                ack = await router.handle_line(json.dumps(
+                    {"id": "g", "op": "inject", "shard": 0,
+                     "fault": "garble", "count": 1}))
+                assert ack["ok"], ack  # the ack crossed the pipe intact
+                # the next response the worker writes is cut off: the
+                # router kills it, and with no other shard the solve
+                # answers "unavailable"
+                response = await router.handle_line(
+                    solve_line(spider_problem(), "s"))
+                assert response["error_kind"] == "unavailable", response
+                deadline = time.monotonic() + 20
+                while time.monotonic() < deadline:
+                    worker = router.supervisor.worker(0)
+                    if worker is not None and worker.pid != first_pid:
+                        break
+                    await asyncio.sleep(0.05)
+                stats = router.supervisor.stats()
+                assert stats["restarts"] >= 1
+                assert stats["garbled_frames"] == 1
+                again = await router.handle_line(
+                    solve_line(spider_problem(), "t"))
+                assert again["ok"], again
+            finally:
+                await router.aclose()
+
+        asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
 # Graceful shutdown of the serving process (SIGTERM drain)
 # ---------------------------------------------------------------------------
 

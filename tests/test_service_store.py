@@ -81,6 +81,35 @@ class TestSqliteTier:
         assert len(store) == 2
 
 
+class TestEntriesAndPayloads:
+    def test_memory_only_put_never_encodes(self, monkeypatch):
+        import repro.service.store as store_module
+
+        def encode(solution):
+            raise AssertionError("a memory-only put encoded its payload")
+
+        monkeypatch.setattr(store_module, "solution_to_dict", encode)
+        store = SolutionStore()
+        fp, sol = solved()
+        store.put(fp, sol)
+        assert store.get(fp) is sol
+
+    def test_eviction_and_quarantine_drop_the_entry_template(self, tmp_path):
+        store = SolutionStore(path=tmp_path / "s.sqlite", capacity=1)
+        a, b = solved(3), solved(4)
+        store.put(*a)
+        entry = store.lookup(a[0])
+        assert entry.solution is a[1] and entry.template is None
+        entry.template = "built on a first hit"
+        assert store.lookup(a[0]).template == "built on a first hit"
+        store.put(*b)  # evicts a; its SQLite row comes back template-less
+        assert store.lookup(a[0]).template is None
+        store.lookup(a[0]).template = "built again"
+        store.quarantine(a[0], "operator request")
+        store.put(*a)
+        assert store.lookup(a[0]).template is None
+
+
 class TestValidationOnWrite:
     def test_corrupt_solution_rejected(self):
         store = SolutionStore()
@@ -160,7 +189,10 @@ class TestDamageDegradation:
             assert "ValidationError" in entry[1]
 
     def test_quarantine_keeps_the_evidence(self, tmp_path):
+        import json
         import sqlite3
+
+        from repro.io.json_io import solution_to_dict
 
         path = tmp_path / "s.sqlite"
         fp = self.seeded(path)
@@ -172,7 +204,9 @@ class TestDamageDegradation:
                 "SELECT payload FROM quarantine WHERE fingerprint = ?",
                 (fp,),
             ).fetchone()
-            assert payload  # the original row text survived the eviction
+        # the original row text survived the eviction, in full
+        expected = json.dumps(solution_to_dict(solved()[1]))
+        assert json.loads(payload) == json.loads(expected)
 
     def test_dead_connection_degrades_to_memory_tier(self, tmp_path):
         store = SolutionStore(path=tmp_path / "s.sqlite")
