@@ -15,12 +15,18 @@ from typing import Callable
 
 from repro.analysis.steady_state import spider_steady_state, tree_steady_state
 from repro.batch import BatchRunner, Scenario
-from repro.core.chain import ChainRunStats
-from repro.core.chain_fast import schedule_chain_fast
-from repro.core.fork import AllocStats, allocate_greedy, allocate_incremental, expand_star
+from repro.core.chain import schedule_chain, schedule_chain_deadline
+from repro.core.fork import (
+    AllocStats,
+    allocate_greedy,
+    expand_star,
+    fork_schedule,
+    fork_schedule_deadline,
+)
 from repro.core.spider import SpiderRunStats, spider_schedule, spider_schedule_deadline
 from repro.io.json_io import platform_to_dict
 from repro.platforms.chain import Chain
+from repro.platforms.star import Star
 from repro.platforms.generators import random_chain, random_star, random_tree
 from repro.platforms.spider import Spider
 from repro.trees.heuristic import best_path_cover, tree_schedule_by_cover
@@ -48,42 +54,16 @@ def _best_of(fn: Callable[[], dict], rounds: int) -> dict:
     return best
 
 
-def kernel_spider_schedule_incremental() -> dict:
-    """Full warm-started makespan solve, incremental allocator (default)."""
+def kernel_spider_schedule_legacy() -> dict:
+    """The full warm-started makespan solve through the paper-literal
+    oracle (literal chain legs, rescanning greedy allocator).  Best-of-2:
+    it takes seconds per round."""
 
     def once() -> dict:
         spider = acceptance_spider()
         stats = SpiderRunStats()
         t0 = time.perf_counter()
         sched = spider_schedule(spider, ACCEPTANCE_N, stats=stats)
-        seconds = time.perf_counter() - t0
-        return {
-            "seconds": seconds,
-            "makespan": sched.makespan,
-            "probes": stats.probes,
-            "probes_short_circuited": stats.probes_short_circuited,
-            "legs_scheduled": stats.legs_scheduled,
-            "legs_skipped": stats.legs_skipped,
-            "alloc_candidates": stats.alloc.candidates,
-            "alloc_structure_ops": stats.alloc.structure_ops,
-        }
-
-    return _best_of(once, 3)
-
-
-def kernel_spider_schedule_legacy() -> dict:
-    """The same solve through the paper-literal greedy allocator (the old
-    default) — the denominator of the headline speedup.  Best-of-2 (it is
-    ~5 s per round) so the speedup ratio against the best-of-3 incremental
-    kernel compares minima with minima, not a single noisy sample."""
-
-    def once() -> dict:
-        spider = acceptance_spider()
-        stats = SpiderRunStats()
-        t0 = time.perf_counter()
-        sched = spider_schedule(
-            spider, ACCEPTANCE_N, allocator="greedy", stats=stats
-        )
         seconds = time.perf_counter() - t0
         return {
             "seconds": seconds,
@@ -96,7 +76,8 @@ def kernel_spider_schedule_legacy() -> dict:
 
 
 def kernel_spider_deadline_probe() -> dict:
-    """One deadline pipeline run at a tight horizon (no warm caps)."""
+    """One run of the oracle's deadline pipeline at a tight horizon (no
+    warm caps)."""
 
     def once() -> dict:
         spider = acceptance_spider()
@@ -110,26 +91,6 @@ def kernel_spider_deadline_probe() -> dict:
             "n_tasks": res.n_tasks,
             "fork_nodes": stats.fork_nodes,
             "alloc_structure_ops": stats.alloc.structure_ops,
-        }
-
-    return _best_of(once, 3)
-
-
-def kernel_allocator_incremental() -> dict:
-    """The allocator alone on a volunteer-scale expansion (~3.8k slaves)."""
-
-    def once() -> dict:
-        star = random_star(60, profile="volunteer", seed=83)
-        slaves = expand_star(star, 240)
-        stats = AllocStats()
-        t0 = time.perf_counter()
-        alloc = allocate_incremental(slaves, 240, stats=stats)
-        seconds = time.perf_counter() - t0
-        return {
-            "seconds": seconds,
-            "candidates": len(slaves),
-            "accepted": alloc.n_tasks,
-            "structure_ops": stats.structure_ops,
         }
 
     return _best_of(once, 3)
@@ -150,24 +111,6 @@ def kernel_allocator_greedy() -> dict:
             "candidates": len(slaves),
             "accepted": alloc.n_tasks,
             "structure_ops": stats.structure_ops,
-        }
-
-    return _best_of(once, 3)
-
-
-def kernel_chain_fast() -> dict:
-    """The O(n·p) chain fast path at n=2048, p=32."""
-
-    def once() -> dict:
-        chain = Chain.homogeneous(32, 2, 3)
-        stats = ChainRunStats()
-        t0 = time.perf_counter()
-        sched = schedule_chain_fast(chain, 2048, stats=stats)
-        seconds = time.perf_counter() - t0
-        return {
-            "seconds": seconds,
-            "makespan": sched.makespan,
-            "vector_elements": stats.vector_elements,
         }
 
     return _best_of(once, 3)
@@ -322,12 +265,9 @@ def kernel_tree_multiround_suite() -> dict:
 #: tracked (a regression there hides correctness-witness rot) but the
 #: checker's ``--skip-legacy`` flag can drop them for quick local runs.
 KERNELS: dict[str, Callable[[], dict]] = {
-    "spider_schedule_incremental_16x4_n512": kernel_spider_schedule_incremental,
     "spider_schedule_legacy_16x4_n512": kernel_spider_schedule_legacy,
     "spider_deadline_probe_16x4_n512": kernel_spider_deadline_probe,
-    "allocator_incremental_volunteer60": kernel_allocator_incremental,
     "allocator_greedy_volunteer60": kernel_allocator_greedy,
-    "chain_fast_p32_n2048": kernel_chain_fast,
     "batch_deadline_sweep_16x4": kernel_batch_deadline_sweep,
 }
 
@@ -469,7 +409,6 @@ SERVICE_SEED = 0x51CE
 
 def relabeled_platform(platform, rng):
     """A randomly relabeled isomorphic copy (chains have no freedom)."""
-    from repro.platforms.star import Star
     from repro.platforms.tree import Tree
 
     if isinstance(platform, Star):
@@ -881,18 +820,17 @@ CHURN_KERNELS: dict[str, Callable[[], dict]] = {
 
 
 # ---------------------------------------------------------------------------
-# The solve acceptance workload: compiled array kernels vs object solvers
+# The solve acceptance workload: the array kernels vs the paper-literal oracle
 # ---------------------------------------------------------------------------
 
-#: acceptance floor: the compiled solve engine must answer the batch
-#: workload at least this many times faster (median per problem) than the
-#: object solvers.
+#: acceptance floor: the kernels must answer the batch workload at least
+#: this many times faster (median per problem) than the oracle.
 SOLVE_MIN_SPEEDUP = 10.0
 
 #: problems per platform shape in the workload.  The scale (512 tasks on
 #: ~10-processor platforms) is the regime the batch engine targets; the
-#: compiled engine's advantage grows with ``n``, so smaller smoke runs
-#: belong in the tests, not here.
+#: kernels' advantage grows with ``n``, so smaller smoke runs belong in the
+#: tests, not here.
 SOLVE_PLATFORMS = 2
 SOLVE_N = 512
 SOLVE_CHAIN_DEPTH = 10
@@ -900,7 +838,7 @@ SOLVE_STAR_CHILDREN = 10
 SOLVE_SPIDER_LEGS = 6
 SOLVE_SPIDER_DEPTH = 5
 
-#: repeats per problem when timing one solve (min taken — both engines are
+#: repeats per problem when timing one solve (min taken — both paths are
 #: deterministic).
 SOLVE_TIMING_ROUNDS = 3
 
@@ -909,7 +847,7 @@ def solve_workload() -> list:
     """The committed chain+fork+spider batch: seeded platforms, one
     makespan and one deadline question each.  The deadline is the
     platform's own ``n``-task makespan, so every question is feasible and
-    both engines walk the same bisection range."""
+    both paths walk the same bisection range."""
     from repro.platforms.generators import random_spider, random_star
     from repro.solve import Problem, solve
 
@@ -922,35 +860,48 @@ def solve_workload() -> list:
                           seed=940 + i),
         )
         for platform in platforms:
-            makespan = solve(
-                Problem(platform, "makespan", n=SOLVE_N), engine="object"
-            ).makespan
+            makespan = solve(Problem(platform, "makespan", n=SOLVE_N)).makespan
             problems.append(Problem(platform, "makespan", n=SOLVE_N))
             problems.append(Problem(platform, "deadline", t_lim=makespan))
     return problems
 
 
+def oracle_schedule(problem):
+    """The paper-literal oracle's schedule for a chain/star/spider problem."""
+    platform = problem.platform
+    if problem.kind == "makespan":
+        solver = {Chain: schedule_chain, Star: fork_schedule,
+                  Spider: spider_schedule}[type(platform)]
+        return solver(platform, problem.n)
+    if isinstance(platform, Spider):
+        return spider_schedule_deadline(
+            platform, problem.t_lim, problem.n
+        ).schedule
+    solver = {Chain: schedule_chain_deadline,
+              Star: fork_schedule_deadline}[type(platform)]
+    return solver(platform, problem.t_lim, problem.n)
+
+
 def kernel_solve_batch() -> dict:
     """The solve acceptance kernel: answer every workload problem through
-    both engines, compare per-problem medians.
+    ``solve`` (the kernels) and through the oracle, compare per-problem
+    medians.
 
-    Times exactly what the hot paths run — ``solve(problem, engine=…)``,
-    i.e. ``repro batch --solve-engine`` and the service's cache-miss path
-    — with the solve-kernel caches warm (the batch regime: a scenario
-    group shares one platform).  Every compiled answer is asserted
-    bit-identical to the object answer *and* replay-validated inside the
-    kernel, so the speedup can never come from a wrong schedule."""
+    Times exactly what the hot paths run — ``solve(problem)``, i.e.
+    ``repro batch`` and the service's cache-miss path — with the
+    solve-kernel caches warm (the batch regime: a scenario group shares
+    one platform).  Every kernel answer is asserted bit-identical to the
+    oracle's *and* replay-validated inside the kernel, so the speedup can
+    never come from a wrong schedule."""
     from statistics import median
 
     from repro.core.solve_fast import clear_solve_kernels, solve_kernel_stats
     from repro.solve import solve
 
-    def fingerprint(solution):
-        if solution.schedule is None:
-            return None
+    def fingerprint(schedule):
         return {
             a.task: (str(a.processor), a.start, tuple(a.comms.times))
-            for a in solution.schedule.assignments.values()
+            for a in schedule.assignments.values()
         }
 
     def once() -> dict:
@@ -962,25 +913,24 @@ def kernel_solve_batch() -> dict:
         speedups: list[float] = []
         tasks = 0
         for problem in problems:
-            compiled = solve(problem, engine="compiled")  # warm the caches
-            obj = solve(problem, engine="object")
-            assert fingerprint(compiled) == fingerprint(obj), (
-                f"engines disagree on {problem.platform!r} {problem.kind}"
+            compiled = solve(problem)  # warm the caches
+            oracle = oracle_schedule(problem)
+            assert fingerprint(compiled.schedule) == fingerprint(oracle), (
+                f"kernel and oracle disagree on {problem.platform!r} "
+                f"{problem.kind}"
             )
-            assert compiled.makespan == obj.makespan
-            assert compiled.n_tasks == obj.n_tasks
             assert compiled.stats.get("engine") == "compiled", (
-                "workload problem fell back to the object solver"
+                "workload problem fell back to the oracle"
             )
             compiled.validate()
             per_object = []
             per_compiled = []
             for _ in range(SOLVE_TIMING_ROUNDS):
                 r0 = time.perf_counter()
-                solve(problem, engine="object")
+                oracle_schedule(problem)
                 per_object.append(time.perf_counter() - r0)
                 r0 = time.perf_counter()
-                solve(problem, engine="compiled")
+                solve(problem)
                 per_compiled.append(time.perf_counter() - r0)
             ob, co = min(per_object), min(per_compiled)
             object_times.append(ob)

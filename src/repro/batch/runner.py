@@ -19,9 +19,7 @@ replay-validated (:meth:`repro.solve.Solution.validate`), which
 independently enforces port serialisation, relay-FIFO forwarding and CPU
 cadence and compares the makespan bit-exactly.  A solution that fails
 replay fails its scenario.  The replay runs on the compiled linear-scan
-kernel by default; ``engine="event"`` forces the discrete-event executor
-(the differential-testing oracle).  Result rows record the kernel used in
-``validated_by``.
+kernel; result rows record it in ``validated_by``.
 
 With ``cache=`` (a solution-store path, or a live
 :class:`~repro.service.store.SolutionStore` for serial runs) every
@@ -85,7 +83,7 @@ def _caps_cover(caps_budget: object, n: Optional[int]) -> bool:
     return n is not None and n <= caps_budget  # type: ignore[operator]
 
 
-def _open_store(cache, engine=None):
+def _open_store(cache):
     """Coerce the ``cache`` argument into a live SolutionStore (or None)."""
     if cache is None:
         return None, False
@@ -93,15 +91,13 @@ def _open_store(cache, engine=None):
 
     if isinstance(cache, SolutionStore):
         return cache, False
-    return SolutionStore(path=cache, engine=engine), True
+    return SolutionStore(path=cache), True
 
 
 def run_group(
     group: Sequence[_IndexedScenario],
     validate: bool = False,
     cache=None,
-    engine: Optional[str] = None,
-    solve_engine: Optional[str] = None,
 ) -> list[_IndexedResult]:
     """Solve one platform group (module-level so process pools can pickle).
 
@@ -120,16 +116,13 @@ def run_group(
             ))
             for index, sc in group
         ]
-    from ..sim.replay_fast import resolve_engine
-
-    engine_used = resolve_engine(engine) if validate else None
-    store, own_store = _open_store(cache, engine)
+    store, own_store = _open_store(cache)
 
     solvers: dict[str, Solver] = {}
 
     def solver_of(mode: str) -> Solver:
         if mode not in solvers:
-            solvers[mode] = solver_for(platform, mode, solve_engine)
+            solvers[mode] = solver_for(platform, mode)
         return solvers[mode]
 
     try:
@@ -168,7 +161,6 @@ def run_group(
                     "makespan" if sc.kind in ("online", "churn") else sc.kind,
                     n=sc.n,
                     t_lim=sc.t_lim,
-                    allocator=sc.allocator,
                     mode=_dispatch_mode(sc),
                     options=sc.options,
                     warm_caps=warm,
@@ -178,9 +170,7 @@ def run_group(
                 if store is not None and problem.mode in ("offline", "repatch"):
                     from ..service.engine import cached_solve
 
-                    outcome = cached_solve(
-                        problem, store, solve_engine=solve_engine
-                    )
+                    outcome = cached_solve(problem, store)
                     solution, cached = outcome.solution, outcome.cached
                 else:
                     # same count+span as registry.solve(): the runner
@@ -189,18 +179,15 @@ def run_group(
                     with record_dispatch(solver, problem):
                         solution = solver.solve(problem)
                 if validate:
-                    # strict engine: a row is validated by exactly the
-                    # engine it reports, or fails loudly (no silent
-                    # fallback that would falsify validated_by)
-                    solution.validate(engine=engine_used)
+                    solution.validate()
                     # trace-only answers (fault runs) are checked by the
-                    # trace-exclusivity scan, not a replay engine
-                    row_engine = (
-                        engine_used if solution.schedule is not None
+                    # trace-exclusivity scan, not a replay kernel
+                    validated_by = (
+                        "compiled" if solution.schedule is not None
                         else "trace"
                     )
                 else:
-                    row_engine = None
+                    validated_by = None
                 result = ScenarioResult(
                     sc.id, True, sc.kind,
                     makespan=solution.makespan,
@@ -214,7 +201,7 @@ def run_group(
                     coverage=solution.extra.get("coverage"),
                     policy=solution.extra.get("policy"),
                     validated=True if validate else None,
-                    validated_by=row_engine,
+                    validated_by=validated_by,
                     cached=cached,
                     reissue_of=solution.extra.get("reissue_of"),
                 )
@@ -236,8 +223,6 @@ def run_group_with_metrics(
     group: Sequence[_IndexedScenario],
     validate: bool = False,
     cache=None,
-    engine: Optional[str] = None,
-    solve_engine: Optional[str] = None,
 ) -> tuple[list[_IndexedResult], dict, list[dict]]:
     """:func:`run_group` plus the worker's telemetry for this unit of work.
 
@@ -247,10 +232,7 @@ def run_group_with_metrics(
     parent's :meth:`~repro.obs.metrics.MetricsRegistry.merge` from double
     counting) and the spans are drained from the worker's buffer."""
     before = _obs.snapshot()
-    results = run_group(
-        group, validate=validate, cache=cache,
-        engine=engine, solve_engine=solve_engine,
-    )
+    results = run_group(group, validate=validate, cache=cache)
     delta = _obs.diff_snapshots(before, _obs.snapshot())
     return results, delta, _trace.take_spans()
 
@@ -341,12 +323,6 @@ class BatchRunner:
     mode: str = "auto"
     validate: bool = False
     cache: object = None
-    #: replay kernel for ``validate`` (and the cache's validate-on-write):
-    #: None → compiled linear scan; "event" → discrete-event executor.
-    engine: Optional[str] = None
-    #: solver kernel: None → compiled solve kernels ("compiled");
-    #: "object" forces the original per-object implementations.
-    solve_engine: Optional[str] = None
 
     def run(self, scenarios: Iterable[Scenario]) -> list[ScenarioResult]:
         indexed = list(enumerate(scenarios))
@@ -356,8 +332,7 @@ class BatchRunner:
         group_list = list(groups.values())
 
         solve_group = partial(run_group, validate=self.validate,
-                              cache=self.cache, engine=self.engine,
-                              solve_engine=self.solve_engine)
+                              cache=self.cache)
         mode = self.mode
         if mode not in ("auto", "serial", "thread", "process"):
             raise BatchError(f"unknown batch mode {self.mode!r}")
@@ -380,8 +355,7 @@ class BatchRunner:
             payload = _export_caches(group_list)
             solve_group_metered = partial(
                 run_group_with_metrics, validate=self.validate,
-                cache=self.cache, engine=self.engine,
-                solve_engine=self.solve_engine,
+                cache=self.cache,
             )
             with ProcessPoolExecutor(
                 max_workers=self.workers,
@@ -417,12 +391,9 @@ def run_batch(
     mode: str = "auto",
     validate: bool = False,
     cache: object = None,
-    engine: Optional[str] = None,
-    solve_engine: Optional[str] = None,
 ) -> list[ScenarioResult]:
-    """Convenience wrapper: ``BatchRunner(workers, mode, validate, cache,
-    engine, solve_engine).run(...)``."""
+    """Convenience wrapper: ``BatchRunner(workers, mode, validate,
+    cache).run(...)``."""
     return BatchRunner(
         workers=workers, mode=mode, validate=validate, cache=cache,
-        engine=engine, solve_engine=solve_engine,
     ).run(scenarios)

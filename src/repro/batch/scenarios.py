@@ -4,10 +4,10 @@ A *scenario* is one solve request: a platform (as its versioned JSON dict),
 either a task count ``n`` (makespan question), a deadline ``t_lim``
 (max-tasks question, optionally still budgeted by ``n``), or an *online*
 run (``kind: "online"``: ``n`` tasks through a simulated policy; policy
-name, fault specs and event budget ride in ``options``) — plus the
-allocator to use.  A *result* is the flat, JSON-able answer plus operation
-counters — deliberately *not* the full schedule, so a million-scenario
-batch stays cheap to collect and archive.
+name, fault specs and event budget ride in ``options``).  A *result* is
+the flat, JSON-able answer plus operation counters — deliberately *not*
+the full schedule, so a million-scenario batch stays cheap to collect and
+archive.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from ..core.fork import DEFAULT_ALLOCATOR
 from ..core.types import ReproError, Time
-from ..io.json_io import PLATFORM_KINDS
+from ..io.json_io import PLATFORM_KINDS, check_legacy_allocator
 
 SCENARIO_SCHEMA = 1
 
@@ -48,7 +47,6 @@ class Scenario:
     kind: str  # "makespan" | "deadline"
     n: Optional[int] = None
     t_lim: Optional[Time] = None
-    allocator: str = DEFAULT_ALLOCATOR
     #: solver-specific knobs forwarded to ``Problem.options`` — e.g.
     #: ``{"max_rounds": 4}`` for tree scenarios.
     options: Mapping[str, Any] = field(default_factory=dict)
@@ -94,7 +92,6 @@ class Scenario:
             "id": self.id,
             "platform": dict(self.platform),
             "kind": self.kind,
-            "allocator": self.allocator,
         }
         if self.n is not None:
             d["n"] = self.n
@@ -106,6 +103,7 @@ class Scenario:
 
     @staticmethod
     def from_dict(d: Mapping[str, Any]) -> "Scenario":
+        check_legacy_allocator(d, BatchError)
         try:
             return Scenario(
                 id=str(d["id"]),
@@ -113,7 +111,6 @@ class Scenario:
                 kind=d.get("kind", "makespan"),
                 n=d.get("n"),
                 t_lim=d.get("t_lim"),
-                allocator=d.get("allocator", DEFAULT_ALLOCATOR),
                 options=d.get("options", {}),
             )
         except KeyError as exc:
@@ -142,10 +139,10 @@ class ScenarioResult:
     #: True when the runner replay-validated this answer through the
     #: simulator (``run_batch(validate=True)``); None when not requested.
     validated: Optional[bool] = None
-    #: which replay engine validated the row: ``"compiled"`` (the
-    #: flat-array linear-scan kernel), ``"event"`` (the discrete-event
-    #: executor) or ``"trace"`` (trace-only fault runs, checked by the
-    #: trace-exclusivity scan); None when validation was off.
+    #: how the row was validated: ``"compiled"`` (the flat-array
+    #: linear-scan replay kernel) or ``"trace"`` (trace-only fault runs,
+    #: checked by the trace-exclusivity scan); None when validation was
+    #: off.
     validated_by: Optional[str] = None
     #: True when the answer came from the solution store, False when the
     #: cache was consulted but missed; None when no cache was configured.

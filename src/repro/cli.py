@@ -383,20 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         + " (default: processes)",
     )
-    p.add_argument("--mode", default="auto",
-                   choices=["auto", "serial", "thread", "process"],
-                   help="low-level engine mode (--executor is the friendly face)")
     p.add_argument("--validate", action="store_true",
                    help="replay-validate every answer through the simulator")
-    p.add_argument("--engine", choices=["compiled", "event"], default=None,
-                   help="replay kernel for --validate and cache writes: "
-                   "'compiled' = flat-array linear scan (default), "
-                   "'event' = discrete-event executor (the oracle)")
-    p.add_argument("--solve-engine", choices=["compiled", "object"],
-                   default=None,
-                   help="solve kernel: 'compiled' = flat-array chain/star/"
-                   "spider kernels (default), 'object' = the original "
-                   "object-graph solvers (the differential oracle)")
     p.add_argument("--cache", metavar="PATH",
                    help="solution-store SQLite file: repeated (isomorphic) "
                    "platforms are served from cache instead of re-solved")
@@ -430,13 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-verify-rebinds", action="store_true",
                    help="skip the compiled replay check of rebound answers "
                    "(served answers are then only validated on store write)")
-    p.add_argument("--engine", choices=["compiled", "event"], default=None,
-                   help="replay kernel for validate-on-write and rebind "
-                   "checks ('event' routes them through the oracle executor)")
-    p.add_argument("--solve-engine", choices=["compiled", "object"],
-                   default=None,
-                   help="solve kernel for cache misses: 'compiled' = "
-                   "flat-array kernels (default), 'object' = original solvers")
     p.add_argument("--shards", type=int, default=0, metavar="N",
                    help="run a self-healing fleet of N supervised worker "
                    "subprocesses behind a consistent-hash router "
@@ -689,13 +670,7 @@ def _run(args) -> int:
         from .batch.runner import EXECUTOR_MODES
 
         scenarios = load_scenarios(args.scenarios)
-        if args.executor and args.mode != "auto":
-            raise SystemExit(
-                "--executor and --mode both given: pick one "
-                f"(--executor {args.executor} means --mode "
-                f"{EXECUTOR_MODES[args.executor]})"
-            )
-        mode = EXECUTOR_MODES[args.executor] if args.executor else args.mode
+        mode = EXECUTOR_MODES[args.executor] if args.executor else "auto"
         from .obs import metrics as obs_metrics
         from .obs import tracing as obs_tracing
 
@@ -703,9 +678,7 @@ def _run(args) -> int:
 
         def _run_batch():
             return run_batch(scenarios, workers=args.workers, mode=mode,
-                             validate=args.validate, cache=args.cache,
-                             engine=args.engine,
-                             solve_engine=args.solve_engine)
+                             validate=args.validate, cache=args.cache)
 
         if args.profile:
             import cProfile
@@ -815,8 +788,7 @@ def _run(args) -> int:
 
             config = WorkerConfig(
                 threads=args.workers, capacity=args.capacity,
-                store_path=args.store, solve_engine=args.solve_engine,
-                engine=args.engine,
+                store_path=args.store,
                 verify_rebinds=not args.no_verify_rebinds,
                 request_timeout=args.request_timeout,
                 chaos_ops=args.chaos_ops,
@@ -845,12 +817,9 @@ def _run(args) -> int:
 
         from .service import ScheduleService, SolutionStore
 
-        store = SolutionStore(path=args.store, capacity=args.capacity,
-                              engine=args.engine)
+        store = SolutionStore(path=args.store, capacity=args.capacity)
         service = ScheduleService(store=store, workers=args.workers,
                                   verify_rebinds=not args.no_verify_rebinds,
-                                  engine=args.engine,
-                                  solve_engine=args.solve_engine,
                                   request_timeout=args.request_timeout,
                                   chaos_ops=args.chaos_ops)
 

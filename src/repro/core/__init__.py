@@ -6,6 +6,8 @@
 * :mod:`repro.core.chain` — the backward greedy chain algorithm (§3, Thm 1)
 * :mod:`repro.core.fork` — the fork/star algorithm of Beaumont et al. (§6)
 * :mod:`repro.core.spider` — the spider algorithm (§7, Thms 2–3)
+* :mod:`repro.core.solve_fast` — the flat-array kernels of all three, and
+  the kernel-then-oracle entries every production solve goes through
 * :mod:`repro.core.compiled` — flat-array platform compilation for the
   fast replay kernel (cached per isomorphism class)
 """
@@ -27,7 +29,6 @@ from .chain import (
     schedule_chain,
     schedule_chain_deadline,
 )
-from .chain_fast import schedule_chain_deadline_fast, schedule_chain_fast
 from .types import (
     EPS,
     EventBudgetExceeded,
@@ -58,8 +59,6 @@ __all__ = [
     "max_tasks_within",
     "schedule_chain",
     "schedule_chain_deadline",
-    "schedule_chain_fast",
-    "schedule_chain_deadline_fast",
     "EPS",
     "InfeasibleScheduleError",
     "PlatformError",

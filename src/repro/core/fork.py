@@ -19,66 +19,37 @@ Two ideas, both reproduced here:
    candidates by ascending ``(c, W)`` and keeps each one that stays
    feasible; this maximises the number of accepted slaves.
 
-Three allocators implement that selection rule:
-
-* ``"incremental"`` (the default) — maintains the accepted set in a fixed
-  EDF-slot universe with a Fenwick tree of communication load and a lazy
-  min-segment tree of per-slot *slack* (deadline minus port load up to the
-  slot), so each accept/reject decision costs ``O(log k)`` instead of
-  re-sorting and re-scanning the accepted set: ``O(k·log k)`` total.  Its
-  output is bit-identical to the reference greedy; on inexact (float)
-  inputs it delegates to the greedy outright, because re-associated float
-  sums cannot honour that guarantee.
-* ``"greedy"`` — the paper's literal rescan-everything formulation,
-  ``O(k²·log k)``; kept as the readable reference and cross-check witness.
-* ``"moore"`` — Moore–Hodgson (the textbook optimal algorithm for
-  maximising on-time unit-profit jobs), an independent witness — tests
-  assert all allocators agree on accepted counts.
-
-The same allocators are reused verbatim by :mod:`repro.core.spider`, where
-the "virtual slaves" come from chain schedules instead of physical children.
+:func:`allocate_greedy` is that rule, literally: it rescans the accepted
+set on every candidate, ``O(k²·log k)``.  This module is the paper-literal
+*oracle*; production solves run the vectorised replay of the same greedy
+in :mod:`repro.core.solve_fast` and fall back here only for inputs the
+kernel does not cover (floats, Fractions).  The same allocator is reused
+verbatim by :mod:`repro.core.spider`, where the "virtual slaves" come from
+chain schedules instead of physical children.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Literal, Optional, Sequence
-
-from fractions import Fraction
+from typing import Hashable, Optional, Sequence
 
 from ..platforms.star import Star
 from .commvector import CommVector
 from .schedule import Schedule, TaskAssignment
 from .types import PlatformError, Time
 
-_INF = float("inf")
-
-
-def _is_exact(value: Time) -> bool:
-    """True for arithmetic types whose +/- are exact (no rounding)."""
-    return isinstance(value, (int, Fraction))
-
-
 @dataclass
 class AllocStats:
     """Operation counters for the shared-port allocation.
 
-    ``structure_ops`` counts elementary touches of the deadline structure —
-    elements rescanned by the reference greedy, tree-node visits for the
-    incremental allocator — so the quadratic-vs-``k·log k`` gap is a
-    measurable number, not an asymptotic anecdote.
+    ``structure_ops`` counts the elements the greedy rescans, so its
+    quadratic cost is a measurable number, not an asymptotic anecdote.
     """
 
     candidates: int = 0
     accepted: int = 0
     rejected: int = 0
     structure_ops: int = 0
-
-    def merge(self, other: "AllocStats") -> None:
-        self.candidates += other.candidates
-        self.accepted += other.accepted
-        self.rejected += other.rejected
-        self.structure_ops += other.structure_ops
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,251 +158,6 @@ def allocate_greedy(
 
 
 # ---------------------------------------------------------------------------
-# Incremental allocator: Fenwick load + lazy min-slack segment tree
-# ---------------------------------------------------------------------------
-
-
-class _Fenwick:
-    """Prefix sums of the communication load over EDF slots."""
-
-    __slots__ = ("tree", "size")
-
-    def __init__(self, size: int):
-        self.size = size
-        self.tree: list[Time] = [0] * (size + 1)
-
-    def add(self, i: int, delta: Time) -> int:
-        """Add ``delta`` at 0-based slot ``i``; returns nodes touched."""
-        ops = 0
-        i += 1
-        while i <= self.size:
-            self.tree[i] += delta
-            i += i & -i
-            ops += 1
-        return ops
-
-    def prefix(self, i: int) -> tuple[Time, int]:
-        """Sum of slots ``< i`` (0-based exclusive) and nodes touched."""
-        total: Time = 0
-        ops = 0
-        while i > 0:
-            total += self.tree[i]
-            i -= i & -i
-            ops += 1
-        return total, ops
-
-
-class _SlackTree:
-    """Lazy segment tree of per-slot slack (``deadline − port load``).
-
-    Inactive slots hold ``+inf``; activating a slot installs its slack and
-    every later active slot's slack drops by the newcomer's ``c`` via a lazy
-    suffix add.  The accept test is then a suffix-min query.
-    """
-
-    __slots__ = ("n", "mins", "lazy")
-
-    def __init__(self, n: int):
-        self.n = max(1, n)
-        self.mins: list[Time] = [_INF] * (4 * self.n)
-        self.lazy: list[Time] = [0] * (4 * self.n)
-
-    # All three public operations are O(log n); each returns the number of
-    # tree nodes visited so callers can account the work in AllocStats.
-
-    def assign(self, pos: int, value: Time) -> int:
-        return self._assign(1, 0, self.n - 1, pos, value)
-
-    def suffix_add(self, lo: int, delta: Time) -> int:
-        if lo >= self.n:
-            return 0
-        return self._add(1, 0, self.n - 1, lo, self.n - 1, delta)
-
-    def suffix_min(self, lo: int) -> tuple[Time, int]:
-        if lo >= self.n:
-            return _INF, 0
-        return self._min(1, 0, self.n - 1, lo, self.n - 1)
-
-    def _push(self, node: int) -> None:
-        lz = self.lazy[node]
-        if lz:
-            for child in (2 * node, 2 * node + 1):
-                self.lazy[child] += lz
-                if self.mins[child] != _INF:
-                    self.mins[child] += lz
-            self.lazy[node] = 0
-
-    def _assign(self, node: int, lo: int, hi: int, pos: int, value: Time) -> int:
-        if lo == hi:
-            self.mins[node] = value
-            return 1
-        self._push(node)
-        mid = (lo + hi) // 2
-        if pos <= mid:
-            ops = self._assign(2 * node, lo, mid, pos, value)
-        else:
-            ops = self._assign(2 * node + 1, mid + 1, hi, pos, value)
-        self.mins[node] = min(self.mins[2 * node], self.mins[2 * node + 1])
-        return ops + 1
-
-    def _add(self, node: int, lo: int, hi: int, a: int, b: int, delta: Time) -> int:
-        if b < lo or hi < a:
-            return 1
-        if a <= lo and hi <= b:
-            self.lazy[node] += delta
-            if self.mins[node] != _INF:
-                self.mins[node] += delta
-            return 1
-        self._push(node)
-        mid = (lo + hi) // 2
-        ops = self._add(2 * node, lo, mid, a, b, delta)
-        ops += self._add(2 * node + 1, mid + 1, hi, a, b, delta)
-        self.mins[node] = min(self.mins[2 * node], self.mins[2 * node + 1])
-        return ops + 1
-
-    def _min(self, node: int, lo: int, hi: int, a: int, b: int) -> tuple[Time, int]:
-        if b < lo or hi < a:
-            return _INF, 1
-        if a <= lo and hi <= b:
-            return self.mins[node], 1
-        self._push(node)
-        mid = (lo + hi) // 2
-        left, lops = self._min(2 * node, lo, mid, a, b)
-        right, rops = self._min(2 * node + 1, mid + 1, hi, a, b)
-        return min(left, right), lops + rops + 1
-
-
-def allocate_incremental(
-    candidates: Sequence[VirtualSlave],
-    t_lim: Time,
-    *,
-    stats: Optional[AllocStats] = None,
-) -> Allocation:
-    """Greedy selection in ``O(k·log k)``, bit-identical to the reference.
-
-    The candidate set is fixed, so every candidate can be given a permanent
-    *EDF slot* up front: its rank under the stable EDF order
-    ``(deadline, c, scan position)``.  Accepting a candidate then never moves
-    anyone — the accepted set is always the active subsequence of the slot
-    universe.  Candidate ``x`` at slot ``s`` joins a feasible set iff
-
-    * its own prefix fits: ``load(< s) + c_x ≤ deadline_x``, and
-    * no later active slot overflows: ``c_x ≤ min slack over slots > s``,
-      where ``slack_j = deadline_j − load(≤ j)``.
-
-    Both tests and both updates (Fenwick add, lazy suffix subtract) are
-    logarithmic.  The tie-break by scan position reproduces exactly what the
-    reference greedy's *stable* sorts do, so accepted sets, rejection order
-    and EDF emissions all match element for element.
-
-    Exactness caveat: the incremental recurrences re-associate the port-load
-    sums, which is only identity-preserving under *exact* arithmetic.  On
-    inexact inputs (floats anywhere in ``c``/``work``/``t_lim``) this
-    function therefore delegates to :func:`allocate_greedy` — bit-identity
-    stays unconditional, and the ``k·log k`` speedup applies to the exact
-    (integer / Fraction) platforms the paper's algorithms are stated for.
-    """
-    if not (
-        _is_exact(t_lim)
-        and all(_is_exact(s.c) and _is_exact(s.work) for s in candidates)
-    ):
-        return allocate_greedy(candidates, t_lim, stats=stats)
-    scan = sorted(candidates, key=lambda s: (s.c, s.work))
-    k = len(scan)
-    # permanent EDF slot of each scan position
-    by_slot = sorted(
-        range(k), key=lambda r: (scan[r].deadline(t_lim), scan[r].c, r)
-    )
-    slot_of = [0] * k
-    for slot, r in enumerate(by_slot):
-        slot_of[r] = slot
-
-    load = _Fenwick(k)
-    slack = _SlackTree(k)
-    active = [False] * k  # by slot
-    rejected: list[VirtualSlave] = []
-    n_accepted = 0
-    ops = 0
-    for r, cand in enumerate(scan):
-        s = slot_of[r]
-        d = cand.deadline(t_lim)
-        pre, f_ops = load.prefix(s)
-        suffix, m_ops = slack.suffix_min(s + 1)
-        ops += f_ops + m_ops
-        if d >= cand.c and pre + cand.c <= d and cand.c <= suffix:
-            active[s] = True
-            n_accepted += 1
-            ops += slack.assign(s, d - (pre + cand.c))
-            ops += slack.suffix_add(s + 1, -cand.c)
-            ops += load.add(s, cand.c)
-        else:
-            rejected.append(cand)
-    if stats is not None:
-        stats.candidates += k
-        stats.accepted += n_accepted
-        stats.rejected += len(rejected)
-        stats.structure_ops += ops
-
-    accepted: list[VirtualSlave] = []
-    emissions: list[Time] = []
-    clock: Time = 0
-    for slot, r in enumerate(by_slot):
-        if active[slot]:
-            accepted.append(scan[r])
-            emissions.append(clock)
-            clock += scan[r].c
-    return Allocation(t_lim, accepted, emissions, rejected)
-
-
-def allocate_moore_hodgson(
-    candidates: Sequence[VirtualSlave],
-    t_lim: Time,
-    *,
-    stats: Optional[AllocStats] = None,
-) -> Allocation:
-    """Moore–Hodgson: EDF scan, dropping the longest job on overflow.
-
-    Provably maximises the number of on-time jobs on one machine; used as a
-    cross-checking witness for the greedy/incremental allocators.
-    """
-    kept: list[VirtualSlave] = []
-    dropped: list[VirtualSlave] = []
-    total: Time = 0
-    for cand in sorted(candidates, key=lambda s: (s.deadline(t_lim), s.c)):
-        kept.append(cand)
-        total += cand.c
-        if stats is not None:
-            stats.candidates += 1
-            stats.structure_ops += len(kept)
-        if total > cand.deadline(t_lim):
-            longest = max(kept, key=lambda s: s.c)
-            kept.remove(longest)
-            dropped.append(longest)
-            total -= longest.c
-    # drop anything that cannot even fit alone (negative-slack jobs were
-    # handled by the overflow rule, but keep the invariant explicit)
-    if stats is not None:
-        stats.accepted += len(kept)
-        stats.rejected += len(dropped)
-    order, emissions = _edf_emissions(kept, t_lim)
-    return Allocation(t_lim, order, emissions, dropped)
-
-
-Allocator = Literal["greedy", "moore", "incremental"]
-
-_ALLOCATORS = {
-    "greedy": allocate_greedy,
-    "moore": allocate_moore_hodgson,
-    "incremental": allocate_incremental,
-}
-
-#: The allocator used when callers do not ask for a specific one.  The
-#: incremental allocator is bit-identical to ``"greedy"`` (property-tested in
-#: ``tests/test_alloc_incremental.py``) at a ``k·log k`` cost.
-DEFAULT_ALLOCATOR: Allocator = "incremental"
-
-
-# ---------------------------------------------------------------------------
 # Physical star scheduling
 # ---------------------------------------------------------------------------
 
@@ -461,7 +187,6 @@ def fork_schedule_deadline(
     t_lim: Time,
     n: Optional[int] = None,
     *,
-    allocator: Allocator = DEFAULT_ALLOCATOR,
     stats: Optional[AllocStats] = None,
 ) -> Schedule:
     """Max-task schedule on a physical star within ``Tlim`` (at most ``n``).
@@ -474,7 +199,7 @@ def fork_schedule_deadline(
     if t_lim < 0:
         raise PlatformError(f"Tlim must be >= 0, got {t_lim}")
     slaves = expand_star(star, t_lim, cap=n)
-    alloc = _ALLOCATORS[allocator](slaves, t_lim, stats=stats)
+    alloc = allocate_greedy(slaves, t_lim, stats=stats)
     accepted = alloc.accepted
     if n is not None and len(accepted) > n:
         # keep the n easiest slots: drop the tightest-deadline ones first
@@ -511,18 +236,15 @@ def fork_schedule_deadline(
     return schedule
 
 
-def fork_max_tasks(
-    star: Star, t_lim: Time, *, allocator: Allocator = DEFAULT_ALLOCATOR
-) -> int:
+def fork_max_tasks(star: Star, t_lim: Time) -> int:
     """Maximum number of tasks completable on ``star`` by ``t_lim``."""
-    return fork_schedule_deadline(star, t_lim, allocator=allocator).n_tasks
+    return fork_schedule_deadline(star, t_lim).n_tasks
 
 
 def fork_schedule(
     star: Star,
     n: int,
     *,
-    allocator: Allocator = DEFAULT_ALLOCATOR,
     stats: Optional[AllocStats] = None,
 ) -> Schedule:
     """Optimal-makespan schedule of ``n`` tasks on a star.
@@ -536,33 +258,27 @@ def fork_schedule(
     if n < 1:
         raise PlatformError(f"need n >= 1 tasks, got {n}")
     lo, hi = _star_bounds(star, n)
-    feasible_at_hi = fork_schedule_deadline(
-        star, hi, n, allocator=allocator, stats=stats
-    )
+    feasible_at_hi = fork_schedule_deadline(star, hi, n, stats=stats)
     if feasible_at_hi.n_tasks < n:  # pragma: no cover - hi is a valid horizon
         raise PlatformError(f"horizon {hi} cannot fit {n} tasks")
     if all(isinstance(v, int) for ch in star.children for v in (ch.c, ch.w)):
         while lo < hi:
             mid = (lo + hi) // 2
-            probe = fork_schedule_deadline(
-                star, mid, n, allocator=allocator, stats=stats
-            )
+            probe = fork_schedule_deadline(star, mid, n, stats=stats)
             if probe.n_tasks >= n:
                 hi = mid
             else:
                 lo = mid + 1
-        return fork_schedule_deadline(star, lo, n, allocator=allocator, stats=stats)
+        return fork_schedule_deadline(star, lo, n, stats=stats)
     # float platform: epsilon bisection
     for _ in range(100):
         mid = (lo + hi) / 2
-        probe = fork_schedule_deadline(
-            star, mid, n, allocator=allocator, stats=stats
-        )
+        probe = fork_schedule_deadline(star, mid, n, stats=stats)
         if probe.n_tasks >= n:
             hi = mid
         else:
             lo = mid
-    return fork_schedule_deadline(star, hi, n, allocator=allocator, stats=stats)
+    return fork_schedule_deadline(star, hi, n, stats=stats)
 
 
 def _star_bounds(star: Star, n: int) -> tuple[Time, Time]:

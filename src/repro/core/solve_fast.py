@@ -1,17 +1,21 @@
-"""Array-first solve kernels — the compiled engine of the solve path.
+"""The solve kernels: the production path of every chain/star/spider solve.
 
-PR 5 compiled the *replay* path onto flat arrays (:mod:`repro.core.compiled`
-+ :mod:`repro.sim.replay_fast`); this module does the same for the *solver*
-hot loops.  Three numeric cores replace the per-object Python traversals:
+Each of the paper's algorithms has exactly two implementations: the
+paper-literal **oracle** (:mod:`repro.core.chain`, :mod:`repro.core.fork`,
+:mod:`repro.core.spider`) and the flat-array **kernel** here.  The six
+kernel-then-oracle entries at the bottom of this module (one per platform
+× question) are the only way production code solves: the registered
+solvers and the tree heuristic both call them.  Three numeric cores do
+the work:
 
 **Universal chain sequences.**  The backward chain construction is
-*translation covariant*: every quantity in :class:`~repro.core.chain_fast._FastState`
-is built from ``min``/``+`` over the horizon-initialised hull/occupancy
-vectors, so running the construction at horizon ``t`` equals running it at
-horizon ``0`` and adding ``t`` to every time.  One placement sequence per
-chain (cached by the chain's value tuple, shared across spider legs,
-batches and relabeled isomorphs) therefore answers *every* makespan and
-deadline query on that chain:
+*translation covariant*: every quantity in :class:`_FastState` is built
+from ``min``/``+`` over the horizon-initialised hull/occupancy vectors, so
+running the construction at horizon ``t`` equals running it at horizon
+``0`` and adding ``t`` to every time.  One placement sequence per chain
+(cached by the chain's value tuple, shared across spider legs, batches
+and relabeled isomorphs) therefore answers *every* makespan and deadline
+query on that chain:
 
 * placement ``i`` stores its processor, start offset and communication
   offsets (``offset = −(horizon-0 time)``; actual time = ``t − offset``);
@@ -22,7 +26,7 @@ deadline query on that chain:
   horizon cancels against the final shift-to-zero).
 
 **A vectorised port allocator.**  The fork/spider EDF greedy
-(:func:`repro.core.fork.allocate_incremental`) is replayed in *runs*.  Two
+(:func:`repro.core.fork.allocate_greedy`) is replayed in *runs*.  Two
 exact reductions make every step an O(k) array sweep: a rejection leaves
 the greedy state untouched, so one vectorised single-candidate pass skips
 whole rejection runs and bounds the next acceptance run; and a run is
@@ -42,15 +46,13 @@ platform core and shared by every bisection probe; a probe compresses the
 prefix masks, runs the block allocator, and — except for the final
 construction — never builds a single Python object.
 
-Bit-identity contract: for integer platforms and the ``"incremental"`` /
-``"greedy"`` allocators (identical selections under exact arithmetic, see
-``allocate_incremental``), every schedule produced here is equal, element
-for element, to the object pipeline's — same assignments, same task
-numbering, same tie-breaks.  The final physical reconstruction reuses the
-object code's logic verbatim on the (small) accepted set.  Anything
-outside the contract — floats, Fractions, the ``"moore"`` allocator —
-raises :class:`SolveKernelUnsupported`, and the compiled solvers fall back
-to the object implementations.
+Bit-identity contract: for integer platforms every schedule produced here
+is equal, element for element, to the oracle's — same assignments, same
+task numbering, same tie-breaks.  The final physical reconstruction reuses
+the oracle's logic verbatim on the (small) accepted set.  Anything outside
+the contract — floats, Fractions — raises :class:`SolveKernelUnsupported`,
+and the entries hand the question to the oracle, counting one
+``fallbacks`` in :func:`solve_kernel_stats`.
 """
 
 from __future__ import annotations
@@ -72,14 +74,21 @@ from ..obs import metrics as _obs
 from ..platforms.chain import Chain
 from ..platforms.spider import Spider
 from ..platforms.star import Star
-from .chain import _task_upper_bound
-from .chain_fast import _FastState
+from . import chain as _chain_oracle
+from . import fork as _fork_oracle
+from . import spider as _spider_oracle
+from .chain import ChainRunStats, _precedes, _task_upper_bound
 from .commvector import CommVector
+from .fork import AllocStats
 from .schedule import Schedule, TaskAssignment
+from .spider import SpiderRunStats
 from .types import PlatformError, Time
 
 __all__ = [
+    "SPIDER_STAT_KEYS",
     "SolveKernelUnsupported",
+    "chain_deadline",
+    "chain_schedule",
     "clear_solve_kernels",
     "fast_chain_deadline",
     "fast_chain_schedule",
@@ -88,11 +97,15 @@ __all__ = [
     "fast_star_deadline",
     "fast_star_schedule",
     "solve_kernel_stats",
+    "spider_deadline",
+    "spider_schedule",
+    "star_deadline",
+    "star_schedule",
 ]
 
 
 class SolveKernelUnsupported(Exception):
-    """The compiled kernels do not cover this problem; use the object path."""
+    """The kernels do not cover this problem; the oracle answers it."""
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +156,6 @@ def clear_solve_kernels() -> None:
     _STATS.reset()
 
 
-def record_fallback() -> None:
-    """Count one compiled→object delegation (called by the solver layer)."""
-    _STATS.inc("fallbacks")
-
-
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -187,6 +195,86 @@ def _cache_put(cache: OrderedDict, key: tuple, entry, capacity: int):
 # ---------------------------------------------------------------------------
 
 
+class _FastState:
+    """Hull/occupancy state of one backward chain construction at horizon
+    0, in O(p) per task instead of the oracle's O(p²).
+
+    Write ``S_j = c_1 + ... + c_j`` (prefix latencies, ``S_0 = 0``) and,
+    for the current hull/occupancy state,
+
+    * ``E_m = (h_m − c_m) − S_{m−1}``            (hull-limited term at hop m)
+    * ``F_m = min(o_m − w_m − c_m, h_m − c_m) − S_{m−1}``   (target term at m)
+
+    Unrolling the oracle's recurrence
+    ``ᵏC_j = min(ᵏC_{j+1} − c_j, h_j − c_j)`` gives
+    ``ᵏC_j = S_{j−1} + min(F_k, min_{j ≤ m < k} E_m)``, so the first
+    emission of the candidate for target ``k`` is
+    ``min(F_k, prefix-min of E)``.  The ≺-greatest candidate maximises the
+    first emission (Definition 3 compares element-wise), so the winner is
+    the argmax of that expression — one O(p) sweep.  Ties on the first
+    emission (common on homogeneous chains) are resolved exactly as in the
+    paper, by materialising the tied vectors and comparing with ≺.
+    """
+
+    __slots__ = ("chain", "h", "o", "prefix")
+
+    def __init__(self, chain: Chain):
+        self.chain = chain
+        p = chain.p
+        self.h: list[Time] = [0] * (p + 1)
+        self.o: list[Time] = [0] * (p + 1)
+        prefix: list[Time] = [0] * (p + 1)
+        for j in range(1, p + 1):
+            prefix[j] = prefix[j - 1] + chain.c[j - 1]
+        self.prefix = prefix  # prefix[j] = S_j
+
+    def first_emissions(self) -> list[Time]:
+        """``ᵏC_1`` for every target k (1-based list, index 0 unused)."""
+        chain, h, o, S = self.chain, self.h, self.o, self.prefix
+        c, w = chain.c, chain.w
+        out: list[Time] = [0] * (chain.p + 1)
+        run: Time = float("inf")  # prefix-min of E_m, m < k
+        for k in range(1, chain.p + 1):
+            f_k = min(o[k] - w[k - 1] - c[k - 1], h[k] - c[k - 1]) - S[k - 1]
+            out[k] = min(f_k, run)
+            e_k = (h[k] - c[k - 1]) - S[k - 1]
+            run = e_k if e_k < run else run
+        return out
+
+    def full_vector(self, k: int) -> tuple[Time, ...]:
+        """Materialise ᵏC via the suffix-min closed form (O(k))."""
+        chain, h, o, S = self.chain, self.h, self.o, self.prefix
+        c, w = chain.c, chain.w
+        run: Time = min(o[k] - w[k - 1] - c[k - 1], h[k] - c[k - 1]) - S[k - 1]
+        vec: list[Time] = [0] * k
+        vec[k - 1] = S[k - 1] + run
+        for j in range(k - 1, 0, -1):
+            e_j = (h[j] - c[j - 1]) - S[j - 1]
+            run = e_j if e_j < run else run
+            vec[j - 1] = S[j - 1] + run
+        return tuple(vec)
+
+    def choose(self) -> tuple[Time, ...]:
+        """The ≺-greatest candidate, via first-emission argmax + tie check."""
+        firsts = self.first_emissions()
+        best_first = max(firsts[1:])
+        tied = [k for k in range(1, self.chain.p + 1) if firsts[k] == best_first]
+        best = self.full_vector(tied[0])
+        for k in tied[1:]:
+            cand = self.full_vector(k)
+            if _precedes(best, cand):
+                best = cand
+        return best
+
+    def commit(self, vector: tuple[Time, ...]) -> tuple[int, Time]:
+        k = len(vector)
+        start = self.o[k] - self.chain.w[k - 1]
+        self.o[k] = start
+        for j in range(1, k + 1):
+            self.h[j] = vector[j - 1]
+        return k, start
+
+
 class _ChainSeq:
     """The horizon-0 placement sequence of one chain, extended on demand.
 
@@ -209,7 +297,7 @@ class _ChainSeq:
     def __init__(self, chain: Chain):
         self.chain = chain
         self.lock = threading.RLock()
-        self.state = _FastState(chain, 0)
+        self.state = _FastState(chain)
         self.procs: list[int] = []
         self.soff: list[Time] = []
         self.voff: list[Time] = []   # CSR-flattened comm offsets
@@ -222,7 +310,7 @@ class _ChainSeq:
         return len(self.procs)
 
     def _extend_one(self) -> None:
-        vector = self.state.choose(None)
+        vector = self.state.choose()
         proc, start = self.state.commit(vector)
         self.procs.append(proc)
         self.soff.append(-start)
@@ -280,7 +368,7 @@ class _ChainSeq:
         return Schedule(self.chain, placements), total
 
     def makespan_schedule(self, n: int) -> Schedule:
-        # horizon cancels: the object path shifts the first emission
+        # horizon cancels: the oracle shifts the first emission
         # (placement n−1) to zero, so materialise at horizon off[n−1]
         self.ensure_len(n)
         horizon = self.off[n - 1]
@@ -318,7 +406,7 @@ def _chain_stats(seq: _ChainSeq, placed: int) -> dict:
 
 
 def fast_chain_schedule(chain: Chain, n: int) -> tuple[Schedule, dict]:
-    """Compiled twin of :func:`repro.core.chain_fast.schedule_chain_fast`."""
+    """Kernel of :func:`repro.core.chain.schedule_chain`."""
     _require_int_chain(chain, None)
     if n < 1:
         raise PlatformError(f"need n >= 1 tasks, got {n}")
@@ -330,7 +418,8 @@ def fast_chain_schedule(chain: Chain, n: int) -> tuple[Schedule, dict]:
 def fast_chain_deadline(
     chain: Chain, t_lim: Time, n: Optional[int] = None
 ) -> tuple[Schedule, dict]:
-    """Compiled twin of ``schedule_chain_deadline_fast`` (unshifted times)."""
+    """Kernel of :func:`repro.core.chain.schedule_chain_deadline`
+    (unshifted times)."""
     _require_int_chain(chain, t_lim)
     seq = _chain_seq(chain)
     limit = n if n is not None else _task_upper_bound(chain, t_lim)
@@ -454,18 +543,6 @@ def _run_greedy(c_scan, d_scan, slot_scan) -> tuple["np.ndarray", int]:
 # Star core
 # ---------------------------------------------------------------------------
 
-_ALLOWED_ALLOCATORS = ("incremental", "greedy")
-
-
-def _require_allocator(allocator: str) -> None:
-    # "incremental" and "greedy" select identically on exact arithmetic
-    # (allocate_incremental's documented contract); "moore" may not.
-    _require(
-        allocator in _ALLOWED_ALLOCATORS,
-        f"allocator {allocator!r} has no compiled kernel",
-    )
-
-
 class _StarCore:
     """t-independent candidate universe of one star, grown on demand."""
 
@@ -520,7 +597,7 @@ class _StarCore:
         self.cand_c = c_arr[ci]
         self.cand_w = w_arr[ci] + self.cand_q * m_arr[ci]
         # scan: ascending (c, W), generation (child, q) breaking ties —
-        # exactly the object code's stable sort over expand_star's order
+        # exactly the oracle's stable sort over expand_star's order
         self.scan = np.lexsort(
             (self.cand_q, self.cand_child, self.cand_w, self.cand_c)
         )
@@ -589,12 +666,9 @@ def fast_star_deadline(
     star: Star,
     t_lim: Time,
     n: Optional[int] = None,
-    *,
-    allocator: str = "incremental",
 ) -> tuple[Schedule, dict]:
-    """Compiled twin of :func:`repro.core.fork.fork_schedule_deadline`."""
+    """Kernel of :func:`repro.core.fork.fork_schedule_deadline`."""
     _require_int_star(star, t_lim)
-    _require_allocator(allocator)
     if t_lim < 0:
         raise PlatformError(f"Tlim must be >= 0, got {t_lim}")
     core = _star_core(star)
@@ -612,7 +686,7 @@ def _star_finish(
     core: _StarCore, n: Optional[int],
     child_s, c_s, w_s, slot, accepted,
 ) -> Schedule:
-    """Emissions + n-cap + per-child ASAP stacking, exactly as the object
+    """Emissions + n-cap + per-child ASAP stacking, exactly as the oracle
     code does it (``fork_schedule_deadline`` after the allocation)."""
     acc_pos = np.flatnonzero(accepted)
     edf = acc_pos[np.argsort(slot[acc_pos], kind="stable")]
@@ -664,12 +738,9 @@ def _star_finish(
     return schedule
 
 
-def fast_star_schedule(
-    star: Star, n: int, *, allocator: str = "incremental"
-) -> tuple[Schedule, dict]:
-    """Compiled twin of :func:`repro.core.fork.fork_schedule` (makespan)."""
+def fast_star_schedule(star: Star, n: int) -> tuple[Schedule, dict]:
+    """Kernel of :func:`repro.core.fork.fork_schedule` (makespan)."""
     _require_int_star(star, None)
-    _require_allocator(allocator)
     if n < 1:
         raise PlatformError(f"need n >= 1 tasks, got {n}")
     lo = min(ch.c + ch.w for ch in star.children)
@@ -871,7 +942,7 @@ def _spider_finish(
     acc_c = probe.c_s[edf]
     if n is not None and edf.size > n:
         keep = np.lexsort((np.arange(edf.size), acc_c, acc_w))[:n]
-        # the object code *keeps* the (work, c)-sorted order here — the
+        # the oracle *keeps* the (work, c)-sorted order here — the
         # per-leg-count dict is built in that order, not the EDF order
         acc_leg = acc_leg[keep]
         acc_w = acc_w[keep]
@@ -881,7 +952,7 @@ def _spider_finish(
     for leg in acc_leg.tolist():
         per_leg_count[leg] = per_leg_count.get(leg, 0) + 1
     # normalise: per leg (insertion order) the `count` smallest-work fork
-    # nodes; within a leg the object sorts by work, stable over generation
+    # nodes; within a leg the oracle sorts by work, stable over generation
     # order (task-id ascending = idx descending)
     norm_w, norm_c, norm_leg = [], [], []
     for leg_idx, count in per_leg_count.items():
@@ -943,20 +1014,22 @@ def _spider_finish(
     return sched
 
 
+#: the counters every spider solve reports, kernel or oracle.
+SPIDER_STAT_KEYS = (
+    "probes", "probes_short_circuited", "legs_scheduled", "legs_skipped",
+    "fork_nodes", "chain_vector_elements", "alloc_candidates",
+    "alloc_structure_ops",
+)
+
+
 def _spider_stats(
     probes: int, short_circuited: int, scheduled: int, skipped: int,
     fork_nodes: int, elements: int, candidates: int, ops: int,
 ) -> dict:
-    return {
-        "probes": probes,
-        "probes_short_circuited": short_circuited,
-        "legs_scheduled": scheduled,
-        "legs_skipped": skipped,
-        "fork_nodes": fork_nodes,
-        "chain_vector_elements": elements,
-        "alloc_candidates": candidates,
-        "alloc_structure_ops": ops + 1,
-    }
+    return dict(zip(SPIDER_STAT_KEYS, (
+        probes, short_circuited, scheduled, skipped, fork_nodes, elements,
+        candidates, ops + 1,
+    )))
 
 
 def fast_spider_deadline(
@@ -964,17 +1037,15 @@ def fast_spider_deadline(
     t_lim: Time,
     n: Optional[int] = None,
     *,
-    allocator: str = "incremental",
     leg_caps: Optional[dict[int, int]] = None,
 ) -> tuple[Schedule, dict, dict[int, int]]:
-    """Compiled twin of :func:`repro.core.spider.spider_schedule_deadline`.
+    """Kernel of :func:`repro.core.spider.spider_schedule_deadline`.
 
     Returns ``(schedule, stats, leg_counts)`` — the leg counts are the
     pre-allocation per-leg chain-run sizes, reusable as warm caps exactly
-    like the object pipeline's.
+    like the oracle's.
     """
     _require_int_spider(spider, t_lim)
-    _require_allocator(allocator)
     if t_lim < 0:
         raise PlatformError(f"Tlim must be >= 0, got {t_lim}")
     core = _spider_core(spider)
@@ -997,7 +1068,7 @@ def fast_spider_deadline(
 def _cap_zero(
     leg_idx: int, n: Optional[int], leg_caps: Optional[dict[int, int]]
 ) -> bool:
-    """True when the object pipeline would skip this leg outright."""
+    """True when the oracle would skip this leg outright."""
     cap = n
     if leg_caps is not None and leg_idx in leg_caps:
         warm = leg_caps[leg_idx]
@@ -1005,12 +1076,9 @@ def _cap_zero(
     return cap == 0
 
 
-def fast_spider_schedule(
-    spider: Spider, n: int, *, allocator: str = "incremental"
-) -> tuple[Schedule, dict]:
-    """Compiled twin of :func:`repro.core.spider.spider_schedule`."""
+def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
+    """Kernel of :func:`repro.core.spider.spider_schedule`."""
     _require_int_spider(spider, None)
-    _require_allocator(allocator)
     if n < 1:
         raise PlatformError(f"need n >= 1 tasks, got {n}")
     if spider.is_chain():
@@ -1080,6 +1148,140 @@ def fast_spider_schedule(
         candidates, ops_total,
     )
     return sched, stats
+
+
+# ---------------------------------------------------------------------------
+# Kernel-then-oracle entries: one per platform and question
+# ---------------------------------------------------------------------------
+
+
+def _answer(kernel, oracle, *args, **kwargs) -> tuple:
+    """``kernel(*args, **kwargs)``, or — when it raises
+    :class:`SolveKernelUnsupported` — one counted fallback to the
+    paper-literal ``oracle`` with the same arguments.  Both return
+    ``(schedule, stats, ...)``; ``stats["engine"]`` records which one
+    answered (``"compiled"`` or ``"object"``)."""
+    try:
+        out = kernel(*args, **kwargs)
+        engine = "compiled"
+    except SolveKernelUnsupported:
+        _STATS.inc("fallbacks")
+        out = oracle(*args, **kwargs)
+        engine = "object"
+    out[1]["engine"] = engine
+    return out
+
+
+def _chain_stats_dict(stats: ChainRunStats) -> dict:
+    return {
+        "tasks_placed": stats.tasks_placed,
+        "candidates_evaluated": stats.candidates_evaluated,
+        "vector_elements": stats.vector_elements,
+        "comparisons": stats.comparisons,
+    }
+
+
+def _alloc_stats_dict(stats: AllocStats) -> dict:
+    return {
+        "alloc_candidates": stats.candidates,
+        "alloc_structure_ops": stats.structure_ops,
+    }
+
+
+def _spider_stats_dict(stats: SpiderRunStats) -> dict:
+    return dict(zip(SPIDER_STAT_KEYS, (
+        stats.probes, stats.probes_short_circuited, stats.legs_scheduled,
+        stats.legs_skipped, stats.fork_nodes, stats.chain.vector_elements,
+        stats.alloc.candidates, stats.alloc.structure_ops,
+    )))
+
+
+def _oracle_chain_schedule(chain: Chain, n: int):
+    stats = ChainRunStats()
+    sched = _chain_oracle.schedule_chain(chain, n, stats=stats)
+    return sched, _chain_stats_dict(stats)
+
+
+def _oracle_chain_deadline(chain: Chain, t_lim: Time, n: Optional[int] = None):
+    stats = ChainRunStats()
+    sched = _chain_oracle.schedule_chain_deadline(chain, t_lim, n, stats=stats)
+    return sched, _chain_stats_dict(stats)
+
+
+def _oracle_star_schedule(star: Star, n: int):
+    stats = AllocStats()
+    sched = _fork_oracle.fork_schedule(star, n, stats=stats)
+    return sched, _alloc_stats_dict(stats)
+
+
+def _oracle_star_deadline(star: Star, t_lim: Time, n: Optional[int] = None):
+    stats = AllocStats()
+    sched = _fork_oracle.fork_schedule_deadline(star, t_lim, n, stats=stats)
+    return sched, _alloc_stats_dict(stats)
+
+
+def _oracle_spider_schedule(spider: Spider, n: int):
+    stats = SpiderRunStats()
+    sched = _spider_oracle.spider_schedule(spider, n, stats=stats)
+    return sched, _spider_stats_dict(stats)
+
+
+def _oracle_spider_deadline(
+    spider: Spider, t_lim: Time, n: Optional[int] = None, *,
+    leg_caps: Optional[dict[int, int]] = None,
+):
+    stats = SpiderRunStats()
+    res = _spider_oracle.spider_schedule_deadline(
+        spider, t_lim, n, stats=stats, leg_caps=leg_caps
+    )
+    return res.schedule, _spider_stats_dict(stats), dict(res.leg_counts)
+
+
+def chain_schedule(chain: Chain, n: int) -> tuple[Schedule, dict]:
+    """Optimal-makespan schedule of ``n`` tasks on ``chain`` (Theorem 1)."""
+    return _answer(fast_chain_schedule, _oracle_chain_schedule, chain, n)
+
+
+def chain_deadline(
+    chain: Chain, t_lim: Time, n: Optional[int] = None
+) -> tuple[Schedule, dict]:
+    """Most tasks (at most ``n``) completing on ``chain`` by ``t_lim``."""
+    return _answer(
+        fast_chain_deadline, _oracle_chain_deadline, chain, t_lim, n
+    )
+
+
+def star_schedule(star: Star, n: int) -> tuple[Schedule, dict]:
+    """Optimal-makespan schedule of ``n`` tasks on ``star`` (§6)."""
+    return _answer(fast_star_schedule, _oracle_star_schedule, star, n)
+
+
+def star_deadline(
+    star: Star, t_lim: Time, n: Optional[int] = None
+) -> tuple[Schedule, dict]:
+    """Most tasks (at most ``n``) completing on ``star`` by ``t_lim``."""
+    return _answer(fast_star_deadline, _oracle_star_deadline, star, t_lim, n)
+
+
+def spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
+    """Optimal-makespan schedule of ``n`` tasks on ``spider`` (Theorem 3)."""
+    return _answer(fast_spider_schedule, _oracle_spider_schedule, spider, n)
+
+
+def spider_deadline(
+    spider: Spider,
+    t_lim: Time,
+    n: Optional[int] = None,
+    *,
+    leg_caps: Optional[dict[int, int]] = None,
+) -> tuple[Schedule, dict, dict[int, int]]:
+    """Most tasks (at most ``n``) completing on ``spider`` by ``t_lim``,
+    plus the per-leg counts reusable as ``leg_caps`` at a smaller
+    deadline."""
+    return _answer(
+        fast_spider_deadline, _oracle_spider_deadline, spider, t_lim, n,
+        leg_caps=leg_caps,
+    )
 
 
 # ---------------------------------------------------------------------------

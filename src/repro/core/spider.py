@@ -21,9 +21,14 @@ Theorem 3 proves the construction optimal in the number of tasks within
 ``Tlim``; makespan minimisation is recovered by monotone search over
 ``Tlim`` (exact integer bisection on integral platforms).
 
-Two hot-path optimisations over the paper's literal pipeline (results are
-bit-identical; the property suite cross-checks against the exhaustive
-baseline either way):
+This module is the paper-literal *oracle*: each leg runs the literal
+chain construction of :mod:`repro.core.chain` and the port runs the
+literal greedy of :mod:`repro.core.fork`.  Production solves use the
+flat-array kernel (:func:`repro.core.solve_fast.fast_spider_schedule`),
+which is bit-identical on integer platforms and hands floats and Fractions
+back here.  Two optimisations over the five-line pipeline keep the
+oracle usable (results are bit-identical; the property suite
+cross-checks against the exhaustive baseline either way):
 
 * **Suffix reuse in step (5).**  Lemma 2 says the deadline run capped at
   ``k`` tasks *is* the last ``k`` tasks of the uncapped run, at the same
@@ -43,20 +48,19 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..platforms.spider import Spider
-from .chain import ChainRunStats, _task_upper_bound, schedule_chain
-# the fast path is bit-identical to the reference (asserted by ~180
-# hypothesis cases in tests/test_chain_fast.py), so the spider pipeline uses
-# it for its inner per-leg runs: O(n·p) per leg instead of O(n·p²).
-from .chain_fast import schedule_chain_deadline_fast as schedule_chain_deadline
+from .chain import (
+    ChainRunStats,
+    _task_upper_bound,
+    schedule_chain,
+    schedule_chain_deadline,
+)
 from .commvector import CommVector
 from .fork import (
-    _ALLOCATORS,
     _edf_emissions,
     Allocation,
-    Allocator,
     AllocStats,
-    DEFAULT_ALLOCATOR,
     VirtualSlave,
+    allocate_greedy,
 )
 from .schedule import Schedule, TaskAssignment
 from .types import PlatformError, Time
@@ -106,7 +110,6 @@ def spider_schedule_deadline(
     t_lim: Time,
     n: Optional[int] = None,
     *,
-    allocator: Allocator = DEFAULT_ALLOCATOR,
     stats: Optional[SpiderRunStats] = None,
     leg_caps: Optional[dict[int, int]] = None,
 ) -> SpiderDeadlineResult:
@@ -158,7 +161,7 @@ def spider_schedule_deadline(
     alloc_stats = stats.alloc if stats is not None else None
     if stats is not None:
         stats.fork_nodes += len(fork_nodes)
-    alloc = _ALLOCATORS[allocator](fork_nodes, t_lim, stats=alloc_stats)
+    alloc = allocate_greedy(fork_nodes, t_lim, stats=alloc_stats)
     accepted = list(alloc.accepted)
     if n is not None and len(accepted) > n:
         accepted = sorted(accepted, key=lambda s: (s.work, s.c))[:n]
@@ -243,20 +246,16 @@ def spider_max_tasks(
     spider: Spider,
     t_lim: Time,
     *,
-    allocator: Allocator = DEFAULT_ALLOCATOR,
     stats: Optional[SpiderRunStats] = None,
 ) -> int:
     """Maximum number of tasks completable on ``spider`` by ``t_lim``."""
-    return spider_schedule_deadline(
-        spider, t_lim, allocator=allocator, stats=stats
-    ).n_tasks
+    return spider_schedule_deadline(spider, t_lim, stats=stats).n_tasks
 
 
 def spider_schedule(
     spider: Spider,
     n: int,
     *,
-    allocator: Allocator = DEFAULT_ALLOCATOR,
     stats: Optional[SpiderRunStats] = None,
 ) -> Schedule:
     """Optimal-makespan schedule of ``n`` tasks on a spider.
@@ -306,9 +305,7 @@ def spider_schedule(
             if stats is not None:
                 stats.probes_short_circuited += 1
             return None
-        res = spider_schedule_deadline(
-            spider, t, n, allocator=allocator, stats=stats, leg_caps=caps
-        )
+        res = spider_schedule_deadline(spider, t, n, stats=stats, leg_caps=caps)
         if res.n_tasks >= n:
             caps = dict(res.leg_counts)
         return res
@@ -342,11 +339,10 @@ def spider_makespan(
     spider: Spider,
     n: int,
     *,
-    allocator: Allocator = DEFAULT_ALLOCATOR,
     stats: Optional[SpiderRunStats] = None,
 ) -> Time:
     """Minimum makespan for ``n`` tasks on ``spider``."""
-    return spider_schedule(spider, n, allocator=allocator, stats=stats).makespan
+    return spider_schedule(spider, n, stats=stats).makespan
 
 
 def _lift_chain_schedule(spider: Spider, chain_sched: Schedule) -> Schedule:

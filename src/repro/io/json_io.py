@@ -16,7 +16,6 @@ import json
 from pathlib import Path
 from typing import Any, Mapping, Union
 
-from ..core.fork import DEFAULT_ALLOCATOR
 from ..core.schedule import Schedule
 from ..core.types import ReproError
 from ..platforms.chain import Chain
@@ -38,6 +37,22 @@ _KINDS = {
 PLATFORM_KINDS = tuple(sorted(_KINDS))
 
 Platform = Union[Chain, Star, Spider, Tree]
+
+#: values of the retired ``allocator`` field that older payloads carry;
+#: both selected the same tasks by contract, so they load (and are ignored).
+LEGACY_ALLOCATORS = ("greedy", "incremental")
+
+
+def check_legacy_allocator(
+    d: Mapping[str, Any], error: type = ReproError
+) -> None:
+    """Accept a payload's legacy ``allocator`` field when it names one of
+    :data:`LEGACY_ALLOCATORS`; raise ``error`` naming the field otherwise."""
+    if "allocator" in d and d["allocator"] not in LEGACY_ALLOCATORS:
+        raise error(
+            f"field 'allocator' is retired; got {d['allocator']!r}, but only "
+            f"the legacy values {', '.join(LEGACY_ALLOCATORS)} are accepted"
+        )
 
 
 def platform_to_dict(platform: Platform) -> dict[str, Any]:
@@ -111,7 +126,6 @@ def problem_to_dict(problem: Any) -> dict[str, Any]:
         "platform": platform_to_dict(problem.platform),
         "kind": problem.kind,
         "mode": problem.mode,
-        "allocator": problem.allocator,
     }
     if problem.n is not None:
         d["n"] = problem.n
@@ -130,13 +144,13 @@ def problem_from_dict(d: Mapping[str, Any]) -> Any:
 
     if d.get("record", "problem") != "problem":
         raise ReproError(f"not a problem payload: {d.get('record')!r}")
+    check_legacy_allocator(d)
     warm = d.get("warm_caps")
     return Problem(
         platform_from_dict(d["platform"]),
         kind=d.get("kind", "makespan"),
         n=d.get("n"),
         t_lim=d.get("t_lim"),
-        allocator=d.get("allocator", DEFAULT_ALLOCATOR),
         mode=d.get("mode", "offline"),
         options=d.get("options", {}),
         warm_caps=None if warm is None else {int(k): v for k, v in warm},

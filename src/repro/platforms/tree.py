@@ -12,10 +12,7 @@ decompositions used by the spider-cover heuristic in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
-
-import networkx as nx
 
 from ..core.types import PlatformError, Time
 from .chain import Chain
@@ -27,60 +24,68 @@ from .star import Star
 ROOT = 0
 
 
-@dataclass
 class Tree:
     """Rooted tree platform.  Nodes are integers, ``ROOT`` (0) is the master.
 
     Construction takes ``edges``: an iterable of ``(parent, child, c, w)``
     tuples, giving for each non-root node its parent, the latency of the link
-    from the parent and its processing time.
+    from the parent and its processing time.  The tree is kept as a parent
+    map plus per-node child lists (in edge insertion order).
     """
 
-    graph: nx.DiGraph = field(repr=False)
-
     def __init__(self, edges: Iterable[tuple[int, int, Time, Time]]):
-        g = nx.DiGraph()
-        g.add_node(ROOT)
+        self._parent: dict[int, int] = {}
+        self._kids: dict[int, list[int]] = {ROOT: []}
+        self._c: dict[int, Time] = {}
+        self._w: dict[int, Time] = {}
         for parent, child, c, w in edges:
             if child == ROOT:
                 raise PlatformError("the master (node 0) cannot have an incoming link")
-            if g.has_node(child) and g.in_degree(child) > 0:
+            if child in self._parent:
                 raise PlatformError(f"node {child} has two parents")
             validate_cw(c, w, where=f"node {child}")
-            g.add_edge(parent, child, c=c)
-            g.nodes[child]["w"] = w
-        if g.number_of_nodes() < 2:
+            self._parent[child] = parent
+            self._kids.setdefault(parent, []).append(child)
+            self._kids.setdefault(child, [])
+            self._c[child] = c
+            self._w[child] = w
+        if len(self._kids) < 2:
             raise PlatformError("tree must contain at least one worker")
-        if not nx.is_arborescence(g):
+        # BFS from the master, children in insertion order: every node must
+        # be reached, and reached once (a parent map has no second parent)
+        order = [ROOT]
+        for v in order:
+            order.extend(self._kids[v])
+        if len(order) != len(self._kids):
             raise PlatformError("edges do not form a tree rooted at the master")
-        self.graph = g
+        self._bfs = order[1:]
 
     # -- accessors -------------------------------------------------------------
 
     @property
     def workers(self) -> list[int]:
         """All non-root nodes, in BFS order from the root (deterministic)."""
-        return [v for v in nx.bfs_tree(self.graph, ROOT) if v != ROOT]
+        return list(self._bfs)
 
     @property
     def p(self) -> int:
-        return self.graph.number_of_nodes() - 1
+        return len(self._bfs)
 
     def parent(self, v: int) -> int:
-        preds = list(self.graph.predecessors(v))
-        if not preds:
-            raise PlatformError(f"node {v} has no parent (is it the root?)")
-        return preds[0]
+        try:
+            return self._parent[v]
+        except KeyError:
+            raise PlatformError(f"node {v} has no parent (is it the root?)") from None
 
     def children(self, v: int) -> list[int]:
-        return sorted(self.graph.successors(v))
+        return sorted(self._kids[v])
 
     def latency(self, v: int) -> Time:
         """``c(v)``: latency of the link from ``parent(v)`` into ``v``."""
-        return self.graph.edges[self.parent(v), v]["c"]
+        return self._c[v]
 
     def work(self, v: int) -> Time:
-        return self.graph.nodes[v]["w"]
+        return self._w[v]
 
     def route(self, v: int) -> list[int]:
         """Nodes on the path root → v, excluding the root."""
@@ -90,24 +95,38 @@ class Tree:
         path.reverse()
         return path[1:]
 
+    def descendants(self, v: int) -> set[int]:
+        """Every node below ``v`` (excluding ``v``)."""
+        out: list[int] = list(self._kids[v])
+        for u in out:
+            out.extend(self._kids[u])
+        return set(out)
+
+    def edges(self) -> list[tuple[int, int, Time, Time]]:
+        """``(parent, child, c, w)`` for every worker, sorted by
+        ``(parent, child)`` — the construction input, canonically ordered."""
+        return sorted(
+            (self._parent[v], v, self._c[v], self._w[v]) for v in self._bfs
+        )
+
     # -- structure classification ------------------------------------------------
 
     def is_chain(self) -> bool:
-        return all(self.graph.out_degree(v) <= 1 for v in self.graph)
+        return all(len(kids) <= 1 for kids in self._kids.values())
 
     def is_star(self) -> bool:
-        return all(self.graph.out_degree(v) == 0 for v in self.workers)
+        return all(not self._kids[v] for v in self._bfs)
 
     def is_spider(self) -> bool:
         """True iff only the root may have arity > 1 (paper §6)."""
-        return all(self.graph.out_degree(v) <= 1 for v in self.workers)
+        return all(len(self._kids[v]) <= 1 for v in self._bfs)
 
     def is_integer(self) -> bool:
         """True iff every latency and work value is an ``int`` (exact
         integer bisection is then valid, as for chains/spiders)."""
         return all(
-            isinstance(self.latency(v), int) and isinstance(self.work(v), int)
-            for v in self.workers
+            isinstance(self._c[v], int) and isinstance(self._w[v], int)
+            for v in self._bfs
         )
 
     def to_chain(self) -> Chain:
@@ -147,7 +166,7 @@ class Tree:
 
     def root_paths(self) -> list[list[int]]:
         """All root-to-leaf paths (each excluding the root)."""
-        return [self.route(v) for v in self.workers if self.graph.out_degree(v) == 0]
+        return [self.route(v) for v in self._bfs if not self._kids[v]]
 
     def path_chain(self, path: list[int]) -> Chain:
         """The chain induced by a top-down path of nodes (child sequence)."""
@@ -156,13 +175,7 @@ class Tree:
     # -- serialisation -----------------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": "tree",
-            "edges": [
-                [u, v, self.graph.edges[u, v]["c"], self.graph.nodes[v]["w"]]
-                for u, v in sorted(self.graph.edges)
-            ],
-        }
+        return {"kind": "tree", "edges": [list(e) for e in self.edges()]}
 
     @staticmethod
     def from_dict(d: Mapping[str, Any]) -> "Tree":

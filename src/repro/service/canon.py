@@ -32,10 +32,10 @@ Tree      AHU-style canonical form: each subtree encodes to a string
 ========  ==========================================================
 
 Problem fingerprints fold the platform fingerprint together with the
-question (kind, mode, ``n``, ``t_lim``), the allocator and the
-canonically-encoded solver options.  ``warm_caps`` are deliberately
-**excluded**: they are a performance hint that never changes the answer
-(the warm-started spider bisection is bit-identical to the cold one).
+question (kind, mode, ``n``, ``t_lim``) and the canonically-encoded
+solver options.  ``warm_caps`` are deliberately **excluded**: they are a
+performance hint that never changes the answer (the warm-started spider
+bisection is bit-identical to the cold one).
 
 Values are tokenised by *type and value* (``5`` ≠ ``5.0`` ≠ ``Fraction(5)``)
 so the bit-exact replay guarantee survives the cache: a float platform
@@ -266,7 +266,7 @@ def _encode_value(v: Any) -> str:
 
 def problem_fingerprint(problem: Any, canon: CanonicalForm | None = None) -> str:
     """Content address of one solve request: platform fingerprint + the
-    question + allocator + options.  ``warm_caps`` are excluded — they are
+    question + options.  ``warm_caps`` are excluded — they are
     a hint that never changes the answer.  Pass ``canon`` when the
     platform's canonical form is already at hand."""
     if canon is None:
@@ -278,7 +278,6 @@ def problem_fingerprint(problem: Any, canon: CanonicalForm | None = None) -> str
         f"mode={problem.mode}",
         f"n={'n' if problem.n is None else _num_token(problem.n)}",
         f"tlim={'n' if problem.t_lim is None else _num_token(problem.t_lim)}",
-        f"alloc={problem.allocator}",
         "opts=" + _encode_value(dict(problem.options)),
     ]
     return _digest("|".join(parts))
@@ -305,7 +304,6 @@ def repatch_fingerprint(problem: Any) -> str:
         _digest(plat),
         f"kind={problem.kind}",
         f"n={'n' if problem.n is None else _num_token(problem.n)}",
-        f"alloc={problem.allocator}",
         "opts=" + _encode_value(dict(problem.options)),
     ]
     return _digest("|".join(parts))

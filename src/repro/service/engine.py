@@ -163,18 +163,17 @@ def _solve_canonical(
     fingerprint: str,
     canon: Optional[CanonicalForm],
     store: SolutionStore,
-    solve_engine: Optional[str] = None,
 ) -> Solution:
     """Solve the canonical representative (or, for repatch, the problem
     itself — ``canon=None``) and admit the answer to the store."""
     with _trace.span("service.solve_canonical", mode=problem.mode):
         if canon is None:
-            solution = solve(problem, solve_engine)
+            solution = solve(problem)
         else:
             canonical_problem = replace(
                 problem, platform=canon.platform, warm_caps=None
             )
-            solution = solve(canonical_problem, solve_engine)
+            solution = solve(canonical_problem)
         with _trace.span("service.store_put"):
             store.put(fingerprint, solution)  # replay-validates before admitting
     return solution
@@ -185,7 +184,6 @@ def _checked_rebind(
     problem: Problem,
     canon: Optional[CanonicalForm],
     verify: bool,
-    engine: Optional[str],
 ) -> Solution:
     """Rebind ``solution`` onto ``problem``'s platform and, with
     ``verify``, replay-validate the result there (raises if it fails)."""
@@ -194,7 +192,7 @@ def _checked_rebind(
         if verify:
             # looked up on the instance at call time, so a wrapped
             # Solution.validate (replay counting) sees every check
-            rebound.validate(engine=engine)
+            rebound.validate()
     return rebound
 
 
@@ -203,7 +201,6 @@ def _serve_hit(
     problem: Problem,
     canon: Optional[CanonicalForm],
     verify: bool,
-    engine: Optional[str],
     store: SolutionStore,
     fingerprint: str,
 ) -> Optional[Solution]:
@@ -212,7 +209,7 @@ def _serve_hit(
     evidence: it is quarantined and ``None`` returned, so the caller
     answers by solving fresh."""
     try:
-        return _checked_rebind(hit, problem, canon, verify, engine)
+        return _checked_rebind(hit, problem, canon, verify)
     except Exception as exc:
         store.quarantine(fingerprint, f"{type(exc).__name__}: {exc}")
         return None
@@ -222,31 +219,26 @@ def cached_solve(
     problem: Problem,
     store: SolutionStore,
     verify_rebind: bool = False,
-    engine: Optional[str] = None,
-    solve_engine: Optional[str] = None,
 ) -> CachedOutcome:
     """Answer ``problem`` through ``store``: hit → rebind, miss → solve the
     canonical form, validate, store, rebind.  Uncacheable problems solve
     directly (``fingerprint=None``).
 
     ``verify_rebind=True`` replay-validates every *rebound* answer on the
-    request's own platform before returning it — affordable now that the
-    compiled replay kernel does it in one linear scan (``engine`` picks
-    the kernel, defaulting to ``"compiled"``).  ``solve_engine`` picks the
-    *solver* kernel on a miss (``None`` → compiled; ``"object"`` forces
-    the original implementations)."""
+    request's own platform before returning it — affordable because the
+    compiled replay kernel does it in one linear scan."""
     key = cache_key(problem)
     if key is None:
-        return CachedOutcome(solve(problem, solve_engine), cached=False)
+        return CachedOutcome(solve(problem), cached=False)
     fingerprint, canon = key
     hit = store.get(fingerprint)
     if hit is not None:
-        rebound = _serve_hit(hit, problem, canon, verify_rebind, engine,
+        rebound = _serve_hit(hit, problem, canon, verify_rebind,
                              store, fingerprint)
         if rebound is not None:
             return CachedOutcome(rebound, cached=True, fingerprint=fingerprint)
-    solution = _solve_canonical(problem, fingerprint, canon, store, solve_engine)
-    rebound = _checked_rebind(solution, problem, canon, verify_rebind, engine)
+    solution = _solve_canonical(problem, fingerprint, canon, store)
+    rebound = _checked_rebind(solution, problem, canon, verify_rebind)
     return CachedOutcome(rebound, cached=False, fingerprint=fingerprint)
 
 
@@ -277,14 +269,9 @@ class ScheduleService(JsonLinesFrontend):
         store: Optional[SolutionStore] = None,
         workers: int = 2,
         verify_rebinds: bool = True,
-        engine: Optional[str] = None,
         request_timeout: Optional[float] = None,
-        solve_engine: Optional[str] = None,
         chaos_ops: bool = False,
     ) -> None:
-        from ..sim.replay_fast import resolve_engine
-        from ..solve import resolve_solve_engine
-
         if workers < 1:
             raise ValueError(f"service needs >= 1 worker, got {workers}")
         if request_timeout is not None and request_timeout <= 0:
@@ -297,18 +284,10 @@ class ScheduleService(JsonLinesFrontend):
         #: before serving it — one linear scan through the compiled replay
         #: kernel, so "nothing corrupt is ever served" extends to rebinds.
         self.verify_rebinds = verify_rebinds
-        #: replay kernel for the rebind checks (None → compiled; "event"
-        #: routes serve-time verification through the oracle executor).
-        self.engine = engine
-        #: solver kernel for cache misses (None → compiled solve kernels;
-        #: "object" forces the original per-object implementations).
-        self.solve_engine = solve_engine
         #: per-request deadline in seconds applied by the protocol layer
         #: (``None`` → unbounded); a request may tighten it with its own
         #: ``deadline`` field but never loosen past this.
         self.request_timeout = request_timeout
-        resolve_engine(engine)  # reject typos before serving starts
-        resolve_solve_engine(solve_engine)
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
@@ -344,7 +323,7 @@ class ScheduleService(JsonLinesFrontend):
         try:
             if key is None:
                 solution = await loop.run_in_executor(
-                    self._pool, solve, problem, self.solve_engine
+                    self._pool, solve, problem
                 )
                 return CachedOutcome(solution, cached=False)
             fingerprint, canon = key
@@ -395,7 +374,7 @@ class ScheduleService(JsonLinesFrontend):
 
             exec_future = loop.run_in_executor(
                 self._pool, _solve_canonical,
-                problem, fingerprint, canon, self.store, self.solve_engine,
+                problem, fingerprint, canon, self.store,
             )
             exec_future.add_done_callback(_transfer)
             solution = await asyncio.shield(future)
@@ -417,8 +396,7 @@ class ScheduleService(JsonLinesFrontend):
         :func:`_serve_hit`, which takes ``extra``) of ``solution`` onto
         ``problem``: right here on the loop when the answer is small
         (:data:`INLINE_REBIND_TASKS`), on the thread pool when not."""
-        args = (solution, problem, canon, self.verify_rebinds, self.engine,
-                *extra)
+        args = (solution, problem, canon, self.verify_rebinds, *extra)
         schedule = solution.schedule
         if schedule is None or len(schedule.assignments) <= INLINE_REBIND_TASKS:
             return step(*args)
@@ -441,7 +419,6 @@ class ScheduleService(JsonLinesFrontend):
     def stats(self) -> dict[str, Any]:
         from ..core.compiled import compile_stats
         from ..core.solve_fast import solve_kernel_stats
-        from ..solve import resolve_solve_engine
 
         return {
             "requests": self.requests,
@@ -454,7 +431,6 @@ class ScheduleService(JsonLinesFrontend):
             "uptime_s": round(time.monotonic() - self._started, 3),
             "latency": self._latency(),
             "store": self.store.stats.to_dict(),
-            "solve_engine": resolve_solve_engine(self.solve_engine),
             "compile": compile_stats(),
             "solve_kernels": solve_kernel_stats(),
         }

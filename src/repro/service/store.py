@@ -125,24 +125,17 @@ class SolutionStore:
     adds the persistent SQLite tier.  ``capacity`` bounds the memory tier
     (LRU eviction; evicted entries stay in SQLite when it exists).
     ``validate_on_write=False`` is an escape hatch for benchmarks that
-    time the raw store; the service never uses it.  ``engine`` picks the
-    replay kernel for validate-on-write: ``None`` defaults to the compiled
-    linear-scan validator, ``"event"`` forces the discrete-event executor
-    (the differential-testing oracle).
+    time the raw store; the service never uses it.
     """
 
     path: Optional[Union[str, Path]] = None
     capacity: int = 256
     validate_on_write: bool = True
-    engine: Optional[str] = None
     stats: StoreStats = field(default_factory=StoreStats)
 
     def __post_init__(self) -> None:
-        from ..sim.replay_fast import resolve_engine
-
         if self.capacity < 1:
             raise ValueError(f"store capacity must be >= 1, got {self.capacity}")
-        resolve_engine(self.engine)  # reject typos before the first write
         self._lock = threading.Lock()
         self._memory: OrderedDict[str, StoreEntry] = OrderedDict()
         self._db: Optional[sqlite3.Connection] = None
@@ -217,7 +210,7 @@ class SolutionStore:
                     try:
                         sol = solution_from_dict(json.loads(row[0]))
                         if self.validate_on_write:
-                            sol.validate(engine=self.engine)
+                            sol.validate()
                     except Exception as exc:
                         self.stats.record("corrupt_rows")
                         self._quarantine_locked(
@@ -269,7 +262,7 @@ class SolutionStore:
         propagates and the store stays unchanged."""
         if self.validate_on_write:
             try:
-                solution.validate(engine=self.engine)
+                solution.validate()
             except Exception:
                 with self._lock:
                     self.stats.record("rejected")

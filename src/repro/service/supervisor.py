@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..core.types import ReproError
-from .frontend import LINE_LIMIT
+from .frontend import LINE_LIMIT, READ_SIZE
 
 __all__ = ["Supervisor", "WorkerConfig", "WorkerDied", "WorkerProcess"]
 
@@ -58,8 +58,6 @@ class WorkerConfig:
     #: base SQLite path; worker ``i`` gets ``<store_path>.shard<i>`` so
     #: every shard owns its own SQLite tier (``None`` = memory-only).
     store_path: Optional[str] = None
-    solve_engine: Optional[str] = None
-    engine: Optional[str] = None
     verify_rebinds: bool = True
     request_timeout: Optional[float] = None
     #: arm the fault-injection op in the workers (chaos harness only).
@@ -71,10 +69,6 @@ class WorkerConfig:
                "--capacity", str(self.capacity)]
         if self.store_path is not None:
             cmd += ["--store", f"{self.store_path}.shard{shard_id}"]
-        if self.solve_engine is not None:
-            cmd += ["--solve-engine", self.solve_engine]
-        if self.engine is not None:
-            cmd += ["--engine", self.engine]
         if not self.verify_rebinds:
             cmd += ["--no-verify-rebinds"]
         if self.request_timeout is not None:
@@ -124,6 +118,9 @@ class WorkerProcess:
             limit=LINE_LIMIT,
             env=self.config.env(),
         )
+        # the worker's stdout pipe: asyncio.subprocess.Process exposes its
+        # transport only as ``_transport``
+        self.proc._transport.get_pipe_transport(1).max_size = READ_SIZE
         self._reader_task = asyncio.ensure_future(self._read_loop())
 
     @property

@@ -256,16 +256,10 @@ def _leave(platform: Any, proc: ProcKey) -> tuple[Any, dict[ProcKey, ProcKey]]:
         return new, mapping
     if isinstance(platform, Tree):
         v = proc
-        if v == ROOT or not platform.graph.has_node(v):
+        if v not in platform.workers:
             raise ChurnError(f"no tree worker {proc!r}")
-        import networkx as nx
-
-        doomed = set(nx.descendants(platform.graph, v)) | {v}
-        edges = [
-            (u, x, platform.graph.edges[u, x]["c"], platform.graph.nodes[x]["w"])
-            for u, x in sorted(platform.graph.edges)
-            if x not in doomed
-        ]
+        doomed = platform.descendants(v) | {v}
+        edges = [e for e in platform.edges() if e[1] not in doomed]
         if not edges:
             raise ChurnError("leave empties the tree of workers")
         with _guard("tree leave"):
@@ -315,15 +309,12 @@ def _join(platform: Any, spec: Mapping[str, Any]) -> tuple[Any, list[ProcKey]]:
         return new, [(new.arity, p) for p in range(1, new_leg.p + 1)]
     if isinstance(platform, Tree):
         parent, c, w = need("parent", "c", "w")
-        if parent != ROOT and not platform.graph.has_node(parent):
+        workers = platform.workers
+        if parent != ROOT and parent not in workers:
             raise ChurnError(f"tree join under unknown parent {parent!r}")
-        node = max(platform.graph.nodes) + 1
-        edges = [
-            (u, x, platform.graph.edges[u, x]["c"], platform.graph.nodes[x]["w"])
-            for u, x in sorted(platform.graph.edges)
-        ]
+        node = max(ROOT, *workers) + 1
         with _guard("tree join"):
-            new = Tree([*edges, (parent, node, c, w)])
+            new = Tree([*platform.edges(), (parent, node, c, w)])
         return new, [node]
     raise ChurnError(f"unsupported platform type {type(platform).__name__}")
 
@@ -359,17 +350,9 @@ def _drift(
             return Spider(legs)
     if isinstance(platform, Tree):
         edges = [
-            (
-                u,
-                x,
-                _scaled(platform.graph.edges[u, x]["c"], c_factor)
-                if x == proc
-                else platform.graph.edges[u, x]["c"],
-                _scaled(platform.graph.nodes[x]["w"], w_factor)
-                if x == proc
-                else platform.graph.nodes[x]["w"],
-            )
-            for u, x in sorted(platform.graph.edges)
+            (u, x, _scaled(c, c_factor), _scaled(w, w_factor)) if x == proc
+            else (u, x, c, w)
+            for u, x, c, w in platform.edges()
         ]
         with _guard("tree drift"):
             return Tree(edges)

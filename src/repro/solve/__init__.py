@@ -11,15 +11,14 @@ type)`` (:mod:`repro.solve.registry`): ``mode="offline"`` resolves the
 paper's static algorithms per platform class, ``mode="online"`` the
 simulated-policy solver that claims every platform.  The built-in
 chain/star/spider/tree/online solvers (:mod:`repro.solve.solvers`)
-register themselves when this package is imported, as do their
-compiled-engine twins (:mod:`repro.solve.compiled_solvers`) — flat-array
-kernels answering chain/star/spider problems bit-identically, selected by
-the orthogonal *solve engine* axis (``engine="compiled"`` is the default;
-``engine="object"`` forces the original implementations, the differential
-oracle).  The CLI verbs, the batch engine, benchmarks and examples all
-consume this layer — none of them dispatch on platform types, modes or
-engines themselves.  Any solution can be replay-validated through the
-simulator with ``sol.validate()``.
+register themselves when this package is imported.  The chain, star and
+spider solvers (and the tree heuristic's rounds) run kernel-then-oracle:
+the flat-array kernels of :mod:`repro.core.solve_fast` answer every
+integer platform, and the paper-literal oracles answer the rest.  The CLI
+verbs, the batch engine, benchmarks and examples all consume this layer —
+none of them dispatch on platform types or modes themselves.  Any
+solution can be replay-validated through the simulator with
+``sol.validate()``.
 """
 
 from .problem import (
@@ -32,14 +31,10 @@ from .problem import (
     ValidationError,
 )
 from .registry import (
-    DEFAULT_SOLVE_ENGINE,
-    SOLVE_ENGINES,
     Solver,
     record_dispatch,
     register,
-    register_compiled,
     registered_solvers,
-    resolve_solve_engine,
     solve,
     solver_for,
     unregister,
@@ -52,27 +47,15 @@ from .solvers import (
     StarSolver,
     TreeSolver,
 )
-from .compiled_solvers import (
-    COMPILED_SOLVERS,
-    CompiledChainSolver,
-    CompiledSpiderSolver,
-    CompiledStarSolver,
-)
 
 __all__ = [
     "BUILTIN_SOLVERS",
-    "COMPILED_SOLVERS",
     "ChainSolver",
-    "CompiledChainSolver",
-    "CompiledSpiderSolver",
-    "CompiledStarSolver",
-    "DEFAULT_SOLVE_ENGINE",
     "KINDS",
     "MODES",
     "NoSolverError",
     "OnlineSolver",
     "Problem",
-    "SOLVE_ENGINES",
     "Solution",
     "SolveError",
     "Solver",
@@ -81,9 +64,7 @@ __all__ = [
     "TreeSolver",
     "ValidationError",
     "register",
-    "register_compiled",
     "registered_solvers",
-    "resolve_solve_engine",
     "solve",
     "solver_for",
     "unregister",

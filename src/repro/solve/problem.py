@@ -3,8 +3,8 @@
 A *problem* is one scheduling question about one platform: either
 "minimise the makespan of ``n`` tasks" (``kind="makespan"``) or "complete
 as many tasks as possible — at most ``n``, if given — by ``t_lim``"
-(``kind="deadline"``), plus engine options (allocator choice, per-solver
-tuning in ``options``, warm-start caps for solvers that support them).
+(``kind="deadline"``), plus per-solver tuning in ``options`` and
+warm-start caps for solvers that support them.
 
 Orthogonal to the *kind* is the *mode*: ``"offline"`` problems are answered
 by the paper's static algorithms (the solver sees the whole future),
@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
-from ..core.fork import DEFAULT_ALLOCATOR
 from ..core.schedule import Schedule
 from ..core.types import ReproError, Time, leq
 
@@ -65,7 +64,6 @@ class Problem:
     kind: str = "makespan"
     n: Optional[int] = None
     t_lim: Optional[Time] = None
-    allocator: str = DEFAULT_ALLOCATOR
     #: dispatch axis: ``"offline"`` (static optimal algorithms) or
     #: ``"online"`` (simulated policies; see ``options["policy"]``).
     mode: str = "offline"

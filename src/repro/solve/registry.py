@@ -15,15 +15,6 @@ an adapter gets online answers without per-platform registrations.
 Beyond the claim a solver declares which question kinds it answers and
 whether it can reuse warm-start caps across a descending deadline sweep
 (``supports_warm_caps`` — the batch runner keys its cap hand-off on it).
-
-Orthogonal to both axes is the **solve engine**, mirroring the replay
-path's two-engine dispatch (PR 5): ``"compiled"`` solvers answer on flat
-arrays through :mod:`repro.core.solve_fast` and are the default wherever
-one claims the platform; ``"object"`` forces the original per-object
-implementations, which stay registered as the differential oracle.
-Compiled claims live in their own registry and *fall through* to the
-object registry, so platforms without a kernel (trees, online, repatch)
-are unaffected by the engine choice.
 """
 
 from __future__ import annotations
@@ -35,35 +26,14 @@ from ..obs import tracing as _trace
 from .problem import MODES, NoSolverError, Problem, Solution, SolveError
 
 __all__ = [
-    "DEFAULT_SOLVE_ENGINE",
-    "SOLVE_ENGINES",
     "Solver",
     "record_dispatch",
     "register",
-    "register_compiled",
     "registered_solvers",
-    "resolve_solve_engine",
     "solve",
     "solver_for",
     "unregister",
 ]
-
-#: the two solve engines: flat-array kernels vs the object pipelines.
-SOLVE_ENGINES = ("compiled", "object")
-
-#: compiled kernels answer by default; ``"object"`` is the opt-out oracle.
-DEFAULT_SOLVE_ENGINE = "compiled"
-
-
-def resolve_solve_engine(engine: Optional[str]) -> str:
-    """Normalise an engine choice (``None`` → :data:`DEFAULT_SOLVE_ENGINE`)."""
-    if engine is None:
-        return DEFAULT_SOLVE_ENGINE
-    if engine not in SOLVE_ENGINES:
-        raise SolveError(
-            f"unknown solve engine {engine!r}; expected one of {SOLVE_ENGINES}"
-        )
-    return engine
 
 
 class Solver:
@@ -112,7 +82,6 @@ class Solver:
 
 
 _REGISTRY: dict[tuple[str, type], Solver] = {}
-_COMPILED_REGISTRY: dict[tuple[str, type], Solver] = {}
 
 
 def _check_mode(mode: str) -> str:
@@ -138,39 +107,16 @@ def register(solver: Solver, *, replace: bool = False) -> Solver:
     return solver
 
 
-def register_compiled(solver: Solver, *, replace: bool = False) -> Solver:
-    """Register ``solver`` as the *compiled-engine* claim on its
-    ``(mode, platform_type)``; same double-claim rule as :func:`register`."""
-    key = (_check_mode(solver.mode), solver.platform_type)
-    if key in _COMPILED_REGISTRY and not replace:
-        raise SolveError(
-            f"platform type {solver.platform_type.__name__} already claimed "
-            f"in {solver.mode!r} mode by compiled solver "
-            f"{_COMPILED_REGISTRY[key].name!r} (pass replace=True to override)"
-        )
-    _COMPILED_REGISTRY[key] = solver
-    return solver
-
-
 def unregister(platform_type: type, mode: str = "offline") -> None:
     """Drop the claim on ``(mode, platform_type)`` (no-op if unclaimed)."""
     _REGISTRY.pop((_check_mode(mode), platform_type), None)
-    _COMPILED_REGISTRY.pop((_check_mode(mode), platform_type), None)
 
 
-def solver_for(
-    platform: Any, mode: str = "offline", engine: Optional[str] = None
-) -> Solver:
+def solver_for(platform: Any, mode: str = "offline") -> Solver:
     """The registered ``mode`` solver claiming ``platform``'s type
     (MRO-resolved, so the online solver's claim on ``object`` catches every
-    platform).  With ``engine="compiled"`` (the default) a compiled claim
-    wins when one exists; the object registry always backstops."""
+    platform)."""
     _check_mode(mode)
-    if resolve_solve_engine(engine) == "compiled":
-        for cls in type(platform).__mro__:
-            solver = _COMPILED_REGISTRY.get((mode, cls))
-            if solver is not None:
-                return solver
     for cls in type(platform).__mro__:
         solver = _REGISTRY.get((mode, cls))
         if solver is not None:
@@ -211,10 +157,10 @@ def record_dispatch(solver: Solver, problem: Problem):
     )
 
 
-def solve(problem: Problem, engine: Optional[str] = None) -> Solution:
+def solve(problem: Problem) -> Solution:
     """Answer ``problem`` with the registered solver for its platform and
-    mode, on the chosen solve engine (compiled by default)."""
-    solver = solver_for(problem.platform, problem.mode, engine)
+    mode."""
+    solver = solver_for(problem.platform, problem.mode)
     solver.check_claims(problem)
     with record_dispatch(solver, problem):
         return solver.solve(problem)

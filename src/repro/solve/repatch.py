@@ -47,7 +47,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from ..core.commvector import CommVector
-from ..core.fork import DEFAULT_ALLOCATOR
 from ..core.schedule import PlatformAdapter, ProcKey, Schedule, TaskAssignment, adapter_for
 from ..core.types import Time
 from ..sim.churn import ChurnTrace, apply_churn, parse_churn_events
@@ -473,7 +472,6 @@ def cold_resolve(
     schedule: Schedule,
     churn: ChurnTrace,
     *,
-    allocator: str = DEFAULT_ALLOCATOR,
     base_options: Optional[dict] = None,
 ) -> tuple[Optional[Solution], int, Time]:
     """The strawman repatch competes with: discard everything in flight at
@@ -494,7 +492,6 @@ def cold_resolve(
         churn.platform_after,
         "makespan",
         n=remaining,
-        allocator=allocator,
         options=base_options or {},
     )
     solution = solve(problem)

@@ -1,8 +1,10 @@
 """The built-in solvers: one per platform class, registered on import.
 
 Each offline solver wraps the corresponding optimal algorithm (or, for
-general trees, the multi-round cover heuristic) and normalises its
-operation counters into the flat ``stats`` dict the batch engine archives.
+general trees, the multi-round cover heuristic) and reports its operation
+counters as the flat ``stats`` dict the batch engine archives.  The chain,
+star and spider solvers call the kernel-then-oracle entries of
+:mod:`repro.core.solve_fast`; ``stats["engine"]`` says which answered.
 
 The *online* solver is registered on the orthogonal ``mode="online"`` axis
 and claims ``object`` — any platform with an adapter.  It answers by
@@ -16,15 +18,16 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from ..core.chain import ChainRunStats
-from ..obs import metrics as _obs
-from ..core.chain_fast import schedule_chain_deadline_fast, schedule_chain_fast
-from ..core.fork import AllocStats, fork_schedule, fork_schedule_deadline
-from ..core.spider import (
-    SpiderRunStats,
+from ..core.solve_fast import (
+    SPIDER_STAT_KEYS,
+    chain_deadline,
+    chain_schedule,
+    spider_deadline,
     spider_schedule,
-    spider_schedule_deadline,
+    star_deadline,
+    star_schedule,
 )
+from ..obs import metrics as _obs
 from ..platforms.chain import Chain
 from ..platforms.spider import Spider
 from ..platforms.star import Star
@@ -43,58 +46,30 @@ from .registry import Solver, register
 from .repatch import RepatchSolver
 
 
-def _chain_stats_dict(stats: ChainRunStats) -> dict:
-    return {
-        "tasks_placed": stats.tasks_placed,
-        "candidates_evaluated": stats.candidates_evaluated,
-        "vector_elements": stats.vector_elements,
-        "comparisons": stats.comparisons,
-    }
-
-
-def _alloc_stats_dict(stats: AllocStats) -> dict:
-    return {
-        "alloc_candidates": stats.candidates,
-        "alloc_structure_ops": stats.structure_ops,
-    }
-
-
-def _spider_stats_dict(stats: SpiderRunStats) -> dict:
-    flat = {
-        "probes": stats.probes,
-        "probes_short_circuited": stats.probes_short_circuited,
-        "legs_scheduled": stats.legs_scheduled,
-        "legs_skipped": stats.legs_skipped,
-        "fork_nodes": stats.fork_nodes,
-        "chain_vector_elements": stats.chain.vector_elements,
-        "alloc_candidates": stats.alloc.candidates,
-        "alloc_structure_ops": stats.alloc.structure_ops,
-    }
-    # Per-run dataclasses stay canonical (each Solution carries its own
-    # numbers); the process-wide registry accumulates the totals.
-    for key, value in flat.items():
-        if value:
+def _count_spider_totals(stats: dict) -> dict:
+    """Add one spider solve's counters to the process-wide ``spider.*``
+    totals (each Solution keeps its own numbers); returns ``stats``."""
+    for key, value in stats.items():
+        if key != "engine" and value:
             _obs.counter(f"spider.{key}").inc(value)
-    return flat
+    return stats
 
 
 class ChainSolver(Solver):
-    """Optimal chain scheduling (Theorem 1) via the ``O(n·p)`` fast path."""
+    """Optimal chain scheduling (Theorem 1): the backward greedy."""
 
     name = "chain"
     platform_type = Chain
-    summary = "optimal on chains — backward greedy, O(n*p) fast path"
+    summary = "optimal on chains — backward greedy, cached universal sequence"
 
     def solve(self, problem: Problem) -> Solution:
-        chain: Chain = problem.platform
-        stats = ChainRunStats()
         if problem.kind == "makespan":
-            sched = schedule_chain_fast(chain, problem.n, stats=stats)
+            sched, stats = chain_schedule(problem.platform, problem.n)
         else:
-            sched = schedule_chain_deadline_fast(
-                chain, problem.t_lim, problem.n, stats=stats
+            sched, stats = chain_deadline(
+                problem.platform, problem.t_lim, problem.n
             )
-        return Solution(problem, sched, self.name, _chain_stats_dict(stats))
+        return Solution(problem, sched, self.name, stats)
 
 
 class StarSolver(Solver):
@@ -105,21 +80,13 @@ class StarSolver(Solver):
     summary = "optimal on stars — fork-graph allocator of Beaumont et al."
 
     def solve(self, problem: Problem) -> Solution:
-        star: Star = problem.platform
-        stats = AllocStats()
         if problem.kind == "makespan":
-            sched = fork_schedule(
-                star, problem.n, allocator=problem.allocator, stats=stats
-            )
+            sched, stats = star_schedule(problem.platform, problem.n)
         else:
-            sched = fork_schedule_deadline(
-                star,
-                problem.t_lim,
-                problem.n,
-                allocator=problem.allocator,
-                stats=stats,
+            sched, stats = star_deadline(
+                problem.platform, problem.t_lim, problem.n
             )
-        return Solution(problem, sched, self.name, _alloc_stats_dict(stats))
+        return Solution(problem, sched, self.name, stats)
 
 
 class SpiderSolver(Solver):
@@ -131,28 +98,18 @@ class SpiderSolver(Solver):
     summary = "optimal on spiders — chain+fork pipeline, warm-started bisection"
 
     def solve(self, problem: Problem) -> Solution:
-        spider: Spider = problem.platform
-        stats = SpiderRunStats()
         if problem.kind == "makespan":
-            sched = spider_schedule(
-                spider, problem.n, allocator=problem.allocator, stats=stats
+            sched, stats = spider_schedule(problem.platform, problem.n)
+            return Solution(
+                problem, sched, self.name, _count_spider_totals(stats)
             )
-            return Solution(problem, sched, self.name, _spider_stats_dict(stats))
         caps = dict(problem.warm_caps) if problem.warm_caps is not None else None
-        res = spider_schedule_deadline(
-            spider,
-            problem.t_lim,
-            problem.n,
-            allocator=problem.allocator,
-            stats=stats,
-            leg_caps=caps,
+        sched, stats, leg_counts = spider_deadline(
+            problem.platform, problem.t_lim, problem.n, leg_caps=caps
         )
         return Solution(
-            problem,
-            res.schedule,
-            self.name,
-            _spider_stats_dict(stats),
-            warm_caps=dict(res.leg_counts),
+            problem, sched, self.name, _count_spider_totals(stats),
+            warm_caps=leg_counts,
         )
 
 
@@ -175,9 +132,8 @@ class TreeSolver(Solver):
             cover_strategy=opts.get("cover_strategy", "throughput"),
             residual_strategy=opts.get("residual_strategy", "fresh"),
             max_rounds=int(opts.get("max_rounds", DEFAULT_MAX_ROUNDS)),
-            allocator=problem.allocator,
         )
-        stats = SpiderRunStats()
+        stats = dict.fromkeys(SPIDER_STAT_KEYS, 0)
         if problem.kind == "makespan":
             result = tree_schedule_multiround(
                 tree, problem.n, stats=stats, **kwargs
@@ -192,7 +148,7 @@ class TreeSolver(Solver):
             problem,
             result.schedule,
             self.name,
-            _spider_stats_dict(stats),
+            _count_spider_totals(stats),
             extra={
                 "rounds": [r.to_dict() for r in result.rounds],
                 "coverage": result.coverage,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from ..analysis.steady_state import chain_steady_state, tree_steady_state
 from ..core.commvector import CommVector
 from ..core.schedule import Schedule, TaskAssignment
-from ..core.spider import spider_schedule
+from ..core.solve_fast import spider_schedule
 from ..core.types import PlatformError, Time
 from ..platforms.chain import Chain
 from ..platforms.spider import Spider
@@ -113,7 +113,7 @@ def tree_schedule_by_cover(
     respect to the cover — experiment E12 quantifies the loss.
     """
     cover = cover if cover is not None else best_path_cover(tree)
-    spider_sched = spider_schedule(cover.spider, n)
+    spider_sched, _ = spider_schedule(cover.spider, n)
     out = Schedule(tree)
     for a in spider_sched:
         out.add(cover.tree_assignment(a))

@@ -39,7 +39,7 @@ from typing import Callable, Iterator, Optional
 from ..analysis.steady_state import chain_steady_state, tree_steady_state
 from ..core.commvector import CommVector
 from ..core.schedule import Schedule, TaskAssignment
-from ..core.spider import SpiderRunStats, spider_schedule_deadline
+from ..core.solve_fast import spider_deadline
 from ..core.types import PlatformError, Time
 from ..platforms.chain import Chain
 from ..platforms.spider import Spider
@@ -342,8 +342,7 @@ def _fit_round(
     busy: _Busy,
     t_lim: Time,
     budget: Optional[int],
-    allocator: str,
-    stats: Optional[SpiderRunStats],
+    stats: Optional[dict],
 ) -> Optional[_Fitted]:
     """Schedule one round on ``cover`` (served nodes masked to relays) and
     thread it through the committed rounds' idle gaps so everything still
@@ -370,12 +369,14 @@ def _fit_round(
         through the committed gaps in time).
         """
         nonlocal best, best_key
-        res = spider_schedule_deadline(
-            spider, window, budget, allocator=allocator, stats=stats
-        )
-        if res.n_tasks == 0:
+        sched, run_stats, _ = spider_deadline(spider, window, budget)
+        if stats is not None:
+            for key, value in run_stats.items():
+                if key != "engine":
+                    stats[key] = stats.get(key, 0) + value
+        if sched.n_tasks == 0:
             return "too_small"
-        assignments = _map_to_tree(cover, res.schedule)
+        assignments = _map_to_tree(cover, sched)
         shift = _min_gap_shift(tree, busy, assignments)
         if shift is not None:
             completion = shift + max(
@@ -427,8 +428,7 @@ def tree_schedule_multiround_deadline(
     cover_strategy: str = "throughput",
     residual_strategy: str = "fresh",
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    allocator: str = "incremental",
-    stats: Optional[SpiderRunStats] = None,
+    stats: Optional[dict] = None,
 ) -> MultiRoundResult:
     """Place as many tasks as possible (at most ``n``) on ``tree`` by
     ``t_lim`` using successive spider covers.
@@ -436,7 +436,8 @@ def tree_schedule_multiround_deadline(
     Round 1 runs ``cover_strategy`` over the full horizon — exactly the
     single-cover heuristic — so the result never undercuts it; rounds 2+
     run ``residual_strategy`` (which sees the served-worker set) on
-    whatever horizon remains after sequencing.
+    whatever horizon remains after sequencing.  ``stats``, when given,
+    accumulates the counters of every spider deadline solve the rounds run.
     """
     if t_lim < 0:
         raise PlatformError(f"Tlim must be >= 0, got {t_lim}")
@@ -457,7 +458,7 @@ def tree_schedule_multiround_deadline(
         if cover is None:  # no root path reaches a fresh worker any more
             break
         fitted = _fit_round(
-            tree, cover, served, busy, t_lim, remaining, allocator, stats
+            tree, cover, served, busy, t_lim, remaining, stats
         )
         if fitted is None:
             break
@@ -496,8 +497,7 @@ def tree_schedule_multiround(
     cover_strategy: str = "throughput",
     residual_strategy: str = "fresh",
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    allocator: str = "incremental",
-    stats: Optional[SpiderRunStats] = None,
+    stats: Optional[dict] = None,
 ) -> MultiRoundResult:
     """Makespan mode: the smallest horizon (monotone search over ``Tlim``)
     at which the multi-round deadline scheduler places all ``n`` tasks.
@@ -522,7 +522,6 @@ def tree_schedule_multiround(
             cover_strategy=cover_strategy,
             residual_strategy=residual_strategy,
             max_rounds=max_rounds,
-            allocator=allocator,
             stats=stats,
         )
 

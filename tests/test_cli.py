@@ -328,15 +328,13 @@ class TestExitCodes:
         assert codes == [0, 1, 2, 3, 4, 5]
 
     def test_no_solver_registered_exits_3(self, capsys):
-        from repro.solve.registry import _COMPILED_REGISTRY, _REGISTRY
+        from repro.solve.registry import _REGISTRY
 
         saved = _REGISTRY.pop(("offline", Chain))
-        saved_compiled = _COMPILED_REGISTRY.pop(("offline", Chain))
         try:
             rc = main(["chain", "--c", "2,3", "--w", "3,5", "-n", "5"])
         finally:
             _REGISTRY[("offline", Chain)] = saved
-            _COMPILED_REGISTRY[("offline", Chain)] = saved_compiled
         assert rc == 3
         assert "no registered solver" in capsys.readouterr().err
 
@@ -419,3 +417,22 @@ class TestServeParser:
             main(["serve", "--help"])
         out = capsys.readouterr().out
         assert "--store" in out and "--tcp" in out and "--workers" in out
+
+
+class TestImportFootprint:
+    def test_cli_import_does_not_load_networkx(self):
+        """``repro`` keeps trees as a parent map: importing the CLI (what
+        every worker (re)start pays) must not pull in networkx."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('networkx' in sys.modules)"],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "False"

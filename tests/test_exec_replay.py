@@ -377,21 +377,6 @@ class TestCliOnlineDispatch:
         assert "2/2 scenarios ok" in out
         assert "replay-validated" in out
 
-    def test_batch_executor_conflicts_with_explicit_mode(self, tmp_path):
-        import json
-
-        from repro.cli import main
-
-        path = tmp_path / "scenarios.json"
-        path.write_text(json.dumps({
-            "schema": 1,
-            "scenarios": [{"id": "mk", "kind": "makespan", "n": 2,
-                           "platform": platform_to_dict(random_chain(2, seed=1))}],
-        }))
-        with pytest.raises(SystemExit, match="pick one"):
-            main(["batch", "--scenarios", str(path),
-                  "--executor", "threads", "--mode", "serial"])
-
     def test_no_simulate_ladders_left(self):
         """Acceptance guard: the CLI's online verbs contain no direct
         simulator calls — everything dispatches through repro.solve."""

@@ -46,19 +46,27 @@ class TestProblemRoundTrip:
         back = problem_from_dict(roundtrip(problem_to_dict(problem)))
         assert back.kind == "makespan" and back.n == 6
         assert back.platform.to_dict() == platform.to_dict()
-        assert back.mode == "offline" and back.allocator == problem.allocator
+        assert back.mode == "offline"
 
     def test_deadline_problem_with_options_and_caps(self):
         spider = Spider([Chain([2, 3], [3, 5]), Chain([1], [4])])
         problem = Problem(
-            spider, "deadline", n=20, t_lim=35, allocator="greedy",
+            spider, "deadline", n=20, t_lim=35,
             options={"a": 1, "b": [1, 2]}, warm_caps={1: 9, 2: 4},
         )
         back = problem_from_dict(roundtrip(problem_to_dict(problem)))
         assert back.t_lim == 35 and back.n == 20
-        assert back.allocator == "greedy"
         assert dict(back.options) == {"a": 1, "b": [1, 2]}
         assert back.warm_caps == {1: 9, 2: 4}  # int keys survive JSON
+
+    def test_legacy_allocator_key(self):
+        d = problem_to_dict(Problem(Chain([2], [3]), "makespan", n=3))
+        assert "allocator" not in d
+        for legacy in ("greedy", "incremental"):
+            back = problem_from_dict({**d, "allocator": legacy})
+            assert back == problem_from_dict(d)
+        with pytest.raises(ReproError, match="'allocator'"):
+            problem_from_dict({**d, "allocator": "moore"})
 
     def test_online_problem(self):
         problem = Problem(Chain([2], [3]), "makespan", n=3, mode="online",

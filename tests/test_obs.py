@@ -198,7 +198,6 @@ class TestMigratedFamilies:
         sol = solve(
             Problem(Spider([Chain([2], [3]), Chain([1], [4])]),
                     "makespan", n=6),
-            engine="object",
         )
         legs = sol.stats["legs_scheduled"]
         assert legs >= 1

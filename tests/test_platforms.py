@@ -252,12 +252,24 @@ class TestTree:
             self.make_y_tree().to_spider()
 
     def test_rejects_cycle_and_double_parent(self):
-        with pytest.raises(PlatformError):
+        with pytest.raises(PlatformError, match="two parents"):
             Tree([(0, 1, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1)])
+        for edges in ([(0, 1, 1, 1), (2, 3, 1, 1), (3, 2, 1, 1)],  # cycle
+                      [(0, 1, 1, 1), (5, 6, 1, 1)]):  # second root
+            with pytest.raises(PlatformError, match="rooted at the master"):
+                Tree(edges)
 
     def test_rejects_root_with_parent(self):
-        with pytest.raises(PlatformError):
+        with pytest.raises(PlatformError, match="incoming link"):
             Tree([(1, 0, 1, 1)])
+        with pytest.raises(PlatformError, match="at least one worker"):
+            Tree([])
+
+    def test_workers_in_bfs_insertion_order(self):
+        t = Tree([(0, 5, 1, 1), (5, 9, 1, 1), (0, 2, 1, 1), (5, 3, 1, 1),
+                  (2, 7, 1, 1)])
+        assert t.workers == [5, 2, 9, 3, 7]  # children in insertion order
+        assert t.children(5) == [3, 9]  # ... but children() sorted
 
     def test_root_paths(self):
         t = self.make_y_tree()

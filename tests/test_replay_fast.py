@@ -342,18 +342,6 @@ class TestEngineEscapeHatch:
         with pytest.raises(SimulationError, match="unknown replay engine"):
             replay_schedule(sol.schedule, "bogus")
 
-    def test_store_engine_plumbs_through(self, tmp_path):
-        from repro.service.canon import problem_fingerprint
-        from repro.service.store import SolutionStore
-
-        sol = solve(Problem(random_star(4, seed=7), "makespan", n=5))
-        for engine in (None, "compiled", "event"):
-            store = SolutionStore(engine=engine)
-            store.put(problem_fingerprint(sol.problem), sol)
-            assert store.stats.writes == 1
-        with pytest.raises(Exception):
-            SolutionStore(engine="bogus")
-
     def test_batch_validated_by_column(self):
         from repro.batch import Scenario, run_batch
         from repro.io.json_io import platform_to_dict
@@ -362,11 +350,6 @@ class TestEngineEscapeHatch:
         compiled_row, = run_batch(
             [Scenario("a", pdict, "makespan", n=4)], validate=True)
         assert compiled_row.validated and compiled_row.validated_by == "compiled"
-        event_row, = run_batch(
-            [Scenario("a", pdict, "makespan", n=4)], validate=True,
-            engine="event")
-        assert event_row.validated_by == "event"
-        assert event_row.makespan == compiled_row.makespan
         plain_row, = run_batch([Scenario("a", pdict, "makespan", n=4)])
         assert plain_row.validated_by is None
         # trace-only fault runs are checked by the exclusivity scan, and
@@ -376,11 +359,11 @@ class TestEngineEscapeHatch:
                       options={"failures": [{"time": 4, "processor": [1, 1]}]})],
             validate=True)
         assert fault_row.ok and fault_row.validated_by == "trace"
-        d = event_row.to_dict()
-        assert d["validated_by"] == "event"
+        d = compiled_row.to_dict()
+        assert d["validated_by"] == "compiled"
         from repro.batch import ScenarioResult
 
-        assert ScenarioResult.from_dict(d).validated_by == "event"
+        assert ScenarioResult.from_dict(d).validated_by == "compiled"
 
     def test_cli_batch_prints_validated_by(self, capsys, tmp_path):
         import json
@@ -399,9 +382,6 @@ class TestEngineEscapeHatch:
         assert main(["batch", "--scenarios", str(path), "--validate"]) == 0
         out = capsys.readouterr().out
         assert "validated_by" in out and "compiled" in out
-        assert main(["batch", "--scenarios", str(path), "--validate",
-                     "--engine", "event"]) == 0
-        assert "event" in capsys.readouterr().out
 
 
 class TestRebindVerification:

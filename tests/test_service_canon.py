@@ -158,9 +158,17 @@ class TestProblemFingerprints:
         assert base == problem_fingerprint(Problem(chain, "makespan", n=5))
         assert base != problem_fingerprint(Problem(chain, "makespan", n=6))
         assert base != problem_fingerprint(Problem(chain, "deadline", t_lim=14))
-        assert base != problem_fingerprint(
-            Problem(chain, "makespan", n=5, allocator="greedy")
-        )
+        # the retired allocator field: a legacy key changes neither the
+        # fingerprint nor the answer
+        from repro.io.json_io import problem_from_dict, problem_to_dict
+        from repro.solve import solve
+
+        plain = problem_to_dict(Problem(chain, "makespan", n=5))
+        for legacy in ("greedy", "incremental"):
+            old = problem_from_dict({**plain, "allocator": legacy})
+            assert problem_fingerprint(old) == base
+            assert (solve(old).schedule.to_dict()
+                    == solve(Problem(chain, "makespan", n=5)).schedule.to_dict())
 
     def test_options_fold_in_order_free(self):
         tree = Tree([(0, 1, 2, 3), (0, 2, 1, 4)])

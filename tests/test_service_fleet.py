@@ -242,15 +242,12 @@ class TestRouterSemantics:
 class TestWorkerConfig:
     def test_argv_carries_every_option(self):
         config = WorkerConfig(threads=3, capacity=99, store_path="/tmp/s",
-                              solve_engine="object", engine="event",
                               verify_rebinds=False, request_timeout=1.5,
                               chaos_ops=True)
         argv = config.argv(7)
         assert argv[:4] == [sys.executable, "-m", "repro", "serve"]
         for flag, value in (("--workers", "3"), ("--capacity", "99"),
                             ("--store", "/tmp/s.shard7"),
-                            ("--solve-engine", "object"),
-                            ("--engine", "event"),
                             ("--request-timeout", "1.5")):
             assert value == argv[argv.index(flag) + 1]
         assert "--no-verify-rebinds" in argv
@@ -477,6 +474,42 @@ class TestGracefulDrain:
 # ---------------------------------------------------------------------------
 # Supervisor restart budget
 # ---------------------------------------------------------------------------
+
+
+class TestServedReadSize:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                        reason="minor fault counts come from Linux /proc")
+    def test_served_hits_do_not_fault_per_request(self):
+        """A served hit must not map fresh pages per request line: reads
+        are capped at READ_SIZE, below glibc's mmap threshold."""
+        proc = TestGracefulDrain().serve_subprocess()
+
+        def minor_faults() -> int:
+            with open(f"/proc/{proc.pid}/stat") as fh:
+                fields = fh.read().rpartition(")")[2].split()
+            return int(fields[7])  # minflt: field 10 of proc(5)
+
+        def ask(rid: str) -> None:
+            proc.stdin.write(solve_line(problem, rid) + "\n")
+            proc.stdin.flush()
+            response = json.loads(proc.stdout.readline())
+            assert response["ok"] and response["id"] == rid
+
+        try:
+            problem = spider_problem(seed=3, n=48)
+            for i in range(50):  # the miss, then warm the hit path
+                ask(f"w{i}")
+            before = minor_faults()
+            hits = 300
+            for i in range(hits):
+                ask(f"h{i}")
+            per_request = (minor_faults() - before) / hits
+            assert per_request < 0.5, f"{per_request:.3f} minor faults per hit"
+        finally:
+            proc.kill()
+            proc.wait(timeout=15)
+            proc.stdin.close()
+            proc.stdout.close()
 
 
 class TestRestartBudget:

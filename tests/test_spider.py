@@ -8,6 +8,7 @@ from repro.baselines.bruteforce import max_tasks_within as bf_max_tasks
 from repro.baselines.bruteforce import optimal_makespan
 from repro.core.chain import chain_makespan, max_tasks_within
 from repro.core.feasibility import check, check_deadline
+from repro.core.solve_fast import fast_spider_schedule
 from repro.core.spider import (
     SpiderRunStats,
     spider_makespan,
@@ -21,6 +22,7 @@ from repro.platforms.presets import paper_fig2_chain, paper_fig5_spider
 from repro.platforms.spider import Spider
 
 from conftest import small_spiders, spiders
+from test_fork import moore_hodgson
 
 
 class TestChainFork7Transformation:
@@ -94,9 +96,11 @@ class TestSpiderDeadline:
     @given(spiders(max_legs=2, max_depth=2), st.integers(0, 20))
     @settings(max_examples=40, deadline=None)
     def test_allocators_agree(self, sp, t_lim):
-        assert spider_max_tasks(sp, t_lim, allocator="greedy") == spider_max_tasks(
-            sp, t_lim, allocator="moore"
-        )
+        """The greedy's task count matches the Moore–Hodgson witness on the
+        spider's fork nodes (Theorem 3 rests on the fork optimum)."""
+        nodes = spider_schedule_deadline(sp, t_lim).fork_nodes
+        kept, _ = moore_hodgson(nodes, t_lim)
+        assert spider_max_tasks(sp, t_lim) == len(kept)
 
 
 class TestSpiderMakespan:
@@ -197,7 +201,7 @@ class TestWarmStartAndStats:
         stats = SpiderRunStats()
         sched = spider_schedule(sp, 20, stats=stats)
         assert stats.probes_short_circuited > 0
-        assert sched.makespan == spider_makespan(sp, 20, allocator="greedy")
+        assert sched.makespan == fast_spider_schedule(sp, 20)[0].makespan
 
     def test_leg_counts_reported(self):
         res = spider_schedule_deadline(paper_fig5_spider(), 20)

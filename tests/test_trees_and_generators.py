@@ -58,11 +58,12 @@ class TestGenerators:
     def test_random_tree_valid(self):
         t = random_tree(12, seed=5)
         assert t.p == 12
-        assert t.graph.number_of_nodes() == 13
+        nodes = [0, *t.workers]
+        assert sorted(v for u in nodes for v in t.children(u)) == sorted(t.workers)
 
     def test_random_tree_arity_bound(self):
         t = random_tree(20, max_children=2, seed=9)
-        assert all(t.graph.out_degree(v) <= 2 for v in t.graph)
+        assert all(len(t.children(v)) <= 2 for v in [0, *t.workers])
 
     def test_chain_family_deterministic(self):
         fam1 = list(chain_family([2, 4], seed=11))
