@@ -406,11 +406,6 @@ class ScheduleService(JsonLinesFrontend):
 
     # -- protocol (local imports: the protocol module imports this one) -----
 
-    async def handle_line(self, raw_line: str) -> dict[str, Any]:
-        from .protocol import handle_request
-
-        return await handle_request(self, raw_line)
-
     async def render_line(self, raw_line: str) -> str:
         from .protocol import serve_line
 

@@ -15,12 +15,13 @@ Two subclasses serve through it:
   consistent-hashes requests across supervised worker processes
   (``repro serve --shards N``).
 
-The mixin writes, for each request line, the text :meth:`render_line`
-returns.  By default that is :meth:`handle_line`'s response dict,
-JSON-encoded — the router's forwarding logic answers that way.  The
-single-process service overrides :meth:`render_line` with
-:func:`repro.service.protocol.serve_line`, which renders the response
-text itself (a cache hit straight from its entry's template).
+The mixin writes, for each request line, the text the subclass's
+``render_line`` returns: :func:`repro.service.protocol.serve_line` for
+the single-process service (a cache hit rendered straight from its
+entry's template), the worker's validated answer line with the client's
+id spliced in for the router.  Each connection runs one reader, one
+stop watcher and one task per request line; a handler that raises still
+gets its line exactly one ``error`` answer.
 
 **Chaos hooks** (:class:`ChaosState`): a worker launched with
 ``--chaos-ops`` accepts ``op:"inject"`` requests that make it misbehave
@@ -37,8 +38,10 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import signal
 import sys
+import traceback
 from typing import Any, Optional
 
 __all__ = ["ChaosState", "JsonLinesFrontend", "LINE_LIMIT", "READ_SIZE"]
@@ -78,21 +81,34 @@ class ChaosState:
         self.hung = False
 
     def inject(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Arm one fault from an ``inject`` request; returns the response."""
+        """Arm one fault from an ``inject`` request; returns the response
+        (``bad_request`` naming the field for an unknown fault, a
+        ``count`` that is not a non-negative integer or a ``seconds``
+        that is not a finite non-negative number)."""
         rid = request.get("id")
         fault = request.get("fault")
-        count = int(request.get("count", 1))
+        count = request.get("count", 1)
+        seconds = request.get("seconds", 0.25)
+        if fault not in ("slow", "hang", "garble"):
+            error = f"unknown fault {fault!r}"
+        elif type(count) is not int or count < 0:
+            error = f"field 'count' must be a non-negative integer, got {count!r}"
+        elif (isinstance(seconds, bool) or not isinstance(seconds, (int, float))
+              or not 0 <= seconds < math.inf):
+            error = (f"field 'seconds' must be a finite non-negative number, "
+                     f"got {seconds!r}")
+        else:
+            error = None
+        if error is not None:
+            return {"id": rid, "ok": False, "error": error,
+                    "error_kind": "bad_request"}
         if fault == "slow":
-            self.slow_s = float(request.get("seconds", 0.25))
+            self.slow_s = float(seconds)
             self.slow_left = count
         elif fault == "hang":
             self.hung = True
-        elif fault == "garble":
-            self.garble_left = count
         else:
-            return {"id": rid, "ok": False,
-                    "error": f"unknown fault {fault!r}",
-                    "error_kind": "bad_request"}
+            self.garble_left = count
         return {"id": rid, "ok": True, "fault": fault, "count": count}
 
     async def gate(self) -> None:
@@ -115,8 +131,7 @@ class ChaosState:
 
 class JsonLinesFrontend:
     """Serving-loop mixin (see module docstring).  Subclasses provide
-    :meth:`handle_line` (or :meth:`render_line`) and, optionally,
-    ``begin_shutdown()``."""
+    :meth:`render_line` and, optionally, ``begin_shutdown()``."""
 
     # -- shutdown signalling -------------------------------------------------
 
@@ -149,16 +164,10 @@ class JsonLinesFrontend:
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass  # non-Unix loop: fall back to KeyboardInterrupt
 
-    # -- per-line dispatch ---------------------------------------------------
-
-    async def handle_line(self, raw_line: str) -> dict[str, Any]:
-        """Serve one raw request line; returns the response dict."""
-        raise NotImplementedError
-
     async def render_line(self, raw_line: str) -> str:
         """Serve one raw request line; returns the response line's text
-        (no newline) — by default :meth:`handle_line`'s dict, encoded."""
-        return json.dumps(await self.handle_line(raw_line))
+        (no newline)."""
+        raise NotImplementedError
 
     # -- serving loops (JSON-lines protocol) --------------------------------
 
@@ -174,9 +183,18 @@ class JsonLinesFrontend:
         ``op:"shutdown"`` lets in-flight answers finish, acks, and ends
         the connection (over stdio that ends the serving process); a
         :meth:`request_shutdown` (SIGTERM/SIGINT) does the same for
-        every live connection at once."""
+        every live connection at once.
+
+        One reader task awaits ``readline`` and starts one respond task
+        per request line; a watcher task cancels the reader when a
+        shutdown is requested while it waits for a line, and only then:
+        a reader flushing answers before a shutdown ack finishes the
+        ack.  The respond tasks never belong to the reader, so
+        cancelling it cancels no answer."""
+        loop = asyncio.get_running_loop()
         pending: set[asyncio.Task] = set()
         stop = self._stop_event()
+        waiting_for_line = False
 
         async def deliver(text: str) -> None:
             try:
@@ -186,57 +204,70 @@ class JsonLinesFrontend:
                       file=sys.stderr)
 
         async def respond(raw_line: str) -> None:
-            await deliver(await self.render_line(raw_line))
-
-        read_task: Optional[asyncio.Task] = None
-        while not stop.is_set():
-            if read_task is None:
-                read_task = asyncio.ensure_future(readline())
-            stop_task = asyncio.ensure_future(stop.wait())
-            await asyncio.wait({read_task, stop_task},
-                               return_when=asyncio.FIRST_COMPLETED)
-            stop_task.cancel()
-            if not read_task.done():
-                break  # shutdown signalled mid-read: drain and leave
             try:
-                line = read_task.result()
-            except ValueError as exc:
-                # a request line past the reader's limit: framing is lost,
-                # so answer what we can and drop the connection cleanly
-                await deliver(json.dumps({
-                    "id": None, "ok": False,
-                    "error": f"request line too long: {exc}",
-                    "error_kind": "bad_request"}))
-                read_task = None
-                break
-            read_task = None
-            if not line:
-                break
-            text = line.decode() if isinstance(line, bytes) else line
-            if not text.strip():
-                continue
-            if '"shutdown"' in text:
+                text = await self.render_line(raw_line)
+            except Exception as exc:  # noqa: BLE001 - the loop must keep serving
+                traceback.print_exc(file=sys.stderr)
+                request = _request_object(raw_line) or {}
+                text = json.dumps({"id": request.get("id"), "ok": False,
+                                   "error": f"internal error: "
+                                            f"{type(exc).__name__}: {exc}",
+                                   "error_kind": "error"})
+            await deliver(text)
+
+        async def read_lines() -> None:
+            nonlocal waiting_for_line
+            while not stop.is_set():
+                waiting_for_line = True
                 try:
-                    request = json.loads(text)
-                except ValueError:
-                    request = None
-                if isinstance(request, dict) and request.get("op") == "shutdown":
+                    line = await readline()
+                except ValueError as exc:
+                    # a request line past the reader's limit: framing is
+                    # lost, so answer what we can and drop the connection
+                    waiting_for_line = False
+                    await deliver(json.dumps({
+                        "id": None, "ok": False,
+                        "error": f"request line too long: {exc}",
+                        "error_kind": "bad_request"}))
+                    return
+                waiting_for_line = False
+                if not line:
+                    return
+                text = line.decode() if isinstance(line, bytes) else line
+                if text.isspace():
+                    continue
+                request = _request_object(text) if '"shutdown"' in text else None
+                if request is not None and request.get("op") == "shutdown":
                     if pending:
-                        await asyncio.gather(*pending)
+                        # asyncio.wait, not gather: were this reader
+                        # cancelled here, the answers must still go out
+                        await asyncio.wait(pending)
                     await deliver(json.dumps({"id": request.get("id"),
                                               "ok": True, "shutdown": True}))
-                    break
-            # respond() never raises (deliver swallows transport errors),
-            # so a discarded done task cannot hide an unretrieved exception
-            task = asyncio.ensure_future(respond(text))
-            pending.add(task)
-            task.add_done_callback(pending.discard)
-        if read_task is not None and not read_task.done():
-            read_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError, ValueError):
-                await read_task
-        if pending:  # flush every in-flight response before returning
-            await asyncio.gather(*pending)
+                    return
+                # respond() never raises (render errors become answers,
+                # deliver swallows transport errors), so a discarded done
+                # task cannot hide an unretrieved exception
+                task = loop.create_task(respond(text))
+                pending.add(task)
+                task.add_done_callback(pending.discard)
+
+        async def watch_stop() -> None:
+            await stop.wait()
+            if waiting_for_line:
+                reader.cancel()
+
+        reader = loop.create_task(read_lines())
+        watcher = loop.create_task(watch_stop())
+        try:
+            await asyncio.wait((reader,))
+        finally:
+            watcher.cancel()
+            reader.cancel()
+            if pending:  # flush every in-flight response before returning
+                await asyncio.gather(*pending)
+        if not reader.cancelled():
+            reader.result()  # a transport error other than a long line
 
     async def serve_stdio(self) -> None:
         """Serve the protocol on stdin/stdout (the ``repro serve`` default)."""
@@ -280,10 +311,10 @@ class JsonLinesFrontend:
                     conns.discard(task)
                 writer.close()
 
+        stop = self._stop_event()  # before ``ready``: a shutdown may follow it
         server = await asyncio.start_server(client, host, port, limit=LINE_LIMIT)
         if ready is not None:
             ready(server.sockets[0].getsockname()[1])
-        stop = self._stop_event()
         async with server:
             serve_task = asyncio.ensure_future(server.serve_forever())
             stop_task = asyncio.ensure_future(stop.wait())
@@ -295,3 +326,12 @@ class JsonLinesFrontend:
                 await serve_task
             if conns:  # every live connection drains its own in-flight work
                 await asyncio.gather(*conns, return_exceptions=True)
+
+
+def _request_object(text: str) -> Optional[dict[str, Any]]:
+    """A request line's JSON object, ``None`` if it is not one."""
+    try:
+        request = json.loads(text)
+    except ValueError:
+        return None
+    return request if isinstance(request, dict) else None

@@ -130,15 +130,28 @@ def error_kind_of(exc: BaseException) -> str:
     return "error"
 
 
-def _observe_op(service: Any, op: str, t0: float) -> None:
+#: the ``op`` values a metric may carry as its label; any other op a
+#: client sends is recorded as ``unknown`` (a label per client-chosen
+#: string would grow the metrics registry, and ``stats``, without bound).
+METRIC_OPS = frozenset({"solve", "stats", "ping", "shutdown", "inject",
+                        "malformed"})
+
+
+def op_label(op: Any) -> str:
+    """The metric label of a request's ``op`` (see :data:`METRIC_OPS`)."""
+    return op if isinstance(op, str) and op in METRIC_OPS else "unknown"
+
+
+def _observe_op(service: Any, op: Any, t0: float) -> None:
     """Record one request's latency into the service's per-op histogram
     (``stats`` exposes the percentiles).  Fake services in tests may not
     carry a registry — then only the global counter is bumped."""
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    label = op_label(op)
     registry = getattr(service, "metrics", None)
     if isinstance(registry, _obs.MetricsRegistry):
-        registry.histogram("service.op_ms", op=op).observe(elapsed_ms)
-    _obs.counter("service.ops", op=op).inc()
+        registry.histogram("service.op_ms", op=label).observe(elapsed_ms)
+    _obs.counter("service.ops", op=label).inc()
 
 
 async def serve_line(service: Any, raw_line: str) -> str:
@@ -542,6 +555,8 @@ class ServiceClient:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
+            if self._proc.stderr is not None:
+                self._proc.stderr.close()
 
     def close(self) -> None:
         self._teardown()

@@ -32,10 +32,14 @@ The robustness contract, end to end:
   framing is untrustworthy) and the requests it carried are re-dispatched
   or answered ``unavailable``.
 
-The router never deserialises solutions: workers replay-validate every
+The router never re-encodes solutions: workers replay-validate every
 answer they serve (store writes and rebinds), and their response JSON is
-forwarded verbatim with the request id patched — the front-end adds
-routing, not another (de)serialisation of the payload.
+forwarded verbatim with the request id patched.  Each worker line is
+parsed in full and must be a JSON object that opens with its id (any
+other line is a garbled frame and kills the worker); the client then
+gets the worker's bytes with its own id spliced over the worker's and
+``"shard": k`` appended — the front-end adds routing, not another
+serialisation of the payload.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from ..io.json_io import problem_from_dict
 from ..obs import metrics as _obs
 from .engine import cache_key
 from .frontend import JsonLinesFrontend
+from .protocol import op_label
 from .supervisor import Supervisor, WorkerConfig, WorkerDied, WorkerProcess
 
 __all__ = ["HashRing", "ShardRouter"]
@@ -206,8 +211,9 @@ class ShardRouter(JsonLinesFrontend):
 
     # -- request handling ----------------------------------------------------
 
-    async def handle_line(self, raw_line: str) -> dict[str, Any]:
-        """Serve one request line at the fleet level: route solves, answer
+    async def render_line(self, raw_line: str) -> str:
+        """Serve one request line at the fleet level and return the
+        response line's text (no newline): route solves, answer
         ping/stats locally, forward chaos injections to their shard."""
         t0 = time.perf_counter()
         try:
@@ -215,35 +221,41 @@ class ShardRouter(JsonLinesFrontend):
             if not isinstance(request, dict):
                 raise ValueError("request must be a JSON object")
         except ValueError as exc:
-            return {"id": None, "ok": False,
-                    "error": f"malformed request: {exc}",
-                    "error_kind": "bad_request"}
-        rid = request.get("id")
+            return json.dumps({"id": None, "ok": False,
+                               "error": f"malformed request: {exc}",
+                               "error_kind": "bad_request"})
         op = request.get("op", "solve")
-        if op == "ping":
-            response: dict[str, Any] = {
-                "id": rid, "ok": True, "pong": True, "protocol": 1,
-            }
-        elif op == "stats":
-            response = {"id": rid, "ok": True, "stats": await self.stats()}
-        elif op == "inject" and self.config.chaos_ops:
-            response = await self._forward_inject(request)
-        elif op == "solve":
-            if self._closing:
-                response = {"id": rid, "ok": False,
-                            "error": "service is shutting down",
-                            "error_kind": "shutting_down", "retriable": True}
-            else:
-                self.requests += 1
-                response = await self._route_solve(request)
+        if op == "solve" and not self._closing:
+            self.requests += 1
+            text = await self._route_solve(request)
         else:
-            response = {"id": rid, "ok": False,
-                        "error": f"unknown op {op!r}",
-                        "error_kind": "bad_request"}
-        self.metrics.histogram("service.op_ms", op=op).observe(
+            text = json.dumps(await self._answer_op(request, op))
+        self.metrics.histogram("service.op_ms", op=op_label(op)).observe(
             (time.perf_counter() - t0) * 1000.0
         )
-        return response
+        return text
+
+    async def handle_line(self, raw_line: str) -> dict[str, Any]:
+        """:meth:`render_line`'s response as a dict: the in-process entry
+        point for the chaos harness, scripts and tests."""
+        return json.loads(await self.render_line(raw_line))
+
+    async def _answer_op(self, request: dict[str, Any], op: Any
+                         ) -> dict[str, Any]:
+        """The response to every request but a solve the router routes."""
+        rid = request.get("id")
+        if op == "ping":
+            return {"id": rid, "ok": True, "pong": True, "protocol": 1}
+        if op == "stats":
+            return {"id": rid, "ok": True, "stats": await self.stats()}
+        if op == "inject" and self.config.chaos_ops:
+            return await self._forward_inject(request)
+        if op == "solve":  # the router is closing
+            return {"id": rid, "ok": False,
+                    "error": "service is shutting down",
+                    "error_kind": "shutting_down", "retriable": True}
+        return {"id": rid, "ok": False, "error": f"unknown op {op!r}",
+                "error_kind": "bad_request"}
 
     def _route_key(self, request: dict[str, Any]) -> Optional[str]:
         """The consistent-hash key of a solve request: the canonical
@@ -259,13 +271,19 @@ class ShardRouter(JsonLinesFrontend):
             return f"rr:{self._rr}"
         return key[0]
 
-    async def _route_solve(self, request: dict[str, Any]) -> dict[str, Any]:
+    async def _route_solve(self, request: dict[str, Any]) -> str:
+        """Route one solve; returns the response line's text.  A worker's
+        answer is forwarded as the worker wrote it, with the client's id
+        spliced over the worker's and ``"shard": k`` appended when the
+        worker set none.  Workers write ``json.dumps`` output, so these
+        are the bytes ``json.dumps`` of the parsed answer, patched, would
+        give — without re-encoding its solution."""
         rid = request.get("id")
         route_key = self._route_key(request)
         if route_key is None:
-            return {"id": rid, "ok": False,
-                    "error": "bad problem payload",
-                    "error_kind": "bad_request"}
+            return json.dumps({"id": rid, "ok": False,
+                               "error": "bad problem payload",
+                               "error_kind": "bad_request"})
         forwarded = {k: v for k, v in request.items() if k != "id"}
         deadline = self.request_timeout
         tried = 0
@@ -278,14 +296,16 @@ class ShardRouter(JsonLinesFrontend):
                 # an unbounded queue would turn overload into silence
                 self.shed += 1
                 _obs.counter("shard.shed").inc()
-                return {"id": rid, "ok": False,
-                        "error": f"shard {shard_id} is at its queue bound "
-                                 f"({self.max_queue}); retry with backoff",
-                        "error_kind": "overloaded", "retriable": True,
-                        "shard": shard_id}
+                return json.dumps({
+                    "id": rid, "ok": False,
+                    "error": f"shard {shard_id} is at its queue bound "
+                             f"({self.max_queue}); retry with backoff",
+                    "error_kind": "overloaded", "retriable": True,
+                    "shard": shard_id})
             tried += 1
             try:
-                response = await worker.request(forwarded, timeout=deadline)
+                response, rest = await worker.forward(forwarded,
+                                                      timeout=deadline)
             except WorkerDied:
                 # the worker died with our request on board: re-dispatch
                 # to the next surviving shard (solves are idempotent)
@@ -295,20 +315,21 @@ class ShardRouter(JsonLinesFrontend):
             except asyncio.TimeoutError:
                 self.timeouts += 1
                 _obs.counter("shard.timeouts").inc()
-                return {"id": rid, "ok": False,
-                        "error": f"request exceeded its {deadline}s deadline",
-                        "error_kind": "timeout", "retriable": True,
-                        "shard": shard_id}
-            response["id"] = rid
-            response.setdefault("shard", shard_id)
-            return response
+                return json.dumps({
+                    "id": rid, "ok": False,
+                    "error": f"request exceeded its {deadline}s deadline",
+                    "error_kind": "timeout", "retriable": True,
+                    "shard": shard_id})
+            if "shard" not in response:
+                rest = f'{rest[:-1]}, "shard": {shard_id}}}'
+            return f'{{"id": {json.dumps(rid)}{rest}'
         self.unavailable += 1
         _obs.counter("shard.unavailable").inc()
         detail = ("no live shard" if tried == 0
                   else f"all {tried} reachable shards died mid-request")
-        return {"id": rid, "ok": False,
-                "error": f"{detail}; retry with backoff",
-                "error_kind": "unavailable", "retriable": True}
+        return json.dumps({"id": rid, "ok": False,
+                           "error": f"{detail}; retry with backoff",
+                           "error_kind": "unavailable", "retriable": True})
 
     async def _forward_inject(self, request: dict[str, Any]) -> dict[str, Any]:
         """Deliver a chaos injection to one shard (``"shard": i``)."""

@@ -7,10 +7,16 @@ their futures) and turns every way a worker can betray the router into
 one exception — :class:`WorkerDied`:
 
 * process exit / stdout EOF — every pending request fails immediately;
-* a **garbled frame** (a stdout line that is not a JSON object) — the
-  pipe's framing can no longer be trusted, so the worker is killed on
-  the spot rather than risk attributing a late answer to the wrong
-  request; nothing corrupt ever crosses the router.
+* a **garbled frame** (a stdout line that is not a JSON object, or an
+  answer whose ``id`` is not its first field) — the pipe's framing can
+  no longer be trusted, so the worker is killed on the spot rather than
+  risk attributing a late answer to the wrong request; nothing corrupt
+  ever crosses the router.
+
+Every answer line is parsed in full before its waiter sees it;
+:meth:`WorkerProcess.forward` hands the router the parsed dict *and*
+the line's text, so a solve's answer reaches the client as the worker's
+bytes with the id spliced in, not re-encoded.
 
 The :class:`Supervisor` owns one slot per shard and runs a lifecycle
 loop per slot: spawn → wait ready (ping) → health-check loop (ping with
@@ -182,9 +188,19 @@ class WorkerProcess:
                 if not line:
                     break
                 try:
-                    response = json.loads(line)
+                    text = line.decode().rstrip()
+                    response = json.loads(text)
                     if not isinstance(response, dict):
                         raise ValueError("response is not an object")
+                    wid = response.get("id")
+                    if not isinstance(wid, str) or wid not in self._pending:
+                        continue  # a late answer to a reaped request
+                    head = f'{{"id": "{wid}"'
+                    if not text.startswith(head):
+                        # the router splices the client's id over this
+                        # head; a line that does not open with it is not
+                        # a frame this worker renders
+                        raise ValueError("response id is not its first field")
                 except ValueError:
                     # one bad frame poisons the whole stream: a later
                     # "valid" line might be the tail of this one.  Kill
@@ -192,9 +208,9 @@ class WorkerProcess:
                     self.garbled_frames += 1
                     reason = "worker emitted a garbled frame"
                     break
-                fut = self._pending.pop(response.get("id"), None)
-                if fut is not None and not fut.done():
-                    fut.set_result(response)
+                fut = self._pending.pop(wid)
+                if not fut.done():
+                    fut.set_result((response, text[len(head):]))
         finally:
             self._dead = True
             self.kill()
@@ -220,6 +236,17 @@ class WorkerProcess:
         worker cannot answer, :class:`asyncio.TimeoutError` on deadline
         (the entry is reaped so a late answer is dropped, not misrouted
         — the id is never reused)."""
+        response, _rest = await self.forward(payload, timeout)
+        return response
+
+    async def forward(
+        self, payload: dict[str, Any], timeout: Optional[float] = None
+    ) -> tuple[dict[str, Any], str]:
+        """:meth:`request`, plus the text of the answer line after its
+        opening ``{"id": <id>`` (no newline): ``'{"id": ' + json.dumps(x)
+        + rest`` is the answer with its id replaced by ``x``.  The reader
+        has parsed the whole line into the returned dict first, so
+        ``rest`` is never a garbled frame's."""
         if not self.alive or self.proc is None or self.proc.stdin is None:
             raise WorkerDied(f"shard {self.shard_id}: worker is down")
         self._next_id += 1

@@ -33,6 +33,7 @@ from repro.service import (
 )
 from repro.service import engine as engine_module
 from repro.service.engine import cache_key
+from repro.service.frontend import JsonLinesFrontend
 from repro.service.protocol import handle_request, serve_line, smoke
 from repro.solve import Problem, Solution, registered_solvers, solve
 
@@ -280,6 +281,49 @@ class TestProtocol:
         assert malformed["error_kind"] == "bad_request"
         service._pool.shutdown(wait=True)
 
+    def test_client_chosen_ops_share_one_metric_label(self):
+        from repro.obs import metrics as obs_metrics
+
+        service = ScheduleService(store=SolutionStore(), workers=1)
+
+        async def go():
+            return [await handle_request(
+                        service, json.dumps({"id": i, "op": f"bogus{i}"}))
+                    for i in range(200)]
+
+        try:
+            responses = asyncio.run(go())
+            latency = service.stats()["latency"]
+        finally:
+            service.close()
+        assert all(r["error_kind"] == "bad_request" for r in responses)
+        assert "'bogus7'" in responses[7]["error"]  # the answer names the op
+        assert list(latency) == ["unknown"]
+        assert latency["unknown"]["count"] == 200
+        assert not any("bogus" in key
+                       for key in obs_metrics.snapshot()["counters"])
+
+    def test_inject_fields_are_validated(self):
+        service = ScheduleService(store=SolutionStore(), workers=1,
+                                  chaos_ops=True)
+        bad = [({"count": "x"}, "'count'"), ({"count": -1}, "'count'"),
+               ({"count": True}, "'count'"), ({"count": 1.5}, "'count'"),
+               ({"seconds": "soon"}, "'seconds'"),
+               ({"seconds": float("nan")}, "'seconds'"),
+               ({"seconds": -0.5}, "'seconds'")]
+        try:
+            for fields, named in bad:
+                response = self._request(service, {
+                    "id": "i", "op": "inject", "fault": "slow", **fields})
+                assert response["error_kind"] == "bad_request", fields
+                assert named in response["error"], response
+            ok = self._request(service, {"id": "j", "op": "inject",
+                                         "fault": "slow", "count": 2,
+                                         "seconds": 0})
+            assert ok == {"id": "j", "ok": True, "fault": "slow", "count": 2}
+        finally:
+            service.close()
+
     def test_solver_error_kinds(self):
         from repro.io.json_io import problem_to_dict
 
@@ -492,6 +536,7 @@ class TestServeEndToEnd:
             assert client.shutdown() is True
         # context exit waited for the process: EOF-free clean termination
         assert client._proc.returncode == 0
+        assert client._proc.stderr.closed  # no pipe outlives the client
 
 
 class TestTcpTransport:
@@ -517,7 +562,10 @@ class TestTcpTransport:
         )
         assert port_ready.wait(timeout=10), "server never bound a port"
         yield "127.0.0.1", port_box[0]
-        server.cancel()
+        # a graceful stop: the server drains and returns before the loop
+        # stops, so no serving coroutine outlives its loop
+        loop.call_soon_threadsafe(service.request_shutdown)
+        server.result(timeout=10)
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=5)
         loop.close()
@@ -579,3 +627,215 @@ class TestOversizedRequests:
         assert len(sent) == 1
         assert not sent[0]["ok"] and sent[0]["error_kind"] == "bad_request"
         assert "too long" in sent[0]["error"]
+
+
+class LineFrontend(JsonLinesFrontend):
+    """The serving loop over a scripted handler."""
+
+    def __init__(self, render):
+        self.render = render
+
+    async def render_line(self, raw_line):
+        return await self.render(raw_line.strip())
+
+
+async def _echo(text):
+    return text
+
+
+def _serve_lines(frontend, lines, after_read=None):
+    """Drive ``handle_connection`` over scripted request lines (EOF after
+    the last); returns ``(lines read, response texts sent)``.
+    ``after_read(k)`` runs once line ``k`` was read."""
+    sent, read = [], []
+
+    async def readline():
+        if after_read is not None and read:
+            after_read(len(read) - 1)
+        if len(read) == len(lines):
+            return b""
+        read.append(lines[len(read)])
+        return (read[-1] + "\n").encode()
+
+    async def send(text):
+        sent.append(text)
+
+    async def go():
+        await asyncio.wait_for(frontend.handle_connection(readline, send), 10)
+
+    asyncio.run(go())
+    return read, sent
+
+
+class TestServingLoop:
+    """``JsonLinesFrontend.handle_connection``: one reader, one stop
+    watcher and one respond task per line, concurrent answers, and the
+    shutdown and error contracts."""
+
+    def test_one_task_per_request_line(self):
+        created = []
+        lines = [json.dumps({"id": i}) for i in range(100)]
+        sent = []
+
+        async def go():
+            loop = asyncio.get_running_loop()
+
+            def factory(loop, coro, **kwargs):
+                created.append(coro)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            pending = list(lines)
+
+            async def readline():
+                return (pending.pop(0) + "\n").encode() if pending else b""
+
+            async def send(text):
+                sent.append(text)
+
+            loop.set_task_factory(factory)
+            await LineFrontend(_echo).handle_connection(readline, send)
+
+        asyncio.run(go())
+        assert sorted(sent) == sorted(lines)
+        assert len(created) <= len(lines) + 4, len(created)
+
+    def test_pipelined_answers_are_concurrent(self):
+        other_arrived = asyncio.Event()
+
+        async def render(text):
+            if text == '"first"':
+                # answered only once the *next* line is being served
+                await asyncio.wait_for(other_arrived.wait(), 5)
+            else:
+                other_arrived.set()
+            return text
+
+        _, sent = _serve_lines(LineFrontend(render), ['"first"', '"second"'])
+        assert sent == ['"second"', '"first"']
+
+    def test_pipelined_solves_are_all_answered_before_the_shutdown_ack(self):
+        service = ScheduleService(store=SolutionStore(), workers=2)
+        lines = [_solve_line(f"r{k}", Problem(Chain([2, 3], [3, 5 + k]),
+                                              "makespan", n=40))
+                 for k in range(4)]
+        lines += [json.dumps({"id": "bye", "op": "shutdown"}),
+                  json.dumps({"id": "never", "op": "ping"})]
+        try:
+            read, sent = _serve_lines(service, lines)
+        finally:
+            service.close()
+        assert len(read) == 5  # nothing is read past the shutdown
+        answers = [json.loads(text) for text in sent]
+        assert answers[-1] == {"id": "bye", "ok": True, "shutdown": True}
+        assert sorted(a["id"] for a in answers[:-1]) == ["r0", "r1", "r2", "r3"]
+        assert all(a["ok"] for a in answers[:-1])
+
+    def test_stop_during_the_shutdown_flush_keeps_every_answer(self):
+        frontend = None
+
+        async def slow(text):
+            await asyncio.sleep(0.1)
+            return text
+
+        def after_read(k):
+            if k == 2:  # the shutdown line: its flush is under way
+                asyncio.get_running_loop().call_later(
+                    0.02, frontend.request_shutdown)
+
+        frontend = LineFrontend(slow)
+        lines = ['"a"', '"b"', json.dumps({"id": "s", "op": "shutdown"})]
+        read, sent = _serve_lines(frontend, lines, after_read)
+        assert sorted(sent[:2]) == ['"a"', '"b"']
+        assert json.loads(sent[2]) == {"id": "s", "ok": True, "shutdown": True}
+
+    def test_stop_while_waiting_for_a_line_flushes_in_flight_answers(self):
+        frontend = None
+        reads = []
+
+        async def slow(text):
+            await asyncio.sleep(0.1)
+            return text
+
+        async def readline():
+            reads.append(1)
+            if len(reads) == 1:
+                return b'"a"\n'
+            asyncio.get_running_loop().call_later(
+                0.02, frontend.request_shutdown)
+            await asyncio.Event().wait()  # no more lines, ever
+
+        sent = []
+
+        async def send(text):
+            sent.append(text)
+
+        frontend = LineFrontend(slow)
+        asyncio.run(asyncio.wait_for(
+            frontend.handle_connection(readline, send), 10))
+        assert sent == ['"a"']
+        assert len(reads) == 2
+
+    def test_a_raising_handler_still_answers_its_line_once(self, capsys):
+        async def render(text):
+            request = json.loads(text)
+            if request.get("boom"):
+                raise RuntimeError("handler bug")
+            return text
+
+        lines = [json.dumps({"id": "x", "boom": True}), "  ",
+                 json.dumps({"id": "y"})]
+        _, sent = _serve_lines(LineFrontend(render), lines)
+        assert len(sent) == 2  # the blank line is skipped, not answered
+        error = json.loads(next(t for t in sent if '"x"' in t))
+        assert error == {"id": "x", "ok": False, "error_kind": "error",
+                         "error": "internal error: RuntimeError: handler bug"}
+        assert json.loads(next(t for t in sent if '"y"' in t)) == {"id": "y"}
+        assert "RuntimeError: handler bug" in capsys.readouterr().err
+
+    def test_stop_flushes_every_tcp_connection(self):
+        frontend = None
+        started = []
+
+        async def slow(text):
+            started.append(text)
+            await asyncio.sleep(0.1)
+            return text
+
+        async def go():
+            ports = []
+            server = asyncio.ensure_future(
+                frontend.serve_tcp("127.0.0.1", 0, ready=ports.append))
+            while not ports:
+                await asyncio.sleep(0.01)
+            conns = [await asyncio.open_connection("127.0.0.1", ports[0])
+                     for _ in range(2)]
+            for k, (_, writer) in enumerate(conns):
+                writer.write(f'"c{k}"\n'.encode())
+                await writer.drain()
+            while len(started) < 2:  # both answers are in flight
+                await asyncio.sleep(0.01)
+            frontend.request_shutdown()
+            answers = [await reader.read() for reader, _ in conns]  # to EOF
+            await asyncio.wait_for(server, 5)
+            for _, writer in conns:
+                writer.close()
+            return answers
+
+        frontend = LineFrontend(slow)
+        answers = asyncio.run(asyncio.wait_for(go(), 10))
+        assert answers == [b'"c0"\n', b'"c1"\n']
+
+    def test_malformed_inject_gets_its_one_answer_through_the_loop(self):
+        service = ScheduleService(store=SolutionStore(), workers=1,
+                                  chaos_ops=True)
+        lines = [json.dumps({"id": "i", "op": "inject", "fault": "slow",
+                             "count": "x"}),
+                 json.dumps({"id": "p", "op": "ping"})]
+        try:
+            _, sent = _serve_lines(service, lines)
+        finally:
+            service.close()
+        answers = {a["id"]: a for a in map(json.loads, sent)}
+        assert len(sent) == 2
+        assert answers["i"]["error_kind"] == "bad_request"
+        assert answers["p"]["pong"] is True

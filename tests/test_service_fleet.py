@@ -22,12 +22,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.io.json_io import problem_to_dict
+from repro.io.json_io import problem_to_dict, solution_to_dict
 from repro.platforms.chain import Chain
 from repro.platforms.generators import random_spider
 from repro.platforms.spider import Spider
 from repro.service.shard import HashRing, ShardRouter
-from repro.service.supervisor import Supervisor, WorkerConfig, WorkerDied
+from repro.service.supervisor import (
+    Supervisor,
+    WorkerConfig,
+    WorkerDied,
+    WorkerProcess,
+)
 from repro.solve import Problem, solve
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -115,13 +120,14 @@ class StubWorker:
         self.requests = 0
         self.pid = None
 
-    async def request(self, payload, timeout=None):
+    async def forward(self, payload, timeout=None):
         self.requests += 1
         if self.outcome == "died":
             raise WorkerDied("stub died")
         if self.outcome == "timeout":
             raise asyncio.TimeoutError()
-        return {"id": payload.get("id"), "ok": True, "stub": True}
+        response = {"id": "w1", "ok": True, "stub": True}
+        return response, json.dumps(response)[len('{"id": "w1"'):]
 
 
 class StubSupervisor:
@@ -237,6 +243,154 @@ class TestRouterSemantics:
         ))
         assert response["ok"] is False
         assert response["error_kind"] == "bad_request"
+
+    def test_client_chosen_ops_share_one_metric_label(self):
+        router = stub_router({0: StubWorker()})
+        ops = [f"bogus{i}" for i in range(50)] + [["a", "list"]]
+
+        async def go():
+            return [await router.handle_line(json.dumps({"id": i, "op": op}))
+                    for i, op in enumerate(ops)]
+
+        responses = self.run(go())
+        assert all(r["error_kind"] == "bad_request" for r in responses)
+        assert "'bogus7'" in responses[7]["error"]  # the answer names the op
+        assert list(router.metrics.histograms("service.op_ms")) == [
+            "service.op_ms{op=unknown}"]
+        assert router.metrics.histograms()[
+            "service.op_ms{op=unknown}"].count == 51
+
+
+# ---------------------------------------------------------------------------
+# Verbatim forwarding: the worker's validated answer line, id spliced in
+# ---------------------------------------------------------------------------
+
+
+class PipeProc:
+    """A worker subprocess stand-in over in-memory pipes: every request
+    line written to its stdin is answered on its stdout with the line
+    ``answer(request)`` returns."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.returncode = None
+        self.pid = None
+        self.stdin = self
+        self.stdout = asyncio.StreamReader()
+
+    def write(self, data):
+        self.stdout.feed_data(self.answer(json.loads(data)).encode() + b"\n")
+
+    async def drain(self):
+        pass
+
+    def kill(self):
+        self.returncode = -9
+        self.stdout.feed_eof()
+
+    async def wait(self):
+        pass
+
+
+async def pipe_router(answer):
+    """A one-shard router whose shard is a real :class:`WorkerProcess`
+    (its real reader included) over a :class:`PipeProc`."""
+    worker = WorkerProcess(0, WorkerConfig())
+    worker.proc = PipeProc(answer)
+    worker._reader_task = asyncio.ensure_future(worker._read_loop())
+    return stub_router({0: worker}), worker
+
+
+#: every error kind the protocol defines, the fleet's retriable ones too
+ERROR_KINDS = ("no_solver", "infeasible", "validation", "bad_request",
+               "timeout", "shutting_down", "error", "overloaded",
+               "unavailable")
+MISSING = object()
+#: client ids of every JSON type, and none at all
+CLIENT_IDS = ["t1", "ü😀\u2028\"q\"", 7, -1.5, 1e300, None, True, False,
+              [1, "ü", None], {"k": ["v", 2.5], "ü": {}}, MISSING]
+
+
+def answer_bodies():
+    """Worker answers (without their id) covering hits, misses, every
+    error kind, awkward floats, non-ASCII text and a ``shard`` field."""
+    solution = solution_to_dict(solve(spider_problem(seed=2, n=12)))
+    head = {"fingerprint": "0f" * 32, "solution": solution}
+    bodies = {
+        "hit": {"ok": True, "cached": True, "coalesced": False, **head},
+        "miss": {"ok": True, "cached": False, "coalesced": False, **head},
+        "coalesced": {"ok": True, "cached": False, "coalesced": True, **head},
+        "floats": {"ok": True, "x": [0.1, -0.0, 1e300, 5e-324, 2**70, -7,
+                                     float("inf"), float("-inf"),
+                                     float("nan")]},
+        "non_ascii": {"ok": False, "error_kind": "bad_request",
+                      "error": "bad payload: ünï ✓ 😀 \u2028 \x7f \"q\" \\ \t"},
+        "shard_set": {"ok": True, "shard": 7},
+        "id_only": {},
+    }
+    for kind in ERROR_KINDS:
+        bodies[f"error_{kind}"] = {"ok": False, "error": f"{kind}: no",
+                                   "error_kind": kind, "retriable": False}
+    return bodies
+
+
+class TestVerbatimForwarding:
+    @pytest.mark.parametrize("kind", sorted(answer_bodies()))
+    def test_client_line_equals_the_patched_answer_encoded(self, kind):
+        body = answer_bodies()[kind]
+
+        def answer(request):
+            return json.dumps({"id": request["id"], **body})
+
+        async def go():
+            router, worker = await pipe_router(answer)
+            served = []
+            try:
+                for rid in CLIENT_IDS:
+                    request = {"op": "solve",
+                               "problem": problem_to_dict(spider_problem())}
+                    if rid is not MISSING:
+                        request["id"] = rid
+                    served.append(await router.render_line(json.dumps(request)))
+            finally:
+                worker.kill()
+                await worker.wait()
+            return served, worker
+
+        served, worker = asyncio.run(go())
+        assert worker.garbled_frames == 0
+        for rid, line in zip(CLIENT_IDS, served):
+            patched = json.loads(answer({"id": "w1"}))  # what the router parsed
+            patched["id"] = None if rid is MISSING else rid
+            patched.setdefault("shard", 0)
+            assert line == json.dumps(patched)
+
+    @pytest.mark.parametrize("frame", [
+        '{{"ok": true, "cached": true, "id": "{wid}"}}',  # id not first
+        '{{ "id": "{wid}", "ok": true}}',  # id first, not as rendered
+        '{{"id": "{wid}", "ok": tr',  # truncated
+        '["{wid}"]',  # not an object
+    ])
+    def test_unspliceable_frame_is_garbled_and_never_forwarded(self, frame):
+        async def go():
+            router, worker = await pipe_router(
+                lambda request: frame.format(wid=request["id"]))
+            try:
+                line = await router.render_line(solve_line(spider_problem()))
+            finally:
+                worker.kill()
+                await worker.wait()
+            return line, worker
+
+        line, worker = asyncio.run(go())
+        assert worker.garbled_frames == 1
+        assert not worker.alive
+        response = json.loads(line)
+        assert response == {
+            "id": "t1", "ok": False, "error_kind": "unavailable",
+            "retriable": True,
+            "error": "all 1 reachable shards died mid-request; "
+                     "retry with backoff"}
 
 
 class TestWorkerConfig:
@@ -376,6 +530,14 @@ class TestGarbleAccounting:
             await router.start()
             try:
                 first_pid = router.supervisor.worker(0).pid
+                # a malformed inject is answered by the worker, at once
+                t0 = time.monotonic()
+                bad = await router.handle_line(json.dumps(
+                    {"id": "b", "op": "inject", "shard": 0,
+                     "fault": "slow", "count": "x"}))
+                assert bad["error_kind"] == "bad_request", bad
+                assert "'count'" in bad["error"]
+                assert time.monotonic() - t0 < 2.0
                 ack = await router.handle_line(json.dumps(
                     {"id": "g", "op": "inject", "shard": 0,
                      "fault": "garble", "count": 1}))
