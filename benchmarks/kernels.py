@@ -827,6 +827,11 @@ CHURN_KERNELS: dict[str, Callable[[], dict]] = {
 #: this many times faster (median per problem) than the oracle.
 SOLVE_MIN_SPEEDUP = 10.0
 
+#: acceptance floor for cold caches (what a service miss pays: a new
+#: platform builds its chain sequences and cores from scratch): on *every*
+#: problem the cold kernel must beat the oracle by this factor.
+SOLVE_MIN_COLD_SPEEDUP = 1.4
+
 #: problems per platform shape in the workload.  The scale (512 tasks on
 #: ~10-processor platforms) is the regime the batch engine targets; the
 #: kernels' advantage grows with ``n``, so smaller smoke runs belong in the
@@ -838,7 +843,7 @@ SOLVE_STAR_CHILDREN = 10
 SOLVE_SPIDER_LEGS = 6
 SOLVE_SPIDER_DEPTH = 5
 
-#: repeats per problem when timing one solve (min taken — both paths are
+#: repeats per problem when timing one solve (min taken — every path is
 #: deterministic).
 SOLVE_TIMING_ROUNDS = 3
 
@@ -885,14 +890,18 @@ def oracle_schedule(problem):
 def kernel_solve_batch() -> dict:
     """The solve acceptance kernel: answer every workload problem through
     ``solve`` (the kernels) and through the oracle, compare per-problem
-    medians.
+    timings.
 
-    Times exactly what the hot paths run — ``solve(problem)``, i.e.
-    ``repro batch`` and the service's cache-miss path — with the
-    solve-kernel caches warm (the batch regime: a scenario group shares
-    one platform).  Every kernel answer is asserted bit-identical to the
-    oracle's *and* replay-validated inside the kernel, so the speedup can
-    never come from a wrong schedule."""
+    Times exactly what the hot paths run — ``solve(problem)`` — in two
+    regimes.  *Warm* (``compiled_median_ms``, ``median_speedup``,
+    ``min_speedup``): the solve-kernel caches already hold the platform,
+    as in ``repro batch``, where a scenario group shares one platform.
+    *Cold* (``cold_median_ms``, ``min_cold_speedup``): the caches are
+    cleared first, as on a service miss, where a new platform builds its
+    chain sequences and cores from scratch.  Every kernel answer is
+    asserted bit-identical to the oracle's *and* replay-validated inside
+    the kernel, so the speedup can never come from a wrong schedule."""
+    from collections import Counter
     from statistics import median
 
     from repro.core.solve_fast import clear_solve_kernels, solve_kernel_stats
@@ -910,8 +919,20 @@ def kernel_solve_batch() -> dict:
         t0 = time.perf_counter()
         object_times: list[float] = []
         compiled_times: list[float] = []
+        cold_times: list[float] = []
         speedups: list[float] = []
+        cold_speedups: list[float] = []
+        totals: Counter = Counter()
         tasks = 0
+
+        def bank_and_clear() -> None:
+            # clearing the caches resets the counters too: bank them first,
+            # so the run's totals stay whole
+            stats = solve_kernel_stats()
+            totals.update({key: stats[key] for key in
+                           ("kernel_solves", "fallbacks", "seq_misses")})
+            clear_solve_kernels()
+
         for problem in problems:
             compiled = solve(problem)  # warm the caches
             oracle = oracle_schedule(problem)
@@ -925,32 +946,41 @@ def kernel_solve_batch() -> dict:
             compiled.validate()
             per_object = []
             per_compiled = []
+            per_cold = []
             for _ in range(SOLVE_TIMING_ROUNDS):
                 r0 = time.perf_counter()
                 oracle_schedule(problem)
                 per_object.append(time.perf_counter() - r0)
+                bank_and_clear()
+                r0 = time.perf_counter()
+                solve(problem)
+                per_cold.append(time.perf_counter() - r0)
                 r0 = time.perf_counter()
                 solve(problem)
                 per_compiled.append(time.perf_counter() - r0)
-            ob, co = min(per_object), min(per_compiled)
+            ob, co, cold = min(per_object), min(per_compiled), min(per_cold)
             object_times.append(ob)
             compiled_times.append(co)
+            cold_times.append(cold)
             speedups.append(ob / co)
+            cold_speedups.append(ob / cold)
             tasks += compiled.n_tasks
         seconds = time.perf_counter() - t0
-        stats = solve_kernel_stats()
+        bank_and_clear()
         return {
             "seconds": seconds,
             "problems": len(problems),
             "n": SOLVE_N,
             "tasks": tasks,
-            "kernel_solves": stats["kernel_solves"],
-            "kernel_fallbacks": stats["fallbacks"],
-            "seq_misses": stats["seq_misses"],
+            "kernel_solves": totals["kernel_solves"],
+            "kernel_fallbacks": totals["fallbacks"],
+            "seq_misses": totals["seq_misses"],
             "object_median_ms": round(median(object_times) * 1e3, 3),
             "compiled_median_ms": round(median(compiled_times) * 1e3, 3),
             "median_speedup": round(median(speedups), 2),
             "min_speedup": round(min(speedups), 2),
+            "cold_median_ms": round(median(cold_times) * 1e3, 3),
+            "min_cold_speedup": round(min(cold_speedups), 2),
         }
 
     return _best_of(once, 2)

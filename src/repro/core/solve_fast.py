@@ -25,6 +25,10 @@ query on that chain:
 * the makespan schedule of ``n`` tasks is ``times = off[n−1] − off`` (the
   horizon cancels against the final shift-to-zero).
 
+Growing the sequence is the only chain work a solve on a new platform
+does: each placement picks the ≺-greatest candidate on the closed form of
+:class:`_FastState`, ties included, and builds only that one vector.
+
 **A vectorised port allocator.**  The fork/spider EDF greedy
 (:func:`repro.core.fork.allocate_greedy`) is replayed in *runs*.  Two
 exact reductions make every step an O(k) array sweep: a rejection leaves
@@ -77,7 +81,7 @@ from ..platforms.star import Star
 from . import chain as _chain_oracle
 from . import fork as _fork_oracle
 from . import spider as _spider_oracle
-from .chain import ChainRunStats, _precedes, _task_upper_bound
+from .chain import ChainRunStats, _task_upper_bound
 from .commvector import CommVector
 from .fork import AllocStats
 from .schedule import Schedule, TaskAssignment
@@ -197,7 +201,10 @@ def _cache_put(cache: OrderedDict, key: tuple, entry, capacity: int):
 
 class _FastState:
     """Hull/occupancy state of one backward chain construction at horizon
-    0, in O(p) per task instead of the oracle's O(p²).
+    0.  A task costs O(p) plus O(p) per tie-break position; ties resolve
+    within one or two positions on average (on random and homogeneous
+    chains alike), so O(p) in practice against the oracle's O(p²).  The
+    worst case, ties through every position, is O(p²).
 
     Write ``S_j = c_1 + ... + c_j`` (prefix latencies, ``S_0 = 0``) and,
     for the current hull/occupancy state,
@@ -207,13 +214,13 @@ class _FastState:
 
     Unrolling the oracle's recurrence
     ``ᵏC_j = min(ᵏC_{j+1} − c_j, h_j − c_j)`` gives
-    ``ᵏC_j = S_{j−1} + min(F_k, min_{j ≤ m < k} E_m)``, so the first
-    emission of the candidate for target ``k`` is
-    ``min(F_k, prefix-min of E)``.  The ≺-greatest candidate maximises the
-    first emission (Definition 3 compares element-wise), so the winner is
-    the argmax of that expression — one O(p) sweep.  Ties on the first
-    emission (common on homogeneous chains) are resolved exactly as in the
-    paper, by materialising the tied vectors and comparing with ≺.
+    ``ᵏC_j = S_{j−1} + min(F_k, min_{j ≤ m < k} E_m)``.  Definition 3
+    compares candidates element by element, and ``S_{j−1}`` is common to
+    every candidate at position ``j``, so :meth:`choose` ranks candidates
+    on the ``min(…)`` term alone: one O(p) sweep finds the first-emission
+    argmax, and ties (most tasks tie on their first emission on integer
+    chains) are broken one position at a time among the survivors, on the
+    same closed form.  Only the winner's vector is ever built.
     """
 
     __slots__ = ("chain", "h", "o", "prefix")
@@ -228,50 +235,78 @@ class _FastState:
             prefix[j] = prefix[j - 1] + chain.c[j - 1]
         self.prefix = prefix  # prefix[j] = S_j
 
-    def first_emissions(self) -> list[Time]:
-        """``ᵏC_1`` for every target k (1-based list, index 0 unused)."""
-        chain, h, o, S = self.chain, self.h, self.o, self.prefix
-        c, w = chain.c, chain.w
-        out: list[Time] = [0] * (chain.p + 1)
-        run: Time = float("inf")  # prefix-min of E_m, m < k
-        for k in range(1, chain.p + 1):
-            f_k = min(o[k] - w[k - 1] - c[k - 1], h[k] - c[k - 1]) - S[k - 1]
-            out[k] = min(f_k, run)
-            e_k = (h[k] - c[k - 1]) - S[k - 1]
-            run = e_k if e_k < run else run
-        return out
-
-    def full_vector(self, k: int) -> tuple[Time, ...]:
-        """Materialise ᵏC via the suffix-min closed form (O(k))."""
-        chain, h, o, S = self.chain, self.h, self.o, self.prefix
-        c, w = chain.c, chain.w
-        run: Time = min(o[k] - w[k - 1] - c[k - 1], h[k] - c[k - 1]) - S[k - 1]
-        vec: list[Time] = [0] * k
-        vec[k - 1] = S[k - 1] + run
-        for j in range(k - 1, 0, -1):
-            e_j = (h[j] - c[j - 1]) - S[j - 1]
-            run = e_j if e_j < run else run
-            vec[j - 1] = S[j - 1] + run
-        return tuple(vec)
-
     def choose(self) -> tuple[Time, ...]:
-        """The ≺-greatest candidate, via first-emission argmax + tie check."""
-        firsts = self.first_emissions()
-        best_first = max(firsts[1:])
-        tied = [k for k in range(1, self.chain.p + 1) if firsts[k] == best_first]
-        best = self.full_vector(tied[0])
-        for k in tied[1:]:
-            cand = self.full_vector(k)
-            if _precedes(best, cand):
-                best = cand
-        return best
+        """The ≺-greatest candidate vector, built once.
+
+        ``c_k + S_{k−1} = S_k``, so ``E_k = h_k − S_k`` and
+        ``F_k = min(o_k − w_k, h_k) − S_k``.  Pass 1 keeps the targets
+        whose first emission ``min(F_k, min_{m<k} E_m)`` is largest, in
+        ascending ``k``.  At position ``j ≥ 2`` a survivor with ``k = j−1``
+        has run out of elements: its vector is a prefix of every other
+        survivor's, hence ≺-greater, and it wins.  Otherwise the survivors
+        with the largest ``min(F_k, min_{j≤m<k} E_m)`` stay.
+        """
+        h, o, S, w = self.h, self.o, self.prefix, self.chain.w
+        p = len(S) - 1
+        E: list[Time] = [0] * (p + 1)
+        F: list[Time] = [0] * (p + 1)
+        run: Time = float("inf")  # min of E_m, m < k
+        top: Time = float("-inf")
+        tied: list[int] = []
+        for k in range(1, p + 1):
+            hk = h[k]
+            sk = S[k]
+            e = hk - sk
+            ow = o[k] - w[k - 1]
+            f = (ow if ow < hk else hk) - sk
+            E[k] = e
+            F[k] = f
+            first = f if f < run else run
+            if first > top:
+                top = first
+                tied = [k]
+            elif first == top:
+                tied.append(k)
+            if e < run:
+                run = e
+        j = 2
+        while len(tied) > 1:
+            if tied[0] == j - 1:
+                break
+            run = float("inf")  # min of E_m, j <= m < k
+            m = j
+            top = float("-inf")
+            keep: list[int] = []
+            for k in tied:
+                while m < k:
+                    if E[m] < run:
+                        run = E[m]
+                    m += 1
+                f = F[k]
+                value = f if f < run else run
+                if value > top:
+                    top = value
+                    keep = [k]
+                elif value == top:
+                    keep.append(k)
+            tied = keep
+            j += 1
+        k = tied[0]
+        run = F[k]
+        vector: list[Time] = [0] * k
+        vector[k - 1] = S[k - 1] + run
+        for j in range(k - 1, 0, -1):
+            e = E[j]
+            if e < run:
+                run = e
+            vector[j - 1] = S[j - 1] + run
+        return tuple(vector)
 
     def commit(self, vector: tuple[Time, ...]) -> tuple[int, Time]:
         k = len(vector)
         start = self.o[k] - self.chain.w[k - 1]
         self.o[k] = start
-        for j in range(1, k + 1):
-            self.h[j] = vector[j - 1]
+        self.h[1:k + 1] = vector
         return k, start
 
 
@@ -291,7 +326,7 @@ class _ChainSeq:
 
     __slots__ = (
         "chain", "state", "procs", "soff", "voff", "vbase", "off",
-        "max_off", "elements", "lock",
+        "max_off", "lock",
     )
 
     def __init__(self, chain: Chain):
@@ -304,7 +339,6 @@ class _ChainSeq:
         self.vbase: list[int] = [0]  # CSR index: placement i -> voff slice
         self.off: list[Time] = []    # first-emission offsets
         self.max_off: list[Time] = []
-        self.elements = 0            # vector elements materialised (stats)
 
     def __len__(self) -> int:
         return len(self.procs)
@@ -314,13 +348,12 @@ class _ChainSeq:
         proc, start = self.state.commit(vector)
         self.procs.append(proc)
         self.soff.append(-start)
-        self.voff.extend(-v for v in vector)
+        self.voff.extend([-v for v in vector])
         self.vbase.append(len(self.voff))
         first = -vector[0]
         self.off.append(first)
         prev = self.max_off[-1] if self.max_off else first
         self.max_off.append(first if first > prev else prev)
-        self.elements += len(vector)
 
     def ensure_len(self, n: int) -> None:
         if len(self.procs) >= n:
@@ -396,11 +429,22 @@ def _require_int_chain(chain: Chain, t_lim: Optional[Time]) -> None:
     _require(t_lim is None or _is_int(t_lim), "chain kernel needs integer t_lim")
 
 
-def _chain_stats(seq: _ChainSeq, placed: int) -> dict:
+def _cold_reach(count: int, limit: int) -> int:
+    """Placements a cold sequence holds once ``count_within`` returned
+    ``count``: unless ``limit`` stopped it, the deadline run also built the
+    first placement past ``t_lim`` (that is how it learns to stop)."""
+    return count + 1 if count < limit else count
+
+
+def _chain_stats(seq: _ChainSeq, placed: int, reach: int) -> dict:
+    """A chain solve's counters.  They depend only on the problem:
+    ``vector_elements`` counts the elements of placements ``0..reach−1``,
+    the ones this solve's own construction reaches, as a cold cache builds
+    them — not whatever earlier solves left in the shared sequence."""
     return {
         "tasks_placed": placed,
         "candidates_evaluated": placed * seq.chain.p,
-        "vector_elements": seq.elements,
+        "vector_elements": seq.vbase[reach],
         "comparisons": 0,
     }
 
@@ -412,7 +456,7 @@ def fast_chain_schedule(chain: Chain, n: int) -> tuple[Schedule, dict]:
         raise PlatformError(f"need n >= 1 tasks, got {n}")
     seq = _chain_seq(chain)
     _STATS.inc("kernel_solves")
-    return seq.makespan_schedule(n), _chain_stats(seq, n)
+    return seq.makespan_schedule(n), _chain_stats(seq, n, n)
 
 
 def fast_chain_deadline(
@@ -425,7 +469,7 @@ def fast_chain_deadline(
     limit = n if n is not None else _task_upper_bound(chain, t_lim)
     sched, placed = seq.deadline_schedule(t_lim, limit)
     _STATS.inc("kernel_solves")
-    return sched, _chain_stats(seq, placed)
+    return sched, _chain_stats(seq, placed, _cold_reach(placed, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -840,9 +884,10 @@ class _SpiderCore:
     def counts_at(
         self, t_lim: Time, n: Optional[int],
         leg_caps: Optional[dict[int, int]],
-    ) -> list[int]:
-        """Per-leg task counts of the capped deadline chain runs."""
-        counts = []
+    ) -> tuple[list[int], list[int]]:
+        """Per-leg task counts of the capped deadline chain runs, and how
+        far each run reaches into its leg's sequence (:func:`_cold_reach`)."""
+        counts, reach = [], []
         for li, seq in enumerate(self.seqs):
             cap = n
             if leg_caps is not None and (li + 1) in leg_caps:
@@ -850,12 +895,24 @@ class _SpiderCore:
                 cap = warm if cap is None else min(cap, warm)
             if cap == 0:
                 counts.append(0)
+                reach.append(0)
                 continue
             limit = cap if cap is not None else _task_upper_bound(
                 self.spider.leg(li + 1), t_lim
             )
-            counts.append(seq.count_within(t_lim, limit))
-        return counts
+            count = seq.count_within(t_lim, limit)
+            counts.append(count)
+            reach.append(_cold_reach(count, limit))
+        return counts, reach
+
+    def elements_to(self, reach: list[int]) -> int:
+        """Vector elements a cold cache builds for per-leg reaches
+        ``reach``.  Identical legs share one sequence, built up to the
+        furthest reach among them and counted once per leg."""
+        furthest: dict[_ChainSeq, int] = {}
+        for seq, r in zip(self.seqs, reach):
+            furthest[seq] = max(furthest.get(seq, 0), r)
+        return sum(seq.vbase[furthest[seq]] for seq in self.seqs)
 
     def present(self, counts: list[int]):
         with self.lock:
@@ -901,10 +958,13 @@ def _require_int_spider(spider: Spider, t_lim: Optional[Time]) -> None:
 class _SpiderProbe:
     """One deadline probe's raw outcome (arrays, no Python objects)."""
 
-    __slots__ = ("counts", "leg_s", "c_s", "w_s", "slot", "accepted", "ops")
+    __slots__ = (
+        "counts", "reach", "leg_s", "c_s", "w_s", "slot", "accepted", "ops",
+    )
 
-    def __init__(self, counts, leg_s, c_s, w_s, slot, accepted, ops):
+    def __init__(self, counts, reach, leg_s, c_s, w_s, slot, accepted, ops):
         self.counts = counts
+        self.reach = reach
         self.leg_s = leg_s
         self.c_s = c_s
         self.w_s = w_s
@@ -921,12 +981,12 @@ def _spider_probe(
     core: _SpiderCore, t_lim: Time, n: Optional[int],
     leg_caps: Optional[dict[int, int]],
 ) -> _SpiderProbe:
-    counts = core.counts_at(t_lim, n, leg_caps)
+    counts, reach = core.counts_at(t_lim, n, leg_caps)
     leg_s, c_s, w_s, slot = core.present(counts)
     d_s = t_lim - w_s
     accepted, ops = _run_greedy(c_s, d_s, slot)
     _STATS.inc("kernel_probes")
-    return _SpiderProbe(counts, leg_s, c_s, w_s, slot, accepted, ops)
+    return _SpiderProbe(counts, reach, leg_s, c_s, w_s, slot, accepted, ops)
 
 
 def _spider_finish(
@@ -1014,7 +1074,10 @@ def _spider_finish(
     return sched
 
 
-#: the counters every spider solve reports, kernel or oracle.
+#: the counters every spider solve reports, kernel or oracle.  The kernel's
+#: values depend only on the problem: ``chain_vector_elements`` counts the
+#: leg-sequence elements up to the furthest placement the solve's own probes
+#: reach (:meth:`_SpiderCore.elements_to`), as a cold cache builds them.
 SPIDER_STAT_KEYS = (
     "probes", "probes_short_circuited", "legs_scheduled", "legs_skipped",
     "fork_nodes", "chain_vector_elements", "alloc_candidates",
@@ -1058,7 +1121,7 @@ def fast_spider_deadline(
         sum(1 for li in range(spider.arity) if not _cap_zero(li + 1, n, leg_caps)),
         sum(1 for li in range(spider.arity) if _cap_zero(li + 1, n, leg_caps)),
         int(probe.c_s.shape[0]),
-        sum(seq.elements for seq in core.seqs),
+        core.elements_to(probe.reach),
         int(probe.c_s.shape[0]),
         probe.ops,
     )
@@ -1099,12 +1162,13 @@ def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
     core = _spider_core(spider)
 
     caps: Optional[dict[int, int]] = None
+    reach = [0] * spider.arity  # furthest placement each leg's runs reach
     probes = short = 0
     legs_scheduled = legs_skipped = 0
     fork_nodes = candidates = ops_total = 0
 
     def probe_at(t: Time) -> Optional[_SpiderProbe]:
-        nonlocal caps, probes, short, fork_nodes, candidates, ops_total
+        nonlocal caps, reach, probes, short, fork_nodes, candidates, ops_total
         nonlocal legs_scheduled, legs_skipped
         reachable: Time = 0
         for leg_idx in range(1, spider.arity + 1):
@@ -1125,6 +1189,7 @@ def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
         fork_nodes += int(probe.c_s.shape[0])
         candidates += int(probe.c_s.shape[0])
         ops_total += probe.ops
+        reach = list(map(max, reach, probe.reach))
         if probe.n_accepted >= n:
             caps = {li + 1: c for li, c in enumerate(probe.counts)}
         return probe
@@ -1143,9 +1208,7 @@ def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
     sched = _spider_finish(core, hi_i, n, final)
     stats = _spider_stats(
         probes, short, legs_scheduled, legs_skipped,
-        fork_nodes,
-        sum(seq.elements for seq in core.seqs),
-        candidates, ops_total,
+        fork_nodes, core.elements_to(reach), candidates, ops_total,
     )
     return sched, stats
 

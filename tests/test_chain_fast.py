@@ -1,5 +1,6 @@
-"""The chain kernel (universal sequences built by the O(n·p) closed form)
-must be bit-for-bit equivalent to the paper-literal chain construction."""
+"""The chain kernel (universal sequences built by the closed form, ≺ ties
+broken on it too) must be bit-for-bit equivalent to the paper-literal
+chain construction."""
 
 import random
 
@@ -7,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.chain import ChainRunStats, schedule_chain, schedule_chain_deadline
+from repro.core.chain import (
+    ChainRunStats,
+    _BackwardState,
+    schedule_chain,
+    schedule_chain_deadline,
+)
 from repro.core.feasibility import check
 from repro.core.solve_fast import (
     _FastState,
@@ -24,6 +30,26 @@ from conftest import chains
 
 def kernel_schedule(chain, n):
     return fast_chain_schedule(chain, n)[0]
+
+
+#: the chain sizes the tie-heavy families below are drawn at.
+TIE_PS = (2, 3, 4, 6, 8, 12)
+
+
+def tie_heavy_chains(seed: int) -> list[Chain]:
+    """Per size in :data:`TIE_PS`: a homogeneous chain (every candidate's
+    first emission ties), a two-valued one (long partial ties) and a
+    random one."""
+    rng = random.Random(seed)
+    out = []
+    for p in TIE_PS:
+        c, w = rng.randint(1, 4), rng.randint(1, 8)
+        out.append(Chain.homogeneous(p, c, w))
+        cs, ws = (rng.randint(1, 3), rng.randint(1, 3)), (2, rng.randint(3, 9))
+        out.append(Chain([rng.choice(cs) for _ in range(p)],
+                         [rng.choice(ws) for _ in range(p)]))
+        out.append(random_chain(p, rng=rng))
+    return out
 
 
 class TestEquivalence:
@@ -69,14 +95,53 @@ class TestEquivalence:
             )
 
 
+class TestLongRuns:
+    """Past the first few placements ties reach deep into the vectors;
+    the hypothesis properties above stop at n ≤ 10 and t_lim ≤ 35."""
+
+    @pytest.mark.parametrize("n", [200, 600])
+    def test_makespan(self, n):
+        for ch in tie_heavy_chains(seed=n):
+            assert (
+                schedule_chain(ch, n).to_dict()
+                == kernel_schedule(ch, n).to_dict()
+            ), ch
+
+    def test_deadline_places_hundreds(self):
+        for ch in tie_heavy_chains(seed=3):
+            t_lim = kernel_schedule(ch, 300).makespan
+            ref = schedule_chain_deadline(ch, t_lim)
+            fast, _ = fast_chain_deadline(ch, t_lim)
+            assert ref.n_tasks >= 300
+            assert ref.to_dict() == fast.to_dict(), ch
+
+
 class TestFastPathInternals:
     def test_first_emissions_match_full_vectors(self, fig2_chain):
+        """Each step's winner is the oracle's, and its first emission is
+        the largest over every candidate the oracle builds."""
         state = _FastState(fig2_chain)
-        for _ in range(4):  # fresh state, then after each placement
-            firsts = state.first_emissions()
-            for k in range(1, fig2_chain.p + 1):
-                assert firsts[k] == state.full_vector(k)[0]
-            state.commit(state.choose())
+        ref = _BackwardState(fig2_chain, 0)
+        for _ in range(6):  # fresh state, then after each placement
+            winner = state.choose()
+            firsts = [
+                ref.candidate(k, None)[0]
+                for k in range(1, fig2_chain.p + 1)
+            ]
+            assert winner == ref.best_candidate(None)
+            assert winner[0] == max(firsts)
+            assert state.commit(winner) == ref.commit(winner)
+
+    def test_every_step_matches_the_oracle(self):
+        """Step-level pin: from horizon 0, ``choose()`` equals the oracle's
+        ``best_candidate()`` at each of 640 consecutive placements."""
+        for ch in tie_heavy_chains(seed=11):
+            state = _FastState(ch)
+            ref = _BackwardState(ch, 0)
+            for step in range(640):
+                winner = state.choose()
+                assert winner == ref.best_candidate(None), (ch, step)
+                assert state.commit(winner) == ref.commit(winner)
 
     def test_rejects_zero_tasks(self, fig2_chain):
         with pytest.raises(PlatformError):

@@ -13,6 +13,8 @@ counterexample, not a statistical drift.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from repro.core.solve_fast import (
 )
 from repro.core.spider import spider_schedule, spider_schedule_deadline
 from repro.core.types import PlatformError
+from repro.io.json_io import solution_to_dict
 from repro.platforms.chain import Chain
 from repro.platforms.generators import (
     random_chain,
@@ -37,6 +40,7 @@ from repro.platforms.generators import (
     random_star,
     random_tree,
 )
+from repro.platforms.spider import Spider
 from repro.platforms.star import Star
 from repro.solve import Problem, Solution, SolveError, register, solve, solver_for
 from repro.solve.solvers import ChainSolver
@@ -234,6 +238,25 @@ class TestSpiderDifferential:
         assert compiled.replay() == obj.replay()
         compiled.validate()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_identical_legs(self, seed):
+        """Identical legs share one cached sequence (and tie everywhere
+        when homogeneous): makespan, then a deadline deep in the run."""
+        rng = random.Random(seed)
+        leg = (
+            Chain.homogeneous(rng.randint(2, 4), rng.randint(1, 3),
+                              rng.randint(2, 6))
+            if seed % 2 else random_chain(rng.randint(2, 4), rng=rng)
+        )
+        other = random_chain(rng.randint(1, 3), rng=rng)
+        for spider in (Spider([leg, leg]), Spider([leg, other, leg])):
+            compiled, obj = solve_both(Problem(spider, "makespan", n=60))
+            assert_identical(compiled, obj)
+            compiled, obj = solve_both(
+                Problem(spider, "deadline", t_lim=compiled.makespan - 1)
+            )
+            assert_identical(compiled, obj)
+
 
 # ---------------------------------------------------------------------------
 # edge cases and the fallback contract
@@ -321,6 +344,38 @@ class TestKernelCaches:
         again = solve(Problem(chain, "makespan", n=8))
         assert schedule_key(again.schedule) == schedule_key(obj.schedule)
         assert solve_kernel_stats()["seq_hits"] >= 1
+
+    def test_stats_independent_of_cache_history(self):
+        """An answer, stats included, depends only on its problem: solved
+        cold, after a larger solve of the same chain, and after a spider
+        that shares a leg, it serialises to the same dict."""
+        chain = Chain([2, 3, 1], [3, 5, 2])
+        other = Chain([1, 2], [4, 3])
+        tree = random_tree(7, seed=5)
+        problems = [
+            Problem(chain, "makespan", n=10),
+            Problem(chain, "deadline", t_lim=30),
+            Problem(Spider([chain, other]), "makespan", n=12),
+            Problem(Spider([chain, other]), "deadline", t_lim=25),
+            Problem(Spider([chain, chain]), "makespan", n=12),
+            Problem(tree, "deadline", t_lim=40),
+        ]
+        histories = [
+            [],
+            [Problem(chain, "makespan", n=300),
+             Problem(tree, "makespan", n=150)],
+            [Problem(Spider([other, chain, Chain([4], [1])]), "makespan",
+                     n=200)],
+        ]
+        for problem in problems:
+            answers = []
+            for history in histories:
+                clear_solve_kernels()
+                for earlier in history:
+                    solve(earlier)
+                answers.append(solution_to_dict(solve(problem)))
+            assert answers[1] == answers[0], problem
+            assert answers[2] == answers[0], problem
 
     def test_clear_resets(self):
         solve(Problem(random_chain(3, seed=12), "makespan", n=4))
