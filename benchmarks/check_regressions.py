@@ -11,9 +11,11 @@ Eight committed baseline files, one per kernel family:
 
 * ``BENCH_spider.json`` — the paper-literal spider/allocator oracle
   kernels and the batch deadline sweep;
-* ``BENCH_tree.json`` — the multi-round tree suite (single-cover vs
-  multi-round task counts through the batch engine) plus per-tree detail
-  under ``suite``;
+* ``BENCH_tree.json`` — the tree suite (the tree solver's tasks vs the
+  single cover's, which method answered, both as a ratio to the
+  steady-state upper bound) plus per-tree detail under ``suite``; its
+  claim check asserts the tree solver never places fewer tasks than the
+  single cover and places >= 1,190 tasks over the suite;
 * ``BENCH_online.json`` — the online-policy regret suite (policies ×
   platforms vs the offline optimum, replay-validated through the batch
   engine) plus per-platform detail under ``suite``;
@@ -157,6 +159,35 @@ def build_tree_payload(kernels: dict[str, dict]) -> dict:
         "kernels": kernels,
         "suite": suite,
     }
+
+
+def check_tree_claims(fresh: dict[str, dict]) -> list[str]:
+    """Fresh-run acceptance claims of the tree family: never below the
+    single cover on any tree, the suite total at the floor, and every
+    ratio to the steady-state bound at most 1.05 (it is an upper bound, up
+    to a start-up term)."""
+    from benchmarks.kernels import TREE_MIN_TASKS
+
+    kernel = fresh.get("tree_suite")
+    if kernel is None:
+        return []
+    failures = []
+    if kernel["losses"]:
+        failures.append(
+            f"tree_suite: the tree solver placed fewer tasks than the single "
+            f"cover on {kernel['losses']} tree(s)"
+        )
+    if kernel["tree_tasks"] < TREE_MIN_TASKS:
+        failures.append(
+            f"tree_suite: {kernel['tree_tasks']} tasks over the suite, below "
+            f"the {TREE_MIN_TASKS} floor"
+        )
+    if kernel["max_tree_vs_bound"] > 1.05:
+        failures.append(
+            f"tree_suite: {kernel['max_tree_vs_bound']} of the steady-state "
+            "upper bound on one tree — the bound or the count is wrong"
+        )
+    return failures
 
 
 def build_online_payload(kernels: dict[str, dict]) -> dict:
@@ -464,6 +495,7 @@ def _families() -> list[dict]:
             "path": TREE_BASELINE_PATH,
             "kernels": TREE_KERNELS,
             "payload": build_tree_payload,
+            "check": check_tree_claims,
         },
         {
             "name": "online",

@@ -64,14 +64,14 @@ def _fig_churn_repair(baselines) -> str:
 def _fig_tree_efficiency(baselines) -> str:
     items, colors = [], []
     for row in baselines.get("tree", {}).get("suite", []):
-        seed = row.get("seed", "?")
-        items.append((f"tree seed={seed} · multi-round",
-                      float(row.get("multi_efficiency", 0))))
+        seed = row["seed"]
+        items.append((f"tree seed={seed} · tree solver",
+                      float(row["tree_vs_bound"])))
         colors.append(0)
-        items.append((f"tree seed={seed} · single-round",
-                      float(row.get("single_efficiency", 0))))
+        items.append((f"tree seed={seed} · single cover",
+                      float(row["single_vs_bound"])))
         colors.append(1)
-    return bar_chart("tree cover efficiency: multi vs single round",
+    return bar_chart("tree tasks over the steady-state upper bound",
                      items, colors=colors)
 
 

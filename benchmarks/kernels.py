@@ -23,12 +23,14 @@ from repro.core.fork import (
     fork_schedule,
     fork_schedule_deadline,
 )
+from repro.core.solve_fast import spider_deadline
 from repro.core.spider import SpiderRunStats, spider_schedule, spider_schedule_deadline
 from repro.io.json_io import platform_to_dict
 from repro.platforms.chain import Chain
 from repro.platforms.star import Star
 from repro.platforms.generators import random_chain, random_star, random_tree
 from repro.platforms.spider import Spider
+from repro.solve import Problem, solve
 from repro.trees.heuristic import best_path_cover, tree_schedule_by_cover
 
 #: The acceptance-scale spider: 16 heterogeneous legs × 4 processors = 64.
@@ -142,18 +144,24 @@ def kernel_batch_deadline_sweep() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The tree acceptance suite: multi-round covering vs the single cover
+# The tree acceptance suite: the tree solver vs the single cover
 # ---------------------------------------------------------------------------
 
 #: Suite shape: seeded ``cpu_heavy`` trees whose best single spider cover
 #: drops at least this fraction of the tree's bandwidth-centric capacity —
-#: the regime the multi-round scheduler exists for.  (On trees with no
-#: capacity gap the single cover is already port-limited-optimal and every
-#: scheduler ties; including them would only measure noise.)
+#: the regime where covering loses and the tree solver must win back the
+#: dropped workers.  (On trees with no capacity gap the single cover is
+#: already port-limited-optimal and every scheduler ties; including them
+#: would only measure noise.)
 TREE_SUITE_SIZE = 15
 TREE_SUITE_MIN_GAP = 0.15
 TREE_SUITE_FIRST_SEED = 300
 TREE_SUITE_N = 24
+
+#: the tree claim's floor on the suite's total tasks.  A time-indexed MILP
+#: proved 1,205 optimal (ROADMAP item 1); multi-round covering, the tree
+#: solver before the chain construction, placed 932.
+TREE_MIN_TASKS = 1190
 
 
 #: seed-scan bound: if gap-qualified trees ever become this rare the suite
@@ -184,43 +192,33 @@ def tree_suite() -> list[tuple[int, object, float]]:
 
 
 def tree_suite_results() -> list[dict]:
-    """Per-tree detail: single-cover vs multi-round task counts (deadline
-    mode) and efficiencies vs the steady-state bound, all answered through
-    the batch engine so the suite also exercises the registry dispatch.
+    """Per-tree detail (deadline mode): the tree solver's tasks through the
+    solver registry, which method answered, and the single cover's tasks
+    from the spider deadline solve of its cover.  ``*_vs_bound`` is tasks
+    over what the tree's steady-state throughput allows by ``t_lim``: a
+    ratio to an upper bound, not to the optimum.
 
     The deadline is twice the single cover's optimal makespan for
     ``TREE_SUITE_N`` tasks — a generous horizon, the steady-state-approach
     regime where covering quality matters.
     """
-    instances = []
-    scenarios = []
+    rows = []
     for seed, tree, gap in tree_suite():
         t_lim = 2 * tree_schedule_by_cover(tree, TREE_SUITE_N).makespan
-        pdict = platform_to_dict(tree)
-        scenarios.append(Scenario(
-            f"s{seed}-single", pdict, "deadline", t_lim=t_lim,
-            options={"max_rounds": 1},
-        ))
-        scenarios.append(Scenario(f"s{seed}-multi", pdict, "deadline", t_lim=t_lim))
-        instances.append((seed, tree, gap, t_lim))
-    by_id = {r.scenario_id: r for r in BatchRunner(workers=1).run(scenarios)}
-    rows = []
-    for seed, tree, gap, t_lim in instances:
-        single = by_id[f"s{seed}-single"]
-        multi = by_id[f"s{seed}-multi"]
-        assert single.ok and multi.ok, (single.error, multi.error)
-        bound = float(tree_steady_state(tree).throughput)
+        answer = solve(Problem(tree, "deadline", t_lim=t_lim))
+        single = spider_deadline(best_path_cover(tree).spider, t_lim)[0]
+        bound = float(tree_steady_state(tree).throughput) * t_lim
         rows.append({
             "seed": seed,
             "workers": tree.p,
             "t_lim": t_lim,
             "capacity_gap": round(gap, 4),
             "single_tasks": single.n_tasks,
-            "multi_tasks": multi.n_tasks,
-            "rounds": multi.rounds,
-            "coverage": round(multi.coverage, 4),
-            "single_efficiency": round((single.n_tasks / t_lim) / bound, 4),
-            "multi_efficiency": round((multi.n_tasks / t_lim) / bound, 4),
+            "tree_tasks": answer.n_tasks,
+            "method": answer.extra["rounds"][0]["method"],
+            "coverage": round(answer.extra["coverage"], 4),
+            "single_vs_bound": round(single.n_tasks / bound, 4),
+            "tree_vs_bound": round(answer.n_tasks / bound, 4),
         })
     return rows
 
@@ -231,7 +229,7 @@ def tree_suite_results() -> list[dict]:
 LAST_TREE_SUITE_ROWS: list[dict] = []
 
 
-def kernel_tree_multiround_suite() -> dict:
+def kernel_tree_suite() -> dict:
     """The whole tree suite through the batch engine, aggregated."""
 
     def once() -> dict:
@@ -239,8 +237,8 @@ def kernel_tree_multiround_suite() -> dict:
         rows = tree_suite_results()
         seconds = time.perf_counter() - t0
         LAST_TREE_SUITE_ROWS[:] = rows
-        wins = sum(r["multi_tasks"] > r["single_tasks"] for r in rows)
-        losses = sum(r["multi_tasks"] < r["single_tasks"] for r in rows)
+        wins = sum(r["tree_tasks"] > r["single_tasks"] for r in rows)
+        losses = sum(r["tree_tasks"] < r["single_tasks"] for r in rows)
         return {
             "seconds": seconds,
             "trees": len(rows),
@@ -248,14 +246,17 @@ def kernel_tree_multiround_suite() -> dict:
             "ties": len(rows) - wins - losses,
             "losses": losses,
             "single_tasks": sum(r["single_tasks"] for r in rows),
-            "multi_tasks": sum(r["multi_tasks"] for r in rows),
-            "rounds_total": sum(r["rounds"] for r in rows),
-            "mean_single_efficiency": round(
-                sum(r["single_efficiency"] for r in rows) / len(rows), 4
+            "tree_tasks": sum(r["tree_tasks"] for r in rows),
+            "construction_answers": sum(
+                r["method"] == "construction" for r in rows
             ),
-            "mean_multi_efficiency": round(
-                sum(r["multi_efficiency"] for r in rows) / len(rows), 4
+            "mean_single_vs_bound": round(
+                sum(r["single_vs_bound"] for r in rows) / len(rows), 4
             ),
+            "mean_tree_vs_bound": round(
+                sum(r["tree_vs_bound"] for r in rows) / len(rows), 4
+            ),
+            "max_tree_vs_bound": max(r["tree_vs_bound"] for r in rows),
         }
 
     return _best_of(once, 2)
@@ -278,7 +279,7 @@ LEGACY_KERNELS = {
 
 #: tree kernels live in their own baseline file (``BENCH_tree.json``).
 TREE_KERNELS: dict[str, Callable[[], dict]] = {
-    "tree_multiround_suite": kernel_tree_multiround_suite,
+    "tree_suite": kernel_tree_suite,
 }
 
 

@@ -3,9 +3,10 @@
 
 The same two lines answer scheduling questions on a chain, a star, a
 spider, and a general tree — the registry resolves the platform type to
-the claiming solver (the optimal paper algorithms for chains/stars/spiders,
-the multi-round cover scheduler for trees), and each solver reports its own
-operation counters and extras.
+the claiming solver (the optimal paper algorithms for chains/stars/spiders;
+for trees, the chain construction run on the tree or the single spider
+cover, whichever does better), and each solver reports its own operation
+counters and extras.
 
 The example also registers a toy solver for a custom platform type, to show
 that opening a new workload to the CLI/batch/benchmark stack is one
@@ -48,7 +49,8 @@ rows = []
 for label, platform in platforms.items():
     sol = solve(Problem(platform, "makespan", n=12))
     assert_feasible(sol.schedule)
-    extra = f"{len(sol.extra['rounds'])} cover round(s)" if label == "tree" else ""
+    extra = (f"answered by the {sol.extra['rounds'][0]['method']}"
+             if label == "tree" else "")
     rows.append((label, sol.solver, sol.makespan, sol.n_tasks, extra))
 print("\nthe same call on four platform types (makespan of 12 tasks):")
 print(format_table(["platform", "solver", "makespan", "tasks", "notes"], rows))

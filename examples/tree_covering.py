@@ -8,11 +8,11 @@
 This example generates a random tree, covers it with a spider (keeping, under
 each child of the master, the root-to-leaf path with the best steady-state
 throughput), schedules optimally on the cover, and measures how much of the
-full tree's capacity the cover captured.  It then runs the *multi-round*
-cover scheduler — re-covering the residual tree round after round and
-threading the rounds through each other's idle resource gaps — and shows
-the tasks it recovers at the same deadline.  It also prints the DOT
-rendering of both graphs so you can look at what was kept.
+full tree's capacity the cover captured.  It then runs the tree solver:
+Theorem 1's backward construction run on the whole tree (every worker
+stays in play), answered with whichever of it and the cover places more
+tasks at the same deadline.  It also prints the DOT rendering of both
+graphs so you can look at what the cover kept.
 
 Run:  python examples/tree_covering.py
 """
@@ -21,8 +21,8 @@ from repro.analysis.metrics import format_table
 from repro.analysis.steady_state import tree_steady_state
 from repro.core.feasibility import assert_feasible
 from repro.platforms.generators import random_tree
+from repro.solve import Problem, solve
 from repro.trees.heuristic import best_path_cover, cover_efficiency, tree_schedule_by_cover
-from repro.trees.multiround import tree_schedule_multiround_deadline
 from repro.viz.dot import platform_to_dot
 
 N_TASKS = 30
@@ -48,22 +48,22 @@ print(f"\noptimal schedule on the cover: makespan {schedule.makespan} "
 print(f"cover efficiency vs the full tree's steady-state bound: {eff:.1%}")
 print("(<100% is the price of covering; the dropped workers are idle)")
 
-# -- multi-round covering: re-cover the residual tree until nothing fits ----
+# -- the tree solver: the construction on the whole tree, or the cover ----
 T_LIM = 2 * schedule.makespan
 from repro.core.spider import spider_schedule_deadline  # noqa: E402
 single_tasks = spider_schedule_deadline(cover.spider, T_LIM).n_tasks
-multi = tree_schedule_multiround_deadline(tree, T_LIM)
-assert_feasible(multi.schedule)
-print(f"\n--- multi-round covering at deadline Tlim={T_LIM} ---")
+sol = solve(Problem(tree, "deadline", t_lim=T_LIM))
+assert_feasible(sol.schedule)
+sol.validate()
+print(f"\n--- the tree solver at deadline Tlim={T_LIM} ---")
 print(format_table(
-    ["round", "tasks", "shift", "window", "new workers"],
-    [(r.index, r.n_tasks, r.shift, r.window,
-      ",".join(map(str, r.new_workers)) or "-") for r in multi.rounds],
+    ["worker", "tasks"], sorted(sol.schedule.task_counts().items()),
 ))
-print(f"single cover: {single_tasks} tasks; multi-round: {multi.n_tasks} tasks "
-      f"(+{multi.n_tasks - single_tasks}) over {len(multi.rounds)} round(s)")
-print(f"worker coverage {multi.coverage:.0%}; efficiency vs bound "
-      f"{multi.efficiency():.1%}")
+print(f"single cover: {single_tasks} tasks; tree solver: {sol.n_tasks} tasks "
+      f"(+{sol.n_tasks - single_tasks}), answered by the "
+      f"{sol.extra['rounds'][0]['method']}")
+print(f"worker coverage {sol.extra['coverage']:.0%}; efficiency vs the "
+      f"steady-state bound (an upper bound) {sol.extra['efficiency']:.1%}")
 
 print("\n--- tree (DOT) ---")
 print(platform_to_dot(tree, "full_tree"))

@@ -48,7 +48,7 @@ class Scenario:
     n: Optional[int] = None
     t_lim: Optional[Time] = None
     #: solver-specific knobs forwarded to ``Problem.options`` — e.g.
-    #: ``{"max_rounds": 4}`` for tree scenarios.
+    #: ``{"policy": "round_robin"}`` for online scenarios.
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -130,7 +130,8 @@ class ScenarioResult:
     wall_s: float = 0.0
     error: Optional[str] = None
     stats: Mapping[str, Any] = field(default_factory=dict)
-    #: multi-round tree scenarios: covering rounds used ...
+    #: tree scenarios: ``len(extra["rounds"])`` (always 1: the entry names
+    #: the method that answered) ...
     rounds: Optional[int] = None
     #: ... and the fraction of the tree's workers that executed a task.
     coverage: Optional[float] = None

@@ -19,7 +19,8 @@ Commands
 ``steady``
     Bandwidth-centric steady-state throughput of a platform.
 ``tree``
-    Multi-round spider-cover scheduling on a tree:
+    Schedule a general tree: the better of the chain construction run on
+    the tree and the single spider cover.
     ``repro tree --workers 8 -n 20`` (makespan) or ``--tlim 60`` (deadline).
 ``failures``
     Online run with injected fail-stop workers:
@@ -75,7 +76,6 @@ from .platforms.spider import Spider
 from .platforms.star import Star
 from .sim.online import ONLINE_POLICIES
 from .solve import Problem, registered_solvers, solve
-from .trees.multiround import COVER_STRATEGIES
 from .viz.gantt import render_gantt
 from .viz.svg import save_svg
 
@@ -274,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--platform")
 
     p = sub.add_parser(
-        "tree", help="multi-round spider-cover scheduling on a tree"
+        "tree", help="schedule a general tree: the chain construction run on "
+        "the tree, or the single spider cover when it does better"
     )
     p.add_argument("--workers", type=int, default=8, help="number of workers")
     p.add_argument("--seed", type=int, default=0)
@@ -285,13 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--platform", help="tree platform JSON file (overrides --workers)")
     p.add_argument("-n", type=int, required=True, help="task count / budget")
     p.add_argument("--tlim", type=int, help="deadline mode: maximise tasks by TLIM")
-    p.add_argument("--rounds", type=int, default=None,
-                   help="cap on covering rounds (1 = the single-cover heuristic)")
-    p.add_argument("--strategy", default="throughput",
-                   choices=sorted(COVER_STRATEGIES), help="round-1 cover strategy")
-    p.add_argument("--residual", default="fresh",
-                   choices=sorted(COVER_STRATEGIES), help="round-2+ cover strategy")
-    p.add_argument("--dot", action="store_true", help="print the round-1 cover as DOT")
+    p.add_argument("--dot", action="store_true",
+                   help="print the single spider cover as DOT")
 
     p = sub.add_parser("failures", help="online run with injected failures")
     p.add_argument("--c", help="chain link latencies")
@@ -553,7 +549,7 @@ def _run(args) -> int:
     if args.command == "tree":
         from .platforms.generators import random_tree
         from .platforms.tree import Tree
-        from .trees.heuristic import SpiderCover
+        from .trees.heuristic import best_path_cover
         from .viz.dot import platform_to_dot
 
         if args.platform:
@@ -564,42 +560,29 @@ def _run(args) -> int:
         else:
             tree = random_tree(args.workers, profile=args.profile, seed=args.seed)
             origin = f"seed {args.seed}, profile {args.profile}"
-        options: dict[str, Any] = {
-            "cover_strategy": args.strategy,
-            "residual_strategy": args.residual,
-        }
-        if args.rounds is not None:
-            options["max_rounds"] = args.rounds
         if args.tlim is not None:
-            problem = Problem(tree, "deadline", n=args.n, t_lim=args.tlim,
-                              options=options)
+            problem = Problem(tree, "deadline", n=args.n, t_lim=args.tlim)
         else:
-            problem = Problem(tree, "makespan", n=args.n, options=options)
+            problem = Problem(tree, "makespan", n=args.n)
         sol = solve(problem)
         assert_feasible(sol.schedule)
 
         print(f"tree: {tree.p} workers ({origin}); spider? {tree.is_spider()}")
-        rounds = sol.extra["rounds"]
-        print(format_table(
-            ["round", "tasks", "shift", "window", "completion", "new workers"],
-            [(r["index"], r["n_tasks"], r["shift"], r["window"], r["completion"],
-              ",".join(map(str, r["new_workers"])) or "-")
-             for r in rounds],
-        ))
-        served = {w for r in rounds for w in r["new_workers"]}
-        dropped = sorted(set(tree.workers) - served)
-        print(f"{len(rounds)} cover round(s) reach {len(served)}/{tree.p} workers; "
-              f"dropped {dropped}")
+        served = sol.schedule.task_counts()
+        idle = sorted(set(tree.workers) - set(served))
+        print(f"answered by the {sol.extra['rounds'][0]['method']} (the better "
+              f"of the tree construction and the single spider cover); "
+              f"{len(served)}/{tree.p} workers compute, idle {idle}")
         if args.tlim is not None:
             print(f"tasks by Tlim={args.tlim}: {sol.n_tasks}   "
                   f"(makespan {sol.makespan})")
         else:
             print(f"makespan for {args.n} tasks: {sol.makespan}")
         print(f"tree steady-state bound: {steady_state(tree).throughput}; "
-              f"multi-round efficiency: {sol.extra['efficiency']:.1%}")
-        if args.dot and rounds:
-            legs = tuple(tuple(leg) for leg in rounds[0]["legs"])
-            print(platform_to_dot(SpiderCover(tree, legs).spider, "spider_cover"))
+              f"efficiency against it (an upper bound): "
+              f"{sol.extra['efficiency']:.1%}")
+        if args.dot:
+            print(platform_to_dot(best_path_cover(tree).spider, "spider_cover"))
         return 0
 
     if args.command == "failures":

@@ -35,7 +35,7 @@ _PROFILES: dict[str, tuple[tuple[int, int], tuple[int, int]]] = {
     "cpu_bound": ((1, 3), (5, 15)),
     # links much faster than CPUs: the master's port has slack, so a single
     # spider cover strands real capacity on the dropped branches — the
-    # regime where multi-round covering (repro.trees.multiround) pays off.
+    # regime where the tree construction (repro.trees.construction) pays off.
     "cpu_heavy": ((1, 2), (8, 20)),
 }
 

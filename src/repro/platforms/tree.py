@@ -39,6 +39,12 @@ class Tree:
         self._c: dict[int, Time] = {}
         self._w: dict[int, Time] = {}
         for parent, child, c, w in edges:
+            if not all(isinstance(u, int) and not isinstance(u, bool)
+                       for u in (parent, child)):
+                # ids are sorted, and bools would alias nodes 0 and 1
+                raise PlatformError(
+                    f"edge ({parent!r}, {child!r}): node ids must be ints"
+                )
             if child == ROOT:
                 raise PlatformError("the master (node 0) cannot have an incoming link")
             if child in self._parent:
@@ -120,14 +126,6 @@ class Tree:
     def is_spider(self) -> bool:
         """True iff only the root may have arity > 1 (paper §6)."""
         return all(len(self._kids[v]) <= 1 for v in self._bfs)
-
-    def is_integer(self) -> bool:
-        """True iff every latency and work value is an ``int`` (exact
-        integer bisection is then valid, as for chains/spiders)."""
-        return all(
-            isinstance(self._c[v], int) and isinstance(self._w[v], int)
-            for v in self._bfs
-        )
 
     def to_chain(self) -> Chain:
         if not self.is_chain():

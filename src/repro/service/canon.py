@@ -28,7 +28,8 @@ Tree      AHU-style canonical form: each subtree encodes to a string
           built from its ``(c, w)`` and the *sorted* encodings of its
           children, so any child reordering / node renumbering yields
           the same digest; canonical ids are assigned in preorder of
-          the sorted encoding.
+          the sorted encoding.  The digest also folds in
+          :data:`TREE_ANSWER_VERSION`.
 ========  ==========================================================
 
 Problem fingerprints fold the platform fingerprint together with the
@@ -54,6 +55,13 @@ from ..platforms.chain import Chain
 from ..platforms.spider import Spider
 from ..platforms.star import Star
 from ..platforms.tree import ROOT, Tree
+
+#: Version of the tree solver's answers, folded into every tree
+#: fingerprint (and into nothing else): bump it when tree answers change,
+#: so store entries an older tree solver wrote miss instead of being
+#: served.  2: the chain construction run on the tree, or the single
+#: spider cover when it does better (before it: multi-round covering).
+TREE_ANSWER_VERSION = 2
 
 __all__ = [
     "CanonError",
@@ -203,7 +211,8 @@ def _canon_tree(tree: Tree) -> CanonicalForm:
         to_canon[orig] = cid
         pre_stack.extend((child, cid) for child in reversed(sorted_children(orig)))
     canonical = Tree(edges)
-    return CanonicalForm(_digest("tree|" + enc[ROOT]), canonical, to_canon, from_canon)
+    digest = _digest(f"tree|v{TREE_ANSWER_VERSION}|{enc[ROOT]}")
+    return CanonicalForm(digest, canonical, to_canon, from_canon)
 
 
 _CANONICALISERS = {

@@ -19,11 +19,11 @@ branch on it.
 A *solution* wraps the schedule with the answer headline (makespan, task
 count), the solver's operation counters, optional warm caps for the next
 smaller-deadline problem on the same platform, and solver-specific
-``extra`` detail (e.g. the per-round story of the multi-round tree
-scheduler).  Online solutions additionally carry the execution ``trace``
-they were produced from; fault-injected runs carry *only* the trace (a
-reissued task legitimately appears twice, which no Definition-1 schedule
-can express).
+``extra`` detail (e.g. which method answered a tree problem, and how many
+of its workers compute).  Online solutions additionally carry the
+execution ``trace`` they were produced from; fault-injected runs carry
+*only* the trace (a reissued task legitimately appears twice, which no
+Definition-1 schedule can express).
 
 Every solution can be **replay-validated**: :meth:`Solution.validate`
 re-executes it through the discrete-event simulator, which independently
@@ -67,8 +67,8 @@ class Problem:
     #: dispatch axis: ``"offline"`` (static optimal algorithms) or
     #: ``"online"`` (simulated policies; see ``options["policy"]``).
     mode: str = "offline"
-    #: solver-specific knobs, e.g. ``{"max_rounds": 4}`` for trees or
-    #: ``{"policy": "round_robin", "failures": [...]}`` online.
+    #: solver-specific knobs, e.g. ``{"policy": "round_robin",
+    #: "failures": [...]}`` online.
     options: Mapping[str, Any] = field(default_factory=dict)
     #: warm-start caps from a previous solve at a looser deadline; only
     #: meaningful for solvers with ``supports_warm_caps``.

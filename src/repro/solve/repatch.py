@@ -511,8 +511,8 @@ class RepatchSolver(Solver):
 
     * ``churn`` — the event list (required; see
       :func:`repro.sim.churn.parse_churn_events`);
-    * ``base`` — options dict forwarded to the base offline solve
-      (e.g. ``{"max_rounds": 4}`` on trees).
+    * ``base`` — options dict forwarded to the base offline solve (the
+      base solver checks it like its own).
 
     The answer's schedule lives on the **mutated** platform
     (``extra["platform_after"]``); its ``stats`` carry the repair

@@ -1,8 +1,9 @@
 """The built-in solvers: one per platform class, registered on import.
 
 Each offline solver wraps the corresponding optimal algorithm (or, for
-general trees, the multi-round cover heuristic) and reports its operation
-counters as the flat ``stats`` dict the batch engine archives.  The chain,
+general trees, the better of the chain construction run on the tree and the
+single spider cover) and reports its operation counters as the flat
+``stats`` dict the batch engine archives.  The chain,
 star and spider solvers call the kernel-then-oracle entries of
 :mod:`repro.core.solve_fast`; ``stats["engine"]`` says which answered.
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from ..core.solve_fast import (
-    SPIDER_STAT_KEYS,
     chain_deadline,
     chain_schedule,
     spider_deadline,
@@ -35,12 +35,8 @@ from ..platforms.tree import Tree
 from ..sim.churn import simulate_with_churn
 from ..sim.faults import WorkerFailure, simulate_with_failures
 from ..sim.online import ONLINE_POLICIES, simulate_online
-from ..trees.multiround import (
-    COVER_STRATEGIES,
-    DEFAULT_MAX_ROUNDS,
-    tree_schedule_multiround,
-    tree_schedule_multiround_deadline,
-)
+from ..trees.construction import tree_deadline, tree_schedule
+from ..trees.heuristic import cover_efficiency
 from .problem import Problem, Solution, SolveError
 from .registry import Solver, register
 from .repatch import RepatchSolver
@@ -113,46 +109,66 @@ class SpiderSolver(Solver):
         )
 
 
+#: Options of the retired multi-round tree scheduler, with the values it
+#: accepted.  Old payloads still load: the keys are accepted and ignored,
+#: since the tree solver has no choice left for them to make.
+RETIRED_TREE_OPTIONS = {
+    "max_rounds": "an int >= 1",
+    "cover_strategy": "'throughput', 'widest' or 'fresh'",
+    "residual_strategy": "'throughput', 'widest' or 'fresh'",
+}
+
+
+def _retired_value_ok(key: str, value: Any) -> bool:
+    if key == "max_rounds":
+        return type(value) is int and value >= 1
+    return value in ("throughput", "widest", "fresh")
+
+
 class TreeSolver(Solver):
-    """Multi-round spider-cover scheduling on general trees (§8 program)."""
+    """General trees (§8 programme): the better of Theorem 1's backward
+    construction run on the tree and the single spider cover."""
 
     name = "tree"
     platform_type = Tree
-    exact = False  # a heuristic: optimal only per round, on its cover
-    option_keys = ("max_rounds", "cover_strategy", "residual_strategy")
+    exact = False  # a heuristic: optimal on chain- and spider-shaped trees
+    option_keys = tuple(RETIRED_TREE_OPTIONS)
     summary = (
-        "multi-round spider covers on general trees — "
-        f"strategies: {', '.join(sorted(COVER_STRATEGIES))}"
+        "general trees — the chain construction run on the tree, or the "
+        "single spider cover when it does better"
     )
+
+    def check_claims(self, problem: Problem) -> None:
+        super().check_claims(problem)
+        for key, value in problem.options.items():
+            if not _retired_value_ok(key, value):
+                raise SolveError(
+                    f"tree option {key!r} is retired and ignored, but must "
+                    f"still be {RETIRED_TREE_OPTIONS[key]}; got {value!r}"
+                )
 
     def solve(self, problem: Problem) -> Solution:
         tree: Tree = problem.platform
-        opts = problem.options
-        kwargs = dict(
-            cover_strategy=opts.get("cover_strategy", "throughput"),
-            residual_strategy=opts.get("residual_strategy", "fresh"),
-            max_rounds=int(opts.get("max_rounds", DEFAULT_MAX_ROUNDS)),
-        )
-        stats = dict.fromkeys(SPIDER_STAT_KEYS, 0)
         if problem.kind == "makespan":
-            result = tree_schedule_multiround(
-                tree, problem.n, stats=stats, **kwargs
-            )
+            sched, stats, method = tree_schedule(tree, problem.n)
+            horizon = sched.makespan
         else:
-            result = tree_schedule_multiround_deadline(
-                tree, problem.t_lim, problem.n, stats=stats, **kwargs
+            sched, stats, method = tree_deadline(
+                tree, problem.t_lim, problem.n
             )
-        # the round count's single source of truth is len(extra["rounds"]);
-        # consumers (batch rows, CLI) derive it rather than carrying copies.
+            horizon = problem.t_lim
+        served = {a.processor for a in sched}
+        # extra["rounds"] stays a list (batch rows report its length): one
+        # entry, naming the method that answered
         return Solution(
             problem,
-            result.schedule,
+            sched,
             self.name,
             _count_spider_totals(stats),
             extra={
-                "rounds": [r.to_dict() for r in result.rounds],
-                "coverage": result.coverage,
-                "efficiency": result.efficiency(),
+                "rounds": [{"method": method}],
+                "coverage": len(served) / tree.p,
+                "efficiency": cover_efficiency(tree, sched.n_tasks, horizon),
             },
         )
 

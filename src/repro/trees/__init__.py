@@ -1,10 +1,10 @@
-"""General-tree scheduling heuristics by spider covering (paper §8).
+"""General-tree scheduling, the paper's §8 programme.
 
-Two generations: the single-shot cover (:mod:`repro.trees.heuristic`) and
-the multi-round cover scheduler (:mod:`repro.trees.multiround`) that
-re-covers the residual tree round after round, interleaving the rounds
-through each other's idle resource gaps."""
+The tree solver answers with the better of Theorem 1's backward
+construction run on the tree (:mod:`repro.trees.construction`) and the
+single spider cover (:mod:`repro.trees.heuristic`)."""
 
+from .construction import tree_deadline, tree_schedule
 from .heuristic import (
     SpiderCover,
     best_path_cover,
@@ -12,23 +12,13 @@ from .heuristic import (
     greedy_depth_cover,
     tree_schedule_by_cover,
 )
-from .multiround import (
-    COVER_STRATEGIES,
-    MultiRoundResult,
-    RoundReport,
-    tree_schedule_multiround,
-    tree_schedule_multiround_deadline,
-)
 
 __all__ = [
-    "COVER_STRATEGIES",
-    "MultiRoundResult",
-    "RoundReport",
     "SpiderCover",
     "best_path_cover",
     "cover_efficiency",
     "greedy_depth_cover",
+    "tree_deadline",
+    "tree_schedule",
     "tree_schedule_by_cover",
-    "tree_schedule_multiround",
-    "tree_schedule_multiround_deadline",
 ]

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.steady_state import chain_steady_state, tree_steady_state
-from ..core.commvector import CommVector
 from ..core.schedule import Schedule, TaskAssignment
 from ..core.solve_fast import spider_schedule
 from ..core.types import PlatformError, Time
@@ -59,19 +58,15 @@ class SpiderCover:
         """Tree node at spider position ``(leg, pos)`` (1-based)."""
         return self.legs[leg - 1][pos - 1]
 
-    def tree_assignment(
-        self, a: TaskAssignment, task: int | None = None
-    ) -> TaskAssignment:
-        """Re-address one cover-spider assignment onto its tree node (the
-        single place the spider→tree mapping lives; ``task`` overrides the
-        id for callers that renumber later)."""
-        leg, pos = a.processor
-        return TaskAssignment(
-            a.task if task is None else task,
-            self.node_of(leg, pos),
-            a.start,
-            CommVector(a.comms.times),
-        )
+    def to_tree(self, spider_sched: Schedule) -> Schedule:
+        """Re-address a schedule of the cover's spider onto tree nodes (the
+        single place the spider→tree mapping lives)."""
+        return Schedule(self.tree, {
+            a.task: TaskAssignment(
+                a.task, self.node_of(*a.processor), a.start, a.comms
+            )
+            for a in spider_sched
+        })
 
 
 def best_path_cover(tree: Tree) -> SpiderCover:
@@ -113,11 +108,7 @@ def tree_schedule_by_cover(
     respect to the cover — experiment E12 quantifies the loss.
     """
     cover = cover if cover is not None else best_path_cover(tree)
-    spider_sched, _ = spider_schedule(cover.spider, n)
-    out = Schedule(tree)
-    for a in spider_sched:
-        out.add(cover.tree_assignment(a))
-    return out
+    return cover.to_tree(spider_schedule(cover.spider, n)[0])
 
 
 def cover_efficiency(tree: Tree, n: int, makespan: Time) -> float:

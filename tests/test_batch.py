@@ -310,14 +310,17 @@ class TestTreeScenarios:
 
     def test_tree_options_flow_through(self):
         pdict = self._tree_dict()
-        single, multi = run_batch([
-            Scenario("single", pdict, "deadline", t_lim=120,
+        retired, plain, bad = run_batch([
+            Scenario("retired", pdict, "deadline", t_lim=120,
                      options={"max_rounds": 1}),
-            Scenario("multi", pdict, "deadline", t_lim=120),
+            Scenario("plain", pdict, "deadline", t_lim=120),
+            Scenario("bad", pdict, "deadline", t_lim=120,
+                     options={"max_rounds": 0}),
         ])
-        assert single.ok and multi.ok
-        assert single.rounds == 1
-        assert multi.n_tasks >= single.n_tasks
+        assert retired.ok and plain.ok and not bad.ok
+        assert retired.rounds == plain.rounds == 1
+        assert retired.n_tasks == plain.n_tasks
+        assert "max_rounds" in bad.error
 
     def test_tree_results_serialise_rounds_and_coverage(self, tmp_path):
         import json

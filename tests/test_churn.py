@@ -404,14 +404,18 @@ class TestRepatchExamples:
 
     def test_base_options_forwarded_to_tree_solve(self):
         tree = random_tree(6, seed=11)
+        churn = [{"op": "join", "time": 2, "parent": 0, "c": 1, "w": 2}]
         sol = solve(Problem(tree, "makespan", n=10, mode="repatch",
-                            options={
-                                "churn": [{"op": "join", "time": 2,
-                                           "parent": 0, "c": 1, "w": 2}],
-                                "base": {"max_rounds": 1},
-                            }))
+                            options={"churn": churn,
+                                     "base": {"max_rounds": 1}}))
         sol.validate()
         assert sol.extra["base_solver"] == "tree"
+        # the tree solver still value-checks its retired options, so a bad
+        # value proves the base options reach it
+        with pytest.raises(SolveError, match="max_rounds"):
+            solve(Problem(tree, "makespan", n=10, mode="repatch",
+                          options={"churn": churn,
+                                   "base": {"max_rounds": 0}}))
 
     def test_repatch_caches_by_exact_fingerprint(self, tmp_path):
         import asyncio

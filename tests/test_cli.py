@@ -213,26 +213,22 @@ class TestParser:
             main(["warp"])
 
 
-class TestTreeMultiRound:
-    def test_tree_deadline_mode_prints_rounds(self, capsys):
+class TestTreeCommand:
+    def test_tree_deadline_mode_names_the_method(self, capsys):
         assert main(["tree", "--workers", "9", "--profile", "cpu_heavy",
                      "--seed", "310", "-n", "40", "--tlim", "120"]) == 0
         out = capsys.readouterr().out
-        assert "cover round(s)" in out
-        assert "tasks by Tlim=120" in out
-        assert "multi-round efficiency" in out
+        assert "answered by the construction" in out
+        assert "tasks by Tlim=120: 40" in out
+        assert "efficiency against it (an upper bound)" in out
 
-    def test_tree_round_cap_flag(self, capsys):
-        assert main(["tree", "--workers", "9", "--profile", "cpu_heavy",
-                     "--seed", "310", "-n", "40", "--tlim", "120",
-                     "--rounds", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "1 cover round(s)" in out
-
-    def test_tree_strategy_flags(self, capsys):
-        assert main(["tree", "--workers", "6", "-n", "8",
-                     "--strategy", "widest", "--residual", "widest"]) == 0
-        assert "makespan" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag", [["--rounds", "1"],
+                                      ["--strategy", "widest"],
+                                      ["--residual", "widest"]])
+    def test_retired_flags_are_usage_errors(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["tree", "--workers", "6", "-n", "8", *flag])
+        assert exc.value.code == 2
 
     def test_tree_platform_file(self, capsys, tmp_path):
         from repro.platforms.generators import random_tree

@@ -259,6 +259,23 @@ class TestTree:
             with pytest.raises(PlatformError, match="rooted at the master"):
                 Tree(edges)
 
+    @pytest.mark.parametrize("edges", [
+        [(0, "a", 1, 2), (0, 2, 1, 3)],  # str child: ids are sorted
+        [("0", 1, 1, 2)],  # str parent
+        [(0, True, 1, 2), (0, 2, 1, 3)],  # bool: would alias node 1
+        [(False, 1, 1, 2)],  # bool parent: would alias the master
+        [(0, 1.0, 1, 2)],  # float id
+    ])
+    def test_rejects_non_int_node_ids(self, edges):
+        from repro.io.json_io import problem_from_dict
+
+        with pytest.raises(PlatformError, match="node ids must be ints"):
+            Tree(edges)
+        payload = {"platform": {"kind": "tree", "edges": edges},
+                   "kind": "makespan", "n": 2}
+        with pytest.raises(PlatformError, match="node ids must be ints"):
+            problem_from_dict(payload)
+
     def test_rejects_root_with_parent(self):
         with pytest.raises(PlatformError, match="incoming link"):
             Tree([(1, 0, 1, 1)])

@@ -150,6 +150,28 @@ class TestDistinctness:
         b = Tree([(0, 1, 2, 4)])
         assert platform_fingerprint(a) != platform_fingerprint(b)
 
+    def test_tree_answer_version_folds_into_tree_fingerprints_only(
+        self, monkeypatch
+    ):
+        """Store entries an older tree solver wrote must miss: bumping the
+        version changes every tree fingerprint and no other kind's.  Fresh
+        platform objects each time: forms are memoized per object."""
+        from repro.service import canon
+
+        def prints():
+            tree = Tree([(0, 1, 2, 3), (1, 2, 1, 4)])
+            others = (Chain([2, 1], [3, 4]), Star([(2, 3), (1, 4)]),
+                      Spider([Chain([2, 1], [3, 4])]))
+            return (platform_fingerprint(tree),
+                    [platform_fingerprint(p) for p in others])
+
+        tree_before, others_before = prints()
+        monkeypatch.setattr(canon, "TREE_ANSWER_VERSION",
+                            canon.TREE_ANSWER_VERSION + 1)
+        tree_after, others_after = prints()
+        assert tree_after != tree_before
+        assert others_after == others_before
+
 
 class TestProblemFingerprints:
     def test_question_folds_in(self):

@@ -281,6 +281,22 @@ class TestProtocol:
         assert malformed["error_kind"] == "bad_request"
         service._pool.shutdown(wait=True)
 
+    @pytest.mark.parametrize("bad_id", ["a", True, 1.5])
+    def test_non_int_tree_node_ids_are_bad_requests(self, bad_id):
+        """A str id used to crash canonicalisation (an ``error``, a server
+        fault); a bool aliased node 1 and a float was served."""
+        service = ScheduleService(store=SolutionStore(), workers=1)
+        problem = {"platform": {"kind": "tree",
+                                "edges": [[0, bad_id, 1, 2], [0, 2, 1, 3]]},
+                   "kind": "makespan", "n": 2}
+        try:
+            response = self._request(
+                service, {"id": "t", "op": "solve", "problem": problem})
+        finally:
+            service.close()
+        assert response["error_kind"] == "bad_request"
+        assert "node ids must be ints" in response["error"]
+
     def test_client_chosen_ops_share_one_metric_label(self):
         from repro.obs import metrics as obs_metrics
 

@@ -221,6 +221,20 @@ class TestRouterSemantics:
         response = self.run(router.handle_line(line))
         assert response["error_kind"] == "bad_request"
 
+    @pytest.mark.parametrize("bad_id", ["a", True, 1.5])
+    def test_non_int_tree_node_ids_are_bad_requests(self, bad_id):
+        """The route key canonicalises the problem; a str id used to raise
+        out of it and answer ``error`` with a traceback."""
+        worker = StubWorker()
+        router = stub_router({0: worker})
+        line = json.dumps({"id": "x", "op": "solve", "problem": {
+            "platform": {"kind": "tree",
+                         "edges": [[0, bad_id, 1, 2], [0, 2, 1, 3]]},
+            "kind": "makespan", "n": 2}})
+        response = self.run(router.handle_line(line))
+        assert response["error_kind"] == "bad_request"
+        assert worker.requests == 0
+
     def test_shutdown_refuses_new_solves(self):
         router = stub_router({0: StubWorker()})
         router.begin_shutdown()

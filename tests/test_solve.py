@@ -139,17 +139,8 @@ class TestSolveMatchesDirectCalls:
     def test_tree_extra_fields(self):
         tree = random_tree(8, profile="cpu_heavy", seed=310)
         sol = solve(Problem(tree, "deadline", t_lim=80))
-        assert len(sol.extra["rounds"]) >= 1
-        assert 0 < sol.extra["coverage"] <= 1
+        assert sol.extra["rounds"] in ([{"method": "construction"}],
+                                       [{"method": "cover"}])
+        served = {a.processor for a in sol.schedule}
+        assert sol.extra["coverage"] == len(served) / tree.p
         assert 0 < sol.extra["efficiency"] <= 1.05
-        assert sum(r["n_tasks"] for r in sol.extra["rounds"]) == sol.n_tasks
-
-    def test_tree_single_round_option_matches_single_cover(self):
-        from repro.core.spider import spider_schedule_deadline as sdl
-        from repro.trees.heuristic import best_path_cover
-
-        tree = random_tree(8, profile="cpu_heavy", seed=316)
-        sol = solve(Problem(tree, "deadline", t_lim=90,
-                            options={"max_rounds": 1}))
-        single = sdl(best_path_cover(tree).spider, 90)
-        assert sol.n_tasks == single.n_tasks

@@ -14,6 +14,7 @@ counterexample, not a statistical drift.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -298,6 +299,20 @@ class TestEdgesAndFallback:
         solve(Problem(Chain([1.5], [2.5]), "makespan", n=2))
         assert solve_kernel_stats()["fallbacks"] == before + 1
 
+    @pytest.mark.parametrize("star", [
+        Star([(1.5, 2.25), (0.5, 3.0), (2.0, 1.0)]),
+        Star([(Fraction(3, 2), Fraction(7, 3)), (Fraction(1, 3), 3)]),
+    ], ids=["float", "fraction"])
+    def test_star_makespan_falls_back_to_the_fork_oracle(self, star):
+        before = solve_kernel_stats()["fallbacks"]
+        answer = solve(Problem(star, "makespan", n=7))
+        assert solve_kernel_stats()["fallbacks"] == before + 1
+        assert answer.stats["engine"] == "object"
+        assert schedule_key(answer.schedule) == schedule_key(
+            fork_schedule(star, 7)
+        )
+        answer.validate()
+
     def test_kernel_unsupported_is_raisable(self):
         with pytest.raises(SolveKernelUnsupported):
             raise SolveKernelUnsupported("no numpy")
@@ -387,19 +402,22 @@ class TestKernelCaches:
 
 
 # ---------------------------------------------------------------------------
-# the tree heuristic runs its spider rounds on the same entries
+# the tree solver runs its spider cover on the same entries
 # ---------------------------------------------------------------------------
 
 
 class TestTreesOnTheKernel:
     @staticmethod
     def on_oracle(monkeypatch):
-        """Point the tree heuristic's spider calls at the oracle."""
-        import repro.trees.heuristic as heuristic
-        import repro.trees.multiround as multiround
+        """Point the tree solver's spider calls at the oracle."""
+        import repro.trees.construction as construction
 
-        monkeypatch.setattr(heuristic, "spider_schedule", _oracle_spider_schedule)
-        monkeypatch.setattr(multiround, "spider_deadline", _oracle_spider_deadline)
+        monkeypatch.setattr(
+            construction, "spider_schedule", _oracle_spider_schedule
+        )
+        monkeypatch.setattr(
+            construction, "spider_deadline", _oracle_spider_deadline
+        )
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_kernel_path_matches_oracle_pipeline(self, seed, monkeypatch):
@@ -425,8 +443,7 @@ class TestTreesOnTheKernel:
 
     def test_float_tree_counts_one_fallback_per_refusal(self, monkeypatch):
         from repro.platforms.tree import Tree
-        import repro.trees.heuristic as heuristic
-        import repro.trees.multiround as multiround
+        import repro.trees.construction as construction
 
         calls = []
 
@@ -439,8 +456,8 @@ class TestTreesOnTheKernel:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(heuristic, "spider_schedule")
-        counted(multiround, "spider_deadline")
+        counted(construction, "spider_schedule")
+        counted(construction, "spider_deadline")
         tree = Tree([(0, 1, 1.5, 2.0), (1, 2, 0.5, 1.0), (0, 3, 2.0, 1.5)])
         before = solve_kernel_stats()["fallbacks"]
         for problem in (Problem(tree, "makespan", n=6),
