@@ -1,8 +1,7 @@
-"""Benchmark harness package.
+"""The gated benchmark families and their runner.
 
-Making this directory a package does two jobs at once: the benchmark
-``conftest.py`` is imported as ``benchmarks.conftest`` (so it no longer
-shadows the test suite's top-level ``conftest`` module in ``sys.modules``),
-and the regression checker is runnable as
-``python -m benchmarks.check_regressions``.
+``kernels.py`` declares every family (its kernels, workload constants,
+timing fields and claims) in one table, ``check_regressions.py`` runs it
+(``python -m benchmarks.check_regressions``), and ``figures`` renders the
+committed ``BENCH_*.json`` files as SVG charts.
 """

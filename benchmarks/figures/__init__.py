@@ -1,6 +1,6 @@
 """Deterministic figure pipeline: committed baselines → SVG figures.
 
-``python -m benchmarks.figures`` regenerates every figure from the seven
+``python -m benchmarks.figures`` regenerates every figure from the
 committed ``BENCH_*.json`` families (plus two deterministic example
 solves) into ``--out`` — no timing runs, no randomness, no network, so
 the output is byte-stable and CI regenerates it on every push.  Chart
@@ -75,16 +75,6 @@ def _fig_tree_efficiency(baselines) -> str:
                      items, colors=colors)
 
 
-def _fig_service_latency(baselines) -> str:
-    k = baselines.get("service", {}).get("kernels", {}).get(
-        "service_zipf_workload", {}
-    )
-    items = [("cold store (median ms)", float(k.get("cold_median_ms", 0))),
-             ("warm store (median ms)", float(k.get("warm_median_ms", 0)))]
-    return bar_chart("service request latency, zipf workload", items,
-                     unit="ms")
-
-
 def _fig_replay_engines(baselines) -> str:
     k = baselines.get("replay", {}).get("kernels", {}).get(
         "replay_zipf_validation", {}
@@ -126,7 +116,6 @@ def generate_figures(
         "online_regret.svg": _fig_online_regret(baselines),
         "churn_repair.svg": _fig_churn_repair(baselines),
         "tree_efficiency.svg": _fig_tree_efficiency(baselines),
-        "service_latency.svg": _fig_service_latency(baselines),
         "replay_engines.svg": _fig_replay_engines(baselines),
         "gantt_chain.svg": _fig_gantt("chain"),
         "gantt_spider.svg": _fig_gantt("spider"),

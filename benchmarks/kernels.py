@@ -1,48 +1,60 @@
-"""Tracked performance kernels, shared by the pytest benchmarks and the
-regression checker (``python -m benchmarks.check_regressions``).
+"""The gated benchmark families, declared once in :data:`FAMILIES`.
 
-Each kernel is a zero-argument callable returning a flat measurement dict
-(``seconds`` plus whatever operation counters make the number explainable).
-The *same* definitions produce the committed ``BENCH_spider.json`` baseline
-and the fresh run it is compared against, so the two are always
+A family is one committed ``BENCH_<name>.json`` plus the kernels that
+produce it; ``python -m benchmarks.check_regressions`` runs every row of
+the table the same way.  A row names its kernels, the workload constants
+its file records, its *timing fields* (wall clock and everything derived
+from it: never compared exactly) and its *claims*: floors checked on every
+fresh run, each written as (kernel, field, comparison, bound, reason).  A
+bound may be computed from the same kernel's output.
+
+Each kernel is a zero-argument callable returning a flat measurement dict:
+``seconds`` plus the counters that make the number explainable.  A kernel
+with per-row detail returns it under ``suite``, and the runner moves it to
+the file's top level.  The *same* definitions produce the committed
+baseline and the fresh run it is compared against, so the two are always
 commensurable.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.analysis.steady_state import spider_steady_state, tree_steady_state
 from repro.batch import BatchRunner, Scenario
 from repro.core.chain import schedule_chain, schedule_chain_deadline
-from repro.core.fork import (
-    AllocStats,
-    allocate_greedy,
-    expand_star,
-    fork_schedule,
-    fork_schedule_deadline,
-)
+from repro.core.fork import fork_schedule, fork_schedule_deadline
 from repro.core.solve_fast import spider_deadline
-from repro.core.spider import SpiderRunStats, spider_schedule, spider_schedule_deadline
+from repro.core.spider import spider_schedule, spider_schedule_deadline
 from repro.io.json_io import platform_to_dict
 from repro.platforms.chain import Chain
 from repro.platforms.star import Star
 from repro.platforms.generators import random_chain, random_star, random_tree
 from repro.platforms.spider import Spider
 from repro.solve import Problem, solve
+from repro.solve.repatch import REPATCH_TOLERANCE
 from repro.trees.heuristic import best_path_cover, tree_schedule_by_cover
 
-#: The acceptance-scale spider: 16 heterogeneous legs × 4 processors = 64.
-ACCEPTANCE_LEGS = 16
-ACCEPTANCE_LEG_DEPTH = 4
-ACCEPTANCE_N = 512
+
+class Claim(NamedTuple):
+    """A floor on one fresh field: ``fresh[kernel][field] <op> bound``."""
+
+    kernel: str
+    field: str
+    op: str  # "<", "<=", "==", ">=" or ">"
+    bound: Any  # a value, or a function of the kernel's fresh output
+    reason: str
 
 
-def acceptance_spider() -> Spider:
-    return Spider(
-        [random_chain(ACCEPTANCE_LEG_DEPTH, seed=100 + i) for i in range(ACCEPTANCE_LEGS)]
-    )
+class Family(NamedTuple):
+    """One ``BENCH_<name>.json`` and everything the runner needs for it."""
+
+    name: str
+    kernels: dict[str, Callable[[], dict]]
+    workload: dict
+    timing: frozenset[str] = frozenset()
+    claims: tuple[Claim, ...] = ()
 
 
 def _best_of(fn: Callable[[], dict], rounds: int) -> dict:
@@ -54,93 +66,6 @@ def _best_of(fn: Callable[[], dict], rounds: int) -> dict:
             best = m
     assert best is not None
     return best
-
-
-def kernel_spider_schedule_legacy() -> dict:
-    """The full warm-started makespan solve through the paper-literal
-    oracle (literal chain legs, rescanning greedy allocator).  Best-of-2:
-    it takes seconds per round."""
-
-    def once() -> dict:
-        spider = acceptance_spider()
-        stats = SpiderRunStats()
-        t0 = time.perf_counter()
-        sched = spider_schedule(spider, ACCEPTANCE_N, stats=stats)
-        seconds = time.perf_counter() - t0
-        return {
-            "seconds": seconds,
-            "makespan": sched.makespan,
-            "alloc_candidates": stats.alloc.candidates,
-            "alloc_structure_ops": stats.alloc.structure_ops,
-        }
-
-    return _best_of(once, 2)
-
-
-def kernel_spider_deadline_probe() -> dict:
-    """One run of the oracle's deadline pipeline at a tight horizon (no
-    warm caps)."""
-
-    def once() -> dict:
-        spider = acceptance_spider()
-        t_lim = spider.t_infinity(ACCEPTANCE_N)
-        stats = SpiderRunStats()
-        t0 = time.perf_counter()
-        res = spider_schedule_deadline(spider, t_lim, ACCEPTANCE_N, stats=stats)
-        seconds = time.perf_counter() - t0
-        return {
-            "seconds": seconds,
-            "n_tasks": res.n_tasks,
-            "fork_nodes": stats.fork_nodes,
-            "alloc_structure_ops": stats.alloc.structure_ops,
-        }
-
-    return _best_of(once, 3)
-
-
-def kernel_allocator_greedy() -> dict:
-    """Reference greedy on the same expansion (the quadratic witness)."""
-
-    def once() -> dict:
-        star = random_star(60, profile="volunteer", seed=83)
-        slaves = expand_star(star, 240)
-        stats = AllocStats()
-        t0 = time.perf_counter()
-        alloc = allocate_greedy(slaves, 240, stats=stats)
-        seconds = time.perf_counter() - t0
-        return {
-            "seconds": seconds,
-            "candidates": len(slaves),
-            "accepted": alloc.n_tasks,
-            "structure_ops": stats.structure_ops,
-        }
-
-    return _best_of(once, 3)
-
-
-def kernel_batch_deadline_sweep() -> dict:
-    """A 12-point warm deadline sweep on the acceptance spider through the
-    batch engine (serial: measures engine + warm-cap reuse, not the pool)."""
-
-    def once() -> dict:
-        spider = acceptance_spider()
-        pdict = platform_to_dict(spider)
-        hi = spider.t_infinity(128)
-        t_lims = [max(1, hi * (12 - i) // 12) for i in range(12)]
-        scenarios = [
-            Scenario(f"t{t}", pdict, "deadline", n=128, t_lim=t) for t in t_lims
-        ]
-        t0 = time.perf_counter()
-        results = BatchRunner(workers=1).run(scenarios)
-        seconds = time.perf_counter() - t0
-        assert all(r.ok for r in results)
-        return {
-            "seconds": seconds,
-            "scenarios": len(results),
-            "total_tasks": sum(r.n_tasks or 0 for r in results),
-        }
-
-    return _best_of(once, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +82,6 @@ TREE_SUITE_SIZE = 15
 TREE_SUITE_MIN_GAP = 0.15
 TREE_SUITE_FIRST_SEED = 300
 TREE_SUITE_N = 24
-
-#: the tree claim's floor on the suite's total tasks.  A time-indexed MILP
-#: proved 1,205 optimal (ROADMAP item 1); multi-round covering, the tree
-#: solver before the chain construction, placed 932.
-TREE_MIN_TASKS = 1190
-
 
 #: seed-scan bound: if gap-qualified trees ever become this rare the suite
 #: definition itself has drifted — fail fast instead of spinning forever.
@@ -223,20 +142,13 @@ def tree_suite_results() -> list[dict]:
     return rows
 
 
-#: per-tree rows of the kernel's most recent run — reused by the baseline
-#: writer so BENCH_tree.json's ``suite`` detail comes from the same run as
-#: the aggregate counters (and the suite isn't solved a third time).
-LAST_TREE_SUITE_ROWS: list[dict] = []
-
-
 def kernel_tree_suite() -> dict:
-    """The whole tree suite through the batch engine, aggregated."""
+    """The whole tree suite, aggregated, with the per-tree rows."""
 
     def once() -> dict:
         t0 = time.perf_counter()
         rows = tree_suite_results()
         seconds = time.perf_counter() - t0
-        LAST_TREE_SUITE_ROWS[:] = rows
         wins = sum(r["tree_tasks"] > r["single_tasks"] for r in rows)
         losses = sum(r["tree_tasks"] < r["single_tasks"] for r in rows)
         return {
@@ -257,30 +169,10 @@ def kernel_tree_suite() -> dict:
                 sum(r["tree_vs_bound"] for r in rows) / len(rows), 4
             ),
             "max_tree_vs_bound": max(r["tree_vs_bound"] for r in rows),
+            "suite": rows,
         }
 
     return _best_of(once, 2)
-
-
-#: name → kernel; ``legacy`` kernels are the slow reference paths — still
-#: tracked (a regression there hides correctness-witness rot) but the
-#: checker's ``--skip-legacy`` flag can drop them for quick local runs.
-KERNELS: dict[str, Callable[[], dict]] = {
-    "spider_schedule_legacy_16x4_n512": kernel_spider_schedule_legacy,
-    "spider_deadline_probe_16x4_n512": kernel_spider_deadline_probe,
-    "allocator_greedy_volunteer60": kernel_allocator_greedy,
-    "batch_deadline_sweep_16x4": kernel_batch_deadline_sweep,
-}
-
-LEGACY_KERNELS = {
-    "spider_schedule_legacy_16x4_n512",
-    "allocator_greedy_volunteer60",
-}
-
-#: tree kernels live in their own baseline file (``BENCH_tree.json``).
-TREE_KERNELS: dict[str, Callable[[], dict]] = {
-    "tree_suite": kernel_tree_suite,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +249,14 @@ def online_suite_results() -> list[dict]:
     return rows
 
 
-#: per-platform rows of the kernel's most recent run — reused by the
-#: baseline writer so BENCH_online.json's ``suite`` detail comes from the
-#: same run as the aggregate counters.
-LAST_ONLINE_SUITE_ROWS: list[dict] = []
-
-
 def kernel_online_regret_suite() -> dict:
-    """The whole online suite through the batch engine, aggregated."""
+    """The whole online suite through the batch engine, aggregated, with
+    the per-platform rows."""
 
     def once() -> dict:
         t0 = time.perf_counter()
         rows = online_suite_results()
         seconds = time.perf_counter() - t0
-        LAST_ONLINE_SUITE_ROWS[:] = rows
         out: dict = {
             "seconds": seconds,
             "platforms": len(rows),
@@ -382,15 +268,10 @@ def kernel_online_regret_suite() -> dict:
             out[f"{policy}_mean_ratio"] = round(
                 sum(r[f"{policy}_ratio"] for r in rows) / len(rows), 4
             )
+        out["suite"] = rows
         return out
 
     return _best_of(once, 2)
-
-
-#: online kernels live in their own baseline file (``BENCH_online.json``).
-ONLINE_KERNELS: dict[str, Callable[[], dict]] = {
-    "online_regret_suite": kernel_online_regret_suite,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +344,14 @@ def service_workload() -> list:
 
 
 def kernel_service_zipf() -> dict:
-    """The cached-service acceptance kernel: cold vs warm over the stream.
+    """The cached-service kernel: the zipf stream twice through one store.
 
-    ``median_speedup`` compares the median *miss* latency of the cold pass
-    (solve + replay-validate + store) against the median latency of the
-    all-hit warm pass (fingerprint + lookup + rebind) — the factor a
-    serving deployment gains once its store is primed."""
-    from statistics import median
-
+    The cold pass starts from an empty store (misses solve, replay-validate
+    and store; relabeled repeats already hit), the warm pass replays the
+    stream against the primed store.  The counters show the canonical
+    fingerprints at work.  Per-request latency is not measured here: this
+    is in-process ``cached_solve``, a sub-path of what ``repro serve`` does
+    per request, which perfbench's ``serve_hit``/``serve_miss`` time."""
     from repro.service.engine import cached_solve
     from repro.service.store import SolutionStore
 
@@ -478,61 +359,26 @@ def kernel_service_zipf() -> dict:
         problems = service_workload()
         store = SolutionStore(capacity=2 * SERVICE_POOL_SIZE)
         t0 = time.perf_counter()
-        cold_lat: list[float] = []
-        miss_lat: list[float] = []
-        cold_hits = 0
-        for problem in problems:
-            r0 = time.perf_counter()
-            outcome = cached_solve(problem, store)
-            lat = time.perf_counter() - r0
-            cold_lat.append(lat)
-            if outcome.cached:
-                cold_hits += 1
-            else:
-                miss_lat.append(lat)
-        warm_lat: list[float] = []
-        warm_hits = 0
-        for problem in problems:
-            r0 = time.perf_counter()
-            outcome = cached_solve(problem, store)
-            warm_lat.append(time.perf_counter() - r0)
-            if outcome.cached:
-                warm_hits += 1
+        cold = [cached_solve(problem, store).cached for problem in problems]
+        warm = [cached_solve(problem, store).cached for problem in problems]
         seconds = time.perf_counter() - t0
-        assert warm_hits == len(problems), "warm pass must be all hits"
-        cold_median = median(miss_lat)
-        warm_median = median(warm_lat)
         return {
             "seconds": seconds,
-            "requests": 2 * len(problems),
+            "requests": len(cold) + len(warm),
             "pool": SERVICE_POOL_SIZE,
-            "cold_hits": cold_hits,
-            "cold_misses": len(miss_lat),
-            "warm_hits": warm_hits,
+            "cold_hits": cold.count(True),
+            "cold_misses": cold.count(False),
+            "warm_hits": warm.count(True),
             "store_entries": len(store),
-            "cold_hit_rate": round(cold_hits / len(problems), 4),
-            "cold_median_ms": round(cold_median * 1e3, 3),
-            "warm_median_ms": round(warm_median * 1e3, 3),
-            "median_speedup": round(cold_median / warm_median, 2),
-            "throughput_rps": round(2 * len(problems) / seconds, 1),
+            "cold_hit_rate": round(cold.count(True) / len(cold), 4),
         }
 
     return _best_of(once, 2)
 
 
-#: service kernels live in their own baseline file (``BENCH_service.json``).
-SERVICE_KERNELS: dict[str, Callable[[], dict]] = {
-    "service_zipf_workload": kernel_service_zipf,
-}
-
-
 # ---------------------------------------------------------------------------
 # The replay acceptance workload: compiled linear-scan vs event executor
 # ---------------------------------------------------------------------------
-
-#: acceptance floor: the compiled kernel must validate the zipf workload's
-#: solutions at least this many times faster (median) than the executor.
-REPLAY_MIN_SPEEDUP = 10.0
 
 #: repeats per solution when timing one validation (min taken — validation
 #: is deterministic, so the minimum is the least-noisy estimator).
@@ -617,69 +463,9 @@ def kernel_replay_zipf() -> dict:
     return _best_of(once, 2)
 
 
-def kernel_adapter_route_memo() -> dict:
-    """Micro-bench for the adapter route memos: ``route_cost`` /
-    ``route_nodes`` over every processor of a deep spider, the access
-    pattern of the online policies' sort keys and the fault model's
-    downstream sets.  ``cold`` rebuilds the adapter every sweep (the
-    pre-memo cost), ``warm`` reuses one adapter (the memoized cost)."""
-    from repro.core.schedule import adapter_for
-    from repro.platforms.generators import random_spider
-
-    spider = random_spider(12, 8, seed=7)
-    sweeps = 40
-
-    def sweep(adapter) -> int:
-        total = 0
-        for proc in adapter.processors():
-            adapter.route_cost(proc)
-            total += len(adapter.route_nodes(proc))
-        return total
-
-    def once() -> dict:
-        t0 = time.perf_counter()
-        nodes = 0
-        for _ in range(sweeps):
-            nodes = sweep(adapter_for(spider))  # fresh adapter: all misses
-        cold = time.perf_counter() - t0
-        adapter = adapter_for(spider)
-        sweep(adapter)  # prime the memo
-        t0 = time.perf_counter()
-        for _ in range(sweeps):
-            sweep(adapter)
-        warm = time.perf_counter() - t0
-        return {
-            "seconds": cold + warm,
-            "procs": len(adapter.processors()),
-            "sweeps": sweeps,
-            "route_nodes_total": nodes,
-            "memo_cold_ms": round(cold * 1e3, 3),
-            "memo_warm_ms": round(warm * 1e3, 3),
-            "memo_speedup": round(cold / warm, 2),
-        }
-
-    return _best_of(once, 3)
-
-
-#: replay kernels live in their own baseline file (``BENCH_replay.json``).
-REPLAY_KERNELS: dict[str, Callable[[], dict]] = {
-    "replay_zipf_validation": kernel_replay_zipf,
-    "adapter_route_memo": kernel_adapter_route_memo,
-}
-
-
 # ---------------------------------------------------------------------------
 # The churn acceptance workload: incremental repatch vs cold re-solve
 # ---------------------------------------------------------------------------
-
-#: acceptance floor: the repaired schedule must *complete* earlier than
-#: the clairvoyant cold re-solve (median regret < 1 over episodes) —
-#: repair's durable advantage is keeping committed work, measured in
-#: completion time.  (The original gate also floored repair's *planning*
-#: latency at 3× the cold re-solve's; the array-first solve kernels made
-#: cold planning ~30× cheaper and flipped that race, so planning
-#: latencies are now reported informationally rather than gated.)
-CHURN_MAX_MEDIAN_REGRET = 1.0
 
 #: episodes (seeded platforms × a fixed churn mix) in the workload.
 CHURN_EPISODES = 6
@@ -735,18 +521,15 @@ def kernel_churn_repair() -> dict:
     in-flight work for free); the gate requires the median below 1 —
     repair must finish earlier than a restart — and bounds the max by the
     repatch tolerance.  Planning latencies are reported per strategy but
-    no longer floored (see ``CHURN_MAX_MEDIAN_REGRET``).
+    not floored: the array-first solve kernels made cold planning ~30×
+    cheaper and flipped that race, so completion time is the durable
+    advantage.
     """
     from statistics import median
 
     from repro.sim.churn import apply_churn
     from repro.sim.replay_fast import verify_schedule
-    from repro.solve import Problem, solve
-    from repro.solve.repatch import (
-        REPATCH_TOLERANCE,
-        cold_resolve,
-        repatch_schedule,
-    )
+    from repro.solve.repatch import cold_resolve, repatch_schedule
 
     def once() -> dict:
         episodes = churn_workload()
@@ -814,24 +597,9 @@ def kernel_churn_repair() -> dict:
     return _best_of(once, 2)
 
 
-#: churn kernels live in their own baseline file (``BENCH_churn.json``).
-CHURN_KERNELS: dict[str, Callable[[], dict]] = {
-    "churn_repair_vs_resolve": kernel_churn_repair,
-}
-
-
 # ---------------------------------------------------------------------------
 # The solve acceptance workload: the array kernels vs the paper-literal oracle
 # ---------------------------------------------------------------------------
-
-#: acceptance floor: the kernels must answer the batch workload at least
-#: this many times faster (median per problem) than the oracle.
-SOLVE_MIN_SPEEDUP = 10.0
-
-#: acceptance floor for cold caches (what a service miss pays: a new
-#: platform builds its chain sequences and cores from scratch): on *every*
-#: problem the cold kernel must beat the oracle by this factor.
-SOLVE_MIN_COLD_SPEEDUP = 1.4
 
 #: problems per platform shape in the workload.  The scale (512 tasks on
 #: ~10-processor platforms) is the regime the batch engine targets; the
@@ -987,10 +755,45 @@ def kernel_solve_batch() -> dict:
     return _best_of(once, 2)
 
 
-#: solve kernels live in their own baseline file (``BENCH_solve.json``).
-SOLVE_KERNELS: dict[str, Callable[[], dict]] = {
-    "solve_batch_engines": kernel_solve_batch,
-}
+#: The deadline-sweep spider: 16 heterogeneous legs × 4 processors = 64,
+#: asked for the most tasks under ``SWEEP_POINTS`` descending deadlines.
+SWEEP_LEGS = 16
+SWEEP_LEG_DEPTH = 4
+SWEEP_N = 128
+SWEEP_POINTS = 12
+
+
+def acceptance_spider() -> Spider:
+    return Spider(
+        [random_chain(SWEEP_LEG_DEPTH, seed=100 + i) for i in range(SWEEP_LEGS)]
+    )
+
+
+def kernel_batch_deadline_sweep() -> dict:
+    """A warm deadline sweep on the acceptance spider through the batch
+    engine (serial: measures engine + warm-cap reuse, not the pool)."""
+
+    def once() -> dict:
+        spider = acceptance_spider()
+        pdict = platform_to_dict(spider)
+        hi = spider.t_infinity(SWEEP_N)
+        t_lims = [max(1, hi * (SWEEP_POINTS - i) // SWEEP_POINTS)
+                  for i in range(SWEEP_POINTS)]
+        scenarios = [
+            Scenario(f"t{t}", pdict, "deadline", n=SWEEP_N, t_lim=t)
+            for t in t_lims
+        ]
+        t0 = time.perf_counter()
+        results = BatchRunner(workers=1).run(scenarios)
+        seconds = time.perf_counter() - t0
+        assert all(r.ok for r in results)
+        return {
+            "seconds": seconds,
+            "scenarios": len(results),
+            "total_tasks": sum(r.n_tasks or 0 for r in results),
+        }
+
+    return _best_of(once, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1196,7 +999,7 @@ def kernel_shard_saturation() -> dict:
     speedup = at8["zipf_rps"] / measured["serial_zipf_rps"]
     return {
         "seconds": round(seconds, 3),
-        "workers": list(SHARD_WORKERS),
+        "workers": [p["workers"] for p in measured["points"]],
         "requests_per_workload": SHARD_REQUESTS,
         "pool": SERVICE_POOL_SIZE,
         "n": SERVICE_N,
@@ -1247,8 +1050,259 @@ def kernel_shard_chaos() -> dict:
     }
 
 
-#: shard kernels live in their own baseline file (``BENCH_shard.json``).
-SHARD_KERNELS: dict[str, Callable[[], dict]] = {
-    "shard_saturation": kernel_shard_saturation,
-    "shard_chaos": kernel_shard_chaos,
-}
+# ---------------------------------------------------------------------------
+# The observability budget: the price of the obs layer itself
+# ---------------------------------------------------------------------------
+
+#: arm samples per side, and workload passes per sample.  Medians over many
+#: interleaved samples damp scheduler noise.
+OBS_REPEATS = 31
+OBS_ROUNDS = 40
+OBS_N = 64
+
+
+def kernel_obs_overhead() -> dict:
+    """The obs registry counts every kernel-cache event on the compiled
+    solve+replay hot path, and the span hooks sit inline in dispatch.  This
+    times that loop twice: metrics enabled (tracing off, the production
+    default) vs every mutation no-op'd via
+    ``repro.obs.metrics.set_enabled(False)``.  The loop reuses warm caches,
+    so the counter increments are the dominant instrumentation cost being
+    priced, not compile time."""
+    from statistics import median
+
+    from repro.obs import metrics, tracing
+
+    problems = [
+        Problem(Chain([2, 3, 2], [3, 5, 4]), "makespan", n=OBS_N),
+        Problem(Spider([Chain([2, 3], [3, 5]), Chain([1], [4]),
+                        Chain([2, 2], [2, 6])]), "makespan", n=OBS_N),
+    ]
+
+    def run() -> None:
+        for problem in problems:
+            solve(problem).validate()  # compiled solve + compiled replay
+
+    def sample_ms() -> float:
+        t0 = time.perf_counter()
+        for _ in range(OBS_ROUNDS):
+            run()
+        return (time.perf_counter() - t0) * 1000.0
+
+    assert not tracing.tracing_enabled(), (
+        "overhead bound is defined with tracing off (the default); "
+        "unset REPRO_TRACE for this benchmark"
+    )
+    t0 = time.perf_counter()
+    run()  # warm every cache before timing either arm
+    # interleave the arms sample-by-sample (alternating order inside each
+    # pair) so machine drift — thermal, page cache, a background task —
+    # lands on both equally instead of biasing whichever arm ran later
+    samples: dict[bool, list[float]] = {True: [], False: []}
+    for i in range(OBS_REPEATS):
+        for enabled in ((True, False) if i % 2 else (False, True)):
+            prev = metrics.set_enabled(enabled)
+            try:
+                samples[enabled].append(sample_ms())
+            finally:
+                metrics.set_enabled(prev)
+    seconds = time.perf_counter() - t0
+    enabled_ms, disabled_ms = median(samples[True]), median(samples[False])
+    return {
+        "seconds": seconds,
+        "enabled_ms": round(enabled_ms, 3),
+        "disabled_ms": round(disabled_ms, 3),
+        "overhead": round(enabled_ms / disabled_ms, 4),
+        "repeats": OBS_REPEATS,
+        "rounds": OBS_ROUNDS,
+    }
+
+
+# ---------------------------------------------------------------------------
+# The family table
+# ---------------------------------------------------------------------------
+
+FAMILIES: tuple[Family, ...] = (
+    Family(
+        "tree",
+        kernels={"tree_suite": kernel_tree_suite},
+        workload={
+            "trees": TREE_SUITE_SIZE,
+            "min_capacity_gap": TREE_SUITE_MIN_GAP,
+            "first_seed": TREE_SUITE_FIRST_SEED,
+            "n": TREE_SUITE_N,
+        },
+        claims=(
+            Claim("tree_suite", "losses", "==", 0,
+                  "the tree solver never places fewer tasks than the "
+                  "single cover on a tree"),
+            # a time-indexed MILP proved 1,205 optimal (ROADMAP item 1);
+            # multi-round covering, the solver before the chain
+            # construction, placed 932
+            Claim("tree_suite", "tree_tasks", ">=", 1190,
+                  "tasks placed over the suite"),
+            Claim("tree_suite", "max_tree_vs_bound", "<=", 1.05,
+                  "the steady-state bound is an upper bound, up to a "
+                  "start-up term; above it the bound or the count is wrong"),
+        ),
+    ),
+    Family(
+        "online",
+        kernels={"online_regret_suite": kernel_online_regret_suite},
+        workload={
+            "n": ONLINE_SUITE_N,
+            "profiles": list(ONLINE_SUITE_PROFILES),
+            "policies": list(ONLINE_SUITE_POLICIES),
+        },
+    ),
+    Family(
+        "service",
+        kernels={"service_zipf_workload": kernel_service_zipf},
+        workload={
+            "pool": SERVICE_POOL_SIZE,
+            "requests": SERVICE_REQUESTS,
+            "n": SERVICE_N,
+            "zipf_seed": SERVICE_SEED,
+        },
+        claims=(
+            Claim("service_zipf_workload", "warm_hits", "==",
+                  lambda k: k["requests"] // 2,
+                  "the primed store serves every warm request"),
+            Claim("service_zipf_workload", "cold_misses", "<=",
+                  lambda k: k["pool"],
+                  "each cold miss is a distinct fingerprint: relabeled "
+                  "repeats never miss"),
+            Claim("service_zipf_workload", "cold_hits", "==",
+                  lambda k: k["requests"] // 2 - k["cold_misses"],
+                  "the cold pass's hits and misses add up to its requests"),
+        ),
+    ),
+    Family(
+        "replay",
+        kernels={"replay_zipf_validation": kernel_replay_zipf},
+        workload={
+            "pool": SERVICE_POOL_SIZE,
+            "n": SERVICE_N,
+            "zipf_seed": SERVICE_SEED,
+            "timing_rounds": REPLAY_TIMING_ROUNDS,
+        },
+        timing=frozenset({"event_median_ms", "compiled_median_ms",
+                          "median_speedup", "min_speedup"}),
+        claims=(
+            Claim("replay_zipf_validation", "median_speedup", ">=", 10.0,
+                  "the compiled kernel validates >= 10x faster than the "
+                  "event executor (median per solution)"),
+            Claim("replay_zipf_validation", "compile_core_misses", "==",
+                  lambda k: k["platforms"],
+                  "every isomorphism class compiles exactly once"),
+        ),
+    ),
+    Family(
+        "churn",
+        kernels={"churn_repair_vs_resolve": kernel_churn_repair},
+        workload={
+            "episodes": CHURN_EPISODES,
+            "legs": CHURN_LEGS,
+            "leg_depth": CHURN_LEG_DEPTH,
+            "n": CHURN_N,
+            "timing_rounds": CHURN_TIMING_ROUNDS,
+        },
+        timing=frozenset({"repair_median_ms", "resolve_median_ms",
+                          "median_speedup", "min_speedup"}),
+        claims=(
+            Claim("churn_repair_vs_resolve", "median_regret", "<", 1.0,
+                  "the repaired schedule completes earlier than the "
+                  "clairvoyant cold re-solve (median over episodes)"),
+            Claim("churn_repair_vs_resolve", "max_regret", "<=",
+                  REPATCH_TOLERANCE, "the repatch regret tolerance"),
+        ),
+    ),
+    Family(
+        "solve",
+        kernels={
+            "solve_batch_engines": kernel_solve_batch,
+            "batch_deadline_sweep_16x4": kernel_batch_deadline_sweep,
+        },
+        workload={
+            "platforms_per_shape": SOLVE_PLATFORMS,
+            "n": SOLVE_N,
+            "chain_depth": SOLVE_CHAIN_DEPTH,
+            "star_children": SOLVE_STAR_CHILDREN,
+            "spider_legs": SOLVE_SPIDER_LEGS,
+            "spider_depth": SOLVE_SPIDER_DEPTH,
+            "timing_rounds": SOLVE_TIMING_ROUNDS,
+            "sweep_legs": SWEEP_LEGS,
+            "sweep_leg_depth": SWEEP_LEG_DEPTH,
+            "sweep_n": SWEEP_N,
+            "sweep_points": SWEEP_POINTS,
+        },
+        timing=frozenset({"object_median_ms", "compiled_median_ms",
+                          "median_speedup", "min_speedup", "cold_median_ms",
+                          "min_cold_speedup"}),
+        claims=(
+            Claim("solve_batch_engines", "median_speedup", ">=", 10.0,
+                  "with warm caches the kernels answer >= 10x faster than "
+                  "the paper-literal oracle (median per problem)"),
+            Claim("solve_batch_engines", "min_cold_speedup", ">=", 1.4,
+                  "with cold caches (a service miss: a new platform builds "
+                  "its chain sequences and cores) the kernels beat the "
+                  "oracle on every problem"),
+            Claim("solve_batch_engines", "kernel_fallbacks", "==", 0,
+                  "the workload runs entirely on the kernels; a fallback "
+                  "would time the oracle against itself"),
+        ),
+    ),
+    Family(
+        "shard",
+        kernels={
+            "shard_saturation": kernel_shard_saturation,
+            "shard_chaos": kernel_shard_chaos,
+        },
+        workload={
+            "workers": list(SHARD_WORKERS),
+            "requests_per_workload": SHARD_REQUESTS,
+            "pool": SERVICE_POOL_SIZE,
+            "n": SERVICE_N,
+            "seed": SHARD_SEED,
+            "chaos_shards": SHARD_CHAOS_SHARDS,
+            "min_kills": SHARD_MIN_KILLS,
+            "max_speedup_floor": SHARD_MIN_SPEEDUP,
+        },
+        # saturation points and chaos tallies depend on scheduling (how
+        # many kills landed mid-solve, how many requests the clients
+        # pushed through); the contract fields stay exact
+        timing=frozenset({
+            "usable_cores", "speedup_floor", "serial_zipf_rps",
+            "zipf_rps_at_8", "speedup_vs_serial", "points", "kills",
+            "chaos_requests", "ok_answers", "retriable_errors", "hangs",
+            "slows", "garbles", "redispatched", "shed", "unavailable_errors",
+            "timeouts_seen", "restarts", "garbled_frames",
+        }),
+        claims=(
+            Claim("shard_saturation", "speedup_vs_serial", ">=",
+                  lambda k: shard_speedup_floor(k["usable_cores"]),
+                  "8-worker zipf throughput over serial, floored by the "
+                  "usable cores"),
+            Claim("shard_saturation", "all_ok", "==", True,
+                  "the saturation run loses no request"),
+            Claim("shard_saturation", "workers", "==", list(SHARD_WORKERS),
+                  "the saturation curve covers every fleet size"),
+            Claim("shard_chaos", "violations", "==", 0,
+                  "every accepted request gets one replay-valid answer or "
+                  "an explicit retriable error"),
+            Claim("shard_chaos", "kills", ">=", SHARD_MIN_KILLS,
+                  "enough worker kills landed to test the contract"),
+        ),
+    ),
+    Family(
+        "obs",
+        kernels={"obs_overhead": kernel_obs_overhead},
+        workload={"repeats": OBS_REPEATS, "rounds": OBS_ROUNDS, "n": OBS_N},
+        timing=frozenset({"enabled_ms", "disabled_ms", "overhead"}),
+        claims=(
+            Claim("obs_overhead", "overhead", "<", 1.03,
+                  "metrics cost < 3% on the compiled solve+replay path "
+                  "(enabled/disabled median)"),
+        ),
+    ),
+)

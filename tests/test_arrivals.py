@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.steady_state import spider_steady_state
 from repro.core.feasibility import check
 from repro.core.types import ScheduleError
 from repro.platforms.chain import Chain
@@ -32,6 +33,12 @@ class TestArrivals:
         )
         assert bursty.makespan > immediate.makespan
         assert bursty.trace.tasks_completed() == 8
+        # a burst at t=30 on the SETI-like spider ends at least half an
+        # all-at-zero run after its release
+        sp = seti_like_spider()
+        base = simulate_online(sp, 24, "bandwidth_centric").makespan
+        late = simulate_online(sp, 24, "bandwidth_centric", arrivals=[30] * 24)
+        assert late.makespan >= 30 + 0.5 * base
 
     def test_steady_drip_feasible_on_spider(self):
         sp = seti_like_spider()
@@ -39,6 +46,15 @@ class TestArrivals:
         res = simulate_online(sp, 12, "bandwidth_centric", arrivals=arrivals)
         assert res.trace.tasks_completed() == 12
         assert check(res.schedule) == []
+        # releases never help, and a drip at the platform's own cadence
+        # keeps the port busy: it costs less than 2.2x all-at-zero
+        base = simulate_online(sp, 24, "bandwidth_centric").makespan
+        cadence = float(1 / spider_steady_state(sp).throughput)
+        for arrivals in ([int(i * cadence) for i in range(24)],
+                         [0] * 12 + [20] * 12):
+            res = simulate_online(sp, 24, "bandwidth_centric", arrivals)
+            assert check(res.schedule) == []
+            assert base <= res.makespan <= 2.2 * base
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ScheduleError):

@@ -1,5 +1,8 @@
 """Tests for ASAP semantics, the exhaustive search and forward heuristics."""
 
+import random
+import statistics
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,9 @@ from repro.baselines.heuristics import (
 from repro.core.chain import chain_makespan
 from repro.core.feasibility import check, is_feasible
 from repro.core.schedule import adapter_for
+from repro.core.spider import spider_makespan
 from repro.platforms.chain import Chain
+from repro.platforms.generators import random_chain, random_spider
 from repro.platforms.spider import Spider
 from repro.platforms.star import Star
 
@@ -130,6 +135,40 @@ class TestHeuristics:
         opt = chain_makespan(ch, n)
         for heuristic in ALL_HEURISTICS.values():
             assert heuristic(ch, n).makespan >= opt
+
+    @pytest.mark.parametrize("family", ["balanced-chains", "volunteer-spiders"])
+    def test_heuristics_lose_to_the_optimum_somewhere(self, family):
+        """On a seeded sweep no heuristic beats the optimum and some lose
+        to it: on chains by > 1% in the mean, with forward list scheduling
+        losing somewhere; on heterogeneous spiders speed-blind round robin
+        loses more than greedy-makespan."""
+        if family == "balanced-chains":
+            rng, optimal = random.Random(71), chain_makespan
+
+            def make(rng):
+                return random_chain(rng.randint(2, 5), profile="balanced",
+                                    rng=rng)
+        else:
+            rng, optimal = random.Random(72), spider_makespan
+
+            def make(rng):
+                return random_spider(rng.randint(2, 4), 2,
+                                     profile="volunteer", rng=rng)
+        ratios = {name: [] for name in ALL_HEURISTICS}
+        for _ in range(12):
+            platform = make(rng)
+            opt = optimal(platform, 12)
+            for name, heuristic in ALL_HEURISTICS.items():
+                mk = heuristic(platform, 12).makespan
+                assert mk >= opt
+                ratios[name].append(mk / opt)
+        means = {name: statistics.mean(r) for name, r in ratios.items()}
+        if family == "balanced-chains":
+            assert max(means.values()) > 1.01
+            # forward list scheduling loses somewhere too
+            assert max(ratios["greedy_makespan"]) > 1
+        else:
+            assert means["round_robin"] > means["greedy_makespan"]
 
     def test_master_only_uses_one_processor(self):
         ch = Chain(c=(2, 3), w=(3, 5))

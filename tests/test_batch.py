@@ -84,6 +84,16 @@ class TestRunnerCorrectness:
         assert sp_r.makespan == spider_makespan(sp, 7)
         assert ch_r.makespan == chain_makespan(ch, 7)
         assert spd_r.n_tasks == spider_schedule_deadline(sp, 25).n_tasks
+        # a capacity ladder: one scenario per n on one 16-processor chain
+        ladder = random_chain(16, seed=11)
+        ns = [64, 128, 256, 512]
+        results = run_batch([
+            Scenario(f"n{n}", platform_to_dict(ladder), "makespan", n=n)
+            for n in ns
+        ])
+        assert [r.makespan for r in results] == [
+            chain_makespan(ladder, n) for n in ns
+        ]
 
     @given(spiders(max_legs=3, max_depth=2), st.lists(st.integers(0, 30),
                                                       min_size=1, max_size=6))
@@ -122,6 +132,11 @@ class TestRunnerCorrectness:
         mk, dl = run_batch(scs)
         assert mk.ok and mk.n_tasks == 6
         assert dl.ok and dl.makespan <= 15
+        # volunteer scale: 60 children, a deadline that fits real work
+        wide = random_star(60, profile="volunteer", seed=83)
+        (vol,) = run_batch([Scenario("vol", platform_to_dict(wide),
+                                     "deadline", t_lim=120)])
+        assert vol.ok and vol.n_tasks > 20
 
     def test_bad_scenario_does_not_sink_batch(self):
         pdict = _spider_dict()

@@ -16,14 +16,16 @@ from repro.analysis.profiles import (
     makespan_profile,
     verify_staircase_duality,
 )
-from repro.analysis.steady_state import chain_steady_state
+from repro.analysis.steady_state import chain_steady_state, spider_steady_state
 from repro.core.chain import chain_makespan
 from repro.core.fork import fork_schedule
 from repro.core.spider import spider_makespan
 from repro.core.types import PlatformError
 from repro.platforms.chain import Chain
+from repro.platforms.generators import random_chain, random_spider
 from repro.platforms.presets import paper_fig2_chain, paper_fig5_spider
 from repro.platforms.star import Star
+from repro.solve import Problem, solve
 
 from conftest import chains, spiders, stars
 
@@ -71,6 +73,14 @@ class TestLowerBounds:
         lb = makespan_lower_bound(sp, n)
         assert lb <= mk
         assert mk <= 1.2 * lb  # the algorithm lands close to the bound
+        # and the sandwich tightens with n on random platforms too
+        cases = [(random_chain(5, seed=s), 2000, 1.05) for s in range(4)]
+        cases += [(random_spider(3, 2, seed=s), 500, 1.1) for s in range(3)]
+        cases.append((Star([(1, 4), (2, 3), (1, 6)]), 256, 1.05))
+        for platform, n, slack in cases:
+            mk = solve(Problem(platform, "makespan", n=n)).makespan
+            lb = makespan_lower_bound(platform, n)
+            assert lb <= mk <= slack * lb, (platform, n, mk / lb)
 
 
 class TestStaircaseProfiles:
@@ -93,6 +103,11 @@ class TestStaircaseProfiles:
         thr = chain_steady_state(fig2_chain).throughput
         # tail marginal cost equals the steady-state cadence 1/throughput = 2
         assert costs[-1] == 1 / thr
+        # a spider's saturated tail pays between one and two cadences
+        spider = paper_fig5_spider()
+        tail = makespan_profile(spider, 25).marginal_costs()[-1]
+        cadence = 1 / spider_steady_state(spider).throughput
+        assert cadence <= tail <= 2 * cadence
 
     def test_out_of_range(self, fig2_chain):
         profile = makespan_profile(fig2_chain, 3)

@@ -44,6 +44,12 @@ class TestFailureInjection:
         clean = simulate_with_failures(star, 12, [])
         faulty = simulate_with_failures(star, 12, [WorkerFailure(2, 1)])
         assert faulty.makespan >= clean.makespan
+        # losing a fast cluster node of the SETI-like spider hurts too
+        sp = seti_like_spider()
+        clean = simulate_with_failures(sp, 25, [])
+        faulty = simulate_with_failures(sp, 25, [WorkerFailure(6, (1, 2))])
+        assert faulty.completed == 25
+        assert faulty.makespan >= clean.makespan
 
     def test_relay_failure_kills_subtree(self):
         # a chain: killing proc 1 strands proc 2 as well
@@ -71,6 +77,12 @@ class TestFailureInjection:
         res = simulate_with_failures(sp, 20, failures)
         assert res.completed == 20
         assert res.reissues >= 0
+        assert_trace_exclusive(res.trace)
+        # rolling churn of three hosts forces at least one reissue
+        rolling = [WorkerFailure(4, (3, 1)), WorkerFailure(9, (5, 1)),
+                   WorkerFailure(14, (6, 1))]
+        res = simulate_with_failures(sp, 25, rolling)
+        assert res.completed == 25 and res.reissues >= 1
         assert_trace_exclusive(res.trace)
 
     def test_failure_after_completion_is_noop(self):

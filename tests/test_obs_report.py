@@ -40,8 +40,8 @@ FIXTURE_SNAPSHOT = {
 class TestDashboard:
     def test_loads_all_eight_committed_families(self):
         assert sorted(load_baselines(BENCH_DIR)) == [
-            "churn", "online", "replay", "service", "shard", "solve",
-            "spider", "tree",
+            "churn", "obs", "online", "replay", "service", "shard", "solve",
+            "tree",
         ]
 
     def test_byte_stable_across_two_builds(self):
@@ -119,7 +119,7 @@ class TestFigures:
         assert names == [
             "churn_repair.svg", "gantt_chain.svg", "gantt_spider.svg",
             "kernel_seconds.svg", "online_regret.svg", "replay_engines.svg",
-            "service_latency.svg", "speedups.svg", "tree_efficiency.svg",
+            "speedups.svg", "tree_efficiency.svg",
         ]
         for path in written:
             body = path.read_text()
@@ -142,4 +142,4 @@ class TestFigures:
         assert main(["--bench-dir", str(BENCH_DIR),
                      "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert out.count("wrote ") == 9
+        assert out.count("wrote ") == 8

@@ -110,6 +110,15 @@ class TestSpiderCover:
         best = best_path_cover(t)
         deep = greedy_depth_cover(t)
         assert len(deep.legs[0]) >= len(best.legs[0])
+        # on random trees the throughput-scored cover almost never loses
+        rng = random.Random(122)
+        losses = 0
+        for _ in range(8):
+            tree = random_tree(rng.randint(5, 9), rng=rng)
+            by_throughput = tree_schedule_by_cover(tree, 24, best_path_cover(tree))
+            by_depth = tree_schedule_by_cover(tree, 24, greedy_depth_cover(tree))
+            losses += by_throughput.makespan > by_depth.makespan
+        assert losses <= 1
 
     def test_uncovered_nodes(self):
         cover = best_path_cover(self.y_tree())
