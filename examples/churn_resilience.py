@@ -12,11 +12,9 @@ Run:  python examples/churn_resilience.py
 
 from repro.analysis.metrics import format_table
 from repro.platforms.presets import seti_like_spider
-from repro.sim.faults import (
-    WorkerFailure,
-    assert_trace_exclusive,
-    simulate_with_failures,
-)
+from repro.sim.churn import ProcessorLeave
+from repro.sim.online import simulate_online
+from repro.sim.trace import assert_trace_exclusive
 
 N_TASKS = 30
 spider = seti_like_spider()
@@ -25,19 +23,19 @@ print(f"platform: {spider.arity} legs, {spider.total_processors} hosts; "
 
 scenarios = {
     "no failures": [],
-    "slow volunteer dies (t=6)": [WorkerFailure(6, (4, 1))],
-    "cluster node dies (t=6)": [WorkerFailure(6, (1, 2))],
+    "slow volunteer dies (t=6)": [ProcessorLeave(6, (4, 1))],
+    "cluster node dies (t=6)": [ProcessorLeave(6, (1, 2))],
     "rolling churn, 3 hosts": [
-        WorkerFailure(4, (3, 1)),
-        WorkerFailure(9, (5, 1)),
-        WorkerFailure(14, (6, 1)),
+        ProcessorLeave(4, (3, 1)),
+        ProcessorLeave(9, (5, 1)),
+        ProcessorLeave(14, (6, 1)),
     ],
 }
 
 rows = []
 clean = None
 for label, failures in scenarios.items():
-    result = simulate_with_failures(spider, N_TASKS, failures)
+    result = simulate_online(spider, N_TASKS, churn=failures)
     assert_trace_exclusive(result.trace)   # exclusivity holds through churn
     if clean is None:
         clean = result.makespan

@@ -9,14 +9,14 @@ through :class:`BatchRunner`, which
   reuses warm state (monotone per-leg caps) across a sorted deadline sweep,
 * dispatches every scenario through the solver registry — offline kinds to
   the platform's solver, ``kind:"online"`` to the registered online solver
-  (policies and fault specs ride in ``Scenario.options``),
+  (policies, release times, failures and churn ride in ``Scenario.options``),
 * optionally replay-validates every answer through the discrete-event
   simulator (``validate=True`` / ``repro batch --validate``),
 * fans the groups over ``concurrent.futures`` workers (or runs them inline
   for ``workers <= 1``), and
 * returns structured :class:`ScenarioResult` rows that serialise to JSON —
-  the same rows the benchmark harness records in ``BENCH_spider.json``,
-  ``BENCH_tree.json`` and ``BENCH_online.json``.
+  the same rows the benchmark harness runs for ``BENCH_solve.json``'s
+  deadline sweep and ``BENCH_online.json``'s policy suite.
 """
 
 from .scenarios import (

@@ -161,6 +161,13 @@ def _parse_proc(text: str):
     )
 
 
+def _parse_leave(spec: str) -> dict:
+    """``T@PROC`` (``repatch --leave``, ``failures --kill``) as a leave event."""
+    time_part, proc_part = spec.split("@", 1)
+    return {"op": "leave", "time": _parse_time(time_part),
+            "processor": _parse_proc(proc_part)}
+
+
 def _parse_churn_args(args) -> list[dict]:
     """The ``--leave/--join/--drift`` specs as churn event dicts."""
 
@@ -168,11 +175,7 @@ def _parse_churn_args(args) -> list[dict]:
         tok = tok.strip()
         return int(tok) if tok.lstrip("-").isdigit() else float(tok)
 
-    events: list[dict] = []
-    for spec in args.leave:
-        time_part, proc_part = spec.split("@", 1)
-        events.append({"op": "leave", "time": _parse_time(time_part),
-                       "processor": _parse_proc(proc_part)})
+    events: list[dict] = [_parse_leave(spec) for spec in args.leave]
     for spec in args.join:
         time_part, body = spec.split("@", 1)
         event: dict = {"op": "join", "time": _parse_time(time_part)}
@@ -587,18 +590,10 @@ def _run(args) -> int:
 
     if args.command == "failures":
         platform = _platform_from_args(args)
-        failures = []
-        for spec in args.kill:
-            time_part, proc_part = spec.split("@", 1)
-            proc = (
-                [int(x) for x in proc_part.split(",")]
-                if "," in proc_part
-                else int(proc_part)
-            )
-            failures.append({"time": int(time_part), "processor": proc})
+        failures = [_parse_leave(spec) for spec in args.kill]
         sol = solve(Problem(platform, "makespan", n=args.n, mode="online",
                             options={"policy": args.policy,
-                                     "failures": failures}))
+                                     "churn": failures}))
         sol.validate()  # trace-only answers: re-check resource exclusivity
         if failures:
             print(f"policy: {sol.extra['policy']}   failures: {len(failures)}")

@@ -31,8 +31,8 @@ addable; percentiles are bucketed estimates (upper edge of the bucket the
 rank falls in), which is what makes them mergeable at all.
 
 ``set_enabled(False)`` turns every mutation into a no-op — the switch the
-overhead microbench (``benchmarks/bench_obs.py``) uses to price the
-instrumentation itself.
+overhead benchmark (``python -m benchmarks.check_regressions --family
+obs``) uses to price the instrumentation itself.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ their own chain).
 Tracing is **off by default** and the disabled path is a single module
 flag check returning a shared no-op context manager — the compiled
 solve+replay path must stay within the < 3 % instrumentation budget
-(``benchmarks/bench_obs.py`` enforces it).  Enable with
-:func:`set_tracing` or the ``REPRO_TRACE=1`` environment variable.
+(``python -m benchmarks.check_regressions --family obs`` enforces it).
+Enable with :func:`set_tracing` or the ``REPRO_TRACE=1`` environment
+variable.
 
 Finished spans land in a bounded in-memory buffer (oldest dropped past
 :data:`SPAN_CAPACITY`); :func:`export_spans` writes them as JSON lines.

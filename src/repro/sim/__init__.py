@@ -6,8 +6,12 @@
 * :mod:`repro.sim.replay_fast` — the compiled linear-scan replay kernel
   (default validation path; bit-identical traces, ~10x faster);
 * :mod:`repro.sim.online` — demand-driven / round-robin online policies
-  (the SETI@home-style operation the paper's introduction motivates);
-* :mod:`repro.sim.trace` — traces, utilisation, trace→schedule round-trip.
+  (the SETI@home-style operation the paper's introduction motivates), run
+  by one event loop with optional release times and churn;
+* :mod:`repro.sim.churn` — the timed leave / join / drift event model
+  (a fail-stop failure is a leave);
+* :mod:`repro.sim.trace` — traces, utilisation, trace→schedule round-trip,
+  exclusivity checks on trace-only runs.
 """
 
 from .engine import Simulator
@@ -31,19 +35,10 @@ from .online import (
     policy_round_robin,
     simulate_online,
 )
-from .trace import Trace, trace_to_schedule
-from .faults import (
-    FaultyRunResult,
-    WorkerFailure,
-    assert_trace_exclusive,
-    simulate_with_failures,
-)
+from .trace import Trace, assert_trace_exclusive, trace_to_schedule
 
 __all__ = [
-    "FaultyRunResult",
-    "WorkerFailure",
     "assert_trace_exclusive",
-    "simulate_with_failures",
     "Simulator",
     "Event",
     "EventKind",

@@ -1,11 +1,10 @@
-"""Dynamic platform churn: timed leave/join/drift events beyond fail-stop.
+"""Dynamic platform churn: timed leave/join/drift events.
 
-:mod:`repro.sim.faults` models the classic volunteer-computing failure —
-a worker dies and never comes back.  Real platforms churn in richer ways:
-hosts *join* mid-run (flash crowds), *leave* gracefully (diurnal load,
-spot-instance reclaims) and *drift* (a shared link slows down, a laptop
-throttles).  This module gives those three a first-class timed event
-model:
+The platforms motivating the paper (SETI@home, the Mersenne search) churn:
+hosts *join* mid-run (flash crowds), *leave* (fail-stop crashes, diurnal
+load, spot-instance reclaims) and *drift* (a shared link slows down, a
+laptop throttles).  This module gives those three a first-class timed
+event model:
 
 * :class:`ProcessorLeave` — the processor (and, on chains/spiders/trees,
   everything routed through it) disappears at ``time``;
@@ -23,33 +22,26 @@ platform and returns a :class:`ChurnTrace` — the mutated platform, an
 fingerprints, and the join/drift instants the repair layer
 (:mod:`repro.solve.repatch`) needs to lower-bound new claims.
 
-:func:`simulate_with_churn` executes the same events *online* through the
-existing discrete-event simulator: leaves reissue lost work exactly like
-fail-stop failures, joined workers become dispatchable at their join
-instant, and drifted values apply to every claim made after the drift.
-:func:`random_churn` derives a reproducible event mix from a seed.
+:func:`repro.sim.online.simulate_online` executes the same events online
+under a policy (``churn=``); :func:`random_churn` derives a reproducible
+event mix from a seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping
 
-from ..core.schedule import PlatformAdapter, ProcKey, adapter_for
-from ..core.types import PlatformError, ReproError, SimulationError, Time
+from ..core.schedule import ProcKey, adapter_for
+from ..core.types import PlatformError, ReproError, Time
 from ..platforms.chain import Chain
 from ..platforms.spider import Spider
 from ..platforms.star import Star
 from ..platforms.tree import ROOT, Tree
-from .engine import Simulator
-from .events import Event, EventKind
-from .online import ONLINE_POLICIES, OnlineState, Policy
-from .trace import Trace
 
 __all__ = [
     "BandwidthDrift",
     "ChurnError",
-    "ChurnRunResult",
     "ChurnStep",
     "ChurnTrace",
     "ProcessorJoin",
@@ -57,7 +49,6 @@ __all__ = [
     "apply_churn",
     "parse_churn_events",
     "random_churn",
-    "simulate_with_churn",
 ]
 
 
@@ -543,283 +534,3 @@ def random_churn(
             f"{type(platform).__name__} (got {len(chosen)})"
         )
     return chosen
-
-
-# ---------------------------------------------------------------------------
-# Online execution through the simulator
-# ---------------------------------------------------------------------------
-
-
-class _DynamicAdapter(PlatformAdapter):
-    """Adapter view with mutable latencies/work — what drift changes
-    mid-run.  Structure (routes, senders) delegates to the union adapter;
-    values read the live dicts, so policies rank with current costs."""
-
-    def __init__(self, base: PlatformAdapter, lat: dict, wrk: dict):
-        self.platform = base.platform
-        self._base = base
-        self._lat = lat
-        self._wrk = wrk
-
-    def processors(self):
-        return self._base.processors()
-
-    def work(self, proc):
-        return self._wrk[proc]
-
-    def latency(self, link):
-        return self._lat[link]
-
-    def route(self, proc):
-        return self._base.route(proc)
-
-    def sender(self, link):
-        return self._base.sender(link)
-
-    def receiver(self, link):
-        return self._base.receiver(link)
-
-    def master_port(self):
-        return self._base.master_port()
-
-    def route_nodes(self, proc):
-        return self._base.route_nodes(proc)
-
-    def route_cost(self, proc):  # values change: never memoize
-        return sum(self._lat[link] for link in self._base.route(proc))
-
-
-@dataclass
-class ChurnRunResult:
-    """Outcome of one online run under churn (trace-only, like fault runs)."""
-
-    trace: Trace
-    completed: int
-    attempts: int
-    reissues: int
-    #: reissued trace id → original task id (empty when nothing was lost).
-    reissue_of: dict[int, int]
-    survivors: list[ProcKey]
-    #: applied events, in execution order.
-    events: list[dict[str, Any]]
-
-    @property
-    def makespan(self) -> Time:
-        return self.trace.makespan
-
-
-def simulate_with_churn(
-    platform: Any,
-    n: int,
-    events: Iterable[Any],
-    policy: Policy | str = "demand_driven",
-    max_events: Optional[int] = None,
-) -> ChurnRunResult:
-    """Run ``n`` tasks online while the platform churns underneath.
-
-    Leaves behave exactly like fail-stop failures (lost work is reissued
-    under a *fresh* trace id recorded in ``reissue_of``); joins add
-    dispatchable capacity at their instant; drifts rescale the live
-    latency/work used by every later claim.  Raises
-    :class:`SimulationError` if the tasks cannot all complete.
-    """
-    policy_fn: Policy = ONLINE_POLICIES[policy] if isinstance(policy, str) else policy
-    parsed = parse_churn_events(events)
-    order = sorted(range(len(parsed)), key=lambda i: (parsed[i].time, i))
-
-    # the union platform: all joins applied up-front (existing keys are
-    # stable under joins), leaves/drifts handled dynamically below
-    union = platform
-    alive_from: dict[ProcKey, Time] = {}
-    for idx in order:
-        ev = parsed[idx]
-        if isinstance(ev, ProcessorJoin):
-            union, new_keys = _join(union, ev.spec)
-            for k in new_keys:
-                alive_from[k] = ev.time
-
-    base_adapter = adapter_for(union)
-    all_procs = base_adapter.processors()
-    for pr in all_procs:
-        alive_from.setdefault(pr, 0)
-    lat = {pr: base_adapter.latency(pr) for pr in all_procs}
-    wrk = {pr: base_adapter.work(pr) for pr in all_procs}
-    adapter = _DynamicAdapter(base_adapter, lat, wrk)
-    master_port: Hashable = adapter.master_port()
-
-    sim = Simulator() if max_events is None else Simulator(max_events=max_events)
-    trace = Trace()
-    port_free: dict[Hashable, Time] = {}
-    proc_busy: dict[ProcKey, Time] = {}
-    proc_eta: dict[ProcKey, Time] = {}
-    dead_procs: set[ProcKey] = set()
-    dead_nodes: set[Hashable] = set()
-    pending: list[int] = list(range(1, n + 1))
-    attempts = {"count": 0}
-    reissues = {"count": 0}
-    next_id = {"value": n}
-    reissue_of: dict[int, int] = {}
-    completed: dict[int, bool] = {}
-    dispatched: dict[ProcKey, int] = {pr: 0 for pr in all_procs}
-    done_per_proc: dict[ProcKey, int] = {pr: 0 for pr in all_procs}
-
-    def alive() -> list[ProcKey]:
-        return [
-            pr
-            for pr in all_procs
-            if pr not in dead_procs and alive_from[pr] <= sim.now
-        ]
-
-    def lose(task: int) -> None:
-        # reissue under a fresh trace id so per-attempt history stays
-        # attributable; the original id is recoverable via reissue_of
-        reissues["count"] += 1
-        next_id["value"] += 1
-        fresh = next_id["value"]
-        reissue_of[fresh] = reissue_of.get(task, task)
-        pending.append(fresh)
-        sim.at(sim.now, master_dispatch)
-
-    def deliver(task: int, link: Hashable, rest: list, dest: ProcKey) -> None:
-        port = adapter.sender(link)
-        c = adapter.latency(link)
-        start = max(sim.now, port_free.get(port, 0))
-        port_free[port] = start + c
-
-        def send_start(s: Simulator) -> None:
-            if port in dead_nodes:
-                lose(task)
-                return
-            c_now = adapter.latency(link)
-            trace.record(Event(s.now, EventKind.SEND_START, task, port, {"link": link}))
-            trace.record_interval(("port", port), s.now, s.now + c_now, task)
-            trace.record_interval(("link", link), s.now, s.now + c_now, task)
-            s.after(c_now, arrived)
-
-        def arrived(s: Simulator) -> None:
-            trace.record(Event(s.now, EventKind.SEND_END, task, port, {"link": link}))
-            node = adapter.receiver(link)
-            if node in dead_nodes or dest in dead_procs:
-                lose(task)
-                return
-            if rest:
-                deliver(task, rest[0], rest[1:], dest)
-            else:
-                run(task, dest)
-
-        sim.at(start, send_start, priority=2)
-
-    def run(task: int, proc: ProcKey) -> None:
-        begin = max(sim.now, proc_busy.get(proc, 0))
-        w = adapter.work(proc)
-        proc_busy[proc] = begin + w
-
-        def exec_start(s: Simulator) -> None:
-            if proc in dead_procs:
-                lose(task)
-                return
-            w_now = adapter.work(proc)
-            trace.record(Event(s.now, EventKind.EXEC_START, task, proc))
-            trace.record_interval(("proc", proc), s.now, s.now + w_now, task)
-            s.after(w_now, exec_end)
-
-        def exec_end(s: Simulator) -> None:
-            if proc in dead_procs:
-                lose(task)
-                return
-            trace.record(Event(s.now, EventKind.EXEC_END, task, proc))
-            completed[reissue_of.get(task, task)] = True
-            done_per_proc[proc] += 1
-
-        sim.at(begin, exec_start, priority=3)
-
-    def master_dispatch(s: Simulator) -> None:
-        if not pending:
-            return
-        live = alive()
-        if not live:
-            upcoming = [
-                t for pr, t in alive_from.items()
-                if pr not in dead_procs and t > s.now
-            ]
-            if upcoming:  # capacity will join later: wait for it
-                s.at(min(upcoming), master_dispatch)
-                return
-            raise SimulationError(
-                f"all processors dead with {len(pending)} tasks remaining"
-            )
-        free_at = port_free.get(master_port, 0)
-        if s.now < free_at:
-            s.at(free_at, master_dispatch)
-            return
-        obs = OnlineState(
-            now=s.now,
-            remaining=len(pending),
-            dispatched=dict(dispatched),
-            completed=dict(done_per_proc),
-            proc_free=dict(proc_eta),
-        )
-        dest = policy_fn(obs, live, adapter)
-        if dest is None or dest in dead_procs:
-            dest = live[0]
-        task = pending.pop(0)
-        attempts["count"] += 1
-        dispatched[dest] += 1
-        route = adapter.route(dest)
-        eta = s.now + adapter.route_cost(dest)
-        proc_eta[dest] = max(proc_eta.get(dest, 0), eta) + adapter.work(dest)
-        deliver(task, route[0], list(route[1:]), dest)
-        s.at(port_free[master_port], master_dispatch)
-
-    def schedule_event(ev: ChurnEvent) -> None:
-        if isinstance(ev, ProcessorLeave):
-
-            def strike(s: Simulator) -> None:
-                victims = {
-                    pr
-                    for pr in all_procs
-                    if pr == ev.processor or ev.processor in base_adapter.route_nodes(pr)
-                }
-                if not victims:
-                    raise ChurnError(f"no processor {ev.processor!r} to remove")
-                dead_procs.update(victims)
-                dead_nodes.add(ev.processor)
-                dead_nodes.update(victims)
-                s.at(s.now, master_dispatch)
-
-            sim.at(ev.time, strike, priority=0)
-        elif isinstance(ev, ProcessorJoin):
-            # capacity registered in alive_from above; wake the master
-            sim.at(ev.time, lambda s: s.at(s.now, master_dispatch), priority=0)
-        else:  # BandwidthDrift
-
-            def drift(s: Simulator, ev=ev) -> None:
-                if ev.processor not in lat:
-                    raise ChurnError(f"no processor {ev.processor!r} to drift")
-                lat[ev.processor] = _scaled(lat[ev.processor], ev.c_factor)
-                wrk[ev.processor] = _scaled(wrk[ev.processor], ev.w_factor)
-
-            sim.at(ev.time, drift, priority=0)
-
-    for idx in order:
-        schedule_event(parsed[idx])
-    sim.at(0, master_dispatch)
-    sim.run()
-
-    if len(completed) != n:
-        while len(completed) != n and pending:
-            sim.at(sim.now, master_dispatch)
-            sim.run()
-    if len(completed) != n:
-        raise SimulationError(
-            f"only {len(completed)}/{n} tasks completed under churn"
-        )
-    return ChurnRunResult(
-        trace=trace,
-        completed=len(completed),
-        attempts=attempts["count"],
-        reissues=reissues["count"],
-        reissue_of=dict(reissue_of),
-        survivors=alive(),
-        events=[parsed[i].to_dict() for i in order],
-    )

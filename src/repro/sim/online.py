@@ -10,22 +10,42 @@ optimality buys over realistic online operation.
 small control messages; we model those as instantaneous and free (they are
 orders of magnitude smaller than task payloads), which preserves the
 behaviour that matters — the master's port serialisation and per-node
-cadence limits.
+cadence limits.  Failure detection is modelled the same way.
 
 Policies decide, each time the master's port becomes free, which processor
 receives the next task (or ``None`` to stop).  They see only *observable*
 state: how much work is queued where, and the clock.  Dispatched tasks are
 relayed hop-by-hop; every relay node forwards FIFO as soon as its own send
 port is free.
+
+The one event loop, :func:`simulate_online`, also runs the platform's churn
+(:mod:`repro.sim.churn`) underneath the policy:
+
+* a *leave* is the classic fail-stop failure: the processor and everything
+  routed through it depart, and work lost with them — queued, executing or
+  in flight towards them — is reissued by the master to the survivors under
+  a fresh trace id;
+* a *join* makes new capacity dispatchable at its instant;
+* a *drift* rescales the live latency/work that every later send and
+  execution uses (and that policies rank with).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, Iterable, Optional
 
-from ..core.schedule import ProcKey, Schedule, adapter_for
-from ..core.types import Time
+from ..core.schedule import PlatformAdapter, ProcKey, Schedule, adapter_for
+from ..core.types import ScheduleError, SimulationError, Time
+from .churn import (
+    ChurnError,
+    ProcessorJoin,
+    ProcessorLeave,
+    _join,
+    _scaled,
+    parse_churn_events,
+)
 from .engine import Simulator
 from .events import Event, EventKind
 from .trace import Trace, trace_to_schedule
@@ -45,6 +65,10 @@ class OnlineState:
     proc_free: dict[ProcKey, Time]
 
 
+#: A policy picks one of the live processors it is given for the next task.
+#: Returning ``None`` stops dispatching: the run then ends short of ``n``
+#: completed tasks, and :func:`simulate_online` raises
+#: :class:`~repro.core.types.SimulationError`.
 Policy = Callable[[OnlineState, list[ProcKey], Any], Optional[ProcKey]]
 
 
@@ -96,22 +120,93 @@ ONLINE_POLICIES: dict[str, Policy] = {
 }
 
 
+class _LiveAdapter(PlatformAdapter):
+    """The platform's adapter with latency and work read from tables that a
+    drift rescales mid-run, so sends, executions and policies all use the
+    current values.  Structure (routes, senders) is the base adapter's."""
+
+    def __init__(self, base: PlatformAdapter) -> None:
+        self.platform = base.platform
+        self._base = base
+        procs = base.processors()
+        # every adapter keys the link into a processor by that processor
+        self._latency = {pr: base.latency(pr) for pr in procs}
+        self._work = {pr: base.work(pr) for pr in procs}
+        self._route_costs: dict[ProcKey, Time] = {}
+
+    def processors(self) -> list[ProcKey]:
+        return self._base.processors()
+
+    def work(self, proc: ProcKey) -> Time:
+        return self._work[proc]
+
+    def latency(self, link: Any) -> Time:
+        return self._latency[link]
+
+    def route(self, proc: ProcKey) -> list:
+        return self._base.route(proc)
+
+    def sender(self, link: Any) -> Hashable:
+        return self._base.sender(link)
+
+    def receiver(self, link: Any) -> Hashable:
+        return self._base.receiver(link)
+
+    def route_cost(self, proc: ProcKey) -> Time:
+        cost = self._route_costs.get(proc)
+        if cost is None:
+            cost = self._route_costs[proc] = sum(
+                self._latency[link] for link in self._base.route(proc)
+            )
+        return cost
+
+    def drift(self, proc: ProcKey, c_factor: Any, w_factor: Any) -> None:
+        self._latency[proc] = _scaled(self._latency[proc], c_factor)
+        self._work[proc] = _scaled(self._work[proc], w_factor)
+        self._route_costs.clear()  # the routes through ``proc`` changed cost
+
+
 @dataclass
 class OnlineResult:
+    """Outcome of one online run.
+
+    ``schedule`` is the Definition-1 schedule rebuilt from the trace of a
+    run without churn.  Under churn it is ``None``: the answer is the trace
+    alone, since a reissued task reappears under a fresh id, which no
+    schedule can express."""
+
     trace: Trace
-    schedule: Schedule
+    schedule: Optional[Schedule]
     policy: str
+    #: original tasks completed (always ``n``: a run that ends short raises)
+    completed: int
+    #: dispatches made (``n`` plus one per reissue)
+    attempts: int
+    #: reissued trace id -> *original* task id.  Reissues run under fresh
+    #: ids (n+1, n+2, ...) so per-task attribution survives the trace.
+    reissue_of: dict[int, int]
+    #: processors still dispatchable when the run ended
+    survivors: list[ProcKey]
+    #: the churn events, in the order they were applied
+    events: list[dict[str, Any]]
 
     @property
     def makespan(self) -> Time:
         return self.trace.makespan
+
+    @property
+    def reissues(self) -> int:
+        """Tasks lost to departures and dispatched again."""
+        return len(self.reissue_of)
 
 
 def simulate_online(
     platform: Any,
     n: int,
     policy: Policy | str = "demand_driven",
+    *,
     arrivals: Optional[list[Time]] = None,
+    churn: Iterable[Any] = (),
     max_events: Optional[int] = None,
 ) -> OnlineResult:
     """Run ``n`` tasks through the online master-slave protocol.
@@ -120,147 +215,221 @@ def simulate_online(
     has everything available at t=0; volunteer masters receive work in
     bursts).  Task ``i`` can only be dispatched once ``arrivals[i-1]`` has
     passed; tasks are released in list order, which is also dispatch order.
+    A reissued task was already released: it goes out as soon as no
+    released original is waiting.
 
-    Returns the trace plus the reconstructed :class:`Schedule`; the
-    simulator must only ever produce feasible behaviour, which the test
-    suite asserts by feasibility-checking reconstructed schedules."""
+    ``churn`` lists timed leave / join / drift events (event objects or
+    their JSON shapes, see :func:`repro.sim.churn.parse_churn_events`),
+    keyed by the original platform's processors; fail-stop failures are
+    leave events.
+
+    Raises :class:`SimulationError` if the run ends short of ``n``
+    completed tasks: every processor departed with work left, or the
+    policy stopped dispatching.  The simulator must only ever produce
+    feasible behaviour; the test suite asserts it by checking the
+    schedule (or, under churn, the trace's resource exclusivity)."""
     policy_name = (
         policy if isinstance(policy, str) else getattr(policy, "__name__", "custom")
     )
     policy_fn: Policy = ONLINE_POLICIES[policy] if isinstance(policy, str) else policy
+    releases = sorted(arrivals) if arrivals is not None else None
+    if releases is not None and len(releases) != n:
+        raise ScheduleError(
+            f"arrivals must list one release per task: {len(releases)} != {n}"
+        )
+    events = sorted(parse_churn_events(churn), key=lambda ev: ev.time)
 
-    adapter = adapter_for(platform)
+    # joins extend the platform up front (a join keeps every existing key);
+    # each joined processor becomes dispatchable at its join instant
+    union = platform
+    joins_at: dict[ProcKey, Time] = {}
+    for ev in events:
+        if isinstance(ev, ProcessorJoin):
+            union, keys = _join(union, ev.spec)
+            joins_at.update(dict.fromkeys(keys, ev.time))
+    adapter = _LiveAdapter(adapter_for(union))
     procs = adapter.processors()
     master_port: Hashable = adapter.master_port()
 
     sim = Simulator() if max_events is None else Simulator(max_events=max_events)
     trace = Trace()
-    port_free: dict[Hashable, Time] = {}
-    #: actual executor occupancy (drives exec scheduling)
-    proc_busy: dict[ProcKey, Time] = {}
+    #: end of the last claim queued on each (kind, node) resource
+    claims: dict[Hashable, Time] = {}
     #: policy-visible busy-until estimate, advanced at dispatch time
     proc_eta: dict[ProcKey, Time] = {}
     dispatched: dict[ProcKey, int] = {pr: 0 for pr in procs}
     completed: dict[ProcKey, int] = {pr: 0 for pr in procs}
-    state = {"remaining": n, "next_task": 1}
-    #: per-node FIFO of messages awaiting relay: (task, rest_of_route, dest)
-    relay_queue: dict[Hashable, list[tuple[int, list, ProcKey]]] = {}
+    dead: set[ProcKey] = set()
+    #: lost tasks awaiting redispatch, by fresh id
+    reissued: deque[int] = deque()
+    reissue_of: dict[int, int] = {}
+    next_task, last_id, attempts = 1, n, 0
 
-    def send_now(task: int, link: Hashable, rest: list, dest: ProcKey) -> None:
-        """Claim the sender port of ``link`` at sim.now, deliver after c."""
+    def busy_until(resource: Hashable) -> Time:
+        """End of the last send or execution started on ``resource``."""
+        intervals = trace.busy.get(resource)
+        return intervals[-1][1] if intervals else 0
+
+    def live() -> list[ProcKey]:
+        return [
+            pr for pr in procs
+            if pr not in dead and joins_at.get(pr, 0) <= sim.now
+        ]
+
+    def wake(s: Simulator) -> None:
+        s.at(s.now, master_dispatch)
+
+    def lose(task: int) -> None:
+        nonlocal last_id
+        last_id += 1
+        # chains of reissues all point back at the original id
+        reissue_of[last_id] = reissue_of.get(task, task)
+        reissued.append(last_id)
+        wake(sim)
+
+    def send(task: int, link: Hashable, rest: list, dest: ProcKey) -> None:
+        """Send ``task`` over ``link`` from now on; forward or run it on
+        arrival."""
         port = adapter.sender(link)
         c = adapter.latency(link)
-        start = sim.now
-        port_free[port] = start + c
-        trace.record(Event(start, EventKind.SEND_START, task, port, {"link": link}))
-        trace.record_interval(("port", port), start, start + c, task)
-        trace.record_interval(("link", link), start, start + c, task)
+        now = sim.now
+        trace.record(Event(now, EventKind.SEND_START, task, port, {"link": link}))
+        trace.record_interval(("port", port), now, now + c, task)
+        trace.record_interval(("link", link), now, now + c, task)
 
-        def delivered(s: Simulator) -> None:
+        def arrived(s: Simulator) -> None:
             trace.record(Event(s.now, EventKind.SEND_END, task, port, {"link": link}))
-            node = adapter.receiver(link)
-            if rest:
-                relay_queue.setdefault(node, []).append((task, rest, dest))
-                pump_relay(node)
+            if dest in dead:  # the destination, or a relay on its route, left
+                lose(task)
+            elif rest:
+                claim("port", adapter.sender(rest[0]), adapter.latency(rest[0]),
+                      task, lambda s: send(task, rest[0], rest[1:], dest), 2)
             else:
-                enqueue_exec(task, dest)
+                claim("proc", dest, adapter.work(dest), task,
+                      lambda s: execute(task, dest), 3)
 
-        sim.after(c, delivered)
+        sim.after(c, arrived)
 
-    def pump_relay(node: Hashable) -> None:
-        """Forward the node's queued messages as its send port frees up."""
-        queue = relay_queue.get(node, [])
-        if not queue:
-            return
-        task, rest, dest = queue.pop(0)
-        next_link = rest[0]
-        when = max(sim.now, port_free.get(node, 0))
-        # reserve the port immediately so a concurrent pump cannot double-book
-        port_free[node] = when + adapter.latency(next_link)
-
-        def do_send(s: Simulator) -> None:
-            # port_free was pre-reserved; emit without re-claiming
-            c = adapter.latency(next_link)
-            trace.record(
-                Event(s.now, EventKind.SEND_START, task, node, {"link": next_link})
-            )
-            trace.record_interval(("port", node), s.now, s.now + c, task)
-            trace.record_interval(("link", next_link), s.now, s.now + c, task)
-
-            def delivered(s2: Simulator) -> None:
-                trace.record(
-                    Event(s2.now, EventKind.SEND_END, task, node, {"link": next_link})
-                )
-                nxt = adapter.receiver(next_link)
-                if rest[1:]:
-                    relay_queue.setdefault(nxt, []).append((task, rest[1:], dest))
-                    pump_relay(nxt)
-                else:
-                    enqueue_exec(task, dest)
-
-            s.after(c, delivered)
-            pump_relay(node)  # chain up the next queued message, if any
-
-        sim.at(when, do_send, priority=2)
-
-    def enqueue_exec(task: int, proc: ProcKey) -> None:
-        begin = max(sim.now, proc_busy.get(proc, 0))
+    def execute(task: int, proc: ProcKey) -> None:
         w = adapter.work(proc)
-        proc_busy[proc] = begin + w
+        trace.record(Event(sim.now, EventKind.EXEC_START, task, proc))
+        trace.record_interval(("proc", proc), sim.now, sim.now + w, task)
 
-        def exec_start(s: Simulator) -> None:
-            trace.record(Event(s.now, EventKind.EXEC_START, task, proc))
-            trace.record_interval(("proc", proc), s.now, s.now + w, task)
-            s.after(w, exec_end)
-
-        def exec_end(s: Simulator) -> None:
+        def done(s: Simulator) -> None:
+            if proc in dead:  # departed mid-execution: the work is lost
+                lose(task)
+                return
             trace.record(Event(s.now, EventKind.EXEC_END, task, proc))
-            completed[proc] = completed.get(proc, 0) + 1
+            completed[proc] += 1
 
-        sim.at(begin, exec_start, priority=3)
+        sim.after(w, done)
 
-    release_times = sorted(arrivals) if arrivals is not None else None
-    if release_times is not None and len(release_times) != n:
-        from ..core.types import ScheduleError
+    def claim(kind: str, node: Hashable, duration: Time, task: int,
+              start: Callable[[Simulator], None], priority: int) -> None:
+        """Queue ``start`` FIFO on ``node``'s send port or CPU.
 
-        raise ScheduleError(
-            f"arrivals must list one release per task: {len(release_times)} != {n}"
-        )
+        At its turn the task is lost if ``node`` departed meanwhile, and
+        waits if the send or execution ahead of it really ends later than
+        it claimed (a drift stretched it)."""
+        resource = (kind, node)
+        when = max(sim.now, claims.get(resource, 0))
+        claims[resource] = when + duration
+
+        def turn(s: Simulator) -> None:
+            if node in dead:
+                lose(task)
+            elif busy_until(resource) > s.now:
+                s.at(busy_until(resource), turn, priority)
+            else:
+                start(s)
+
+        sim.at(when, turn, priority)
 
     def master_dispatch(s: Simulator) -> None:
-        if state["remaining"] <= 0:
+        nonlocal next_task, attempts
+        released = next_task <= n and (
+            releases is None or releases[next_task - 1] <= s.now
+        )
+        if not (released or reissued):
+            if next_task <= n:  # next task not arrived at the master yet
+                s.at(releases[next_task - 1], master_dispatch)
             return
-        if release_times is not None:
-            release = release_times[state["next_task"] - 1]
-            if s.now < release:  # next task not arrived at the master yet
-                s.at(release, master_dispatch)
-                return
-        free_at = port_free.get(master_port, 0)
+        alive = live()
+        remaining = n - next_task + 1 + len(reissued)
+        if not alive:
+            joins = [t for pr, t in joins_at.items() if pr not in dead and t > s.now]
+            if not joins:
+                raise SimulationError(
+                    f"all processors dead with {remaining} tasks remaining"
+                )
+            s.at(min(joins), master_dispatch)  # capacity joins later: wait
+            return
+        free_at = busy_until(("port", master_port))
         if s.now < free_at:
             s.at(free_at, master_dispatch)
             return
         obs = OnlineState(
             now=s.now,
-            remaining=state["remaining"],
+            remaining=remaining,
             dispatched=dict(dispatched),
             completed=dict(completed),
             proc_free=dict(proc_eta),
         )
-        dest = policy_fn(obs, procs, adapter)
+        dest = policy_fn(obs, alive, adapter)
         if dest is None:
             return
-        task = state["next_task"]
-        state["next_task"] += 1
-        state["remaining"] -= 1
+        if dest not in alive:
+            raise SimulationError(f"policy chose {dest!r}, not a live processor")
+        if released:
+            task = next_task
+            next_task += 1
+        else:
+            task = reissued.popleft()
+        attempts += 1
         dispatched[dest] += 1
         route = adapter.route(dest)
         # local-queue estimate used by policies (exact when relays are idle)
         eta = s.now + adapter.route_cost(dest)
         proc_eta[dest] = max(proc_eta.get(dest, 0), eta) + adapter.work(dest)
-        send_now(task, route[0], list(route[1:]), dest)
-        s.at(port_free[master_port], master_dispatch)
+        send(task, route[0], route[1:], dest)
+        s.at(busy_until(("port", master_port)), master_dispatch)
 
+    def depart(doomed: set[ProcKey]) -> Callable[[Simulator], None]:
+        def strike(s: Simulator) -> None:
+            dead.update(doomed)
+            wake(s)  # reroute around the departed nodes
+
+        return strike
+
+    for ev in events:
+        if isinstance(ev, ProcessorJoin):
+            sim.at(ev.time, wake)
+        elif ev.processor not in procs:
+            verb = "remove" if isinstance(ev, ProcessorLeave) else "drift"
+            raise ChurnError(f"no processor {ev.processor!r} to {verb}")
+        elif isinstance(ev, ProcessorLeave):
+            # everything routed through the departed node departs with it
+            sim.at(ev.time, depart(
+                {pr for pr in procs if ev.processor in adapter.route_nodes(pr)}
+            ))
+        else:  # BandwidthDrift
+            sim.at(ev.time, lambda s, ev=ev: adapter.drift(
+                ev.processor, ev.c_factor, ev.w_factor))
     sim.at(0, master_dispatch)
     sim.run()
-    schedule = trace_to_schedule(trace, platform, adapter=adapter)
-    return OnlineResult(trace=trace, schedule=schedule, policy=policy_name)
+
+    done_total = sum(completed.values())
+    if done_total != n:
+        raise SimulationError(f"only {done_total}/{n} tasks completed")
+    return OnlineResult(
+        trace=trace,
+        schedule=(
+            None if events else trace_to_schedule(trace, platform, adapter=adapter)
+        ),
+        policy=policy_name,
+        completed=done_total,
+        attempts=attempts,
+        reissue_of=reissue_of,
+        survivors=live(),
+        events=[ev.to_dict() for ev in events],
+    )

@@ -5,7 +5,9 @@ intervals, and computes the summary statistics the experiments report
 (makespan, utilisation, idle fractions).  Traces are also the bridge back to
 the formal world: :func:`trace_to_schedule` reconstructs a
 :class:`~repro.core.schedule.Schedule` from a trace so that anything the
-simulator produced can be re-checked against Definition 1.
+simulator produced can be re-checked against Definition 1, and
+:func:`assert_trace_exclusive` checks the model's exclusivity rules on
+traces no schedule can express (a churn run's reissued tasks).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Any, Hashable
 
 from ..core.commvector import CommVector
 from ..core.schedule import Schedule, TaskAssignment, adapter_for
-from ..core.types import SimulationError, Time
+from ..core.types import EPS, SimulationError, Time
 from .events import Event, EventKind
 
 
@@ -96,3 +98,19 @@ def trace_to_schedule(trace: Trace, platform: Any, adapter: Any = None) -> Sched
             ) from None
         sched.add(TaskAssignment(task, proc, start, CommVector(times)))
     return sched
+
+
+def assert_trace_exclusive(trace: Trace, eps: float = EPS) -> None:
+    """Check the model's exclusivity rules directly on a trace.
+
+    Unlike the static feasibility checker this works on traces with
+    reissued task ids (a task lost to a departure runs again under a fresh
+    id)."""
+    for resource, ivs in trace.busy.items():
+        ordered = sorted(ivs)
+        for (s1, e1, t1), (s2, e2, t2) in zip(ordered, ordered[1:]):
+            if s2 < e1 - eps and e1 > s1 and e2 > s2:
+                raise SimulationError(
+                    f"resource {resource!r}: tasks {t1} and {t2} overlap "
+                    f"([{s1},{e1}) vs [{s2},{e2}))"
+                )

@@ -21,9 +21,9 @@ count), the solver's operation counters, optional warm caps for the next
 smaller-deadline problem on the same platform, and solver-specific
 ``extra`` detail (e.g. which method answered a tree problem, and how many
 of its workers compute).  Online solutions additionally carry the
-execution ``trace`` they were produced from; fault-injected runs carry
-*only* the trace (a reissued task legitimately appears twice, which no
-Definition-1 schedule can express).
+execution ``trace`` they were produced from; runs with failures or churn
+carry *only* the trace (a reissued task legitimately appears twice, which
+no Definition-1 schedule can express).
 
 Every solution can be **replay-validated**: :meth:`Solution.validate`
 re-executes it through the discrete-event simulator, which independently
@@ -91,7 +91,8 @@ class Solution:
 
     problem: Problem
     #: the static schedule; ``None`` only for trace-only answers (online
-    #: runs with failures, where reissued task ids defeat Definition 1).
+    #: runs with failures or churn, where reissued task ids defeat
+    #: Definition 1).
     schedule: Optional[Schedule]
     solver: str
     stats: dict[str, Any] = field(default_factory=dict)
@@ -136,7 +137,8 @@ class Solution:
         if self.schedule is None:
             raise SolveError(
                 f"solution from solver {self.solver!r} is trace-only "
-                "(fault-injected run); there is no schedule to replay"
+                "(online run with failures or churn); there is no schedule "
+                "to replay"
             )
         return replay_schedule(self.schedule, engine)
 
@@ -144,12 +146,12 @@ class Solution:
         """Machine-check this solution by replaying it; returns the trace.
 
         * schedule-backed solutions (every offline solver, online runs
-          without failures) are re-executed — by default through the
-          compiled linear-scan kernel (:mod:`repro.sim.replay_fast`),
+          without failures or churn) are re-executed — by default through
+          the compiled linear-scan kernel (:mod:`repro.sim.replay_fast`),
           with ``engine="event"`` forcing the discrete-event executor —
           and their makespan / per-task completions are compared
           bit-exactly against the schedule's static claims;
-        * trace-only solutions (fault-injected runs) have their trace
+        * trace-only solutions (failure or churn runs) have their trace
           re-checked against the model's exclusivity rules;
         * deadline problems additionally assert ``makespan <= t_lim``.
 
@@ -159,8 +161,8 @@ class Solution:
         for the checks only, not for the event log.
         """
         from ..core.types import SimulationError
-        from ..sim.faults import assert_trace_exclusive
         from ..sim.replay_fast import resolve_engine, verify_schedule
+        from ..sim.trace import assert_trace_exclusive
 
         resolve_engine(engine)  # a typo'd engine is a usage error, raised
         # before the except block below can blame it on the solver

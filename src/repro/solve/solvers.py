@@ -10,9 +10,10 @@ star and spider solvers call the kernel-then-oracle entries of
 The *online* solver is registered on the orthogonal ``mode="online"`` axis
 and claims ``object`` — any platform with an adapter.  It answers by
 running a policy (round-robin / demand-driven / bandwidth-centric) through
-the discrete-event simulator, optionally with fail-stop worker failures
-injected, so `repro simulate`, `repro failures` and batch ``kind:"online"``
-scenarios all dispatch through the same registry as the static algorithms.
+the one online event loop, with any mix of release times, fail-stop
+failures and churn, so `repro simulate`, `repro failures` and batch
+``kind:"online"`` scenarios all dispatch through the same registry as the
+static algorithms.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from ..platforms.chain import Chain
 from ..platforms.spider import Spider
 from ..platforms.star import Star
 from ..platforms.tree import Tree
-from ..sim.churn import simulate_with_churn
-from ..sim.faults import WorkerFailure, simulate_with_failures
 from ..sim.online import ONLINE_POLICIES, simulate_online
 from ..trees.construction import tree_deadline, tree_schedule
 from ..trees.heuristic import cover_efficiency
@@ -173,42 +172,35 @@ class TreeSolver(Solver):
         )
 
 
-def _parse_failure(spec: Any) -> WorkerFailure:
-    """Accept a :class:`WorkerFailure` or its JSON shape
-    ``{"time": t, "processor": p}`` (processor lists become tuple keys, the
-    spider/tree addressing)."""
-    if isinstance(spec, WorkerFailure):
-        return spec
-    if isinstance(spec, Mapping):
-        try:
-            time, proc = spec["time"], spec["processor"]
-        except KeyError as missing:
-            raise SolveError(
-                f"failure spec needs 'time' and 'processor', missing {missing}"
-            ) from None
-        if isinstance(proc, list):
-            proc = tuple(proc)
-        return WorkerFailure(time, proc)
-    raise SolveError(
-        f"failure spec must be a WorkerFailure or a dict, got {type(spec).__name__}"
-    )
+def _failure_as_leave(spec: Any) -> dict[str, Any]:
+    """A ``failures`` entry ``{"time": t, "processor": p}`` is a leave
+    event: fail-stop is the churn model's departure."""
+    if not isinstance(spec, Mapping) or not {"time", "processor"} <= spec.keys():
+        raise SolveError(
+            f"failure spec must be a dict with 'time' and 'processor', got {spec!r}"
+        )
+    return {"op": "leave", "time": spec["time"], "processor": spec["processor"]}
 
 
 class OnlineSolver(Solver):
     """Online policies through the simulator (``mode="online"``).
 
     Claims ``object``: the MRO fallback makes every adapter-backed platform
-    answerable online without per-platform registrations.  Options:
+    answerable online without per-platform registrations.  Options, in any
+    mix:
 
     * ``policy`` — name from :data:`~repro.sim.online.ONLINE_POLICIES` or a
       callable (default ``"demand_driven"``);
     * ``arrivals`` — optional per-task release times;
-    * ``failures`` — fail-stop specs (``{"time": t, "processor": p}``);
-      the answer is then *trace-only* (reissued ids defeat Definition 1);
-    * ``churn`` — general timed events (leave / join / drift specs, see
-      :func:`repro.sim.churn.parse_churn_events`); trace-only like
-      ``failures``, mutually exclusive with it;
+    * ``failures`` — fail-stop specs (``{"time": t, "processor": p}``), run
+      as leave events;
+    * ``churn`` — timed leave / join / drift events (see
+      :func:`repro.sim.churn.parse_churn_events`);
     * ``max_events`` — simulator event budget override.
+
+    A run without failures or churn answers with the schedule rebuilt from
+    its trace.  Any other run is *trace-only*: a reissued task reappears
+    under a fresh id, which no Definition-1 schedule can express.
     """
 
     name = "online"
@@ -219,8 +211,8 @@ class OnlineSolver(Solver):
     option_keys = ("policy", "arrivals", "failures", "churn", "max_events")
     summary = (
         "online policies via the simulator — "
-        f"{', '.join(sorted(ONLINE_POLICIES))}; fault injection via "
-        "options['failures']"
+        f"{', '.join(sorted(ONLINE_POLICIES))}; release times, failures and "
+        "churn in one event loop"
     )
 
     def solve(self, problem: Problem) -> Solution:
@@ -231,91 +223,40 @@ class OnlineSolver(Solver):
                 f"unknown online policy {policy!r} "
                 f"(choose from: {', '.join(sorted(ONLINE_POLICIES))})"
             )
-        max_events = opts.get("max_events")
-        failures = [_parse_failure(f) for f in opts.get("failures", ())]
-        churn_specs = opts.get("churn") or ()
-        if failures and churn_specs:
-            raise SolveError(
-                "online solver takes 'failures' (fail-stop only) or 'churn' "
-                "(the general event model), not both — express fail-stop "
-                "churn as leave events"
-            )
-        if churn_specs:
-            if opts.get("arrivals") is not None:
-                raise SolveError(
-                    "online solver does not combine 'arrivals' with 'churn' "
-                    "(the churn simulator has no release times)"
-                )
-            res = simulate_with_churn(
-                problem.platform, problem.n, churn_specs, policy,
-                max_events=max_events,
-            )
-            policy_name = (
-                policy if isinstance(policy, str)
-                else getattr(policy, "__name__", "custom")
-            )
-            return Solution(
-                problem,
-                None,  # reissued ids under churn: trace-only, like failures
-                self.name,
-                stats={
-                    "attempts": res.attempts,
-                    "reissues": res.reissues,
-                    "completed": res.completed,
-                    "events": len(res.trace.events),
-                },
-                extra={
-                    "policy": policy_name,
-                    "churn": list(res.events),
-                    "survivors": list(res.survivors),
-                    "reissue_of": dict(res.reissue_of),
-                },
-                trace=res.trace,
-            )
-        if failures:
-            if opts.get("arrivals") is not None:
-                raise SolveError(
-                    "online solver does not combine 'arrivals' with "
-                    "'failures' (the fault simulator has no release times)"
-                )
-            res = simulate_with_failures(
-                problem.platform, problem.n, failures, policy,
-                max_events=max_events,
-            )
-            # exclusivity is validate()'s job — callers opt into the
-            # O(E log E) trace sweep instead of paying it on every solve
-            policy_name = (
-                policy if isinstance(policy, str)
-                else getattr(policy, "__name__", "custom")
-            )
-            return Solution(
-                problem,
-                None,  # reissued task ids: no Definition-1 schedule exists
-                self.name,
-                stats={
-                    "attempts": res.attempts,
-                    "reissues": res.reissues,
-                    "completed": res.completed,
-                    "events": len(res.trace.events),
-                },
-                extra={
-                    "policy": policy_name,
-                    "failures": len(failures),
-                    "survivors": list(res.survivors),
-                    "reissue_of": dict(res.reissue_of),
-                },
-                trace=res.trace,
-            )
+        churn = [_failure_as_leave(f) for f in opts.get("failures", ())]
+        churn += opts.get("churn") or ()
         res = simulate_online(
             problem.platform, problem.n, policy,
-            arrivals=opts.get("arrivals"), max_events=max_events,
+            arrivals=opts.get("arrivals"), churn=churn,
+            max_events=opts.get("max_events"),
         )
+        if res.schedule is not None:
+            return Solution(
+                problem,
+                res.schedule,
+                self.name,
+                stats={"events": len(res.trace.events)},
+                extra={"policy": res.policy},
+                trace=res.trace,
+            )
+        # exclusivity is validate()'s job — callers opt into the
+        # O(E log E) trace sweep instead of paying it on every solve
         return Solution(
             problem,
-            res.schedule,
+            None,
             self.name,
-            stats={"events": len(res.trace.events)},
-            extra={"policy": res.policy},
+            stats={
+                "attempts": res.attempts,
+                "reissues": res.reissues,
+                "completed": res.completed,
+                "events": len(res.trace.events),
+            },
+            extra={
+                "policy": res.policy,
+                "churn": res.events,
+                "survivors": res.survivors,
+                "reissue_of": res.reissue_of,
+            },
             trace=res.trace,
         )
 

@@ -52,7 +52,7 @@ class TestArrivals:
         cadence = float(1 / spider_steady_state(sp).throughput)
         for arrivals in ([int(i * cadence) for i in range(24)],
                          [0] * 12 + [20] * 12):
-            res = simulate_online(sp, 24, "bandwidth_centric", arrivals)
+            res = simulate_online(sp, 24, "bandwidth_centric", arrivals=arrivals)
             assert check(res.schedule) == []
             assert base <= res.makespan <= 2.2 * base
 

@@ -30,8 +30,9 @@ from repro.sim.churn import (
     parse_churn_event,
     parse_churn_events,
     random_churn,
-    simulate_with_churn,
 )
+from repro.sim.online import simulate_online
+from repro.sim.trace import assert_trace_exclusive
 from repro.solve import Problem, solve
 from repro.solve.repatch import (
     REPATCH_TOLERANCE,
@@ -205,24 +206,24 @@ class TestApplyChurn:
 
 
 # ---------------------------------------------------------------------------
-# Online execution under churn
+# Online execution under churn (simulate_online's churn=)
 # ---------------------------------------------------------------------------
 
 
-class TestSimulateWithChurn:
+class TestOnlineChurn:
     def test_clean_run_matches_no_churn_reissues(self):
         star = Star(((1, 2), (2, 3)))
-        res = simulate_with_churn(
-            star, 6, [{"op": "drift", "time": 10_000, "processor": 1,
-                       "w_factor": 2}]
+        res = simulate_online(
+            star, 6, churn=[{"op": "drift", "time": 10_000, "processor": 1,
+                             "w_factor": 2}]
         )
         assert res.completed == 6
         assert res.reissues == 0 and res.reissue_of == {}
 
     def test_leave_reissues_under_fresh_ids(self):
         star = Star(((1, 2), (2, 3)))
-        res = simulate_with_churn(
-            star, 8, [{"op": "leave", "time": 3, "processor": 1}]
+        res = simulate_online(
+            star, 8, churn=[{"op": "leave", "time": 3, "processor": 1}]
         )
         assert res.completed == 8
         assert res.reissues == len(res.reissue_of) >= 1
@@ -233,12 +234,12 @@ class TestSimulateWithChurn:
 
     def test_join_adds_dispatchable_capacity(self):
         chain = Chain([2], [9])
-        slow = simulate_with_churn(
-            chain, 6, [{"op": "drift", "time": 10_000, "processor": 1,
-                        "c_factor": 2}]
+        slow = simulate_online(
+            chain, 6, churn=[{"op": "drift", "time": 10_000, "processor": 1,
+                              "c_factor": 2}]
         )
-        fast = simulate_with_churn(
-            chain, 6, [{"op": "join", "time": 0, "c": 1, "w": 2}]
+        fast = simulate_online(
+            chain, 6, churn=[{"op": "join", "time": 0, "c": 1, "w": 2}]
         )
         assert fast.makespan < slow.makespan
         assert 2 in fast.survivors
@@ -246,8 +247,8 @@ class TestSimulateWithChurn:
     def test_deterministic(self):
         spider = random_spider(2, 2, seed=3)
         events = random_churn(spider, 5, events=2)
-        a = simulate_with_churn(spider, 10, events)
-        b = simulate_with_churn(spider, 10, events)
+        a = simulate_online(spider, 10, churn=events)
+        b = simulate_online(spider, 10, churn=events)
         assert a.makespan == b.makespan
         assert a.reissue_of == b.reissue_of
         assert a.trace.makespan == b.trace.makespan
@@ -256,10 +257,19 @@ class TestSimulateWithChurn:
         from repro.core.types import SimulationError
 
         with pytest.raises(SimulationError, match="dead"):
-            simulate_with_churn(
+            simulate_online(
                 Star(((1, 2),)), 50,
-                [{"op": "leave", "time": 1, "processor": 1}],
+                churn=[{"op": "leave", "time": 1, "processor": 1}],
             )
+
+    def test_unknown_processor_raises(self):
+        with pytest.raises(ChurnError, match="no processor 7 to remove"):
+            simulate_online(Chain([1, 1], [2, 2]), 4,
+                            churn=[{"op": "leave", "time": 1, "processor": 7}])
+        with pytest.raises(ChurnError, match="no processor 7 to drift"):
+            simulate_online(Chain([1, 1], [2, 2]), 4,
+                            churn=[{"op": "drift", "time": 1, "processor": 7,
+                                    "w_factor": 2}])
 
     def test_registry_dispatch_and_trace_only_solution(self):
         star = Star(((1, 2), (2, 3)))
@@ -273,39 +283,119 @@ class TestSimulateWithChurn:
         assert sol.extra["reissue_of"]
         assert sol.extra["churn"][0]["op"] == "leave"
 
-    def test_churn_and_failures_mutually_exclusive(self):
-        star = Star(((1, 2), (2, 3)))
-        with pytest.raises(SolveError, match="leave events"):
-            solve(Problem(star, "makespan", n=4, mode="online",
-                          options={
-                              "churn": [{"op": "drift", "time": 1,
-                                         "processor": 1, "w_factor": 2}],
-                              "failures": [{"time": 1, "processor": 1}],
-                          }))
+    def test_churn_failures_and_arrivals_combine(self):
+        """One loop takes any mix of options: failures (as leaves), churn
+        and release times together still complete every task."""
+        star = Star(((1, 2), (2, 3), (1, 4)))
+        sol = solve(Problem(star, "makespan", n=8, mode="online",
+                            options={
+                                "churn": [{"op": "drift", "time": 1,
+                                           "processor": 2, "w_factor": 2},
+                                          {"op": "join", "time": 5,
+                                           "c": 1, "w": 1}],
+                                "failures": [{"time": 4, "processor": 1}],
+                                "arrivals": [0, 0, 0, 6, 6, 6, 12, 12],
+                            }))
+        sol.validate()
+        assert sol.stats["completed"] == 8
+        assert [ev["op"] for ev in sol.extra["churn"]] == [
+            "drift", "leave", "join"]
+        # release times hold back original tasks only
+        first_send = {}
+        for ev in sol.trace.events:
+            if ev.kind.value == "send_start" and ev.resource == "master":
+                first_send.setdefault(ev.task, ev.time)
+        assert all(first_send[t] >= 6 for t in (4, 5, 6))
+        assert all(first_send[t] >= 12 for t in (7, 8))
+
+    def test_reissues_skip_the_release_queue(self):
+        """A lost task was already released: it goes out while the next
+        original task is still waiting for its release."""
+        star = Star(((1, 4), (1, 4)))
+        res = simulate_online(
+            star, 3, "round_robin", arrivals=[0, 0, 50],
+            churn=[{"op": "leave", "time": 2, "processor": 1}],
+        )
+        assert res.reissues == 1
+        (fresh,) = res.reissue_of
+        sends = {ev.task: ev.time for ev in res.trace.events
+                 if ev.kind.value == "send_start"}
+        assert sends[fresh] < 50 <= sends[3]
+
+
+class TestDriftNeverDoubleBooks:
+    """A drift changes the work/latency of sends and executions queued
+    behind one already claimed: a queued start re-checks that the resource
+    really freed."""
+
+    def test_stretched_execution_delays_the_queue(self):
+        sol = solve(Problem(Chain(c=[2], w=[6]), "makespan", n=3,
+                            mode="online", options={"churn": [
+                                {"op": "drift", "time": 7, "processor": 1,
+                                 "w_factor": 2}]}))
+        sol.validate()
+        runs = sorted(sol.trace.busy[("proc", 1)])
+        # task 1 keeps its pre-drift 6; the queue behind it runs 12 each
+        assert runs == [(2, 8, 1), (8, 20, 2), (20, 32, 3)]
+        assert sol.makespan == 32
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_drift_mixes_validate(self, seed):
+        gen = (random_spider, random_star, random_tree)[seed % 3]
+        platform = (gen(3, 3, seed=seed) if gen is random_spider
+                    else gen(4, seed=seed))
+        events = random_churn(platform, seed, events=4, join_weight=0,
+                              leave_weight=0)
+        events += random_churn(platform, seed + 100, events=3)
+        for policy in ("bandwidth_centric", "demand_driven", "round_robin"):
+            sol = solve(Problem(platform, "makespan", n=16, mode="online",
+                                options={"policy": policy, "churn": events}))
+            sol.validate()
+            assert sol.stats["completed"] == 16
+
+
+class TestPolicyNone:
+    def test_none_stops_and_the_short_run_raises(self):
+        from repro.core.types import SimulationError
+
+        def two_then_stop(state, procs, adapter):
+            return procs[0] if sum(state.dispatched.values()) < 2 else None
+
+        with pytest.raises(SimulationError, match="only 2/5 tasks completed"):
+            simulate_online(Star(((1, 2), (1, 3))), 5, two_then_stop)
+        with pytest.raises(SimulationError, match="only 2/5"):
+            solve(Problem(Star(((1, 2), (1, 3))), "makespan", n=5,
+                          mode="online", options={"policy": two_then_stop}))
+
+    def test_policy_must_choose_a_live_processor(self):
+        from repro.core.types import SimulationError
+
+        with pytest.raises(SimulationError, match="not a live processor"):
+            simulate_online(
+                Star(((1, 2), (1, 3))), 4, lambda state, procs, adapter: 1,
+                churn=[{"op": "leave", "time": 1, "processor": 1}],
+            )
 
 
 # ---------------------------------------------------------------------------
-# Fail-stop reissue attribution (sim.faults)
+# Fail-stop reissue attribution (failures are leave events)
 # ---------------------------------------------------------------------------
 
 
 class TestFailureReissueMap:
     def test_reissue_of_maps_fresh_to_original(self):
-        from repro.sim.faults import WorkerFailure, simulate_with_failures
-
         star = Star(((1, 2), (2, 3)))
-        res = simulate_with_failures(star, 8, [WorkerFailure(3, 1)])
+        res = simulate_online(star, 8, churn=[ProcessorLeave(3, 1)])
         assert res.completed == 8
         assert res.reissues == len(res.reissue_of) >= 1
         for fresh, orig in res.reissue_of.items():
             assert fresh > 8 and 1 <= orig <= 8
         # chained losses collapse to the *original* id, never a fresh one
         assert set(res.reissue_of.values()).isdisjoint(res.reissue_of)
+        assert_trace_exclusive(res.trace)
 
     def test_clean_run_has_empty_map(self):
-        from repro.sim.faults import simulate_with_failures
-
-        res = simulate_with_failures(Star(((1, 2), (2, 3))), 5, [])
+        res = simulate_online(Star(((1, 2), (2, 3))), 5)
         assert res.reissue_of == {}
 
     def test_exposed_through_online_solver_extra(self):
@@ -315,6 +405,9 @@ class TestFailureReissueMap:
                                 {"time": 3, "processor": 1},
                             ]}))
         assert sol.extra["reissue_of"]
+        # the failure is reported as the leave event it runs as
+        assert sol.extra["churn"] == [
+            {"op": "leave", "time": 3, "processor": 1}]
 
 
 # ---------------------------------------------------------------------------

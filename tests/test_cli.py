@@ -113,6 +113,17 @@ class TestExtendedCommands:
         assert main(["failures", "--child", "1/2", "-n", "4"]) == 0
         assert "reissues: 0" in capsys.readouterr().out
 
+    def test_failures_fractional_kill_time(self, capsys):
+        assert main(["failures", "--child", "1/3", "--child", "2/2",
+                     "-n", "8", "--kill", "1.5@1"]) == 0
+        out = capsys.readouterr().out
+        assert "completed: 8" in out and "survivors: [2]" in out
+
+    def test_failures_unknown_processor_is_an_error(self, capsys):
+        assert main(["failures", "--c", "1,1", "--w", "2,2", "-n", "4",
+                     "--kill", "1@7"]) == 1
+        assert "no processor 7 to remove" in capsys.readouterr().err
+
     def test_fig7_dot(self, capsys):
         assert main(["fig7", "--c", "2,3", "--w", "3,5", "--tlim", "14"]) == 0
         out = capsys.readouterr().out

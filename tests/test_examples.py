@@ -1,8 +1,6 @@
-"""Every example script must run clean as a subprocess (user-facing smoke)."""
+"""Every example script must run clean, in process (user-facing smoke)."""
 
-import os
-import subprocess
-import sys
+import runpy
 from pathlib import Path
 
 import pytest
@@ -11,31 +9,18 @@ _REPO = Path(__file__).resolve().parents[1]
 EXAMPLES = sorted((_REPO / "examples").glob("*.py"))
 
 
-def _env_with_src() -> dict[str, str]:
-    """Subprocess env whose PYTHONPATH reaches ``src`` from any cwd.
-
-    The tier-1 command exports a *relative* ``PYTHONPATH=src``, which stops
-    resolving once the example runs from a scratch directory — so rebuild it
-    with the absolute path."""
-    env = dict(os.environ)
-    extra = str(_REPO / "src")
-    prev = env.get("PYTHONPATH", "")
-    env["PYTHONPATH"] = extra + (os.pathsep + prev if prev else "")
-    return env
+def _run(script: Path, tmp_path, monkeypatch, capsys) -> str:
+    """Run ``script`` as ``__main__`` from ``tmp_path`` (artefacts such as
+    svg/json files land there); returns what it printed."""
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(script), run_name="__main__")
+    return capsys.readouterr().out
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)
-def test_example_runs_clean(script, tmp_path):
-    result = subprocess.run(
-        [sys.executable, str(script)],
-        capture_output=True,
-        text=True,
-        timeout=180,
-        cwd=tmp_path,  # artefacts (svg/json) land in the scratch dir
-        env=_env_with_src(),
-    )
-    assert result.returncode == 0, result.stderr[-2000:]
-    assert result.stdout.strip(), "examples must narrate what they do"
+def test_example_runs_clean(script, tmp_path, monkeypatch, capsys):
+    out = _run(script, tmp_path, monkeypatch, capsys)
+    assert out.strip(), "examples must narrate what they do"
 
 
 def test_example_inventory():
@@ -44,13 +29,16 @@ def test_example_inventory():
     assert len(names) >= 3, "the paper repro ships at least three examples"
 
 
-def test_quickstart_prints_paper_numbers():
+def test_quickstart_prints_paper_numbers(tmp_path, monkeypatch, capsys):
     script = next(p for p in EXAMPLES if p.stem == "quickstart")
-    out = subprocess.run(
-        [sys.executable, str(script)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=_env_with_src(),
-    ).stdout
-    assert "14" in out  # the paper's makespan
+    assert "14" in _run(script, tmp_path, monkeypatch, capsys)  # the paper's makespan
+
+
+def test_pipeline_chain_writes_into_its_working_directory(
+    tmp_path, monkeypatch, capsys
+):
+    script = next(p for p in EXAMPLES if p.stem == "pipeline_chain")
+    _run(script, tmp_path, monkeypatch, capsys)
+    assert {p.name for p in tmp_path.iterdir()} >= {
+        "pipeline_chain.svg", "pipeline_chain.json",
+    }

@@ -386,4 +386,3 @@ class TestCliOnlineDispatch:
 
         source = inspect.getsource(cli_mod)
         assert "simulate_online(" not in source
-        assert "simulate_with_failures(" not in source

@@ -15,39 +15,44 @@ from repro.platforms.chain import Chain
 from repro.platforms.presets import seti_like_spider
 from repro.platforms.spider import Spider
 from repro.platforms.star import Star
-from repro.sim.faults import (
-    WorkerFailure,
-    assert_trace_exclusive,
-    simulate_with_failures,
-)
-from repro.sim.trace import Trace
+from repro.sim.churn import ProcessorLeave
+from repro.sim.online import simulate_online
+from repro.sim.trace import Trace, assert_trace_exclusive
+
+
+def fail_stop(platform, n, *failures):
+    """An online run where each ``(time, processor)`` failure is a leave."""
+    return simulate_online(
+        platform, n, churn=[ProcessorLeave(t, p) for t, p in failures]
+    )
 
 
 class TestFailureInjection:
     def test_no_failures_matches_plain_online(self):
         star = Star([(1, 3), (2, 2)])
-        res = simulate_with_failures(star, 8, [])
+        res = fail_stop(star, 8)
         assert res.completed == 8
         assert res.attempts == 8 and res.reissues == 0
         assert_trace_exclusive(res.trace)
 
     def test_single_failure_reissues(self):
         star = Star([(1, 3), (2, 2)])
-        res = simulate_with_failures(star, 8, [WorkerFailure(3, 1)])
+        res = fail_stop(star, 8, (3, 1))
         assert res.completed == 8
         assert res.attempts >= 8
         assert res.survivors == [2]
+        assert res.schedule is None  # reissued ids: trace-only
         assert_trace_exclusive(res.trace)
 
     def test_failure_degrades_makespan(self):
         star = Star([(1, 3), (1, 3), (1, 3)])
-        clean = simulate_with_failures(star, 12, [])
-        faulty = simulate_with_failures(star, 12, [WorkerFailure(2, 1)])
+        clean = fail_stop(star, 12)
+        faulty = fail_stop(star, 12, (2, 1))
         assert faulty.makespan >= clean.makespan
         # losing a fast cluster node of the SETI-like spider hurts too
         sp = seti_like_spider()
-        clean = simulate_with_failures(sp, 25, [])
-        faulty = simulate_with_failures(sp, 25, [WorkerFailure(6, (1, 2))])
+        clean = fail_stop(sp, 25)
+        faulty = fail_stop(sp, 25, (6, (1, 2)))
         assert faulty.completed == 25
         assert faulty.makespan >= clean.makespan
 
@@ -55,11 +60,11 @@ class TestFailureInjection:
         # a chain: killing proc 1 strands proc 2 as well
         ch = Chain(c=(1, 1), w=(2, 2))
         with pytest.raises(SimulationError):
-            simulate_with_failures(ch, 4, [WorkerFailure(1, 1)])
+            fail_stop(ch, 4, (1, 1))
 
     def test_mid_leg_failure_on_spider(self):
         sp = seti_like_spider()
-        res = simulate_with_failures(sp, 15, [WorkerFailure(5, (1, 2))])
+        res = fail_stop(sp, 15, (5, (1, 2)))
         assert res.completed == 15
         # (1,2) and its downstream (1,3) are gone
         assert (1, 2) not in res.survivors and (1, 3) not in res.survivors
@@ -69,25 +74,22 @@ class TestFailureInjection:
     def test_all_dead_raises(self):
         star = Star([(1, 2)])
         with pytest.raises(SimulationError):
-            simulate_with_failures(star, 5, [WorkerFailure(1, 1)])
+            fail_stop(star, 5, (1, 1))
 
     def test_multiple_failures(self):
         sp = seti_like_spider()
-        failures = [WorkerFailure(4, (3, 1)), WorkerFailure(8, (4, 1))]
-        res = simulate_with_failures(sp, 20, failures)
+        res = fail_stop(sp, 20, (4, (3, 1)), (8, (4, 1)))
         assert res.completed == 20
         assert res.reissues >= 0
         assert_trace_exclusive(res.trace)
         # rolling churn of three hosts forces at least one reissue
-        rolling = [WorkerFailure(4, (3, 1)), WorkerFailure(9, (5, 1)),
-                   WorkerFailure(14, (6, 1))]
-        res = simulate_with_failures(sp, 25, rolling)
+        res = fail_stop(sp, 25, (4, (3, 1)), (9, (5, 1)), (14, (6, 1)))
         assert res.completed == 25 and res.reissues >= 1
         assert_trace_exclusive(res.trace)
 
     def test_failure_after_completion_is_noop(self):
         star = Star([(1, 2), (1, 2)])
-        res = simulate_with_failures(star, 4, [WorkerFailure(10_000, 1)])
+        res = fail_stop(star, 4, (10_000, 1))
         assert res.reissues == 0
 
     def test_trace_exclusive_detects_overlap(self):
