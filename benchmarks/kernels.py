@@ -442,6 +442,9 @@ def kernel_replay_zipf() -> dict:
             assert trace_event.events == trace_compiled.events, (
                 f"engines disagree on {sol.solver} trace"
             )
+            assert [e.info for e in trace_event.events] == [
+                e.info for e in trace_compiled.events
+            ]
             assert trace_event.busy == trace_compiled.busy
             events += len(trace_compiled.events)
             tasks += sol.n_tasks
@@ -677,10 +680,11 @@ def kernel_solve_batch() -> dict:
     from repro.solve import solve
 
     def fingerprint(schedule):
-        return {
-            a.task: (str(a.processor), a.start, tuple(a.comms.times))
-            for a in schedule.assignments.values()
-        }
+        """Every task's id, processor, start and comm times, read off the
+        schedule's columns as Python values."""
+        cols = schedule.columns
+        return (schedule.tasks(), [schedule.keys[j] for j in cols.proc.tolist()],
+                cols.start.tolist(), cols.ptr.tolist(), cols.comm.tolist())
 
     def once() -> dict:
         clear_solve_kernels()

@@ -14,13 +14,11 @@ validator (:mod:`repro.sim.replay_fast`) indexes directly:
 * a CSR-style route table (``route_start`` / ``route_links``) holding each
   master→processor route as link indices in traversal order;
 * per-link ``latency`` and ``sender_port`` (index into ``port_keys``,
-  where index :data:`MASTER_PORT` is always the master's send port);
-* prefix route costs (``route_prefix``, aligned with ``route_links``) and
-  total ``route_cost`` per processor — the pipeline-fill quantities,
-  precomputed once per core so consumers need not re-walk routes (the
-  bounds/online layers currently go through the memoized
-  ``PlatformAdapter.route_cost``; ``route_prefix`` is the flat-array
-  equivalent for code that already holds a compiled platform).
+  where index :data:`MASTER_PORT` is always the master's send port).
+
+The numeric tables are read-only numpy arrays (times as
+:func:`~repro.core.schedule.time_column` stores them), which the replay
+kernel indexes with whole-schedule gathers.
 
 Compiled cores are **cached by the canonical platform fingerprint** from
 :mod:`repro.service.canon`: two isomorphic platforms (a spider with its
@@ -39,8 +37,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable, Optional, Sequence
 
+import numpy as np
+
 from ..obs import metrics as _obs
-from .schedule import LinkKey, PlatformAdapter, PortKey, ProcKey, adapter_for
+from .schedule import (
+    LinkKey, PlatformAdapter, PortKey, ProcKey, adapter_for, time_column,
+)
 from .types import ReproError, Time
 
 __all__ = [
@@ -78,33 +80,19 @@ class CompiledPlatform:
     #: processor keys of *this* platform, in core order.
     procs: tuple[ProcKey, ...]
     proc_index: dict[ProcKey, int]
-    works: tuple[Time, ...]
+    works: np.ndarray
     #: per-link latency; link ``l`` is the incoming edge of processor ``l``.
-    latency: tuple[Time, ...]
+    latency: np.ndarray
     #: link keys of *this* platform (``link_keys[l]`` names link ``l``).
     link_keys: tuple[LinkKey, ...]
     #: per-link sending-port index into ``port_keys``.
-    sender_port: tuple[int, ...]
+    sender_port: np.ndarray
     #: send-port keys of *this* platform; index 0 is the master's port.
     port_keys: tuple[PortKey, ...]
     #: CSR route table: route of processor ``i`` is
     #: ``route_links[route_start[i]:route_start[i + 1]]``.
-    route_start: tuple[int, ...]
-    route_links: tuple[int, ...]
-    #: total route latency per processor (the pipeline fill).
-    route_cost: tuple[Time, ...]
-    #: aligned with ``route_links``: cumulative latency up to and
-    #: *including* that hop (``route_prefix[route_start[i + 1] - 1]`` is
-    #: ``route_cost[i]``).
-    route_prefix: tuple[Time, ...]
-
-    @property
-    def n_procs(self) -> int:
-        return len(self.procs)
-
-    def route_of(self, index: int) -> tuple[int, ...]:
-        """Link indices of processor ``index``'s route, traversal order."""
-        return self.route_links[self.route_start[index]:self.route_start[index + 1]]
+    route_start: np.ndarray
+    route_links: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,17 +101,15 @@ class _Core:
 
     fingerprint: str
     procs: tuple[ProcKey, ...]       # canonical processor keys
-    works: tuple[Time, ...]
-    latency: tuple[Time, ...]
-    sender_port: tuple[int, ...]
+    works: np.ndarray
+    latency: np.ndarray
+    sender_port: np.ndarray
     port_keys: tuple[PortKey, ...]   # canonical; [0] is the master's port
     #: per non-master port: the canonical *processor* key it belongs to
     #: (senders along a route are always processors).
     port_proc: tuple[Optional[ProcKey], ...]
-    route_start: tuple[int, ...]
-    route_links: tuple[int, ...]
-    route_cost: tuple[Time, ...]
-    route_prefix: tuple[Time, ...]
+    route_start: np.ndarray
+    route_links: np.ndarray
 
 
 _LOCK = threading.Lock()
@@ -197,8 +183,6 @@ def _build_core(adapter: PlatformAdapter, fingerprint: str) -> _Core:
     sender_port: list[Optional[int]] = [None] * n
     route_start = [0]
     route_links: list[int] = []
-    route_cost: list[Time] = []
-    route_prefix: list[Time] = []
 
     master_key = adapter.master_port()
     port_keys: list[PortKey] = [master_key]
@@ -206,7 +190,6 @@ def _build_core(adapter: PlatformAdapter, fingerprint: str) -> _Core:
     port_index: dict[PortKey, int] = {master_key: MASTER_PORT}
 
     for i, proc in enumerate(procs):
-        cost: Time = 0
         route = adapter.route(proc)
         if not route:
             raise CompileError(f"processor {proc!r} has an empty route")
@@ -236,30 +219,25 @@ def _build_core(adapter: PlatformAdapter, fingerprint: str) -> _Core:
                     port_proc.append(sender)
                 sender_port[l] = port
             route_links.append(l)
-            cost = cost + c
-            route_prefix.append(cost)
         if route_links[-1] != i:
             # every route must end at the processor's own incoming link
             raise CompileError(
                 f"route of {proc!r} does not end at its own link"
             )
         route_start.append(len(route_links))
-        route_cost.append(cost)
     if any(c is None for c in latency):
         missing = [procs[l] for l, c in enumerate(latency) if c is None]
         raise CompileError(f"links never traversed for processors {missing!r}")
     return _Core(
         fingerprint=fingerprint,
         procs=tuple(procs),
-        works=tuple(works),
-        latency=tuple(latency),          # type: ignore[arg-type]
-        sender_port=tuple(sender_port),  # type: ignore[arg-type]
+        works=time_column(works),
+        latency=time_column(latency),
+        sender_port=time_column(sender_port),
         port_keys=tuple(port_keys),
         port_proc=tuple(port_proc),
-        route_start=tuple(route_start),
-        route_links=tuple(route_links),
-        route_cost=tuple(route_cost),
-        route_prefix=tuple(route_prefix),
+        route_start=time_column(route_start),
+        route_links=time_column(route_links),
     )
 
 
@@ -273,14 +251,12 @@ def _bind(core: _Core, platform: Any, from_canonical) -> CompiledPlatform:
     once per platform object (the result is memoized)."""
     procs = tuple(from_canonical[p] for p in core.procs)
     adapter = adapter_for(platform)
-    for i, proc in enumerate(procs):
-        if adapter.work(proc) != core.works[i] or (
-            adapter.latency(proc) != core.latency[i]
-        ):
+    for proc, c, w in zip(procs, core.latency.tolist(), core.works.tolist()):
+        if adapter.work(proc) != w or adapter.latency(proc) != c:
             raise CompileError(
                 f"canonical binding mismatch on {proc!r}: platform has "
                 f"(c={adapter.latency(proc)!r}, w={adapter.work(proc)!r}), "
-                f"core has (c={core.latency[i]!r}, w={core.works[i]!r})"
+                f"core has (c={c!r}, w={w!r})"
             )
     # link l is the incoming edge of processor l, so its key relabels with it
     link_keys = procs
@@ -300,8 +276,6 @@ def _bind(core: _Core, platform: Any, from_canonical) -> CompiledPlatform:
         port_keys=port_keys,
         route_start=core.route_start,
         route_links=core.route_links,
-        route_cost=core.route_cost,
-        route_prefix=core.route_prefix,
     )
 
 
@@ -318,8 +292,6 @@ def _identity_bind(core: _Core, platform: Any, fingerprint: Optional[str]) -> Co
         port_keys=core.port_keys,
         route_start=core.route_start,
         route_links=core.route_links,
-        route_cost=core.route_cost,
-        route_prefix=core.route_prefix,
     )
 
 

@@ -4,6 +4,21 @@ A schedule assigns to every task ``i`` a processor ``P(i)``, an execution
 start time ``T(i)`` and a communication vector ``C(i)`` with one emission
 time per link on the route from the master to ``P(i)``.
 
+:class:`Schedule` stores those three functions as :class:`Columns`, one
+row per task in task order: ``P`` as an index into the schedule's key
+table (``keys[j]`` is a processor of the platform), ``T`` as a start time
+and ``C`` in CSR form (``comm[ptr[r]:ptr[r + 1]]``).  The arrays are
+read-only; times are ``int64`` when they are all Python ints small
+enough that int64 arithmetic stays exact (:data:`INT_TIME_LIMIT`), else
+an object array that keeps each big int, float or Fraction.  The solve
+kernels emit columns directly (:meth:`Schedule.from_columns`); every other
+builder passes :class:`TaskAssignment` records to the constructor or to
+:meth:`Schedule.add`, and ``schedule[t]``, ``iter(schedule)`` and
+``schedule.assignments`` hand the same records back as per-task views
+holding Python numbers.  :meth:`Schedule.rebound` moves a schedule onto an
+isomorphic platform by swapping the p-entry key table; the columns are
+shared.
+
 The same container serves chains, stars, spiders and general trees.  What
 changes between platforms is only *addressing* — which processors exist,
 what the route to each looks like and which physical port each communication
@@ -23,8 +38,12 @@ Tree      node id                  node id (incoming edge of node)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator, Mapping
+from bisect import bisect_left
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Optional
+
+import numpy as np
 
 from ..platforms.chain import Chain
 from ..platforms.spider import Spider
@@ -282,40 +301,275 @@ class TaskAssignment:
         }
 
 
-@dataclass
+#: int64 columns hold only values below this magnitude: the sum of two
+#: never wraps, and each converts to a float exactly, so int64 arithmetic
+#: and comparisons with ``EPS`` slack give Python's answers.
+INT_TIME_LIMIT = 2 ** 53
+
+
+def time_column(values: Any) -> np.ndarray:
+    """A read-only column of times: ``int64`` when every value is a Python
+    ``int`` below :data:`INT_TIME_LIMIT` in magnitude, else an object array
+    of the values themselves, so big ints, floats and Fractions stay exact
+    and keep their type."""
+    column = np.asarray(values)
+    if column.dtype != np.int64:
+        column = np.empty(len(values), dtype=object)
+        column[:] = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        if all(type(v) is int and -INT_TIME_LIMIT < v < INT_TIME_LIMIT
+               for v in column):
+            column = column.astype(np.int64)
+    elif column.size and not (
+        -INT_TIME_LIMIT < column.min() and column.max() < INT_TIME_LIMIT
+    ):
+        column = column.astype(object)
+    column.flags.writeable = False
+    return column
+
+
+def _index_column(values: Any) -> np.ndarray:
+    column = np.asarray(values, dtype=np.int64)
+    column.flags.writeable = False
+    return column
+
+
+def csr_take(ptr: Any, values: Any, rows: Any) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` (in that order) of the CSR pair ``ptr``/``values``."""
+    ptr = np.asarray(ptr, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    lengths = ptr[rows + 1] - ptr[rows]
+    out = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    flat = np.repeat(ptr[rows] - out[:-1], lengths) + np.arange(out[-1])
+    return out, np.asarray(values)[flat]
+
+
+class Columns:
+    """Definition 1's P, T and C for a schedule's tasks, one row per task
+    in task order: the task ids ``tasks`` (``1..n`` unless given),
+    ``proc`` (an index into the schedule's key table), ``start``, and the
+    CSR pair ``ptr``/``comm`` (row ``r``'s vector is
+    ``comm[ptr[r]:ptr[r + 1]]``).  Every array is read-only: a rebound
+    schedule shares its columns with the answer it was rebound from.
+    ``text`` is the response writer's memo of the rows' JSON text
+    (:func:`repro.io.json_io.schedule_to_json`)."""
+
+    __slots__ = ("tasks", "proc", "start", "ptr", "comm", "text")
+
+    def __init__(self, proc: Any, start: Any, ptr: Any, comm: Any,
+                 tasks: Any = None) -> None:
+        self.proc = _index_column(proc)
+        self.start = time_column(start)
+        self.ptr = _index_column(ptr)
+        self.comm = time_column(comm)
+        self.tasks = _index_column(
+            np.arange(1, self.proc.size + 1) if tasks is None else tasks
+        )
+        self.text: Optional[str] = None
+
+    def __len__(self) -> int:
+        return self.proc.size
+
+    def to_lists(self) -> tuple[list, list, list, list, list]:
+        """``(tasks, proc, start, ptr, comm)`` as new Python lists."""
+        return (self.tasks.tolist(), self.proc.tolist(), self.start.tolist(),
+                self.ptr.tolist(), self.comm.tolist())
+
+    def take(self, rows: Any, tasks: Any = None) -> "Columns":
+        """The rows ``rows`` (in that order), numbered ``tasks`` (by
+        default their own ids)."""
+        ptr, comm = csr_take(self.ptr, self.comm, rows)
+        return Columns(self.proc[rows], self.start[rows], ptr, comm,
+                       self.tasks[rows] if tasks is None else tasks)
+
+
+class _Rows:
+    """Rows added one at a time (amortised O(1) each), folded into fresh
+    columns on the schedule's next read."""
+
+    __slots__ = ("tasks", "proc", "start", "ptr", "comm", "ordered")
+
+    def __init__(self, cols: Columns) -> None:
+        self.tasks, self.proc, self.start, self.ptr, self.comm = cols.to_lists()
+        self.ordered = True
+
+    def append(self, task: int, proc: int, start: Time, comms: tuple) -> None:
+        tasks = self.tasks
+        if tasks and task <= tasks[-1]:
+            if self.ordered:
+                at = bisect_left(tasks, task)
+                taken = at < len(tasks) and tasks[at] == task
+            else:
+                taken = task in tasks
+            if taken:
+                raise ScheduleError(f"task {task} assigned twice")
+            self.ordered = False
+        tasks.append(task)
+        self.proc.append(proc)
+        self.start.append(start)
+        self.comm.extend(comms)
+        self.ptr.append(len(self.comm))
+
+    def columns(self) -> Columns:
+        cols = Columns(self.proc, self.start, self.ptr, self.comm, self.tasks)
+        if self.ordered:
+            return cols
+        return cols.take(np.argsort(cols.tasks, kind="stable"))
+
+
+class _KeyTable:
+    """A schedule's processor keys by index, with each processor's route
+    length and work."""
+
+    __slots__ = ("keys", "index", "hops", "work")
+
+    def __init__(self, keys: tuple, hops: tuple, work: np.ndarray) -> None:
+        self.keys = keys
+        self.index = {k: j for j, k in enumerate(keys)}
+        self.hops = hops
+        self.work = work
+
+
+def _key_table(platform: Any, adapter: PlatformAdapter) -> _KeyTable:
+    """The platform's processors in adapter order (memoized on the
+    platform object: platforms are immutable)."""
+    table = getattr(platform, "_repro_key_table", None)
+    if table is None:
+        procs = tuple(adapter.processors())
+        table = _KeyTable(
+            procs, tuple(len(adapter.route_nodes(k)) for k in procs),
+            time_column([adapter.work(k) for k in procs]),
+        )
+        try:  # frozen dataclasses need the object.__setattr__ side door
+            object.__setattr__(platform, "_repro_key_table", table)
+        except (AttributeError, TypeError):  # slotted/exotic: skip the memo
+            pass
+    return table
+
+
+_EMPTY = Columns((), (), (0,), ())
+
+
 class Schedule:
     """A full schedule for ``n`` identical tasks on ``platform``.
 
-    Tasks are numbered 1..n.  The container is platform-agnostic; the
-    algorithms in :mod:`repro.core` produce it, :mod:`repro.core.feasibility`
-    checks it, :mod:`repro.sim` executes it and :mod:`repro.viz` renders it.
+    Stored as :class:`Columns` plus a key table mapping each processor
+    index to its key.  The solve kernels build it with
+    :meth:`from_columns`; other builders pass :class:`TaskAssignment`
+    records to the constructor or :meth:`add`.  ``schedule[t]``,
+    ``iter(schedule)`` and :attr:`assignments` hand out per-task
+    :class:`TaskAssignment` views built on access.  The container is
+    platform-agnostic; the algorithms in :mod:`repro.core` produce it,
+    :mod:`repro.core.feasibility` checks it, :mod:`repro.sim` executes it
+    and :mod:`repro.viz` renders it.
     """
 
-    platform: Any
-    assignments: dict[int, TaskAssignment] = field(default_factory=dict)
+    __slots__ = ("platform", "_adapter", "_table", "_cols", "_rows")
 
-    def __post_init__(self) -> None:
-        self._adapter = adapter_for(self.platform)
-        for t, a in self.assignments.items():
-            self._validate_assignment(t, a)
+    def __init__(
+        self, platform: Any,
+        assignments: Optional[Mapping[int, TaskAssignment]] = None,
+    ) -> None:
+        self.platform = platform
+        self._adapter = adapter_for(platform)
+        self._table = _key_table(platform, self._adapter)
+        self._cols = _EMPTY
+        self._rows: Optional[_Rows] = None
+        for t in sorted(assignments or ()):
+            a = assignments[t]
+            if t != a.task:
+                raise ScheduleError(f"assignment keyed {t} but holds task {a.task}")
+            self.add(a)
+
+    @classmethod
+    def from_columns(
+        cls, platform: Any, proc: Any, start: Any, ptr: Any, comm: Any, *,
+        tasks: Any = None,
+    ) -> "Schedule":
+        """A schedule straight from its columns (see :class:`Columns`);
+        ``proc`` indexes the platform's processors in adapter order."""
+        adapter = adapter_for(platform)
+        self = cls._make(
+            platform, adapter, _key_table(platform, adapter),
+            Columns(proc, start, ptr, comm, tasks),
+        )
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, platform: Any, adapter: PlatformAdapter, table: _KeyTable,
+              cols: Columns) -> "Schedule":
+        self = cls.__new__(cls)
+        self.platform = platform
+        self._adapter = adapter
+        self._table = table
+        self._cols = cols
+        self._rows = None
+        return self
+
+    def rebound(self, platform: Any, keys: tuple) -> "Schedule":
+        """This schedule on an isomorphic ``platform`` whose processor
+        ``keys[j]`` plays the role of this schedule's index ``j``: the
+        columns are shared, only the p-entry key table is new.  The keys
+        must be the platform's processors, each with this index's route
+        length: an O(p) check against the platform's compiled form, which
+        its replay then reuses."""
+        from .compiled import compile_platform  # compiled builds on this module
+
+        cp = compile_platform(platform)
+        at = [cp.proc_index.get(k) for k in keys]
+        if None in at or len(set(at)) != len(cp.procs):
+            raise ScheduleError(
+                f"key table {keys!r} is not a permutation of the platform's "
+                f"processors"
+            )
+        hops = tuple((cp.route_start[1:] - cp.route_start[:-1])[at].tolist())
+        if hops != self._table.hops:
+            raise ScheduleError("rebound key table changes route lengths")
+        table = _KeyTable(tuple(keys), hops, cp.works[at])
+        return Schedule._make(platform, adapter_for(platform), table, self._columns())
 
     # -- construction ---------------------------------------------------------
 
     def add(self, assignment: TaskAssignment) -> None:
-        if assignment.task in self.assignments:
-            raise ScheduleError(f"task {assignment.task} assigned twice")
-        self._validate_assignment(assignment.task, assignment)
-        self.assignments[assignment.task] = assignment
-
-    def _validate_assignment(self, key: int, a: TaskAssignment) -> None:
-        if key != a.task:
-            raise ScheduleError(f"assignment keyed {key} but holds task {a.task}")
-        # the memoized node tuple: one route walk per processor, not per task
-        hops = len(self._adapter.route_nodes(a.processor))
-        if len(a.comms) != hops:
+        """Append one task (amortised O(1))."""
+        j = self._table.index.get(assignment.processor)
+        if j is None:
             raise ScheduleError(
-                f"task {a.task}: communication vector length {len(a.comms)} does "
-                f"not match route length {hops} to processor {a.processor!r}"
+                f"task {assignment.task}: processor {assignment.processor!r} "
+                f"is not on the platform"
+            )
+        hops = self._table.hops[j]
+        if len(assignment.comms) != hops:
+            raise ScheduleError(
+                f"task {assignment.task}: communication vector length "
+                f"{len(assignment.comms)} does not match route length {hops} "
+                f"to processor {assignment.processor!r}"
+            )
+        if self._rows is None:
+            self._rows = _Rows(self._cols)
+        self._rows.append(
+            assignment.task, j, assignment.start, assignment.comms.times
+        )
+
+    def _check(self) -> None:
+        cols, table = self._cols, self._table
+        n = len(cols)
+        if (cols.start.size != n or cols.tasks.size != n
+                or cols.ptr.size != n + 1 or cols.ptr[0] != 0
+                or cols.ptr[-1] != cols.comm.size
+                or (n and not 0 <= cols.proc.min() <= cols.proc.max() < len(table.keys))
+                or (np.diff(cols.tasks) <= 0).any()):
+            raise ScheduleError("malformed schedule columns")
+        lengths = cols.ptr[1:] - cols.ptr[:-1]
+        bad = np.flatnonzero(lengths != np.asarray(table.hops)[cols.proc])
+        if bad.size:
+            r = int(bad[0])
+            proc = table.keys[cols.proc[r]]
+            raise ScheduleError(
+                f"task {cols.tasks[r]}: communication vector length "
+                f"{lengths[r]} does not match route length "
+                f"{table.hops[cols.proc[r]]} to processor {proc!r}"
             )
 
     # -- accessors --------------------------------------------------------------
@@ -325,20 +579,52 @@ class Schedule:
         return self._adapter
 
     @property
+    def keys(self) -> tuple:
+        """The key table: ``keys[j]`` is the processor of index ``j``."""
+        return self._table.keys
+
+    @property
+    def columns(self) -> Columns:
+        return self._columns()
+
+    def _columns(self) -> Columns:
+        if self._rows is not None:
+            self._cols = self._rows.columns()
+            self._rows = None
+        return self._cols
+
+    @property
+    def assignments(self) -> Mapping[int, TaskAssignment]:
+        """A read-only ``task -> TaskAssignment`` mapping of views."""
+        return MappingProxyType({a.task: a for a in self})
+
+    @property
     def n_tasks(self) -> int:
-        return len(self.assignments)
+        rows = self._rows
+        return len(self._cols) if rows is None else len(rows.tasks)
 
     def tasks(self) -> list[int]:
-        return sorted(self.assignments)
+        return self._columns().tasks.tolist()
 
     def __iter__(self) -> Iterator[TaskAssignment]:
-        return (self.assignments[t] for t in self.tasks())
+        cols = self._columns()
+        keys = self._table.keys
+        tasks, proc, start, ptr, comm = cols.to_lists()
+        for r, task in enumerate(tasks):
+            yield TaskAssignment(task, keys[proc[r]], start[r],
+                                 CommVector(comm[ptr[r]:ptr[r + 1]]))
 
     def __getitem__(self, task: int) -> TaskAssignment:
-        try:
-            return self.assignments[task]
-        except KeyError:
-            raise ScheduleError(f"no assignment for task {task}") from None
+        cols = self._columns()
+        r = (int(np.searchsorted(cols.tasks, task))
+             if isinstance(task, (int, np.integer)) else -1)
+        if not 0 <= r < len(cols) or cols.tasks.item(r) != task:
+            raise ScheduleError(f"no assignment for task {task}")
+        return TaskAssignment(
+            cols.tasks.item(r), self._table.keys[cols.proc.item(r)],
+            cols.start.item(r),
+            CommVector(cols.comm[cols.ptr.item(r):cols.ptr.item(r + 1)].tolist()),
+        )
 
     def processor_of(self, task: int) -> ProcKey:
         return self[task].processor
@@ -358,52 +644,48 @@ class Schedule:
     @property
     def makespan(self) -> Time:
         """Definition 2: ``max_i T(i) + w_{P(i)}`` (0 for an empty schedule)."""
-        if not self.assignments:
+        cols = self._columns()
+        if not len(cols):
             return 0
-        work: dict[ProcKey, Time] = {}
-        for a in self.assignments.values():
-            if a.processor not in work:
-                work[a.processor] = self._adapter.work(a.processor)
-        return max(a.start + work[a.processor] for a in self.assignments.values())
+        ends = cols.start + self._table.work[cols.proc]
+        # object columns: Python's max, the first maximum in task order
+        return max(ends.tolist()) if ends.dtype == object else ends.max().item()
 
     @property
     def earliest_emission(self) -> Time:
-        if not self.assignments:
+        cols = self._columns()
+        if not len(cols):
             return 0
-        return min(a.first_emission for a in self.assignments.values())
+        first = cols.comm[cols.ptr[:-1]]
+        return min(first.tolist()) if first.dtype == object else first.min().item()
 
     def tasks_on(self, proc: ProcKey) -> list[int]:
         """Tasks executed on ``proc``, ordered by start time."""
-        ts = [t for t, a in self.assignments.items() if a.processor == proc]
-        return sorted(ts, key=lambda t: (self.assignments[t].start, t))
+        cols = self._columns()
+        mine = np.flatnonzero(cols.proc == self._table.index.get(proc, -1))
+        return [t for _, t in sorted(zip(cols.start[mine].tolist(),
+                                         cols.tasks[mine].tolist()))]
 
     def task_counts(self) -> dict[ProcKey, int]:
-        counts: dict[ProcKey, int] = {}
-        for a in self.assignments.values():
-            counts[a.processor] = counts.get(a.processor, 0) + 1
-        return counts
+        """Tasks per processor, in key-table order."""
+        keys = self._table.keys
+        counts = np.bincount(self._columns().proc, minlength=len(keys))
+        return {keys[j]: c for j, c in enumerate(counts.tolist()) if c}
 
     def link_intervals(self) -> dict[LinkKey, list[tuple[Time, Time, int]]]:
         """Per-link busy intervals ``(start, end, task)``, time-sorted."""
-        out: dict[LinkKey, list[tuple[Time, Time, int]]] = {}
-        for a in self.assignments.values():
-            route = self._adapter.route(a.processor)
-            for link, emit in zip(route, a.comms):
-                out.setdefault(link, []).append(
-                    (emit, emit + self._adapter.latency(link), a.task)
-                )
-        for ivs in out.values():
-            ivs.sort()
-        return out
+        return self._hop_intervals(lambda link: link)
 
     def port_intervals(self) -> dict[PortKey, list[tuple[Time, Time, int]]]:
         """Busy intervals of every *send port* (one-send-at-a-time rule)."""
-        out: dict[PortKey, list[tuple[Time, Time, int]]] = {}
-        for a in self.assignments.values():
+        return self._hop_intervals(self._adapter.sender)
+
+    def _hop_intervals(self, resource: Any) -> dict[Any, list[tuple[Time, Time, int]]]:
+        out: dict[Any, list[tuple[Time, Time, int]]] = {}
+        for a in self:
             route = self._adapter.route(a.processor)
             for link, emit in zip(route, a.comms):
-                port = self._adapter.sender(link)
-                out.setdefault(port, []).append(
+                out.setdefault(resource(link), []).append(
                     (emit, emit + self._adapter.latency(link), a.task)
                 )
         for ivs in out.values():
@@ -413,7 +695,7 @@ class Schedule:
     def processor_intervals(self) -> dict[ProcKey, list[tuple[Time, Time, int]]]:
         """Per-processor execution intervals ``(start, end, task)``."""
         out: dict[ProcKey, list[tuple[Time, Time, int]]] = {}
-        for a in self.assignments.values():
+        for a in self:
             out.setdefault(a.processor, []).append(
                 (a.start, a.start + self._adapter.work(a.processor), a.task)
             )
@@ -423,11 +705,16 @@ class Schedule:
 
     # -- transformations --------------------------------------------------------------
 
+    def _with(self, cols: Columns) -> "Schedule":
+        return Schedule._make(self.platform, self._adapter, self._table, cols)
+
     def shifted(self, delta: Time) -> "Schedule":
         """A copy with all times shifted by ``delta``."""
-        return Schedule(
-            self.platform, {t: a.shifted(delta) for t, a in self.assignments.items()}
-        )
+        cols = self._columns()
+        return self._with(Columns(
+            cols.proc, [s + delta for s in cols.start.tolist()], cols.ptr,
+            [c + delta for c in cols.comm.tolist()], cols.tasks,
+        ))
 
     def normalised(self) -> "Schedule":
         """Shift so the earliest emission happens at time 0 (the final step of
@@ -436,26 +723,43 @@ class Schedule:
 
     def restricted_to(self, tasks: Iterable[int]) -> "Schedule":
         keep = set(tasks)
-        return Schedule(
-            self.platform, {t: a for t, a in self.assignments.items() if t in keep}
-        )
+        cols = self._columns()
+        return self._with(cols.take(
+            [r for r, t in enumerate(cols.tasks.tolist()) if t in keep]
+        ))
 
     def renumbered(self) -> "Schedule":
         """Renumber tasks 1..n preserving first-emission order."""
-        order = sorted(
-            self.assignments.values(), key=lambda a: (a.first_emission, a.task)
-        )
-        new = {}
-        for i, a in enumerate(order, start=1):
-            new[i] = TaskAssignment(i, a.processor, a.start, a.comms)
-        return Schedule(self.platform, new)
+        cols = self._columns()
+        first = cols.comm[cols.ptr[:-1]].tolist()
+        tasks = cols.tasks.tolist()
+        order = sorted(range(len(cols)), key=lambda r: (first[r], tasks[r]))
+        return self._with(cols.take(order, range(1, len(cols) + 1)))
 
-    # -- serialisation -----------------------------------------------------------------
+    # -- comparison and serialisation ---------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return self.platform == other.platform and self.assignments == other.assignments
+
+    __hash__ = None  # type: ignore[assignment]
 
     def to_dict(self) -> dict[str, Any]:
+        """``{"platform", "assignments"}``, each assignment as
+        :meth:`TaskAssignment.to_dict` writes it."""
+        cols = self._columns()
+        tasks, proc, start, ptr, comm = cols.to_lists()
+        keys = self._table.keys
         return {
             "platform": self.platform.to_dict(),
-            "assignments": [self.assignments[t].to_dict() for t in self.tasks()],
+            "assignments": [
+                {"task": task,
+                 "processor": list(keys[j]) if isinstance(keys[j], tuple)
+                 else keys[j],
+                 "start": s, "comms": comm[lo:hi]}
+                for task, j, s, lo, hi in zip(tasks, proc, start, ptr, ptr[1:])
+            ],
         }
 
     @staticmethod

@@ -66,13 +66,7 @@ from bisect import bisect_right
 from collections import OrderedDict
 from typing import Optional
 
-try:  # numpy is the array substrate; without it the kernels stand down
-    import numpy as np
-
-    _HAVE_NUMPY = True
-except Exception:  # pragma: no cover - the toolchain bakes numpy in
-    np = None  # type: ignore[assignment]
-    _HAVE_NUMPY = False
+import numpy as np
 
 from ..obs import metrics as _obs
 from ..platforms.chain import Chain
@@ -82,9 +76,8 @@ from . import chain as _chain_oracle
 from . import fork as _fork_oracle
 from . import spider as _spider_oracle
 from .chain import ChainRunStats, _task_upper_bound
-from .commvector import CommVector
 from .fork import AllocStats
-from .schedule import Schedule, TaskAssignment
+from .schedule import INT_TIME_LIMIT, Schedule, csr_take, time_column
 from .spider import SpiderRunStats
 from .types import PlatformError, Time
 
@@ -167,10 +160,6 @@ def _is_int(value: object) -> bool:
 def _require(condition: bool, why: str) -> None:
     if not condition:
         raise SolveKernelUnsupported(why)
-
-
-def _require_numpy() -> None:
-    _require(_HAVE_NUMPY, "numpy unavailable")
 
 
 def _chain_key(chain: Chain) -> tuple:
@@ -383,32 +372,37 @@ class _ChainSeq:
 
     # -- materialisation ---------------------------------------------------
 
-    def assignment(self, i: int, task: int, horizon: Time) -> TaskAssignment:
-        lo, hi = self.vbase[i], self.vbase[i + 1]
-        times = [horizon - v for v in self.voff[lo:hi]]
-        return TaskAssignment(
-            task, self.procs[i], horizon - self.soff[i], CommVector(times)
+    def columns(self, count: int, horizon: Time) -> tuple:
+        """Placements ``0..count−1`` at ``horizon`` as schedule columns
+        ``(proc, start, ptr, comm)`` of tasks ``1..count``: task ``t`` is
+        placement ``count − t``, and ``proc`` holds chain positions.
+        Times past int64's exact range are computed as Python ints."""
+        rows = np.arange(count - 1, -1, -1)
+        ptr, voff = csr_take(
+            self.vbase[:count + 1],
+            time_column(self.voff[:self.vbase[count]]), rows,
         )
+        soff = time_column(self.soff[:count])[rows]
+        if not -INT_TIME_LIMIT < horizon < INT_TIME_LIMIT:
+            soff, voff = soff.astype(object), voff.astype(object)
+        procs = np.asarray(self.procs[:count], dtype=np.int64)[rows]
+        return procs, horizon - soff, ptr, horizon - voff
 
     def deadline_schedule(
         self, t_lim: Time, limit: int
     ) -> tuple[Schedule, int]:
         total = self.count_within(t_lim, limit)
-        placements = {
-            total - i: self.assignment(i, total - i, t_lim)
-            for i in range(total)
-        }
-        return Schedule(self.chain, placements), total
+        procs, start, ptr, comm = self.columns(total, t_lim)
+        return Schedule.from_columns(
+            self.chain, procs - 1, start, ptr, comm
+        ), total
 
     def makespan_schedule(self, n: int) -> Schedule:
         # horizon cancels: the oracle shifts the first emission
         # (placement n−1) to zero, so materialise at horizon off[n−1]
         self.ensure_len(n)
-        horizon = self.off[n - 1]
-        placements = {
-            n - i: self.assignment(i, n - i, horizon) for i in range(n)
-        }
-        return Schedule(self.chain, placements)
+        procs, start, ptr, comm = self.columns(n, self.off[n - 1])
+        return Schedule.from_columns(self.chain, procs - 1, start, ptr, comm)
 
 
 def _chain_seq(chain: Chain) -> _ChainSeq:
@@ -421,7 +415,6 @@ def _chain_seq(chain: Chain) -> _ChainSeq:
 
 
 def _require_int_chain(chain: Chain, t_lim: Optional[Time]) -> None:
-    _require_numpy()
     _require(
         all(_is_int(v) for v in (*chain.c, *chain.w)),
         "chain kernel needs an integer platform",
@@ -688,7 +681,6 @@ def _star_core(star: Star) -> _StarCore:
 
 
 def _require_int_star(star: Star, t_lim: Optional[Time]) -> None:
-    _require_numpy()
     _require(
         all(_is_int(v) for ch in star.children for v in (ch.c, ch.w)),
         "star kernel needs an integer platform",
@@ -756,30 +748,28 @@ def _star_finish(
             np.concatenate(([0], np.cumsum(comm)[:-1]))
             if edf2.size else np.empty(0, dtype=np.int64)
         )
-    # group per child in accepted order (dict preserves first appearance),
-    # stack ASAP, then number tasks in global emission order
-    per_child: dict[int, list[tuple[Time, Time]]] = {}
-    child_l = child.tolist()
-    emit_l = emissions.tolist()
-    for ch, emit in zip(child_l, emit_l):
-        per_child.setdefault(ch, []).append(emit)
-    schedule = Schedule(core.star)
-    order: list[tuple[Time, int, Time]] = []
-    for child_idx, emits in per_child.items():
-        spec = core.star.child(child_idx)
-        emits.sort()
-        proc_free: Time = 0
-        for emit in emits:
-            arrival = emit + spec.c
-            start = arrival if arrival > proc_free else proc_free
-            proc_free = start + spec.w
-            order.append((emit, child_idx, start))
-    order.sort()
-    for task_id, (emit, child_idx, start) in enumerate(order, start=1):
-        schedule.add(
-            TaskAssignment(task_id, child_idx, start, CommVector([emit]))
-        )
-    return schedule
+    m = child.size
+    if not m:
+        return Schedule(core.star)
+    # stack each child's tasks ASAP in emission order: the j-th (0-based)
+    # starts at max(arrival_j, start_{j−1} + w) = j·w + max_{k≤j}(arrival_k
+    # − k·w), a running maximum per child
+    by_child = np.lexsort((emissions, child))
+    child, emit = child[by_child], emissions[by_child]
+    c = np.asarray(core.child_c, dtype=np.int64)[child - 1]
+    w = np.asarray(core.child_w, dtype=np.int64)[child - 1]
+    first = np.flatnonzero(np.r_[True, child[1:] != child[:-1]])
+    ends = np.r_[first[1:], m]
+    rank = np.arange(m) - np.repeat(first, ends - first)
+    lead = emit + c - rank * w
+    for lo, hi in zip(first.tolist(), ends.tolist()):
+        np.maximum.accumulate(lead[lo:hi], out=lead[lo:hi])
+    start = lead + rank * w
+    # tasks numbered in (emission, child, start) order
+    task = np.lexsort((start, child, emit))
+    return Schedule.from_columns(
+        core.star, child[task] - 1, start[task], np.arange(m + 1), emit[task]
+    )
 
 
 def fast_star_schedule(star: Star, n: int) -> tuple[Schedule, dict]:
@@ -831,7 +821,7 @@ class _SpiderCore:
 
     __slots__ = (
         "spider", "seqs", "c1", "built", "lock", "cand_leg", "cand_idx",
-        "cand_c", "cand_w", "scan", "slot_rank",
+        "cand_c", "cand_w", "scan", "slot_rank", "leg_base", "str_rank",
     )
 
     def __init__(self, spider: Spider):
@@ -839,6 +829,16 @@ class _SpiderCore:
         self.lock = threading.RLock()
         self.seqs = [_chain_seq(leg) for leg in spider.legs]
         self.c1 = [leg.latency(1) for leg in spider.legs]
+        # processor indices in adapter order: leg by leg, position by
+        # position; and each processor's rank in str() order, the oracle's
+        # tie-break between equal first emissions
+        self.leg_base = np.cumsum([0] + [leg.p for leg in spider.legs])
+        keys = [(leg, pos) for leg in range(1, spider.arity + 1)
+                for pos in range(1, spider.leg(leg).p + 1)]
+        self.str_rank = np.empty(len(keys), dtype=np.int64)
+        self.str_rank[sorted(range(len(keys)), key=lambda j: str(keys[j]))] = (
+            np.arange(len(keys))
+        )
         self.built = [0] * spider.arity
         self.cand_leg = np.empty(0, dtype=np.int64)
         self.cand_idx = np.empty(0, dtype=np.int64)
@@ -943,7 +943,6 @@ def _spider_core(spider: Spider) -> _SpiderCore:
 
 
 def _require_int_spider(spider: Spider, t_lim: Optional[Time]) -> None:
-    _require_numpy()
     _require(
         all(
             _is_int(v) for leg in spider.legs for v in (*leg.c, *leg.w)
@@ -1043,35 +1042,34 @@ def _spider_finish(
         ([0], np.cumsum(norm_c_a[edf_n])[:-1])
     ) if edf_n.size else np.empty(0, dtype=np.int64)
     emit_leg = norm_leg_a[edf_n]
-    # revert (Lemma 3): per leg, suffix placements get the fork emissions
-    # in ascending order; then global ids in emission order
-    assignments: list[tuple[Time, str, tuple, Time, list]] = []
+    # revert (Lemma 3): per leg, the suffix placements (the leg's tasks
+    # 1..count) get the fork emissions in ascending order
+    procs, starts, lengths, comms = [], [], [], []
     for leg_idx in sorted(per_leg_count):
-        count = per_leg_count[leg_idx]
-        if count == 0:  # pragma: no cover - zero-count legs never inserted
-            continue
-        li = leg_idx - 1
-        seq = core.seqs[li]
-        leg_emissions = np.sort(emit[emit_leg == leg_idx]).tolist()
-        # suffix task j (ascending ids) is placement idx = count−1−j
-        for j, fork_emit in enumerate(leg_emissions):
-            i = count - 1 - j
-            lo, hi = seq.vbase[i], seq.vbase[i + 1]
-            times = [t_lim - v for v in seq.voff[lo:hi]]
-            assert fork_emit <= times[0] + 1e-12, (
-                "fork emission must not be later than the leg's (Lemma 3)"
-            )
-            times[0] = fork_emit
-            proc = (leg_idx, seq.procs[i])
-            start = t_lim - seq.soff[i]
-            assignments.append((times[0], str(proc), proc, start, times))
-    assignments.sort(key=lambda a: (a[0], a[1]))
-    sched = Schedule(spider)
-    for task_id, (_, _, proc, start, times) in enumerate(
-        assignments, start=1
-    ):
-        sched.add(TaskAssignment(task_id, proc, start, CommVector(times)))
-    return sched
+        proc, start, ptr, comm = core.seqs[leg_idx - 1].columns(
+            per_leg_count[leg_idx], t_lim
+        )
+        fork = np.sort(emit[emit_leg == leg_idx])
+        assert (fork <= comm[ptr[:-1]]).all(), (
+            "fork emission must not be later than the leg's (Lemma 3)"
+        )
+        comm[ptr[:-1]] = fork
+        procs.append(core.leg_base[leg_idx - 1] + proc - 1)
+        starts.append(start)
+        lengths.append(np.diff(ptr))
+        comms.append(comm)
+    if not procs:
+        return Schedule(spider)
+    proc = np.concatenate(procs)
+    ptr = np.zeros(proc.size + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(lengths), out=ptr[1:])
+    comm = np.concatenate(comms)
+    # global ids in (first emission, str(processor)) order
+    task = np.lexsort((core.str_rank[proc], comm[ptr[:-1]]))
+    ptr, comm = csr_take(ptr, comm, task)
+    return Schedule.from_columns(
+        spider, proc[task], np.concatenate(starts)[task], ptr, comm
+    )
 
 
 #: the counters every spider solve reports, kernel or oracle.  The kernel's
@@ -1145,12 +1143,11 @@ def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
     if n < 1:
         raise PlatformError(f"need n >= 1 tasks, got {n}")
     if spider.is_chain():
-        chain_sched, _ = fast_chain_schedule(spider.leg(1), n)
-        sched = Schedule(spider)
-        for a in chain_sched:
-            sched.add(
-                TaskAssignment(a.task, (1, a.processor), a.start, a.comms)
-            )
+        # leg 1's position k is spider processor index k − 1, as on the chain
+        cols = fast_chain_schedule(spider.leg(1), n)[0].columns
+        sched = Schedule.from_columns(
+            spider, cols.proc, cols.start, cols.ptr, cols.comm
+        )
         return sched, _spider_stats(0, 0, 0, 0, 0, 0, 0, 0)
     _require(spider.is_integer(), "spider kernel needs integer bisection")
     lo = min(

@@ -151,11 +151,10 @@ def spider_schedule_deadline(
             stats.legs_scheduled += 1
         c1 = leg.latency(1)
         # (3) one virtual single-task slave per placed task
-        for t in leg_sched.tasks():
-            emission = leg_sched[t].first_emission
-            fork_nodes.append(
-                VirtualSlave(c=c1, work=t_lim - emission - c1, tag=(leg_idx, t))
-            )
+        for a in leg_sched:
+            fork_nodes.append(VirtualSlave(
+                c=c1, work=t_lim - a.first_emission - c1, tag=(leg_idx, a.task)
+            ))
 
     # (4) allocate the master's port over the fork nodes
     alloc_stats = stats.alloc if stats is not None else None

@@ -8,6 +8,15 @@ round trip is what the service layer's content-addressed store and its
 JSON-lines wire protocol are built on, so every record carries enough to
 reconstruct the full object — a solution embeds its problem, a trace its
 events and busy intervals.
+
+A schedule's record lists one ``{"task", "processor", "start", "comms"}``
+object per task.  :func:`solution_to_dict` builds it from the columnar
+:class:`~repro.core.schedule.Schedule` as Python numbers;
+:func:`solution_to_json` writes the same text as ``json.dumps`` of that
+dict straight from the columns, and is what the service serves for
+misses and hits alike.  It keeps the rows' text, processor keys cut out,
+on the shared columns, so every rebind of one stored answer after the
+first encodes only its problem, platform and keys.
 """
 
 from __future__ import annotations
@@ -188,17 +197,12 @@ def trace_from_dict(d: Mapping[str, Any]) -> Any:
     return trace
 
 
-def solution_to_dict(solution: Any) -> dict[str, Any]:
-    """Serialise a :class:`~repro.solve.problem.Solution` with its problem,
-    schedule (or ``None`` for trace-only answers) and execution trace."""
+def _solution_record(solution: Any, schedule: Any) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
         "record": "solution",
         "problem": problem_to_dict(solution.problem),
-        "schedule": (
-            None if solution.schedule is None
-            else schedule_to_dict(solution.schedule)
-        ),
+        "schedule": schedule,
         "solver": solution.solver,
         "stats": dict(solution.stats),
         "warm_caps": (
@@ -210,57 +214,86 @@ def solution_to_dict(solution: Any) -> dict[str, Any]:
     }
 
 
-#: stands in for each spliced value while a template is cut: NUL-framed,
-#: so no solver or platform text holds it (the hole count is checked).
-_HOLE = "\x00hole\x00"
+def solution_to_dict(solution: Any) -> dict[str, Any]:
+    """Serialise a :class:`~repro.solve.problem.Solution` with its problem,
+    schedule (or ``None`` for trace-only answers) and execution trace."""
+    schedule = solution.schedule
+    return _solution_record(
+        solution, None if schedule is None else schedule_to_dict(schedule)
+    )
 
 
-class SolutionTemplate:
-    """``json.dumps(solution_to_dict(s))``, rendered without re-encoding
-    the parts every rebind of one stored solution shares.
+def _key_text(key: Any) -> str:
+    """``json.dumps(key)`` of a processor key, without an encoder for the
+    usual int and tuple-of-int keys (a tuple is an array)."""
+    if type(key) is int:
+        return str(key)
+    if type(key) is tuple and all(type(part) is int for part in key):
+        return str(list(key))
+    return json.dumps(key)
 
-    A rebind changes only the problem, the schedule's platform and the
-    processor key of each task; times, communication vectors, solver,
-    stats and extra detail stay the same.  The template is the model
-    rebind's encoding with those values cut out, so :meth:`render`
-    encodes just them.  It is built from :func:`solution_to_dict` output,
-    so the wire format keeps one definition.  Render only rebinds of the
-    same stored solution as the model; anything else would be answered
-    with the model's times.
-    """
 
-    __slots__ = ("_parts", "_tasks")
+def _number_text(column: Any) -> Any:
+    """The JSON text of each value of a time column: ``str`` of an int64
+    column's ints, ``json.dumps`` of an object column's values."""
+    return map(str if column.dtype != object else json.dumps, column.tolist())
 
-    def __init__(self, model: Any) -> None:
-        d = solution_to_dict(model)
-        d["problem"] = _HOLE
-        d["schedule"]["platform"] = _HOLE
-        for a in d["schedule"]["assignments"]:
-            a["processor"] = _HOLE
-        self._tasks = model.schedule.tasks()
-        self._parts: Any = json.dumps(d).split(json.dumps(_HOLE))
-        if len(self._parts) != len(self._tasks) + 3:
-            self._parts = None  # a field holds the marker: encode in full
 
-    def render(self, solution: Any) -> str:
-        parts = self._parts
-        if parts is None:
-            return json.dumps(solution_to_dict(solution))
-        out = [
-            parts[0], json.dumps(problem_to_dict(solution.problem)),
-            parts[1], json.dumps(solution.schedule.platform.to_dict()),
-            parts[2],
-        ]
-        assignments = solution.schedule.assignments
-        keys: dict[Any, str] = {}  # one encode per processor, not per task
-        for task, part in zip(self._tasks, parts[3:]):
-            proc = assignments[task].processor
-            key = keys.get(proc)
-            if key is None:
-                key = keys[proc] = json.dumps(proc)  # a tuple key is an array
-            out.append(key)
-            out.append(part)
-        return "".join(out)
+def schedule_to_json(schedule: Schedule) -> str:
+    """``json.dumps(schedule_to_dict(schedule))``, written straight from
+    the schedule's columns: no per-task record or dict is built.
+
+    Everything but the processor keys is the columns' own text, so it is
+    kept on the (read-only) columns: every rebind of a stored answer
+    shares them and splices in only its own keys.  Two writers racing on
+    one answer only compute the same text twice."""
+    cols = schedule.columns
+    platform = json.dumps(schedule.platform.to_dict())
+    head = (f'{{"schema": {SCHEMA_VERSION}, "platform": {platform}, '
+            f'"assignments": [')
+    if not len(cols):
+        return head + "]}"
+    if cols.text is None:
+        cols.text = _rows_text(cols)
+    parts = cols.text.split("\0")
+    keys = [_key_text(key) for key in schedule.keys]
+    text = [""] * (2 * len(parts) - 1)
+    text[0::2] = parts
+    text[1::2] = [keys[j] for j in cols.proc.tolist()]
+    return head + "".join(text)
+
+
+def _rows_text(cols: Any) -> str:
+    """The assignments' text with a NUL, which JSON text never holds
+    raw, in place of each processor key."""
+    opens = [
+        f'{{"task": {task}, "processor": \0, "start": {start}, "comms": ['
+        for task, start in zip(cols.tasks.tolist(), _number_text(cols.start))
+    ]
+    # every comm time is followed by ", " within its vector, and by the
+    # close of its task and the open of the next one at the vector's end
+    # (no vector is empty: every route has a link)
+    comm = list(_number_text(cols.comm))
+    after = [", "] * len(comm)
+    for end, next_open in zip(cols.ptr[1:-1].tolist(), opens[1:]):
+        after[end - 1] = "]}, " + next_open
+    after[-1] = "]}]}"
+    text = [""] * (2 * len(comm))
+    text[0::2] = comm
+    text[1::2] = after
+    return opens[0] + "".join(text)
+
+
+def solution_to_json(solution: Any) -> str:
+    """``json.dumps(solution_to_dict(solution))``, with the schedule
+    written by :func:`schedule_to_json`: the served answer's text."""
+    if solution.schedule is None:
+        return json.dumps(solution_to_dict(solution))
+    items = list(_solution_record(solution, None).items())
+    at = [key for key, _ in items].index("schedule")
+    head = json.dumps(dict(items[:at]))[:-1]
+    tail = json.dumps(dict(items[at + 1:]))[1:]
+    return f'{head}, "schedule": {schedule_to_json(solution.schedule)}, {tail}'
 
 
 def solution_from_dict(d: Mapping[str, Any]) -> Any:

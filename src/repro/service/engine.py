@@ -13,9 +13,10 @@ Request flow (both entry points)::
                          rebind onto request platform
 
 *Rebinding* re-expresses a canonical-coordinates solution on the request's
-(isomorphic) platform by mapping processor keys through the canonical
-form's relabel maps; times are untouched, so the rebound schedule
-replay-validates bit-exactly on the relabeled platform.
+(isomorphic) platform by mapping its p-entry processor key table through
+the canonical form's relabel maps; the task columns are shared untouched,
+so the rebound schedule replay-validates bit-exactly on the relabeled
+platform.
 
 Two entry points share that flow, and one helper for a hit (rebind →
 replay-check → quarantine if either fails):
@@ -41,13 +42,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-from ..core.schedule import Schedule, TaskAssignment
 from ..obs import metrics as _obs
 from ..obs import tracing as _trace
 from ..solve import Problem, Solution, solve
 from .canon import CanonError, CanonicalForm, canonical_form, problem_fingerprint
 from .frontend import LINE_LIMIT, ChaosState, JsonLinesFrontend
-from .store import SolutionStore, StoreEntry
+from .store import SolutionStore
 
 __all__ = [
     "CachedOutcome",
@@ -64,9 +64,10 @@ __all__ = [
 #: event loop instead of the thread pool.  The pool gives no CPU
 #: parallelism under the GIL, but it keeps the loop answering while a big
 #: rebind runs, and the fleet supervisor declares a worker dead when a
-#: ping waits past its 1 s deadline.  A served hit costs about 5 µs per
-#: task (a 4,096-task spider hit: 21 ms on a 2-core x86 container), so
-#: the inline worst case stays near 5-10 ms.
+#: ping waits past its 1 s deadline.  The rebind itself is O(p); a served
+#: hit costs about 1 µs per task, mostly the replay check (a 4,096-task
+#: spider hit: 0.14 ms rebind, 3.1 ms replay, 1.0 ms write on a 2-vCPU
+#: x86 container), so the inline worst case stays near 1 ms.
 INLINE_REBIND_TASKS = 1024
 
 
@@ -85,10 +86,6 @@ class CachedOutcome:
     fingerprint: Optional[str] = None
     #: True when this request piggybacked on another's in-flight solve.
     coalesced: bool = False
-    #: the store entry a service hit was rebound from; the protocol layer
-    #: renders the answer through the entry's template (``None``: encode
-    #: the solution in full).
-    entry: Optional[StoreEntry] = None
 
 
 def cache_key(
@@ -121,8 +118,8 @@ def rebind_solution(
     solution: Solution, problem: Problem, canon: Optional[CanonicalForm]
 ) -> Solution:
     """Re-express a canonical-coordinates ``solution`` on ``problem``'s
-    platform (isomorphic by construction): every task keeps its times and
-    its communication vector, only the processor key is mapped.
+    platform (isomorphic by construction): the schedule's columns are
+    shared, and only its key table is mapped, in O(p).
 
     ``canon=None`` (repatch answers, keyed by *exact* fingerprints) means
     serve verbatim: the stored schedule already lives on the mutated
@@ -142,15 +139,11 @@ def rebind_solution(
             warm_caps=None,
             extra=dict(solution.extra),
         )
-    assignments = {
-        t: TaskAssignment(
-            t, canon.from_canonical[a.processor], a.start, a.comms
-        )
-        for t, a in solution.schedule.assignments.items()
-    }
+    schedule = solution.schedule
+    keys = tuple(canon.from_canonical[k] for k in schedule.keys)
     return Solution(
         problem,
-        Schedule(problem.platform, assignments),
+        schedule.rebound(problem.platform, keys),
         solution.solver,
         stats=dict(solution.stats),
         warm_caps=None,
@@ -251,8 +244,8 @@ class ScheduleService(JsonLinesFrontend):
     has at most :data:`INLINE_REBIND_TASKS` tasks, and on the pool above
     that, so one large rebind cannot stall every other connection.  A
     small hit therefore never leaves the loop: lookup, rebind, replay
-    check and (in the protocol layer) rendering from the entry's template
-    run in one step.  Identical concurrent fingerprints are coalesced:
+    check and (in the protocol layer) rendering from the columns run in
+    one step.  Identical concurrent fingerprints are coalesced:
     the first request solves, the rest await its future and rebind the
     shared canonical solution onto their own platforms.
 
@@ -343,16 +336,15 @@ class ScheduleService(JsonLinesFrontend):
                     rebound, cached=False,
                     fingerprint=fingerprint, coalesced=True,
                 )
-            entry = self.store.lookup(fingerprint)
-            if entry is not None:
+            hit = self.store.get(fingerprint)
+            if hit is not None:
                 rebound = await self._rebind(
-                    _serve_hit, entry.solution, problem, canon,
+                    _serve_hit, hit, problem, canon,
                     self.store, fingerprint,
                 )
                 if rebound is not None:
                     return CachedOutcome(
                         rebound, cached=True, fingerprint=fingerprint,
-                        entry=entry,
                     )
                 # damaged evidence, now quarantined: solve fresh below
             future: asyncio.Future = loop.create_future()
@@ -398,7 +390,7 @@ class ScheduleService(JsonLinesFrontend):
         (:data:`INLINE_REBIND_TASKS`), on the thread pool when not."""
         args = (solution, problem, canon, self.verify_rebinds, *extra)
         schedule = solution.schedule
-        if schedule is None or len(schedule.assignments) <= INLINE_REBIND_TASKS:
+        if schedule is None or schedule.n_tasks <= INLINE_REBIND_TASKS:
             return step(*args)
         return await asyncio.get_running_loop().run_in_executor(
             self._pool, step, *args

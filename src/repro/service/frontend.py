@@ -17,8 +17,8 @@ Two subclasses serve through it:
 
 The mixin writes, for each request line, the text the subclass's
 ``render_line`` returns: :func:`repro.service.protocol.serve_line` for
-the single-process service (a cache hit rendered straight from its
-entry's template), the worker's validated answer line with the client's
+the single-process service (every answer written straight from its
+schedule's columns), the worker's validated answer line with the client's
 id spliced in for the router.  Each connection runs one reader, one
 stop watcher and one task per request line; a handler that raises still
 gets its line exactly one ``error`` answer.

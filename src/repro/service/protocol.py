@@ -23,10 +23,10 @@ Solve responses::
 
 :func:`serve_line` renders each response line's text and is what the
 serving loop writes; :func:`handle_request` returns the same response
-as a dict.  A cache hit's ``solution`` is rendered from its store
-entry's :class:`~repro.io.json_io.SolutionTemplate` — the same bytes
-``solution_to_dict`` + ``json.dumps`` give, without re-encoding what
-every rebind of the entry shares.
+as a dict.  The ``solution`` text comes from
+:func:`~repro.io.json_io.solution_to_json`, which writes the bytes of
+``json.dumps(solution_to_dict(...))`` straight from the schedule's
+columns, for misses and hits alike.
 
 A solve request may carry ``"deadline": seconds``; the server also
 enforces its own ``request_timeout`` ceiling (the tighter one wins) and
@@ -62,11 +62,10 @@ from typing import Any, Mapping, Optional
 
 from ..core.types import InfeasibleScheduleError, ReproError
 from ..io.json_io import (
-    SolutionTemplate,
     problem_from_dict,
     problem_to_dict,
     solution_from_dict,
-    solution_to_dict,
+    solution_to_json,
 )
 from ..obs import metrics as _obs
 from ..obs import tracing as _trace
@@ -244,18 +243,7 @@ async def _serve_op(service: Any, request: dict[str, Any], op: str) -> str:
             "id": rid, "ok": True, "cached": outcome.cached,
             "coalesced": outcome.coalesced, "fingerprint": outcome.fingerprint,
         })
-        return f'{head[:-1]}, "solution": {_solution_text(outcome)}}}'
-
-
-def _solution_text(outcome: Any) -> str:
-    """``json.dumps(solution_to_dict(outcome.solution))``; a hit renders
-    it from its store entry's template, built on the entry's first hit."""
-    entry = outcome.entry
-    if entry is None:
-        return json.dumps(solution_to_dict(outcome.solution))
-    if entry.template is None:
-        entry.template = SolutionTemplate(outcome.solution)
-    return entry.template.render(outcome.solution)
+        return f'{head[:-1]}, "solution": {solution_to_json(outcome.solution)}}}'
 
 
 def _answer_op(service: Any, request: dict[str, Any], op: str) -> dict[str, Any]:

@@ -8,10 +8,10 @@ representative, so one entry serves every relabeled-isomorphic request).
 Two tiers:
 
 * a bounded in-memory LRU of live ``Solution`` objects — the hot path,
-  no deserialisation on hit.  Each is held in a :class:`StoreEntry`,
-  which also keeps the entry's response template once the protocol
-  layer has built one on the entry's first hit; eviction and quarantine
-  drop the template with the entry;
+  no deserialisation on hit.  An integer schedule costs 8 bytes per
+  processor index, start, offset and comm time of each task here, plus
+  its rows' JSON text once it has been served, and every rebind of it
+  shares both;
 * an optional SQLite file of JSON payloads (``path=None`` disables it) —
   survives restarts, backs multi-process batch runs, and re-feeds the
   memory tier on miss.
@@ -48,23 +48,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from ..io.json_io import SolutionTemplate, solution_from_dict, solution_to_dict
+from ..io.json_io import solution_from_dict, solution_to_dict
 from ..obs import metrics as _obs
 from ..solve.problem import Solution
 
-__all__ = ["SolutionStore", "StoreEntry", "StoreStats"]
-
-
-class StoreEntry:
-    """One memory-tier entry: a canonical solution, plus the
-    :class:`~repro.io.json_io.SolutionTemplate` its rebinds are rendered
-    from — ``None`` until the entry serves its first hit."""
-
-    __slots__ = ("solution", "template")
-
-    def __init__(self, solution: Solution) -> None:
-        self.solution = solution
-        self.template: Optional[SolutionTemplate] = None
+__all__ = ["SolutionStore", "StoreStats"]
 
 
 @dataclass
@@ -137,7 +125,7 @@ class SolutionStore:
         if self.capacity < 1:
             raise ValueError(f"store capacity must be >= 1, got {self.capacity}")
         self._lock = threading.Lock()
-        self._memory: OrderedDict[str, StoreEntry] = OrderedDict()
+        self._memory: OrderedDict[str, Solution] = OrderedDict()
         self._db: Optional[sqlite3.Connection] = None
         if self.path is not None:
             # one shared connection; our lock serialises access, and the
@@ -184,19 +172,13 @@ class SolutionStore:
         miss instead of raising through the serving loop.  SQLite-level
         failures (locked or corrupt database file) likewise degrade to the
         memory tier (``sqlite_errors``).  Callers must not mutate the
-        returned object (rebinding copies)."""
-        entry = self.lookup(fingerprint)
-        return None if entry is None else entry.solution
-
-    def lookup(self, fingerprint: str) -> Optional[StoreEntry]:
-        """:meth:`get`, returning the memory-tier entry itself (a SQLite
-        hit is promoted first), so the caller can reach its template."""
+        returned object (a rebind shares its read-only columns)."""
         with self._lock:
-            entry = self._memory.get(fingerprint)
-            if entry is not None:
+            hit = self._memory.get(fingerprint)
+            if hit is not None:
                 self._memory.move_to_end(fingerprint)
                 self.stats.record("memory_hits")
-                return entry
+                return hit
             if self._db is not None:
                 try:
                     row = self._db.execute(
@@ -287,15 +269,15 @@ class SolutionStore:
                     self.stats.record("sqlite_errors")
             self._admit(fingerprint, solution)
 
-    def _admit(self, fingerprint: str, solution: Solution) -> StoreEntry:
+    def _admit(self, fingerprint: str, solution: Solution) -> Solution:
         """Insert a fresh entry into the memory LRU, evicting the coldest
         past capacity.  Caller holds the lock."""
-        entry = self._memory[fingerprint] = StoreEntry(solution)
+        self._memory[fingerprint] = solution
         self._memory.move_to_end(fingerprint)
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)
             self.stats.record("evictions")
-        return entry
+        return solution
 
     # -- quarantine ----------------------------------------------------------
 

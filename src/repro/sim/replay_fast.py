@@ -1,11 +1,12 @@
-"""Linear-scan replay validation against a compiled platform.
+"""Array replay validation against a compiled platform.
 
 This is the fast half of the replay subsystem: where
 :mod:`repro.sim.executor` pushes one closure per event through a ``heapq``,
-this module checks a :class:`~repro.core.schedule.Schedule` directly
+this module checks a :class:`~repro.core.schedule.Schedule`'s columns
 against the flat arrays of a
-:class:`~repro.core.compiled.CompiledPlatform` — no heap, no per-event
-closures, no ``Event`` objects on the hot path:
+:class:`~repro.core.compiled.CompiledPlatform` with whole-array
+operations — no heap, no per-task loop, no ``Event`` objects on the hot
+path:
 
 * **setup pass** (mirrors the executor's scheduling phase): every emission
   and execution start must be ``>= 0``;
@@ -14,13 +15,15 @@ closures, no ``Event`` objects on the hot path:
   hop's arrival (strict comparisons — exactly the executor's observable
   rule, since arrival information only exists once the arrival event has
   fired);
-* **exclusivity**: per send-port, per link and per CPU, the busy intervals
-  are sorted once (in the executor's claim order: time, then task, then
-  hop) and scanned linearly with the executor's running ``busy_until``
-  semantics and :data:`~repro.core.types.EPS` slack;
+* **exclusivity**: the busy intervals of every send port, link and CPU
+  are sorted in one pass (in the executor's claim order: time, then task)
+  and each is compared with the one before it on the same resource — the
+  executor's running ``busy_until`` — with
+  :data:`~repro.core.types.EPS` slack;
 * **bit-exact accounting**: makespan and per-task completions are computed
   with the same arithmetic the simulator would use and compared against
-  the schedule's static claims.
+  the schedule's static claims: ``int64`` for integer columns, Python
+  arithmetic element by element for float and Fraction ones.
 
 On *accept*, the emitted :class:`~repro.sim.trace.Trace` is bit-identical
 to the executor's (same event order, same busy intervals): the executor's
@@ -40,8 +43,9 @@ compiler cannot flatten.
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Optional
+
+import numpy as np
 
 from ..core.compiled import CompiledPlatform, CompileError, compile_platform
 from ..core.schedule import Schedule
@@ -86,97 +90,111 @@ def resolve_engine(engine: Optional[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _scan(schedule: Schedule, cp: CompiledPlatform) -> tuple[int, Time]:
-    """Run every model check; returns ``(tasks, makespan)`` or raises
-    :class:`~repro.core.types.SimulationError`."""
-    port_iv: list[list] = [[] for _ in cp.port_keys]
-    link_iv: list[list] = [[] for _ in cp.procs]
-    proc_iv: list[list] = [[] for _ in cp.procs]
-    latency = cp.latency
-    works = cp.works
-    sender_port = cp.sender_port
-    route_links = cp.route_links
-    route_start = cp.route_start
-    makespan: Time = 0
-    n_events = 0
+def _scan(
+    schedule: Schedule, cp: CompiledPlatform
+) -> tuple[int, Time, Optional[tuple]]:
+    """Run every model check on the schedule's columns; returns
+    ``(tasks, makespan, claims)`` or raises
+    :class:`~repro.core.types.SimulationError`.  ``claims`` holds the
+    per-hop and per-task arrays :func:`_build_trace` turns into events.
 
-    assignments = schedule.assignments
-    proc_index = cp.proc_index
-    for task in sorted(assignments):
-        a = assignments[task]
-        i = proc_index.get(a.processor)
-        if i is None:
+    Times stay exact: ``int64`` columns compute in ``int64``, object
+    columns (floats, Fractions) elementwise in Python arithmetic.  Each
+    check is one ``count_nonzero`` over a whole-schedule mask."""
+    cols = schedule.columns
+    n = len(cols)
+    if not n:
+        return 0, 0, None
+    tasks = cols.tasks
+    # the schedule's key table onto the compiled platform's indices: O(p)
+    proc = cols.proc
+    if schedule.keys != cp.procs:
+        remap = np.array([cp.proc_index.get(k, -1) for k in schedule.keys])
+        proc = remap[proc]
+        if np.count_nonzero(proc < 0):
+            r = int(np.flatnonzero(proc < 0)[0])
             raise SimulationError(
-                f"task {task}: unknown processor {a.processor!r}"
+                f"task {tasks[r]}: unknown processor "
+                f"{schedule.keys[cols.proc[r]]!r}"
             )
-        base = route_start[i]
-        nlinks = route_start[i + 1] - base
-        comms = a.comms.times
-        m = nlinks if nlinks <= len(comms) else len(comms)
-        start = a.start
-        # negative times are refused at seeding time by the simulator;
-        # relay-FIFO is strict (an arrival fires before an equal-time
-        # departure: end events outrank start events in the heap)
-        arr: Time = 0
-        for hop in range(m):
-            emit = comms[hop]
-            if emit < 0:
-                raise SimulationError(
-                    f"cannot schedule in the past: {emit} < now=0"
-                )
-            if hop and emit < arr:
-                raise SimulationError(
-                    f"task {task}: relayed from "
-                    f"{cp.link_keys[route_links[base + hop - 1]]!r} "
-                    f"at {emit} before arrival (None)"
-                )
-            l = route_links[base + hop]
-            end = emit + latency[l]
-            port_iv[sender_port[l]].append((emit, task, hop, end))
-            link_iv[l].append((emit, task, hop, end))
-            arr = end
-        if start < 0:
+    ptr, start = cols.ptr, cols.start
+    first = cp.route_start[proc]
+    nlinks = cp.route_start[proc + 1] - first
+    m = np.minimum(nlinks, ptr[1:] - ptr[:-1])
+    hops = np.zeros(n + 1, dtype=np.int64)
+    np.add.accumulate(m, out=hops[1:])
+    # one element per checked hop: its row, hop number, emission, link and
+    # arrival (rows are in task order, so a row index orders like its task)
+    row = np.repeat(np.arange(n), m)
+    hop = np.arange(hops[-1]) - hops[row]
+    emit = cols.comm[ptr[row] + hop]
+    link = cp.route_links[first[row] + hop]
+    end = emit + cp.latency[link]
+
+    # negative times are refused at seeding time by the simulator;
+    # relay-FIFO is strict (an arrival fires before an equal-time
+    # departure: end events outrank start events in the heap)
+    for times in (emit, start):
+        if np.count_nonzero(times < 0):
+            e = int(np.flatnonzero(times < 0)[0])
             raise SimulationError(
-                f"cannot schedule in the past: {start} < now=0"
+                f"cannot schedule in the past: {times[e]} < now=0"
             )
-        if m != nlinks or start < arr:
-            raise SimulationError(
-                f"task {task}: execution on {a.processor!r} at {start} "
-                f"before arrival (None)"
-            )
-        done = start + works[i]
-        proc_iv[i].append((start, task, done))
-        n_events += 2 * m + 2
-        if done > makespan:
-            makespan = done
+    early = emit[1:] < end[:-1]
+    early &= hop[1:] > 0
+    if np.count_nonzero(early):
+        e = int(np.flatnonzero(early)[0]) + 1
+        raise SimulationError(
+            f"task {tasks[row[e]]}: relayed from "
+            f"{cp.link_keys[link[e - 1]]!r} at {emit[e]} before arrival (None)"
+        )
+    late = m != nlinks  # a route longer than its vector never arrives
+    if not np.count_nonzero(late):
+        late = start < end[hops[1:] - 1]
+    if np.count_nonzero(late):
+        r = int(np.flatnonzero(late)[0])
+        raise SimulationError(
+            f"task {tasks[r]}: execution on {cp.procs[proc[r]]!r} at "
+            f"{start[r]} before arrival (None)"
+        )
+    done = start + cp.works[proc]
 
-    # -- exclusivity: sort once per resource, scan adjacent ----------------
-    def sweep(ivs: list, what: str, key) -> None:
-        ivs.sort()
-        busy: Time = float("-inf")
-        for iv in ivs:
-            start = iv[0]
-            if start + EPS < busy:
-                raise SimulationError(
-                    f"{what} {key!r} still busy until {busy} when task "
-                    f"{iv[1]} claims it at {start}"
-                )
-            busy = iv[-1]
+    # -- exclusivity: every send port, link and CPU in one sort ------------
+    # resources are numbered ports, then links, then CPUs; a task holds a
+    # resource at most once, so (resource, begin, task) orders each one's
+    # claims exactly as the executor's (time, task, hop) calendar does
+    n_ports, n_links = len(cp.port_keys), len(cp.link_keys)
+    resource = np.concatenate(
+        (cp.sender_port[link], link + n_ports, proc + (n_ports + n_links))
+    )
+    begin = np.concatenate((emit, emit, start))
+    finish = np.concatenate((end, end, done))
+    claimant = np.concatenate((row, row, np.arange(n)))
+    order = np.lexsort((claimant, begin, resource))
+    resource, begin, finish = resource[order], begin[order], finish[order]
+    # the executor's running busy-until: the previous claim's end
+    clash = begin[1:] + EPS < finish[:-1]
+    clash &= resource[1:] == resource[:-1]
+    if np.count_nonzero(clash):
+        k = int(np.flatnonzero(clash)[0])
+        r = int(resource[k])
+        what, names, index = (
+            ("port", cp.port_keys, r) if r < n_ports
+            else ("link", cp.link_keys, r - n_ports) if r < n_ports + n_links
+            else ("processor", cp.procs, r - n_ports - n_links)
+        )
+        raise SimulationError(
+            f"{what} {names[index]!r} still busy until {finish[k]} when task "
+            f"{tasks[claimant[order[k + 1]]]} claims it at {begin[k + 1]}"
+        )
 
-    for p, ivs in enumerate(port_iv):
-        if len(ivs) > 1:
-            sweep(ivs, "port", cp.port_keys[p])
-    for l, ivs in enumerate(link_iv):
-        if len(ivs) > 1:
-            sweep(ivs, "link", cp.link_keys[l])
-    for i, ivs in enumerate(proc_iv):
-        if len(ivs) > 1:
-            sweep(ivs, "processor", cp.procs[i])
-
-    if n_events > DEFAULT_MAX_EVENTS:
+    if 2 * int(hops[-1]) + 2 * n > DEFAULT_MAX_EVENTS:
         # the event executor would blow its default budget on this replay
         raise EventBudgetExceeded(DEFAULT_MAX_EVENTS)
-    return schedule.n_tasks, makespan
+    claims = (tasks, row, hops, emit, end, link, proc, start, done)
+    if done.dtype == object:  # Python's max: the first maximum in task order
+        return n, max([0, *done.tolist()]), claims
+    return n, max(0, np.maximum.reduce(done).item()), claims
 
 
 # ---------------------------------------------------------------------------
@@ -184,71 +202,58 @@ def _scan(schedule: Schedule, cp: CompiledPlatform) -> tuple[int, Time]:
 # ---------------------------------------------------------------------------
 
 
-def _build_trace(schedule: Schedule, cp: CompiledPlatform) -> Trace:
-    """The exact trace the event executor would emit (accepted schedules).
+def _build_trace(cp: CompiledPlatform, claims: Optional[tuple]) -> Trace:
+    """The exact trace the event executor would emit, from the claims
+    :func:`_scan` accepted.
 
-    The simulator pops ``(time, priority, seq)``: start events get their
-    seq when seeded (task-major, hop-minor), end events get theirs in the
-    pop order of the start that scheduled them — so one sort plus a small
-    end-merge heap reproduces the full calendar's order."""
-    starts: list[tuple] = []  # (time, priority, seq, is_send, task, index)
-    seq = 0
-    for a in schedule:
-        i = cp.proc_index[a.processor]
-        base = cp.route_start[i]
-        links = cp.route_links[base:cp.route_start[i + 1]]
-        comms = a.comms.times
-        for hop in range(min(len(links), len(comms))):
-            starts.append((comms[hop], 2, seq, True, a.task, links[hop]))
-            seq += 1
-        starts.append((a.start, 3, seq, False, a.task, i))
-        seq += 1
-    starts.sort()
-    # merge ends back in heap order: an end pops before the next start iff
-    # its time is <= that start's time (ends carry priority 0, starts 2/3),
-    # and a zero-duration end therefore pops *immediately after* its own
-    # start — which a plain sort on (time, 0, seq) would misorder.
-    entries: list[tuple] = []
-    pending: list[tuple] = []  # (end_time, creation_rank, entry)
-    for j, e in enumerate(starts):
-        while pending and pending[0][0] <= e[0]:
-            entries.append(heapq.heappop(pending)[2])
-        entries.append(e)
-        dur = cp.latency[e[5]] if e[3] else cp.works[e[5]]
-        end = (e[0] + dur, 0, seq + j, e[3], e[4], e[5])
-        heapq.heappush(pending, (end[0], j, end))
-    while pending:
-        entries.append(heapq.heappop(pending)[2])
-
+    The simulator pops ``(time, priority, seq)``.  Start events get their
+    seq when seeded (task-major, hop-minor; sends have priority 2, the
+    execution 3).  An end event is scheduled when its start pops, so it
+    pops before every start at its own time and among ends in its start's
+    pop order — except an end that lasts no time, which pops right after
+    its own start.  One sort of every event on (time, lasting end first,
+    start's pop rank, start before end) reproduces that calendar."""
     trace = Trace()
-    events = trace.events
-    busy = trace.busy
+    if claims is None:
+        return trace
+    tasks, row, hops, emit, end, link, proc, start, done = claims
+    h, n = emit.size, proc.size
+    begin = np.concatenate((emit, start))
+    finish = np.concatenate((end, done))
+    is_exec = np.arange(h + n) >= h
+    seq = np.concatenate((np.arange(h) + row, hops[1:] + np.arange(n)))
+    rank = np.empty(h + n, dtype=np.int64)
+    rank[np.lexsort((seq, is_exec, begin))] = np.arange(h + n)
+    lasting = finish != begin
+    order = np.lexsort((
+        np.arange(2 * (h + n)) >= h + n,
+        np.concatenate((rank, rank)),
+        np.concatenate((np.ones(h + n, dtype=bool), ~lasting)),
+        np.concatenate((begin, np.where(lasting, finish, begin))),
+    ))
+    events, busy = trace.events, trace.busy
+    index = np.concatenate((link, proc)).tolist()
+    sender_port = cp.sender_port.tolist()
+    task_of = np.concatenate((tasks[row], tasks)).tolist()
+    begin, finish = begin.tolist(), finish.tolist()
     port_keys, link_keys, procs = cp.port_keys, cp.link_keys, cp.procs
-    latency, works, sender_port = cp.latency, cp.works, cp.sender_port
-    for time, priority, _seq, is_send, task, idx in entries:
-        if is_send:
-            port = port_keys[sender_port[idx]]
-            link = link_keys[idx]
-            if priority == 2:
-                events.append(
-                    Event(time, EventKind.SEND_START, task, port, {"link": link})
-                )
-                end = time + latency[idx]
-                busy.setdefault(("port", port), []).append((time, end, task))
-                busy.setdefault(("link", link), []).append((time, end, task))
+    for k in order.tolist():
+        j = k if k < h + n else k - h - n
+        task, t0, t1 = task_of[j], begin[j], finish[j]
+        if j < h:
+            port = port_keys[sender_port[index[j]]]
+            info = {"link": link_keys[index[j]]}
+            if k == j:
+                events.append(Event(t0, EventKind.SEND_START, task, port, info))
+                busy.setdefault(("port", port), []).append((t0, t1, task))
+                busy.setdefault(("link", info["link"]), []).append((t0, t1, task))
             else:
-                events.append(
-                    Event(time, EventKind.SEND_END, task, port, {"link": link})
-                )
+                events.append(Event(t1, EventKind.SEND_END, task, port, info))
+        elif k == j:
+            events.append(Event(t0, EventKind.EXEC_START, task, procs[index[j]]))
+            busy.setdefault(("proc", procs[index[j]]), []).append((t0, t1, task))
         else:
-            proc = procs[idx]
-            if priority == 3:
-                events.append(Event(time, EventKind.EXEC_START, task, proc))
-                busy.setdefault(("proc", proc), []).append(
-                    (time, time + works[idx], task)
-                )
-            else:
-                events.append(Event(time, EventKind.EXEC_END, task, proc))
+            events.append(Event(t1, EventKind.EXEC_END, task, procs[index[j]]))
     return trace
 
 
@@ -302,12 +307,12 @@ def execute_fast(
     """Compiled twin of :func:`repro.sim.executor.execute`: validate and
     return the (eagerly built, bit-identical) trace."""
     cp = compiled if compiled is not None else compile_platform(schedule.platform)
-    tasks, _makespan = _scan(schedule, cp)
+    tasks, _makespan, claims = _scan(schedule, cp)
     if tasks != schedule.n_tasks:  # unreachable; mirrors the executor's guard
         raise SimulationError(
             f"only {tasks} of {schedule.n_tasks} tasks completed"
         )
-    return _build_trace(schedule, cp)
+    return _build_trace(cp, claims)
 
 
 def verify_fast(
@@ -321,15 +326,15 @@ def verify_fast(
     ``lazy_trace=True`` defers building the event log until the returned
     trace is actually inspected — the validation hot path."""
     cp = compiled if compiled is not None else compile_platform(schedule.platform)
-    _tasks, makespan = _scan(schedule, cp)
+    _tasks, makespan, claims = _scan(schedule, cp)
     claimed = schedule.makespan
     if abs(float(makespan) - float(claimed)) > EPS:
         raise SimulationError(
             f"trace makespan {makespan} != schedule makespan {claimed}"
         )
     if lazy_trace:
-        return _LazyTrace(lambda: _build_trace(schedule, cp))
-    return _build_trace(schedule, cp)
+        return _LazyTrace(lambda: _build_trace(cp, claims))
+    return _build_trace(cp, claims)
 
 
 # ---------------------------------------------------------------------------

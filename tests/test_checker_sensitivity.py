@@ -23,10 +23,8 @@ from conftest import chains
 
 
 def _with_assignment(schedule: Schedule, task: int, a: TaskAssignment) -> Schedule:
-    """Copy of ``schedule`` with one assignment replaced (bypasses add())."""
-    clone = Schedule(schedule.platform, dict(schedule.assignments))
-    clone.assignments[task] = a
-    return clone
+    """Copy of ``schedule`` with one assignment replaced."""
+    return Schedule(schedule.platform, {**schedule.assignments, task: a})
 
 
 class TestStaticCheckerCatchesCorruption:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.batch import Scenario, run_batch
 from repro.core.commvector import CommVector
-from repro.core.schedule import TaskAssignment, adapter_for
+from repro.core.schedule import Schedule, TaskAssignment, adapter_for
 from repro.core.types import EventBudgetExceeded, SimulationError
 from repro.io.json_io import platform_to_dict
 from repro.platforms.chain import Chain
@@ -87,11 +87,12 @@ class TestReplayValidation:
         star = Star([(2, 3), (2, 5)])
         sol = solve(Problem(star, "makespan", n=4))
         victim = max(sol.schedule.tasks())
-        a = sol.schedule.assignments[victim]
+        a = sol.schedule[victim]
         # drag the last task's emission onto the master's busy port
-        sol.schedule.assignments[victim] = TaskAssignment(
-            a.task, a.processor, a.start, CommVector([0])
-        )
+        sol.schedule = Schedule(sol.schedule.platform, {
+            **sol.schedule.assignments,
+            victim: TaskAssignment(a.task, a.processor, a.start, CommVector([0])),
+        })
         with pytest.raises(ValidationError):
             sol.validate()
 

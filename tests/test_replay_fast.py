@@ -8,7 +8,7 @@ busy intervals) and on the makespan — including mutated/corrupted
 schedules, which must be *rejected* by both.
 """
 
-import copy
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,18 +23,22 @@ from repro.core.compiled import (
     compile_stats,
 )
 from repro.core.schedule import (
+    Columns,
     PlatformAdapter,
     Schedule,
     TaskAssignment,
     adapter_for,
 )
 from repro.core.types import SimulationError
+from repro.platforms.chain import Chain
 from repro.platforms.generators import (
     random_chain,
     random_spider,
     random_star,
     random_tree,
 )
+from repro.platforms.spider import Spider
+from repro.platforms.star import Star
 from repro.sim.executor import execute, verify_by_execution
 from repro.sim.online import ONLINE_POLICIES
 from repro.sim.replay_fast import (
@@ -53,6 +57,42 @@ GENERATORS = {
     "spider": lambda seed: random_spider(3, 3, profile="comm_bound", seed=seed),
     "tree": lambda seed: random_tree(8, profile="cpu_heavy", seed=seed),
 }
+
+#: exact non-integer time scales: dyadic floats (exact in binary) and
+#: Fractions.  The oracles answer these; the kernels do not.
+NUMERICS = {
+    "float": lambda v: v / 4,
+    "fraction": lambda v: Fraction(v, 3),
+}
+
+
+def _scaled(platform, to):
+    """``platform`` with every latency and work mapped through ``to``."""
+    if isinstance(platform, Chain):
+        return Chain([to(c) for c in platform.c], [to(w) for w in platform.w])
+    if isinstance(platform, Star):
+        return Star([(to(ch.c), to(ch.w)) for ch in platform.children])
+    return Spider([_scaled(leg, to) for leg in platform.legs])
+
+
+def non_integer_problem(numeric, family, seed, kind, n):
+    """A chain, star or spider problem on a float or Fraction platform.
+
+    The deadline is three times the makespan of four tasks, so it places
+    a handful.  A Fraction spider only gets deadline problems: the spider
+    oracle's makespan bisection fails on Fraction covers (a known defect).
+    """
+    to = NUMERICS[numeric]
+    platform = GENERATORS[family](seed)
+    scaled = _scaled(platform, to)
+    if kind == "makespan":
+        return Problem(scaled, "makespan", n=n)
+    t_lim = to(3 * solve(Problem(platform, "makespan", n=4)).makespan)
+    return Problem(scaled, "deadline", t_lim=t_lim, n=n)
+
+
+NON_INTEGER = [(numeric, family) for numeric in sorted(NUMERICS)
+               for family in ("chain", "spider", "star")]
 
 
 def outcome(fn, schedule):
@@ -91,6 +131,24 @@ class TestDifferentialAccept:
             pytest.skip("empty schedule at this deadline")
         assert_traces_identical(execute(sol.schedule), execute_fast(sol.schedule))
 
+    @pytest.mark.parametrize("numeric,family", NON_INTEGER)
+    @pytest.mark.parametrize("seed", range(60, 63))
+    def test_non_integer_solutions_bit_identical(self, numeric, family, seed):
+        """Float and Fraction answers (the oracles') replay to the same
+        trace on both engines, times exact in their own type."""
+        kinds = ["deadline"]
+        if (numeric, family) != ("fraction", "spider"):
+            kinds.append("makespan")
+        for kind in kinds:
+            sol = solve(non_integer_problem(numeric, family, seed, kind, 7))
+            assert sol.schedule.n_tasks > 0
+            event = execute(sol.schedule)
+            assert_traces_identical(event, execute_fast(sol.schedule))
+            assert_traces_identical(
+                verify_by_execution(sol.schedule), verify_fast(sol.schedule))
+            assert event.makespan == sol.makespan
+            sol.validate()
+
     @pytest.mark.parametrize("policy", sorted(ONLINE_POLICIES))
     def test_online_solutions_bit_identical(self, policy):
         sol = solve(Problem(random_spider(3, 2, seed=13), "makespan", n=8,
@@ -121,12 +179,14 @@ class TestDifferentialAccept:
 
 
 def _mutate(schedule, mutation, task, delta):
-    """Apply one corruption in place (bypassing construction checks, the
-    way a buggy solver would)."""
+    """A copy of ``schedule`` with one corruption, built from columns
+    without the construction checks (the way a buggy solver would): the
+    copy shares the original's key table."""
     tasks = schedule.tasks()
     victim = tasks[task % len(tasks)]
-    a = schedule.assignments[victim]
+    a = schedule[victim]
     times = list(a.comms.times)
+    start = a.start
     if mutation == "early_emit":
         times[0] = max(0, times[0] - delta)
     elif mutation == "negative_emit":
@@ -134,21 +194,24 @@ def _mutate(schedule, mutation, task, delta):
     elif mutation == "swap_hops" and len(times) > 1:
         times[0], times[-1] = times[-1], times[0]
     elif mutation == "early_start":
-        schedule.assignments[victim] = TaskAssignment(
-            a.task, a.processor, max(0, a.start - delta), a.comms
-        )
-        return
+        start = max(0, a.start - delta)
     elif mutation == "negative_start":
-        schedule.assignments[victim] = TaskAssignment(
-            a.task, a.processor, -delta, a.comms
-        )
-        return
+        start = -delta
     elif mutation == "truncate_comms" and len(times) > 1:
         times = times[:-1]
     else:  # mutation not applicable to this shape: nudge the emission
         times[0] = times[0] + delta
-    schedule.assignments[victim] = TaskAssignment(
-        a.task, a.processor, a.start, CommVector(times)
+    rows = [(b.processor, b.start, b.comms.times) if b.task != victim
+            else (a.processor, start, tuple(times)) for b in schedule]
+    index = {key: j for j, key in enumerate(schedule.keys)}
+    ptr = [0]
+    for _, _, comms in rows:
+        ptr.append(ptr[-1] + len(comms))
+    return Schedule._make(
+        schedule.platform, schedule.adapter, schedule._table, Columns(
+            [index[p] for p, _, _ in rows], [s for _, s, _ in rows], ptr,
+            [t for _, _, c in rows for t in c], tasks,
+        ),
     )
 
 
@@ -170,8 +233,7 @@ class TestDifferentialReject:
     )
     def test_engines_agree(self, family, seed, n, mutation, task, delta):
         sol = solve(Problem(GENERATORS[family](seed), "makespan", n=n))
-        schedule = copy.deepcopy(sol.schedule)
-        _mutate(schedule, mutation, task, delta)
+        schedule = _mutate(sol.schedule, mutation, task, delta)
         kind_event, got_event = outcome(execute, schedule)
         kind_fast, got_fast = outcome(execute_fast, schedule)
         assert kind_event == kind_fast, (
@@ -181,25 +243,99 @@ class TestDifferentialReject:
         if kind_event == "ok":
             assert_traces_identical(got_event, got_fast)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(NON_INTEGER),
+        kind=st.sampled_from(("makespan", "deadline")),
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 8),
+        mutation=st.sampled_from(MUTATIONS),
+        task=st.integers(0, 9),
+        delta=st.integers(1, 7),
+    )
+    def test_engines_agree_on_non_integer_schedules(
+        self, case, kind, seed, n, mutation, task, delta
+    ):
+        numeric, family = case
+        if case == ("fraction", "spider"):
+            kind = "deadline"
+        sol = solve(non_integer_problem(numeric, family, seed, kind, n))
+        if sol.schedule.n_tasks == 0:
+            return
+        schedule = _mutate(sol.schedule, mutation, task, NUMERICS[numeric](delta))
+        kind_event, got_event = outcome(execute, schedule)
+        kind_fast, got_fast = outcome(execute_fast, schedule)
+        assert kind_event == kind_fast, (
+            f"engines disagree on accept/reject: event={kind_event} "
+            f"({got_event}), compiled={kind_fast} ({got_fast})"
+        )
+        if kind_event == "ok":
+            assert_traces_identical(got_event, got_fast)
+
+    @pytest.mark.parametrize("numeric,family", NON_INTEGER)
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_each_mutation_rejected_on_non_integer_schedules(
+        self, numeric, family, mutation
+    ):
+        sol = solve(non_integer_problem(numeric, family, 5, "deadline", 8))
+        schedule = _mutate(sol.schedule, mutation, 1, NUMERICS[numeric](5))
+        kind_event, _ = outcome(execute, schedule)
+        kind_fast, _ = outcome(execute_fast, schedule)
+        assert kind_event == kind_fast
+
     @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_each_mutation_family_rejected_identically(self, mutation):
         """A deterministic rejection per mutation kind (the hypothesis
         sweep above may not hit a rejecting example for each)."""
         sol = solve(Problem(random_spider(3, 3, seed=5), "makespan", n=8))
-        schedule = copy.deepcopy(sol.schedule)
         # aggressive parameters so every mutation actually corrupts
-        _mutate(schedule, mutation, 1, 5)
+        schedule = _mutate(sol.schedule, mutation, 1, 5)
         kind_event, _ = outcome(execute, schedule)
         kind_fast, _ = outcome(execute_fast, schedule)
         assert kind_event == kind_fast
 
     def test_validate_rejects_through_compiled_engine(self):
         sol = solve(Problem(random_star(4, seed=2), "makespan", n=6))
-        _mutate(sol.schedule, "early_emit", 2, 5)
+        sol.schedule = _mutate(sol.schedule, "early_emit", 2, 5)
         with pytest.raises(ValidationError):
             sol.validate(engine="compiled")
         with pytest.raises(ValidationError):
             sol.validate(engine="event")
+
+
+class TestBigIntegers:
+    """Times past int64's exact range: both engines on Python ints."""
+
+    def test_kernel_answer_past_int64_is_exact(self):
+        sol = solve(Problem(Chain([1], [2 ** 62]), "makespan", n=2))
+        assert sol.solver == "chain" and sol.makespan == 2 ** 63 + 1
+        # 2**62 + 1 is no float: the EPS slack rejects it in both engines
+        assert outcome(execute, sol.schedule)[0] == "err"
+        assert outcome(execute_fast, sol.schedule)[0] == "err"
+
+    def test_exact_big_answer_validates_identically(self):
+        # powers of two are exact floats, so the EPS slack is exact too
+        sol = solve(Problem(Chain([2 ** 62, 2 ** 61], [2 ** 62, 2 ** 63]),
+                            "makespan", n=4))
+        assert sol.solver == "chain" and sol.makespan > 2 ** 64
+        sol.validate(engine="compiled")
+        sol.validate(engine="event")
+        assert_traces_identical(execute(sol.schedule), execute_fast(sol.schedule))
+
+    def test_hand_built_big_star_accepted_identically(self):
+        big = 2 ** 62
+        schedule = Schedule(Star([(big, big), (big // 2, big)]), {
+            1: TaskAssignment(1, 1, big, CommVector([0])),
+            2: TaskAssignment(2, 2, big + big // 2, CommVector([big]))})
+        assert schedule.makespan == 2 ** 63 + big // 2
+        assert_traces_identical(execute(schedule), execute_fast(schedule))
+
+    def test_hand_built_schedule_rejected_identically(self):
+        schedule = Schedule(Chain([1], [2 ** 62]), {
+            1: TaskAssignment(1, 1, 1, CommVector([0])),
+            2: TaskAssignment(2, 1, 2 ** 62 + 1, CommVector([1]))})
+        event, fast = outcome(execute, schedule), outcome(execute_fast, schedule)
+        assert event == fast and event[0] == "err"
 
 
 class TestCompileCache:
@@ -237,11 +373,13 @@ class TestCompileCache:
             cp = compile_platform(platform)
             for i, proc in enumerate(cp.procs):
                 assert cp.works[i] == adapter.work(proc), family
-                assert cp.route_cost[i] == adapter.route_cost(proc), family
                 route = adapter.route(proc)
-                assert [cp.link_keys[l] for l in cp.route_of(i)] == route
-                assert [cp.port_keys[cp.sender_port[l]]
-                        for l in cp.route_of(i)] == [
+                links = cp.route_links[cp.route_start[i]:cp.route_start[i + 1]]
+                assert [cp.link_keys[l] for l in links] == route
+                assert [cp.latency[l] for l in links] == [
+                    adapter.latency(link) for link in route
+                ]
+                assert [cp.port_keys[cp.sender_port[l]] for l in links] == [
                     adapter.sender(link) for link in route
                 ]
             assert cp.port_keys[0] == adapter.master_port()
@@ -277,7 +415,7 @@ class TestCompileCache:
         cp = compile_platform(adapter.platform, adapter)
         assert cp.fingerprint is None
         assert compile_stats()["direct"] == 1
-        assert cp.route_cost == (2, 2)
+        assert cp.latency.tolist() == [2, 2] and cp.works.tolist() == [3, 3]
 
     def test_unflattenable_adapter_raises_compile_error(self):
         class WeirdAdapter(PlatformAdapter):
@@ -404,7 +542,7 @@ class TestRebindVerification:
         store = SolutionStore(validate_on_write=False)  # let corruption in
         fingerprint, canon = cache_key(problem)
         canonical = solve(Problem(canon.platform, "makespan", n=5))
-        _mutate(canonical.schedule, "early_emit", 1, 6)
+        canonical.schedule = _mutate(canonical.schedule, "early_emit", 1, 6)
         store.put(fingerprint, canonical)
         # the corrupt hit is detected on rebind, quarantined, and answered
         # by a fresh solve instead of raising through the serving loop

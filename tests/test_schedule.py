@@ -1,5 +1,6 @@
 """Unit tests for the Schedule container and platform adapters."""
 
+import numpy as np
 import pytest
 
 from repro.core.commvector import CommVector
@@ -110,6 +111,98 @@ class TestScheduleBasics:
 
     def test_task_counts(self, chain_schedule):
         assert chain_schedule.task_counts() == {1: 1, 2: 1}
+
+    def test_chain_processor_off_the_platform_rejected(self):
+        # the route of "processor 5" happens to have 5 links; the schedule
+        # must still refuse a processor the one-worker chain lacks
+        with pytest.raises(ScheduleError, match="processor 5"):
+            Schedule(Chain([1], [1]), {
+                1: TaskAssignment(1, 5, 10, CommVector([0, 1, 2, 3, 4]))})
+
+    def test_star_child_off_the_platform_rejected(self):
+        with pytest.raises(ScheduleError, match="processor 3"):
+            Schedule(Star([(1, 1)]), {1: TaskAssignment(1, 3, 10, CommVector([0]))})
+
+
+class TestColumns:
+    def test_columns_hold_definition_1(self, chain_schedule):
+        cols = chain_schedule.columns
+        assert chain_schedule.keys == (1, 2)
+        assert cols.proc.tolist() == [0, 1]
+        assert cols.start.tolist() == [2, 9]
+        assert cols.ptr.tolist() == [0, 1, 3]
+        assert cols.comm.tolist() == [0, 4, 6]
+        assert cols.tasks.tolist() == [1, 2]
+
+    def test_columns_and_views_are_read_only(self, chain_schedule):
+        with pytest.raises(ValueError):
+            chain_schedule.columns.start[0] = 0
+        with pytest.raises(TypeError):
+            chain_schedule.assignments[1] = chain_schedule[2]
+        assert chain_schedule.assignments == {1: chain_schedule[1],
+                                              2: chain_schedule[2]}
+
+    def test_views_hand_out_python_numbers(self, chain_schedule):
+        cols = chain_schedule.columns
+        rebuilt = Schedule.from_columns(
+            chain_schedule.platform, cols.proc, cols.start, cols.ptr, cols.comm)
+        for a in rebuilt:
+            assert type(a.start) is int
+            assert all(type(t) is int for t in a.comms)
+        assert type(rebuilt.makespan) is int
+        assert rebuilt == chain_schedule
+
+    def test_exact_values_keep_their_type(self, chain):
+        from fractions import Fraction
+
+        s = Schedule(chain, {1: TaskAssignment(1, 1, 2.5, CommVector([0])),
+                             2: TaskAssignment(2, 2, Fraction(19, 2),
+                                               CommVector([4, 6.5]))})
+        assert s[1].comms.times == (0,) and type(s[1].comms[1]) is int
+        assert s[2].start == Fraction(19, 2) and s.makespan == Fraction(29, 2)
+
+    def test_from_columns_checks_route_lengths(self, chain):
+        with pytest.raises(ScheduleError, match="route length 2"):
+            Schedule.from_columns(chain, [1], [9], [0, 1], [4])
+
+    def test_rebound_shares_columns_and_swaps_keys(self):
+        star = Star([(2, 3), (4, 5)])
+        s = Schedule(star, {1: TaskAssignment(1, 1, 2, CommVector([0])),
+                            2: TaskAssignment(2, 2, 6, CommVector([2]))})
+        mirror = Star([(4, 5), (2, 3)])
+        moved = s.rebound(mirror, (2, 1))
+        assert moved.columns is s.columns
+        assert moved[1].processor == 2 and moved.makespan == s.makespan
+        with pytest.raises(ScheduleError):
+            s.rebound(mirror, (1, 3))  # 3 is not a child of the mirror
+
+    def test_out_of_order_adds(self, chain):
+        s = Schedule(chain)
+        s.add(TaskAssignment(5, 1, 2, CommVector([0])))
+        s.add(TaskAssignment(3, 1, 5, CommVector([2])))
+        with pytest.raises(ScheduleError, match="assigned twice"):
+            s.add(TaskAssignment(3, 1, 8, CommVector([4])))
+        assert s.tasks() == [3, 5] and s[3].start == 5
+        assert s.columns.tasks.tolist() == [3, 5]
+
+
+    def test_ints_past_int64_arithmetic_stay_exact(self):
+        # 2**62 + (2**62 + 1) wraps in int64: such columns hold Python ints
+        s = Schedule(Chain([1], [2 ** 62]), {
+            1: TaskAssignment(1, 1, 1, CommVector([0])),
+            2: TaskAssignment(2, 1, 2 ** 62 + 1, CommVector([1]))})
+        assert s.columns.start.dtype == object
+        assert s.makespan == 2 ** 63 + 1 and type(s.makespan) is int
+        assert s[2].start == 2 ** 62 + 1 and s.shifted(-1)[2].start == 2 ** 62
+
+    def test_int64_columns_stay_below_the_exact_limit(self):
+        from repro.core.schedule import INT_TIME_LIMIT, time_column
+
+        assert time_column([1, -INT_TIME_LIMIT + 1]).dtype == np.int64
+        for values in ([INT_TIME_LIMIT], [1, -INT_TIME_LIMIT], [2 ** 70],
+                       np.array([2 ** 62], dtype=np.int64)):
+            column = time_column(values)
+            assert column.dtype == object and type(column[0]) is int
 
 
 class TestIntervals:

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.core.schedule import TaskAssignment
+from repro.core.schedule import Schedule, TaskAssignment
 from repro.io.json_io import problem_to_dict, solution_to_dict
 from repro.obs import tracing as obs_tracing
 from repro.platforms.chain import Chain
@@ -450,9 +450,11 @@ class TestHitPath:
         problem = Problem(Star([(2, 3), (1, 5), (3, 2)]), "makespan", n=5)
         fingerprint, canon = cache_key(problem)
         damaged = solve(Problem(canon.platform, "makespan", n=5))
-        a = damaged.schedule.assignments[1]
-        damaged.schedule.assignments[1] = TaskAssignment(
-            a.task, a.processor, -1, a.comms)  # starts before time 0
+        a = damaged.schedule[1]
+        damaged.schedule = Schedule(damaged.schedule.platform, {
+            **damaged.schedule.assignments,
+            1: TaskAssignment(a.task, a.processor, -1, a.comms),  # before 0
+        })
         store = SolutionStore(validate_on_write=False)  # let corruption in
         store.put(fingerprint, damaged)
 

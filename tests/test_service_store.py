@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.schedule import Schedule, TaskAssignment
 from repro.platforms.chain import Chain
 from repro.platforms.spider import Spider
 from repro.service.canon import problem_fingerprint
@@ -94,20 +95,18 @@ class TestEntriesAndPayloads:
         store.put(fp, sol)
         assert store.get(fp) is sol
 
-    def test_eviction_and_quarantine_drop_the_entry_template(self, tmp_path):
+    def test_eviction_and_quarantine_drop_the_memory_entry(self, tmp_path):
         store = SolutionStore(path=tmp_path / "s.sqlite", capacity=1)
         a, b = solved(3), solved(4)
         store.put(*a)
-        entry = store.lookup(a[0])
-        assert entry.solution is a[1] and entry.template is None
-        entry.template = "built on a first hit"
-        assert store.lookup(a[0]).template == "built on a first hit"
-        store.put(*b)  # evicts a; its SQLite row comes back template-less
-        assert store.lookup(a[0]).template is None
-        store.lookup(a[0]).template = "built again"
+        assert store.get(a[0]) is a[1]
+        store.put(*b)  # evicts a; its SQLite row comes back as a new object
+        again = store.get(a[0])
+        assert again is not a[1] and again.schedule == a[1].schedule
         store.quarantine(a[0], "operator request")
+        assert store.get(a[0]) is None
         store.put(*a)
-        assert store.lookup(a[0]).template is None
+        assert store.get(a[0]) is a[1]
 
 
 class TestValidationOnWrite:
@@ -115,10 +114,12 @@ class TestValidationOnWrite:
         store = SolutionStore()
         fp, sol = solved()
         # corrupt the claimed schedule: shift one start to overlap its CPU
-        task = sol.schedule.assignments[2]
-        sol.schedule.assignments[2] = type(task)(
-            task.task, task.processor, task.start - 2, task.comms
-        )
+        task = sol.schedule[2]
+        sol.schedule = Schedule(sol.schedule.platform, {
+            **sol.schedule.assignments,
+            2: TaskAssignment(task.task, task.processor, task.start - 2,
+                              task.comms),
+        })
         with pytest.raises(ValidationError):
             store.put(fp, sol)
         assert store.stats.rejected == 1

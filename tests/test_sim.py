@@ -110,31 +110,31 @@ class TestExecutor:
 
     def test_detects_port_conflict(self):
         ch = Chain(c=(2,), w=(10,))
-        s = Schedule(ch)
-        s.assignments[1] = TaskAssignment(1, 1, 2, CommVector([0]))
-        s.assignments[2] = TaskAssignment(2, 1, 12, CommVector([1]))  # overlap
+        s = Schedule(ch, {
+            1: TaskAssignment(1, 1, 2, CommVector([0])),
+            2: TaskAssignment(2, 1, 12, CommVector([1])),  # overlap
+        })
         with pytest.raises(SimulationError):
             execute(s)
 
     def test_detects_premature_execution(self):
         ch = Chain(c=(2,), w=(3,))
-        s = Schedule(ch)
-        s.assignments[1] = TaskAssignment(1, 1, 1, CommVector([0]))  # arrives at 2
+        s = Schedule(ch, {1: TaskAssignment(1, 1, 1, CommVector([0]))})  # arrives at 2
         with pytest.raises(SimulationError):
             execute(s)
 
     def test_detects_premature_relay(self):
         ch = Chain(c=(2, 2), w=(3, 3))
-        s = Schedule(ch)
-        s.assignments[1] = TaskAssignment(1, 2, 10, CommVector([0, 1]))
+        s = Schedule(ch, {1: TaskAssignment(1, 2, 10, CommVector([0, 1]))})
         with pytest.raises(SimulationError):
             execute(s)
 
     def test_detects_processor_overlap(self):
         ch = Chain(c=(1,), w=(5,))
-        s = Schedule(ch)
-        s.assignments[1] = TaskAssignment(1, 1, 1, CommVector([0]))
-        s.assignments[2] = TaskAssignment(2, 1, 3, CommVector([1]))
+        s = Schedule(ch, {
+            1: TaskAssignment(1, 1, 1, CommVector([0])),
+            2: TaskAssignment(2, 1, 3, CommVector([1])),
+        })
         with pytest.raises(SimulationError):
             execute(s)
 
