@@ -377,7 +377,7 @@ def kernel_service_zipf() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The replay acceptance workload: compiled linear-scan vs event executor
+# The replay acceptance workload: the array validator vs the event executor
 # ---------------------------------------------------------------------------
 
 #: repeats per solution when timing one validation (min taken — validation
@@ -400,17 +400,21 @@ def replay_workload_solutions() -> list:
 
 def kernel_replay_zipf() -> dict:
     """The replay acceptance kernel: validate every distinct zipf-workload
-    solution through both engines, compare per-solution medians.
+    solution with the array validator and with the event executor, and
+    compare per-solution medians.
 
-    Times exactly what the hot paths run — ``Solution.validate(engine=…)``,
-    i.e. the store's validate-on-write and ``repro batch --validate`` —
-    with the compile cache warm (the serving regime: platforms live in the
-    store's memory tier).  ``events`` is the cross-engine checksum: the
-    number of trace events both engines emit for the whole workload, exact
-    by construction and compared exactly by the regression gate."""
+    Times exactly what the hot paths run — ``Solution.validate()``, i.e.
+    the store's write check and ``repro batch --validate`` — against the
+    oracle, ``verify_by_execution``, with the compile cache warm (the
+    serving regime: platforms live in the store's memory tier).  Both
+    must accept every solution with the same makespan.  ``events`` is the
+    number of trace events the executor emits for the whole workload
+    (``Solution.replay()``), compared exactly by the regression gate."""
     from statistics import median
 
     from repro.core.compiled import clear_compile_cache, compile_stats
+    from repro.sim.executor import verify_by_execution
+    from repro.sim.replay_fast import verify_schedule
 
     def once() -> dict:
         clear_compile_cache()
@@ -427,26 +431,22 @@ def kernel_replay_zipf() -> dict:
             per_compiled = []
             for _ in range(REPLAY_TIMING_ROUNDS):
                 r0 = time.perf_counter()
-                sol.validate(engine="event")
+                verify_by_execution(sol.schedule)
                 per_event.append(time.perf_counter() - r0)
                 r0 = time.perf_counter()
-                sol.validate(engine="compiled")
+                sol.validate()
                 per_compiled.append(time.perf_counter() - r0)
             ev, co = min(per_event), min(per_compiled)
             event_times.append(ev)
             compiled_times.append(co)
             speedups.append(ev / co)
-            # the bit-identical cross-check doubles as the event counter
-            trace_event = sol.replay(engine="event")
-            trace_compiled = sol.replay(engine="compiled")
-            assert trace_event.events == trace_compiled.events, (
-                f"engines disagree on {sol.solver} trace"
+            # the oracle's trace is the event counter and the makespan
+            # both validators must agree on
+            trace = sol.replay()
+            assert verify_schedule(sol.schedule) == trace.makespan, (
+                f"validators disagree on {sol.solver} makespan"
             )
-            assert [e.info for e in trace_event.events] == [
-                e.info for e in trace_compiled.events
-            ]
-            assert trace_event.busy == trace_compiled.busy
-            events += len(trace_compiled.events)
+            events += len(trace.events)
             tasks += sol.n_tasks
         seconds = time.perf_counter() - t0
         stats = compile_stats()
@@ -571,7 +571,7 @@ def kernel_churn_repair() -> dict:
             )
             # never trade correctness for speed: replay on the mutated
             # platform + bit-identical prefix, asserted every run
-            verify_schedule(result.schedule, None)
+            verify_schedule(result.schedule)
             kmap = churn.key_map
             for task in result.kept + result.kept_done:
                 old, new = base.schedule[task], result.schedule[task]

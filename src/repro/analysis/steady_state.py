@@ -162,14 +162,3 @@ def steady_state(platform) -> SteadyState:
         f"no steady-state analysis for platform type {type(platform).__name__!r} "
         f"(register one with repro.analysis.register_steady_state)"
     )
-
-
-def asymptotic_rate(platform, makespans: list[tuple[int, float]]) -> float:
-    """Empirical rate ``n / makespan`` of the largest measured run —
-    compared against the theoretical throughput in experiment E9."""
-    if not makespans:
-        raise PlatformError("need at least one (n, makespan) sample")
-    n, mk = max(makespans)
-    if mk <= 0:
-        return 0.0
-    return n / float(mk)

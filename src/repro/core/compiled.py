@@ -60,8 +60,9 @@ MASTER_PORT = 0
 
 class CompileError(ReproError):
     """The adapter does not fit the flat link-per-processor model (or the
-    platform cannot be compiled at all); callers fall back to the
-    event-driven executor."""
+    platform cannot be compiled at all).  Every supported platform fits,
+    so replay validation fails closed on it: ``Solution.validate`` raises
+    a ``ValidationError`` naming it."""
 
 
 @dataclass(frozen=True)
@@ -303,11 +304,11 @@ def compile_platform(
 
     Platforms without a canonical form compile directly and are not
     cached.  Raises :class:`CompileError` when the adapter cannot be
-    flattened at all (callers then fall back to the event executor).
+    flattened at all.
 
     The bound result is additionally memoized on the platform *object*
     (platforms are immutable), so validating many schedules against one
-    platform — the store's validate-on-write, a batch sweep — compiles and
+    platform — the store's write-time check, a batch sweep — compiles and
     binds exactly once per platform instance."""
     from ..service.canon import CanonError, canonical_form  # service is lazy: no cycle
 

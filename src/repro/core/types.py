@@ -67,13 +67,6 @@ class EventBudgetExceeded(SimulationError):
         )
 
 
-def is_close(a: Time, b: Time, eps: float = EPS) -> bool:
-    """Exact equality for ints, ``eps``-tolerant equality otherwise."""
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    return abs(a - b) <= eps
-
-
 def leq(a: Time, b: Time, eps: float = EPS) -> bool:
     """``a <= b`` with ``eps`` slack for float inputs."""
     if isinstance(a, int) and isinstance(b, int):

@@ -41,11 +41,6 @@ class Chain:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def from_specs(specs: Iterable[ProcessorSpec]) -> "Chain":
-        specs = list(specs)
-        return Chain((s.c for s in specs), (s.w for s in specs))
-
-    @staticmethod
     def homogeneous(p: int, c: Time, w: Time) -> "Chain":
         """A chain of ``p`` identical ``(c, w)`` workers."""
         if p < 1:

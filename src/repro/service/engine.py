@@ -57,6 +57,7 @@ __all__ = [
     "ServiceClosingError",
     "cache_key",
     "cached_solve",
+    "latency_table",
     "rebind_solution",
 ]
 
@@ -149,6 +150,25 @@ def rebind_solution(
         warm_caps=None,
         extra=dict(solution.extra),
     )
+
+
+def latency_table(registry: _obs.MetricsRegistry) -> dict[str, dict[str, float]]:
+    """Per-op latency percentiles from ``registry``'s ``service.op_ms``
+    histograms — ``{op: {"count": n, "p50_ms": …, "p95_ms": …,
+    "p99_ms": …}}``, the ``latency`` block of a service's and of the
+    fleet router's ``stats``.  Percentiles are bucket-upper-edge
+    estimates (see :meth:`repro.obs.metrics.Histogram.percentile`)."""
+    out: dict[str, dict[str, float]] = {}
+    for key, hist in registry.histograms("service.op_ms").items():
+        # keys look like "service.op_ms{op=solve}"
+        op = key.partition("{op=")[2].rstrip("}") or "?"
+        out[op] = {
+            "count": hist.count,
+            "p50_ms": hist.percentile(0.50),
+            "p95_ms": hist.percentile(0.95),
+            "p99_ms": hist.percentile(0.99),
+        }
+    return out
 
 
 def _solve_canonical(
@@ -416,28 +436,11 @@ class ScheduleService(JsonLinesFrontend):
             "workers": self.workers,
             "closing": self._closing,
             "uptime_s": round(time.monotonic() - self._started, 3),
-            "latency": self._latency(),
+            "latency": latency_table(self.metrics),
             "store": self.store.stats.to_dict(),
             "compile": compile_stats(),
             "solve_kernels": solve_kernel_stats(),
         }
-
-    def _latency(self) -> dict[str, dict[str, float]]:
-        """Per-op latency percentiles from this instance's histograms —
-        ``{op: {"count": n, "p50_ms": …, "p95_ms": …, "p99_ms": …}}``.
-        Percentiles are bucket-upper-edge estimates (see
-        :meth:`repro.obs.metrics.Histogram.percentile`)."""
-        out: dict[str, dict[str, float]] = {}
-        for key, hist in self.metrics.histograms("service.op_ms").items():
-            # keys look like "service.op_ms{op=solve}"
-            op = key.partition("{op=")[2].rstrip("}") or "?"
-            out[op] = {
-                "count": hist.count,
-                "p50_ms": hist.percentile(0.50),
-                "p95_ms": hist.percentile(0.95),
-                "p99_ms": hist.percentile(0.99),
-            }
-        return out
 
     # -- shutdown -----------------------------------------------------------
 

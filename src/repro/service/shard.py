@@ -53,9 +53,9 @@ from typing import Any, Optional
 
 from ..io.json_io import problem_from_dict
 from ..obs import metrics as _obs
-from .engine import cache_key
+from .engine import cache_key, latency_table
 from .frontend import JsonLinesFrontend
-from .protocol import op_label
+from .protocol import PROTOCOL_VERSION, op_label
 from .supervisor import Supervisor, WorkerConfig, WorkerDied, WorkerProcess
 
 __all__ = ["HashRing", "ShardRouter"]
@@ -245,7 +245,8 @@ class ShardRouter(JsonLinesFrontend):
         """The response to every request but a solve the router routes."""
         rid = request.get("id")
         if op == "ping":
-            return {"id": rid, "ok": True, "pong": True, "protocol": 1}
+            return {"id": rid, "ok": True, "pong": True,
+                    "protocol": PROTOCOL_VERSION}
         if op == "stats":
             return {"id": rid, "ok": True, "stats": await self.stats()}
         if op == "inject" and self.config.chaos_ops:
@@ -399,22 +400,7 @@ class ShardRouter(JsonLinesFrontend):
             "closing": self._closing,
             "uptime_s": round(time.monotonic() - self._started, 3),
             "supervisor": self.supervisor.stats(),
-            "latency": _latency_view(merged),
+            "latency": latency_table(merged),
             "store": merged_store,
             "shards": per_shard,
         }
-
-
-def _latency_view(registry: _obs.MetricsRegistry) -> dict[str, dict[str, float]]:
-    """Per-op percentile table from merged ``service.op_ms`` histograms
-    (same shape as :meth:`ScheduleService.stats`'s ``latency`` block)."""
-    out: dict[str, dict[str, float]] = {}
-    for key, hist in registry.histograms("service.op_ms").items():
-        op = key.partition("{op=")[2].rstrip("}") or "?"
-        out[op] = {
-            "count": hist.count,
-            "p50_ms": hist.percentile(0.50),
-            "p95_ms": hist.percentile(0.95),
-            "p99_ms": hist.percentile(0.99),
-        }
-    return out

@@ -17,10 +17,9 @@ Two tiers:
   memory tier on miss.
 
 **Nothing corrupt is ever served**: every write replay-validates the
-solution through the discrete-event simulator
-(:meth:`~repro.solve.problem.Solution.validate`) before either tier
-accepts it; a solution that fails replay raises and is not stored.  The
-read path holds the same line against *external* damage — a SQLite row
+solution (:meth:`~repro.solve.problem.Solution.validate`) before either
+tier accepts it; a solution that fails replay raises and is not stored.
+The read path holds the same line against *external* damage — a SQLite row
 that no longer deserialises or replays (truncated file, bit rot, foreign
 writer) is quarantined and the lookup degrades to a miss; a locked or
 corrupt database file degrades the store to its memory tier.  Neither
@@ -112,13 +111,10 @@ class SolutionStore:
     ``path=None`` keeps the store memory-only; a path (or ``":memory:"``)
     adds the persistent SQLite tier.  ``capacity`` bounds the memory tier
     (LRU eviction; evicted entries stay in SQLite when it exists).
-    ``validate_on_write=False`` is an escape hatch for benchmarks that
-    time the raw store; the service never uses it.
     """
 
     path: Optional[Union[str, Path]] = None
     capacity: int = 256
-    validate_on_write: bool = True
     stats: StoreStats = field(default_factory=StoreStats)
 
     def __post_init__(self) -> None:
@@ -165,11 +161,11 @@ class SolutionStore:
     def get(self, fingerprint: str) -> Optional[Solution]:
         """The cached canonical solution under ``fingerprint``, or ``None``.
 
-        A SQLite hit is deserialised — and, with ``validate_on_write`` on,
-        replay-checked — before being promoted into the memory tier; a row
-        that fails either check is **quarantined** (moved to the quarantine
-        table, counted in ``corrupt_rows``) and the lookup degrades to a
-        miss instead of raising through the serving loop.  SQLite-level
+        A SQLite hit is deserialised and replay-checked before being
+        promoted into the memory tier; a row that fails either check is
+        **quarantined** (moved to the quarantine table, counted in
+        ``corrupt_rows``) and the lookup degrades to a miss instead of
+        raising through the serving loop.  SQLite-level
         failures (locked or corrupt database file) likewise degrade to the
         memory tier (``sqlite_errors``).  Callers must not mutate the
         returned object (a rebind shares its read-only columns)."""
@@ -191,8 +187,7 @@ class SolutionStore:
                 if row is not None:
                     try:
                         sol = solution_from_dict(json.loads(row[0]))
-                        if self.validate_on_write:
-                            sol.validate()
+                        sol.validate()
                     except Exception as exc:
                         self.stats.record("corrupt_rows")
                         self._quarantine_locked(
@@ -238,17 +233,16 @@ class SolutionStore:
     def put(self, fingerprint: str, solution: Solution) -> None:
         """Admit ``solution`` (canonical coordinates) under ``fingerprint``.
 
-        Replay-validates first (unless ``validate_on_write`` is off): the
-        schedule is re-executed through the simulator and its makespan
-        checked bit-exactly.  :class:`~repro.solve.problem.ValidationError`
-        propagates and the store stays unchanged."""
-        if self.validate_on_write:
-            try:
-                solution.validate()
-            except Exception:
-                with self._lock:
-                    self.stats.record("rejected")
-                raise
+        Replay-validates first: the schedule is checked against the
+        model's rules and its makespan bit-exactly.
+        :class:`~repro.solve.problem.ValidationError` propagates and the
+        store stays unchanged."""
+        try:
+            solution.validate()
+        except Exception:
+            with self._lock:
+                self.stats.record("rejected")
+            raise
         # only the SQLite tier stores text: a memory-only store (the
         # ``repro serve`` default) never pays for encoding the payload
         payload = (None if self._db is None
@@ -334,11 +328,6 @@ class SolutionStore:
                 return []
 
     # -- lifecycle -----------------------------------------------------------
-
-    def clear_memory(self) -> None:
-        """Drop the memory tier (SQLite untouched) — forces tier-2 reads."""
-        with self._lock:
-            self._memory.clear()
 
     def close(self) -> None:
         with self._lock:

@@ -2,9 +2,10 @@
 
 * :mod:`repro.sim.engine` — the event calendar;
 * :mod:`repro.sim.executor` — replay a static schedule with runtime checks
-  (the event-driven oracle);
-* :mod:`repro.sim.replay_fast` — the compiled linear-scan replay kernel
-  (default validation path; bit-identical traces, ~10x faster);
+  (the event-driven oracle, and the only producer of replay traces);
+* :mod:`repro.sim.replay_fast` — the array validator every production
+  caller runs (same accept/reject and makespan as the oracle, ~10x
+  faster, no trace);
 * :mod:`repro.sim.online` — demand-driven / round-robin online policies
   (the SETI@home-style operation the paper's introduction motivates), run
   by one event loop with optional release times and churn;
@@ -17,15 +18,7 @@
 from .engine import Simulator
 from .events import Event, EventKind
 from .executor import execute, verify_by_execution
-from .replay_fast import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    execute_fast,
-    replay_schedule,
-    resolve_engine,
-    verify_fast,
-    verify_schedule,
-)
+from .replay_fast import verify_schedule
 from .online import (
     ONLINE_POLICIES,
     OnlineResult,
@@ -44,12 +37,6 @@ __all__ = [
     "EventKind",
     "execute",
     "verify_by_execution",
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "execute_fast",
-    "replay_schedule",
-    "resolve_engine",
-    "verify_fast",
     "verify_schedule",
     "ONLINE_POLICIES",
     "OnlineResult",

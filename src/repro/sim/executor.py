@@ -13,6 +13,11 @@ feasibility checker:
 Any violation raises :class:`~repro.core.types.SimulationError` — so a bug
 in an algorithm would have to fool two independent validators (this one and
 :mod:`repro.core.feasibility`) to slip through.
+
+This is the replay oracle and the only producer of replay traces
+(``Solution.replay()`` returns :func:`execute`'s): production callers run
+the array validator :mod:`repro.sim.replay_fast`, which the differential
+tests hold to this module's accept/reject and makespan.
 """
 
 from __future__ import annotations

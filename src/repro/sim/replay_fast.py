@@ -1,12 +1,12 @@
-"""Array replay validation against a compiled platform.
+"""Array replay validation against a compiled platform: the validator
+every production caller runs.
 
-This is the fast half of the replay subsystem: where
-:mod:`repro.sim.executor` pushes one closure per event through a ``heapq``,
-this module checks a :class:`~repro.core.schedule.Schedule`'s columns
-against the flat arrays of a
-:class:`~repro.core.compiled.CompiledPlatform` with whole-array
-operations — no heap, no per-task loop, no ``Event`` objects on the hot
-path:
+Where :mod:`repro.sim.executor` (the replay oracle, and the only producer
+of traces) pushes one closure per event through a ``heapq``, this module
+checks a :class:`~repro.core.schedule.Schedule`'s columns against the
+flat arrays of a :class:`~repro.core.compiled.CompiledPlatform` with
+whole-array operations — no heap, no per-task loop, no ``Event``
+objects:
 
 * **setup pass** (mirrors the executor's scheduling phase): every emission
   and execution start must be ``>= 0``;
@@ -20,83 +20,37 @@ path:
   and each is compared with the one before it on the same resource — the
   executor's running ``busy_until`` — with
   :data:`~repro.core.types.EPS` slack;
-* **bit-exact accounting**: makespan and per-task completions are computed
-  with the same arithmetic the simulator would use and compared against
-  the schedule's static claims: ``int64`` for integer columns, Python
-  arithmetic element by element for float and Fraction ones.
+* **bit-exact accounting**: the makespan is computed with the same
+  arithmetic the simulator would use and compared against the schedule's
+  claim: ``int64`` for integer columns, Python arithmetic element by
+  element for float and Fraction ones.
 
-On *accept*, the emitted :class:`~repro.sim.trace.Trace` is bit-identical
-to the executor's (same event order, same busy intervals): the executor's
-heap order ``(time, priority, seq)`` is reconstructed by one sort plus a
-linear merge — the deterministic seeding order gives every start event
-its sequence number, and end events are re-merged in their start's pop
-rank (a zero-duration end pops immediately after its own start).  On *reject*, both engines
-reject; when a schedule violates several rules at once they may name a
-different violation first (the executor reports whichever event fires
-first, the scan reports per rule), which is why the differential suite
-compares accept/reject + trace + makespan rather than message strings.
-
-The event-driven executor stays registered as the ``"event"`` engine — the
-differential-testing oracle and the escape hatch for platforms the
-compiler cannot flatten.
+Both validators accept and reject the same schedules, with the same
+makespan on accept; when a schedule violates several rules at once they
+may name a different violation first (the executor reports whichever
+event fires first, the scan reports per rule), which is why the
+differential suite compares accept/reject and makespan rather than
+message strings.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 
-from ..core.compiled import CompiledPlatform, CompileError, compile_platform
+from ..core.compiled import CompiledPlatform, compile_platform
 from ..core.schedule import Schedule
 from ..obs import metrics as _obs
 from ..obs import tracing as _trace
 from ..core.types import EPS, EventBudgetExceeded, SimulationError, Time
 from .engine import DEFAULT_MAX_EVENTS
-from .events import Event, EventKind
-from .trace import Trace
 
-__all__ = [
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "execute_fast",
-    "replay_schedule",
-    "resolve_engine",
-    "verify_fast",
-    "verify_schedule",
-]
-
-#: the two replay engines: ``"compiled"`` (this module) and ``"event"``
-#: (:mod:`repro.sim.executor`, the differential-testing oracle).
-ENGINES = ("compiled", "event")
-
-#: engine used when callers pass ``engine=None``.
-DEFAULT_ENGINE = "compiled"
+__all__ = ["verify_schedule"]
 
 
-def resolve_engine(engine: Optional[str]) -> str:
-    """Normalise an engine choice (``None`` → :data:`DEFAULT_ENGINE`)."""
-    if engine is None:
-        return DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise SimulationError(
-            f"unknown replay engine {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
-
-
-# ---------------------------------------------------------------------------
-# The linear scan
-# ---------------------------------------------------------------------------
-
-
-def _scan(
-    schedule: Schedule, cp: CompiledPlatform
-) -> tuple[int, Time, Optional[tuple]]:
-    """Run every model check on the schedule's columns; returns
-    ``(tasks, makespan, claims)`` or raises
-    :class:`~repro.core.types.SimulationError`.  ``claims`` holds the
-    per-hop and per-task arrays :func:`_build_trace` turns into events.
+def _scan(schedule: Schedule, cp: CompiledPlatform) -> Time:
+    """Run every model check on the schedule's columns; returns the
+    replayed makespan or raises
+    :class:`~repro.core.types.SimulationError`.
 
     Times stay exact: ``int64`` columns compute in ``int64``, object
     columns (floats, Fractions) elementwise in Python arithmetic.  Each
@@ -104,7 +58,7 @@ def _scan(
     cols = schedule.columns
     n = len(cols)
     if not n:
-        return 0, 0, None
+        return 0
     tasks = cols.tasks
     # the schedule's key table onto the compiled platform's indices: O(p)
     proc = cols.proc
@@ -191,198 +145,25 @@ def _scan(
     if 2 * int(hops[-1]) + 2 * n > DEFAULT_MAX_EVENTS:
         # the event executor would blow its default budget on this replay
         raise EventBudgetExceeded(DEFAULT_MAX_EVENTS)
-    claims = (tasks, row, hops, emit, end, link, proc, start, done)
     if done.dtype == object:  # Python's max: the first maximum in task order
-        return n, max([0, *done.tolist()]), claims
-    return n, max(0, np.maximum.reduce(done).item()), claims
+        return max([0, *done.tolist()])
+    return max(0, np.maximum.reduce(done).item())
 
 
-# ---------------------------------------------------------------------------
-# Bit-identical trace reconstruction
-# ---------------------------------------------------------------------------
+def verify_schedule(schedule: Schedule) -> Time:
+    """Validate ``schedule`` against the model and its makespan claim;
+    returns the replayed makespan.
 
-
-def _build_trace(cp: CompiledPlatform, claims: Optional[tuple]) -> Trace:
-    """The exact trace the event executor would emit, from the claims
-    :func:`_scan` accepted.
-
-    The simulator pops ``(time, priority, seq)``.  Start events get their
-    seq when seeded (task-major, hop-minor; sends have priority 2, the
-    execution 3).  An end event is scheduled when its start pops, so it
-    pops before every start at its own time and among ends in its start's
-    pop order — except an end that lasts no time, which pops right after
-    its own start.  One sort of every event on (time, lasting end first,
-    start's pop rank, start before end) reproduces that calendar."""
-    trace = Trace()
-    if claims is None:
-        return trace
-    tasks, row, hops, emit, end, link, proc, start, done = claims
-    h, n = emit.size, proc.size
-    begin = np.concatenate((emit, start))
-    finish = np.concatenate((end, done))
-    is_exec = np.arange(h + n) >= h
-    seq = np.concatenate((np.arange(h) + row, hops[1:] + np.arange(n)))
-    rank = np.empty(h + n, dtype=np.int64)
-    rank[np.lexsort((seq, is_exec, begin))] = np.arange(h + n)
-    lasting = finish != begin
-    order = np.lexsort((
-        np.arange(2 * (h + n)) >= h + n,
-        np.concatenate((rank, rank)),
-        np.concatenate((np.ones(h + n, dtype=bool), ~lasting)),
-        np.concatenate((begin, np.where(lasting, finish, begin))),
-    ))
-    events, busy = trace.events, trace.busy
-    index = np.concatenate((link, proc)).tolist()
-    sender_port = cp.sender_port.tolist()
-    task_of = np.concatenate((tasks[row], tasks)).tolist()
-    begin, finish = begin.tolist(), finish.tolist()
-    port_keys, link_keys, procs = cp.port_keys, cp.link_keys, cp.procs
-    for k in order.tolist():
-        j = k if k < h + n else k - h - n
-        task, t0, t1 = task_of[j], begin[j], finish[j]
-        if j < h:
-            port = port_keys[sender_port[index[j]]]
-            info = {"link": link_keys[index[j]]}
-            if k == j:
-                events.append(Event(t0, EventKind.SEND_START, task, port, info))
-                busy.setdefault(("port", port), []).append((t0, t1, task))
-                busy.setdefault(("link", info["link"]), []).append((t0, t1, task))
-            else:
-                events.append(Event(t1, EventKind.SEND_END, task, port, info))
-        elif k == j:
-            events.append(Event(t0, EventKind.EXEC_START, task, procs[index[j]]))
-            busy.setdefault(("proc", procs[index[j]]), []).append((t0, t1, task))
-        else:
-            events.append(Event(t1, EventKind.EXEC_END, task, procs[index[j]]))
-    return trace
-
-
-class _LazyTrace(Trace):
-    """A :class:`Trace` that materialises its event log on first access.
-
-    The hot consumers (store validate-on-write, batch ``--validate``,
-    rebind checks) never look at the trace they are returned — this keeps
-    the compiled path allocation-free for them while callers that *do*
-    inspect the trace see the bit-identical event log."""
-
-    def __init__(self, build: Callable[[], Trace]) -> None:
-        # deliberately no super().__init__(): events/busy resolve through
-        # the properties below
-        self._build = build
-        self._real: Optional[Trace] = None
-
-    def _materialise(self) -> Trace:
-        if self._real is None:
-            self._real = self._build()
-            self._build = None  # type: ignore[assignment]
-        return self._real
-
-    @property
-    def events(self):  # type: ignore[override]
-        return self._materialise().events
-
-    @property
-    def busy(self):  # type: ignore[override]
-        return self._materialise().busy
-
-    # Trace's dataclass __eq__ requires an exact class match; a lazy trace
-    # must still compare equal to the executor's plain Trace when the
-    # materialised content is identical
-    def __eq__(self, other):
-        if isinstance(other, Trace):
-            return self.events == other.events and self.busy == other.busy
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]  # matches Trace (eq, no hash)
-
-
-# ---------------------------------------------------------------------------
-# Public entry points (compiled engine)
-# ---------------------------------------------------------------------------
-
-
-def execute_fast(
-    schedule: Schedule, compiled: Optional[CompiledPlatform] = None
-) -> Trace:
-    """Compiled twin of :func:`repro.sim.executor.execute`: validate and
-    return the (eagerly built, bit-identical) trace."""
-    cp = compiled if compiled is not None else compile_platform(schedule.platform)
-    tasks, _makespan, claims = _scan(schedule, cp)
-    if tasks != schedule.n_tasks:  # unreachable; mirrors the executor's guard
-        raise SimulationError(
-            f"only {tasks} of {schedule.n_tasks} tasks completed"
-        )
-    return _build_trace(cp, claims)
-
-
-def verify_fast(
-    schedule: Schedule,
-    compiled: Optional[CompiledPlatform] = None,
-    lazy_trace: bool = False,
-) -> Trace:
-    """Compiled twin of :func:`repro.sim.executor.verify_by_execution`:
-    validate, check the schedule's static claims, return the trace.
-
-    ``lazy_trace=True`` defers building the event log until the returned
-    trace is actually inspected — the validation hot path."""
-    cp = compiled if compiled is not None else compile_platform(schedule.platform)
-    _tasks, makespan, claims = _scan(schedule, cp)
-    claimed = schedule.makespan
-    if abs(float(makespan) - float(claimed)) > EPS:
-        raise SimulationError(
-            f"trace makespan {makespan} != schedule makespan {claimed}"
-        )
-    if lazy_trace:
-        return _LazyTrace(lambda: _build_trace(cp, claims))
-    return _build_trace(cp, claims)
-
-
-# ---------------------------------------------------------------------------
-# Engine dispatch (what Solution.validate()/replay() call)
-# ---------------------------------------------------------------------------
-
-
-def replay_schedule(schedule: Schedule, engine: Optional[str] = None) -> Trace:
-    """Execute ``schedule`` with the chosen engine, returning the trace.
-
-    ``engine=None`` prefers the compiled kernel and falls back to the
-    event executor for platforms the compiler cannot flatten; an explicit
-    ``"compiled"`` is strict (the :class:`CompileError` propagates)."""
-    from .executor import execute  # local import: executor is a peer module
-
-    resolved = resolve_engine(engine)
-    with _trace.span("replay", kind="execute", engine=resolved):
-        if resolved == "compiled":
-            try:
-                trace = execute_fast(schedule)
-                _obs.counter("replay.execute", engine="compiled").inc()
-                return trace
-            except CompileError:
-                if engine is not None:
-                    raise
-                _obs.counter("replay.execute", engine="event_fallback").inc()
-                return execute(schedule)
-        _obs.counter("replay.execute", engine="event").inc()
-        return execute(schedule)
-
-
-def verify_schedule(
-    schedule: Schedule, engine: Optional[str] = None, lazy_trace: bool = False
-) -> Trace:
-    """Validate ``schedule`` (claims included) with the chosen engine."""
-    from .executor import verify_by_execution
-
-    resolved = resolve_engine(engine)
-    with _trace.span("replay", kind="verify", engine=resolved):
-        if resolved == "compiled":
-            try:
-                trace = verify_fast(schedule, lazy_trace=lazy_trace)
-                _obs.counter("replay.verify", engine="compiled").inc()
-                return trace
-            except CompileError:
-                if engine is not None:
-                    raise
-                _obs.counter("replay.verify", engine="event_fallback").inc()
-                return verify_by_execution(schedule)
-        _obs.counter("replay.verify", engine="event").inc()
-        return verify_by_execution(schedule)
+    Raises :class:`~repro.core.types.SimulationError` on any violation,
+    and :class:`~repro.core.compiled.CompileError` for a platform the
+    compiler cannot flatten (:meth:`repro.solve.Solution.validate` turns
+    both into a ``ValidationError``)."""
+    with _trace.span("replay"):
+        makespan = _scan(schedule, compile_platform(schedule.platform))
+        claimed = schedule.makespan
+        if abs(float(makespan) - float(claimed)) > EPS:
+            raise SimulationError(
+                f"trace makespan {makespan} != schedule makespan {claimed}"
+            )
+        _obs.counter("replay.verify").inc()
+    return makespan

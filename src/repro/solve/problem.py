@@ -26,9 +26,11 @@ carry *only* the trace (a reissued task legitimately appears twice, which
 no Definition-1 schedule can express).
 
 Every solution can be **replay-validated**: :meth:`Solution.validate`
-re-executes it through the discrete-event simulator, which independently
-enforces port serialisation, relay-FIFO forwarding and CPU cadence, and
-checks the claimed makespan (and deadline, if any) bit-exactly.
+checks it with the array validator (:mod:`repro.sim.replay_fast`), which
+independently enforces port serialisation, relay-FIFO forwarding and CPU
+cadence, and checks the claimed makespan (and deadline, if any)
+bit-exactly; :meth:`Solution.replay` runs it on the discrete-event
+executor, the oracle, and returns the trace.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class Solution:
     #: solver-specific detail, e.g. {"rounds": [...], "coverage": 0.8}.
     extra: dict[str, Any] = field(default_factory=dict)
     #: the execution trace this answer was *produced* from (online mode);
-    #: offline solutions gain one lazily through :meth:`replay`.
+    #: :meth:`replay` executes an offline solution's schedule for one.
     trace: Optional[Any] = None
 
     @property
@@ -122,17 +124,15 @@ class Solution:
 
     # -- replay validation --------------------------------------------------
 
-    def replay(self, engine: Optional[str] = None) -> Any:
-        """Execute the schedule on the simulated platform.
+    def replay(self) -> Any:
+        """Execute the schedule on the discrete-event simulator, the replay
+        oracle (:func:`repro.sim.executor.execute`), and return its
+        :class:`~repro.sim.trace.Trace`.
 
-        Returns the fresh :class:`~repro.sim.trace.Trace`.  The replay
-        enforces the model's exclusivity rules (one send per port, one
-        message per link, one task per CPU, relay only after arrival) and
-        raises on any violation.  ``engine`` picks the replay kernel:
-        ``"compiled"`` (flat-array linear scan, the default) or
-        ``"event"`` (the discrete-event executor, the differential-testing
-        oracle)."""
-        from ..sim.replay_fast import replay_schedule  # sim is a consumer-side layer
+        The replay enforces the model's exclusivity rules (one send per
+        port, one message per link, one task per CPU, relay only after
+        arrival) and raises on any violation."""
+        from ..sim.executor import execute  # sim is a consumer-side layer
 
         if self.schedule is None:
             raise SolveError(
@@ -140,45 +140,53 @@ class Solution:
                 "(online run with failures or churn); there is no schedule "
                 "to replay"
             )
-        return replay_schedule(self.schedule, engine)
+        return execute(self.schedule)
 
-    def validate(self, engine: Optional[str] = None) -> Any:
-        """Machine-check this solution by replaying it; returns the trace.
+    def validate(self, engine: None = None) -> None:
+        """Machine-check this solution; raises :class:`ValidationError` on
+        any mismatch.
 
         * schedule-backed solutions (every offline solver, online runs
-          without failures or churn) are re-executed — by default through
-          the compiled linear-scan kernel (:mod:`repro.sim.replay_fast`),
-          with ``engine="event"`` forcing the discrete-event executor —
-          and their makespan / per-task completions are compared
-          bit-exactly against the schedule's static claims;
+          without failures or churn) go through the array validator
+          (:func:`repro.sim.replay_fast.verify_schedule`), which enforces
+          the model's rules and checks the claimed makespan bit-exactly.
+          A platform it cannot compile fails closed: the
+          :class:`~repro.core.compiled.CompileError` becomes a
+          :class:`ValidationError`;
         * trace-only solutions (failure or churn runs) have their trace
           re-checked against the model's exclusivity rules;
         * deadline problems additionally assert ``makespan <= t_lim``.
 
-        Raises :class:`ValidationError` on any mismatch.  The compiled
-        engine returns a lazily-materialised trace: callers that never
-        inspect it (the store's validate-on-write, the batch runner) pay
-        for the checks only, not for the event log.
+        ``engine`` is retired and accepts only ``None`` (perfbench's
+        replay hook still forwards it); the event-driven oracle is
+        :mod:`repro.sim.executor`, called directly.
         """
+        from ..core.compiled import CompileError
         from ..core.types import SimulationError
-        from ..sim.replay_fast import resolve_engine, verify_schedule
+        from ..sim.replay_fast import verify_schedule
         from ..sim.trace import assert_trace_exclusive
 
-        resolve_engine(engine)  # a typo'd engine is a usage error, raised
-        # before the except block below can blame it on the solver
+        if engine is not None:
+            raise SolveError(
+                f"Solution.validate's 'engine' parameter is retired (got "
+                f"{engine!r}); call repro.sim.executor.verify_by_execution "
+                "for the event-driven oracle"
+            )
         try:
             if self.schedule is not None:
-                trace = verify_schedule(self.schedule, engine, lazy_trace=True)
-            else:
-                if self.trace is None:
-                    raise SolveError(
-                        "solution carries neither schedule nor trace"
-                    )
+                verify_schedule(self.schedule)
+            elif self.trace is not None:
                 assert_trace_exclusive(self.trace)
-                trace = self.trace
+            else:
+                raise SolveError("solution carries neither schedule nor trace")
         except SimulationError as exc:
             raise ValidationError(
                 f"solver {self.solver!r} produced an invalid solution: {exc}"
+            ) from exc
+        except CompileError as exc:
+            raise ValidationError(
+                f"solver {self.solver!r}: the replay cannot check this "
+                f"platform (CompileError: {exc})"
             ) from exc
         if self.problem.kind == "deadline" and self.problem.t_lim is not None:
             if not leq(self.makespan, self.problem.t_lim):
@@ -186,4 +194,3 @@ class Solution:
                     f"solver {self.solver!r} missed the deadline: makespan "
                     f"{self.makespan} > t_lim {self.problem.t_lim}"
                 )
-        return trace

@@ -28,7 +28,8 @@ history.  ``repatch`` repairs instead:
    improvements.  This keeps repatch competitive when churn makes the old
    placement obsolete (e.g. a fast joiner appears).
 
-The result replay-validates on P′ through both engines: kept claims are
+The result replay-validates on P′, on the array validator and on the
+executor alike: kept claims are
 value-identical by construction, new claims respect the same pipeline and
 exclusivity rules the validator enforces.
 

@@ -31,6 +31,7 @@ from repro.sim.churn import (
     parse_churn_events,
     random_churn,
 )
+from repro.sim.executor import verify_by_execution
 from repro.sim.online import simulate_online
 from repro.sim.trace import assert_trace_exclusive
 from repro.solve import Problem, solve
@@ -572,8 +573,8 @@ class TestRepatchProperties:
         sol = solve(Problem(platform, "makespan", n=n, mode="repatch",
                             options={"churn": specs}))
         assert sol.schedule.platform.to_dict() == sol.extra["platform_after"]
-        sol.validate(engine="compiled")
-        sol.validate(engine="event")
+        sol.validate()
+        verify_by_execution(sol.schedule)
 
     @given(churn_episodes())
     @settings(max_examples=30, deadline=None)

@@ -3,9 +3,10 @@ the mode-keyed registry dispatch.
 
 The centrepiece is the seeded property sweep: every registered offline
 solver's `Solution` — chain, star, spider, tree; makespan and deadline —
-is replayed through the discrete-event executor, which independently
-enforces port serialisation, relay-FIFO forwarding and CPU cadence, and
-must reproduce the claimed makespan bit-exactly.
+must pass `Solution.validate()` and replay through the discrete-event
+executor (`Solution.replay()`), which independently enforces port
+serialisation, relay-FIFO forwarding and CPU cadence, reproducing the
+claimed makespan bit-exactly.
 """
 
 import pytest
@@ -53,7 +54,8 @@ class TestReplayValidation:
     def test_makespan_solutions_replay_bit_exact(self, family, seed):
         platform = GENERATORS[family](seed)
         sol = solve(Problem(platform, "makespan", n=9))
-        trace = sol.validate()  # raises on any replay violation
+        sol.validate()  # raises on any replay violation
+        trace = sol.replay()
         assert trace.makespan == sol.makespan
         assert trace.tasks_completed() == sol.n_tasks == 9
 
@@ -64,7 +66,8 @@ class TestReplayValidation:
         # a horizon generous enough that every family schedules something
         t_lim = 4 * solve(Problem(platform, "makespan", n=4)).makespan
         sol = solve(Problem(platform, "deadline", t_lim=t_lim))
-        trace = sol.validate()
+        sol.validate()
+        trace = sol.replay()
         assert trace.makespan == sol.makespan
         assert sol.makespan <= t_lim
 
@@ -73,7 +76,8 @@ class TestReplayValidation:
         platform = random_spider(3, 2, seed=11)
         sol = solve(Problem(platform, "makespan", n=8, mode="online",
                             options={"policy": policy}))
-        trace = sol.validate()
+        sol.validate()
+        trace = sol.replay()
         assert trace.makespan == sol.makespan
 
     def test_replay_returns_fresh_trace(self):

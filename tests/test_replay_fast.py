@@ -1,11 +1,12 @@
-"""The compiled replay kernel: differential equivalence with the
-event-driven executor, the compile cache, and the engine escape hatch.
+"""The array replay validator: differential equivalence with the
+event-driven executor, the compile cache, and the replay contract.
 
-The acceptance property of this PR: for every registered solver and for
-random platforms, ``sim.replay_fast`` and ``sim.executor`` must agree on
-accept/reject, on the emitted trace (bit-for-bit: same event order, same
-busy intervals) and on the makespan — including mutated/corrupted
-schedules, which must be *rejected* by both.
+For every registered solver and for random platforms,
+``sim.replay_fast.verify_schedule`` (the validator every production
+caller runs) and ``sim.executor.verify_by_execution`` (the oracle) must
+agree on accept/reject and, on accept, on the makespan — exactly, in the
+schedule's own number type — including mutated/corrupted schedules,
+which must be *rejected* by both.
 """
 
 from fractions import Fraction
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from repro.core.commvector import CommVector
 from repro.core.compiled import (
     CompileError,
-    CompiledPlatform,
     clear_compile_cache,
     compile_platform,
     compile_stats,
@@ -41,15 +41,8 @@ from repro.platforms.spider import Spider
 from repro.platforms.star import Star
 from repro.sim.executor import execute, verify_by_execution
 from repro.sim.online import ONLINE_POLICIES
-from repro.sim.replay_fast import (
-    ENGINES,
-    execute_fast,
-    replay_schedule,
-    resolve_engine,
-    verify_fast,
-    verify_schedule,
-)
-from repro.solve import Problem, ValidationError, solve
+from repro.sim.replay_fast import verify_schedule
+from repro.solve import Problem, Solution, SolveError, ValidationError, solve
 
 GENERATORS = {
     "chain": lambda seed: random_chain(5, profile="balanced", seed=seed),
@@ -96,20 +89,32 @@ NON_INTEGER = [(numeric, family) for numeric in sorted(NUMERICS)
 
 
 def outcome(fn, schedule):
-    """(\"ok\", trace) when the engine accepts, (\"err\", type) when not."""
+    """(\"ok\", makespan) when ``fn`` accepts, (\"err\", type) when not."""
     try:
         return "ok", fn(schedule)
     except SimulationError as exc:
         return "err", type(exc)
 
 
-def assert_traces_identical(t1, t2):
-    assert len(t1.events) == len(t2.events)
-    assert t1.events == t2.events
-    for a, b in zip(t1.events, t2.events):
-        assert a.info == b.info  # info is excluded from Event.__eq__
-    assert t1.busy == t2.busy
-    assert t1.makespan == t2.makespan
+def oracle(schedule):
+    """The executor's verdict: the replayed trace's makespan."""
+    return verify_by_execution(schedule).makespan
+
+
+def assert_agree(schedule):
+    """The validator and the oracle agree on accept/reject and, on
+    accept, on the makespan (same value, same type); returns the
+    oracle's outcome."""
+    kind_event, got_event = outcome(oracle, schedule)
+    kind_fast, got_fast = outcome(verify_schedule, schedule)
+    assert kind_event == kind_fast, (
+        f"validator and oracle disagree on accept/reject: event="
+        f"{kind_event} ({got_event}), array={kind_fast} ({got_fast})"
+    )
+    if kind_event == "ok":
+        assert got_fast == got_event
+        assert type(got_fast) is type(got_event)
+    return kind_event, got_event
 
 
 class TestDifferentialAccept:
@@ -117,65 +122,55 @@ class TestDifferentialAccept:
 
     @pytest.mark.parametrize("family", sorted(GENERATORS))
     @pytest.mark.parametrize("seed", range(60, 66))
-    def test_makespan_solutions_bit_identical(self, family, seed):
+    def test_makespan_solutions_agree(self, family, seed):
         sol = solve(Problem(GENERATORS[family](seed), "makespan", n=9))
-        assert_traces_identical(execute(sol.schedule), execute_fast(sol.schedule))
+        assert assert_agree(sol.schedule) == ("ok", sol.makespan)
 
     @pytest.mark.parametrize("family", sorted(GENERATORS))
     @pytest.mark.parametrize("seed", range(60, 64))
-    def test_deadline_solutions_bit_identical(self, family, seed):
+    def test_deadline_solutions_agree(self, family, seed):
         platform = GENERATORS[family](seed)
         t_lim = 3 * solve(Problem(platform, "makespan", n=4)).makespan
         sol = solve(Problem(platform, "deadline", t_lim=t_lim))
         if sol.schedule.n_tasks == 0:
             pytest.skip("empty schedule at this deadline")
-        assert_traces_identical(execute(sol.schedule), execute_fast(sol.schedule))
+        assert assert_agree(sol.schedule) == ("ok", sol.makespan)
 
     @pytest.mark.parametrize("numeric,family", NON_INTEGER)
     @pytest.mark.parametrize("seed", range(60, 63))
-    def test_non_integer_solutions_bit_identical(self, numeric, family, seed):
+    def test_non_integer_solutions_agree(self, numeric, family, seed):
         """Float and Fraction answers (the oracles') replay to the same
-        trace on both engines, times exact in their own type."""
+        makespan on both validators, times exact in their own type."""
         kinds = ["deadline"]
         if (numeric, family) != ("fraction", "spider"):
             kinds.append("makespan")
         for kind in kinds:
             sol = solve(non_integer_problem(numeric, family, seed, kind, 7))
             assert sol.schedule.n_tasks > 0
-            event = execute(sol.schedule)
-            assert_traces_identical(event, execute_fast(sol.schedule))
-            assert_traces_identical(
-                verify_by_execution(sol.schedule), verify_fast(sol.schedule))
-            assert event.makespan == sol.makespan
+            assert assert_agree(sol.schedule) == ("ok", sol.makespan)
             sol.validate()
 
     @pytest.mark.parametrize("policy", sorted(ONLINE_POLICIES))
-    def test_online_solutions_bit_identical(self, policy):
+    def test_online_solutions_agree(self, policy):
         sol = solve(Problem(random_spider(3, 2, seed=13), "makespan", n=8,
                             mode="online", options={"policy": policy}))
-        assert_traces_identical(execute(sol.schedule), execute_fast(sol.schedule))
+        assert assert_agree(sol.schedule) == ("ok", sol.makespan)
 
     def test_verify_matches_verify_by_execution(self):
         sol = solve(Problem(random_tree(7, seed=3), "makespan", n=7))
-        assert_traces_identical(
-            verify_by_execution(sol.schedule), verify_fast(sol.schedule)
-        )
+        assert verify_schedule(sol.schedule) == oracle(sol.schedule)
 
     def test_empty_schedule(self):
         sched = Schedule(random_chain(3, seed=1))
-        assert_traces_identical(execute(sched), execute_fast(sched))
+        assert assert_agree(sched) == ("ok", 0)
 
     @pytest.mark.parametrize("n", [1, 4, 9])
-    def test_zero_latency_links_bit_identical(self, n):
-        """The computing-master hatch (first link c=0) makes SEND_END land
-        at the same instant as its own SEND_START — the executor emits the
-        start first (the end is only scheduled once the start pops), and
-        the reconstruction must preserve that order."""
-        from repro.platforms.chain import Chain
-
+    def test_zero_latency_links_agree(self, n):
+        """The computing-master hatch (first link c=0) gives sends that
+        end at the instant they start: both validators accept them."""
         chain = Chain([1, 2], [2, 3]).with_computing_master(2)
         sol = solve(Problem(chain, "makespan", n=n))
-        assert_traces_identical(execute(sol.schedule), execute_fast(sol.schedule))
+        assert assert_agree(sol.schedule) == ("ok", sol.makespan)
 
 
 def _mutate(schedule, mutation, task, delta):
@@ -216,8 +211,9 @@ def _mutate(schedule, mutation, task, delta):
 
 
 class TestDifferentialReject:
-    """Corrupted schedules: both engines must agree on accept/reject, and
-    still on the trace whenever the mutation happens to stay legal."""
+    """Corrupted schedules: the validator and the oracle must agree on
+    accept/reject, and still on the makespan whenever the mutation happens
+    to stay legal."""
 
     MUTATIONS = ("early_emit", "negative_emit", "swap_hops", "early_start",
                  "negative_start", "truncate_comms")
@@ -234,14 +230,7 @@ class TestDifferentialReject:
     def test_engines_agree(self, family, seed, n, mutation, task, delta):
         sol = solve(Problem(GENERATORS[family](seed), "makespan", n=n))
         schedule = _mutate(sol.schedule, mutation, task, delta)
-        kind_event, got_event = outcome(execute, schedule)
-        kind_fast, got_fast = outcome(execute_fast, schedule)
-        assert kind_event == kind_fast, (
-            f"engines disagree on accept/reject: event={kind_event} "
-            f"({got_event}), compiled={kind_fast} ({got_fast})"
-        )
-        if kind_event == "ok":
-            assert_traces_identical(got_event, got_fast)
+        assert_agree(schedule)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -263,14 +252,7 @@ class TestDifferentialReject:
         if sol.schedule.n_tasks == 0:
             return
         schedule = _mutate(sol.schedule, mutation, task, NUMERICS[numeric](delta))
-        kind_event, got_event = outcome(execute, schedule)
-        kind_fast, got_fast = outcome(execute_fast, schedule)
-        assert kind_event == kind_fast, (
-            f"engines disagree on accept/reject: event={kind_event} "
-            f"({got_event}), compiled={kind_fast} ({got_fast})"
-        )
-        if kind_event == "ok":
-            assert_traces_identical(got_event, got_fast)
+        assert_agree(schedule)
 
     @pytest.mark.parametrize("numeric,family", NON_INTEGER)
     @pytest.mark.parametrize("mutation", MUTATIONS)
@@ -279,9 +261,7 @@ class TestDifferentialReject:
     ):
         sol = solve(non_integer_problem(numeric, family, 5, "deadline", 8))
         schedule = _mutate(sol.schedule, mutation, 1, NUMERICS[numeric](5))
-        kind_event, _ = outcome(execute, schedule)
-        kind_fast, _ = outcome(execute_fast, schedule)
-        assert kind_event == kind_fast
+        assert_agree(schedule)
 
     @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_each_mutation_family_rejected_identically(self, mutation):
@@ -290,37 +270,41 @@ class TestDifferentialReject:
         sol = solve(Problem(random_spider(3, 3, seed=5), "makespan", n=8))
         # aggressive parameters so every mutation actually corrupts
         schedule = _mutate(sol.schedule, mutation, 1, 5)
-        kind_event, _ = outcome(execute, schedule)
-        kind_fast, _ = outcome(execute_fast, schedule)
-        assert kind_event == kind_fast
+        assert_agree(schedule)
 
-    def test_validate_rejects_through_compiled_engine(self):
+    def test_relay_before_arrival_rejected(self):
+        """Relay-FIFO alone: the second hop leaves processor 1 at 1, before
+        the first arrives there at 2; no port, link or CPU is shared."""
+        schedule = Schedule(Chain([2, 3], [3, 5]), {
+            1: TaskAssignment(1, 2, 4, CommVector([0, 1]))})
+        assert (outcome(oracle, schedule) == outcome(verify_schedule, schedule)
+                == ("err", SimulationError))
+
+    def test_validate_and_oracle_reject_a_corrupt_schedule(self):
         sol = solve(Problem(random_star(4, seed=2), "makespan", n=6))
         sol.schedule = _mutate(sol.schedule, "early_emit", 2, 5)
         with pytest.raises(ValidationError):
-            sol.validate(engine="compiled")
-        with pytest.raises(ValidationError):
-            sol.validate(engine="event")
+            sol.validate()
+        with pytest.raises(SimulationError):
+            verify_by_execution(sol.schedule)
 
 
 class TestBigIntegers:
-    """Times past int64's exact range: both engines on Python ints."""
+    """Times past int64's exact range: both validators on Python ints."""
 
     def test_kernel_answer_past_int64_is_exact(self):
         sol = solve(Problem(Chain([1], [2 ** 62]), "makespan", n=2))
         assert sol.solver == "chain" and sol.makespan == 2 ** 63 + 1
-        # 2**62 + 1 is no float: the EPS slack rejects it in both engines
-        assert outcome(execute, sol.schedule)[0] == "err"
-        assert outcome(execute_fast, sol.schedule)[0] == "err"
+        # 2**62 + 1 is no float: the EPS slack rejects it in both validators
+        assert assert_agree(sol.schedule)[0] == "err"
 
     def test_exact_big_answer_validates_identically(self):
         # powers of two are exact floats, so the EPS slack is exact too
         sol = solve(Problem(Chain([2 ** 62, 2 ** 61], [2 ** 62, 2 ** 63]),
                             "makespan", n=4))
         assert sol.solver == "chain" and sol.makespan > 2 ** 64
-        sol.validate(engine="compiled")
-        sol.validate(engine="event")
-        assert_traces_identical(execute(sol.schedule), execute_fast(sol.schedule))
+        sol.validate()
+        assert assert_agree(sol.schedule) == ("ok", sol.makespan)
 
     def test_hand_built_big_star_accepted_identically(self):
         big = 2 ** 62
@@ -328,14 +312,14 @@ class TestBigIntegers:
             1: TaskAssignment(1, 1, big, CommVector([0])),
             2: TaskAssignment(2, 2, big + big // 2, CommVector([big]))})
         assert schedule.makespan == 2 ** 63 + big // 2
-        assert_traces_identical(execute(schedule), execute_fast(schedule))
+        assert assert_agree(schedule) == ("ok", schedule.makespan)
 
     def test_hand_built_schedule_rejected_identically(self):
         schedule = Schedule(Chain([1], [2 ** 62]), {
             1: TaskAssignment(1, 1, 1, CommVector([0])),
             2: TaskAssignment(2, 1, 2 ** 62 + 1, CommVector([1]))})
-        event, fast = outcome(execute, schedule), outcome(execute_fast, schedule)
-        assert event == fast and event[0] == "err"
+        assert (outcome(oracle, schedule) == outcome(verify_schedule, schedule)
+                == ("err", SimulationError))
 
 
 class TestCompileCache:
@@ -443,42 +427,77 @@ class TestCompileCache:
             compile_platform(WeirdAdapter.platform, WeirdAdapter())
 
 
-class TestEngineEscapeHatch:
-    def test_resolve_engine(self):
-        assert resolve_engine(None) == "compiled"
-        assert resolve_engine("event") == "event"
-        with pytest.raises(SimulationError, match="warp"):
-            resolve_engine("warp")
+@pytest.fixture()
+def validate_calls(monkeypatch):
+    """Wrap ``Solution.validate`` the way perfbench's replay hook does
+    (``validate(self, engine=None)`` forwarding ``engine`` positionally)
+    and count its calls."""
+    calls = []
+    original = Solution.validate
 
-    def test_validate_engine_param(self):
+    def validate(self, engine=None):
+        calls.append(engine)
+        return original(self, engine)
+
+    monkeypatch.setattr(Solution, "validate", validate)
+    return calls
+
+
+class TestReplayContract:
+    """One validator, one oracle: ``validate()`` runs the array scan and
+    returns nothing, ``replay()`` is the executor's trace."""
+
+    @pytest.mark.parametrize("family", sorted(GENERATORS))
+    def test_replay_is_the_executor(self, family):
+        sol = solve(Problem(GENERATORS[family](7), "makespan", n=6))
+        trace = sol.replay()
+        assert trace == execute(sol.schedule)
+        assert trace.makespan == sol.makespan
+
+    def test_validate_returns_nothing(self):
         sol = solve(Problem(random_chain(3, seed=1), "makespan", n=5))
-        t_compiled = sol.validate()  # default: compiled
-        t_event = sol.validate(engine="event")
-        assert t_compiled.makespan == t_event.makespan
-        assert t_compiled.events == t_event.events
-        # a typo'd engine is a usage error, not the solver's fault
-        with pytest.raises(SimulationError, match="warp"):
-            sol.validate(engine="warp")
+        assert sol.validate() is None
 
-    def test_replay_engine_param(self):
-        sol = solve(Problem(random_star(3, seed=1), "makespan", n=4))
-        assert_traces_identical(sol.replay(engine="event"),
-                                sol.replay(engine="compiled"))
+    @pytest.mark.parametrize("engine", ["event", "compiled", "warp"])
+    def test_validate_refuses_the_retired_engine_parameter(self, engine):
+        sol = solve(Problem(random_chain(3, seed=1), "makespan", n=5))
+        with pytest.raises(SolveError, match="'engine' parameter is retired"
+                           ) as err:
+            sol.validate(engine=engine)
+        # a usage error, not the solver's fault
+        assert not isinstance(err.value, ValidationError)
+        assert "repro.sim.executor" in str(err.value)
 
-    def test_lazy_trace_materialises_on_access(self):
-        sol = solve(Problem(random_spider(2, 2, seed=1), "makespan", n=6))
-        trace = verify_schedule(sol.schedule, lazy_trace=True)
-        oracle = verify_by_execution(sol.schedule)
-        assert trace.tasks_completed() == 6
-        assert trace.makespan == oracle.makespan
-        assert trace.events == oracle.events and trace.busy == oracle.busy
-        # whole-object comparison must also hold, both ways around
-        assert trace == oracle and oracle == trace
+    def test_compile_error_fails_closed(self, monkeypatch):
+        """A platform the compiler cannot flatten is never answered
+        unchecked: validate raises and the store counts a rejection."""
+        from repro.service.store import SolutionStore
+        from repro.sim import replay_fast
 
-    def test_replay_schedule_unknown_engine(self):
-        sol = solve(Problem(random_chain(2, seed=1), "makespan", n=2))
-        with pytest.raises(SimulationError, match="unknown replay engine"):
-            replay_schedule(sol.schedule, "bogus")
+        sol = solve(Problem(random_star(3, seed=4), "makespan", n=4))
+
+        def refuse(platform):
+            raise CompileError("not flattenable")
+
+        monkeypatch.setattr(replay_fast, "compile_platform", refuse)
+        with pytest.raises(ValidationError, match="CompileError"):
+            sol.validate()
+        store = SolutionStore()
+        with pytest.raises(ValidationError, match="CompileError"):
+            store.put("fp", sol)
+        assert store.stats.rejected == 1 and store.stats.writes == 0
+        assert "fp" not in store
+
+    def test_perfbench_style_wrapper_sees_every_check(self, validate_calls):
+        from repro.service.engine import cached_solve
+        from repro.service.store import SolutionStore
+
+        store = SolutionStore()
+        problem = Problem(random_spider(2, 2, seed=4), "makespan", n=5)
+        assert not cached_solve(problem, store, verify_rebind=True).cached
+        assert validate_calls == [None, None]  # store write + rebind
+        assert cached_solve(problem, store, verify_rebind=True).cached
+        assert validate_calls == [None] * 3  # the hit: rebind only
 
     def test_batch_validated_by_column(self):
         from repro.batch import Scenario, run_batch
@@ -491,7 +510,7 @@ class TestEngineEscapeHatch:
         plain_row, = run_batch([Scenario("a", pdict, "makespan", n=4)])
         assert plain_row.validated_by is None
         # trace-only fault runs are checked by the exclusivity scan, and
-        # must say so rather than claim a replay engine ran
+        # must say so rather than claim the replay validator ran
         fault_row, = run_batch(
             [Scenario("f", pdict, "online", n=6,
                       options={"failures": [{"time": 4, "processor": [1, 1]}]})],
@@ -539,11 +558,12 @@ class TestRebindVerification:
         from repro.service.store import SolutionStore
 
         problem = Problem(random_star(4, seed=3), "makespan", n=5)
-        store = SolutionStore(validate_on_write=False)  # let corruption in
+        store = SolutionStore()
         fingerprint, canon = cache_key(problem)
-        canonical = solve(Problem(canon.platform, "makespan", n=5))
-        canonical.schedule = _mutate(canonical.schedule, "early_emit", 1, 6)
-        store.put(fingerprint, canonical)
+        store.put(fingerprint, solve(Problem(canon.platform, "makespan", n=5)))
+        # in-memory damage after the write check passed
+        stored = store.get(fingerprint)
+        stored.schedule = _mutate(stored.schedule, "early_emit", 1, 6)
         # the corrupt hit is detected on rebind, quarantined, and answered
         # by a fresh solve instead of raising through the serving loop
         outcome = cached_solve(problem, store, verify_rebind=True)

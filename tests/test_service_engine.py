@@ -450,13 +450,15 @@ class TestHitPath:
         problem = Problem(Star([(2, 3), (1, 5), (3, 2)]), "makespan", n=5)
         fingerprint, canon = cache_key(problem)
         damaged = solve(Problem(canon.platform, "makespan", n=5))
+        store = SolutionStore()
+        store.put(fingerprint, damaged)
+        # in-memory damage after the write check passed
         a = damaged.schedule[1]
         damaged.schedule = Schedule(damaged.schedule.platform, {
             **damaged.schedule.assignments,
             1: TaskAssignment(a.task, a.processor, -1, a.comms),  # before 0
         })
-        store = SolutionStore(validate_on_write=False)  # let corruption in
-        store.put(fingerprint, damaged)
+        del replay_threads[:]  # count the service's checks only
 
         async def go():
             service = ScheduleService(store=store, workers=1)
@@ -470,8 +472,10 @@ class TestHitPath:
         first, second = asyncio.run(go())
         # the failed check, the fresh answer's and the next hit's rebind
         # checks all ran on the event loop (the main thread here); the
-        # store skips its own check (validate_on_write is off)
-        assert replay_threads == [threading.main_thread().name] * 3
+        # fresh answer's write check ran with its solve on the pool
+        on_loop = [name == threading.main_thread().name
+                   for name in replay_threads]
+        assert on_loop == [True, False, True, True]
         assert not first.cached  # the damaged hit was not served ...
         first.solution.validate()
         assert second.cached  # ... and the fresh answer replaced it
