@@ -623,8 +623,7 @@ SOLVE_TIMING_ROUNDS = 3
 def solve_workload() -> list:
     """The committed chain+fork+spider batch: seeded platforms, one
     makespan and one deadline question each.  The deadline is the
-    platform's own ``n``-task makespan, so every question is feasible and
-    both paths walk the same bisection range."""
+    platform's own ``n``-task makespan, so every question is feasible."""
     from repro.platforms.generators import random_spider, random_star
     from repro.solve import Problem, solve
 
@@ -702,8 +701,9 @@ def kernel_solve_batch() -> dict:
             # clearing the caches resets the counters too: bank them first,
             # so the run's totals stay whole
             stats = solve_kernel_stats()
-            totals.update({key: stats[key] for key in
-                           ("kernel_solves", "fallbacks", "seq_misses")})
+            totals.update({key: stats[key] for key in (
+                "kernel_solves", "kernel_probes", "fallbacks", "seq_misses",
+            )})
             clear_solve_kernels()
 
         for problem in problems:
@@ -746,6 +746,7 @@ def kernel_solve_batch() -> dict:
             "n": SOLVE_N,
             "tasks": tasks,
             "kernel_solves": totals["kernel_solves"],
+            "kernel_probes": totals["kernel_probes"],
             "kernel_fallbacks": totals["fallbacks"],
             "seq_misses": totals["seq_misses"],
             "object_median_ms": round(median(object_times) * 1e3, 3),

@@ -59,16 +59,18 @@ def _greedy_port_alloc(
     demands: list[tuple[Fraction, Fraction]]
 ) -> tuple[Fraction, list[Fraction]]:
     """Allocate one unit of port time to ``(c, demand)`` children by
-    ascending ``c``; returns (total rate, per-child granted rates)."""
+    ascending ``c``; returns (total rate, per-child granted rates).  A
+    zero-latency child (a spider leg may open with ``c == 0``) costs no
+    port time: it gets its full demand and the budget stays as it is."""
     order = sorted(range(len(demands)), key=lambda i: demands[i][0])
     budget = Fraction(1)
     granted = [Fraction(0)] * len(demands)
     total = Fraction(0)
     for i in order:
         c, demand = demands[i]
-        if budget <= 0 or demand <= 0:
+        if demand <= 0 or (c > 0 and budget <= 0):
             continue
-        rate = min(demand, budget / c)
+        rate = min(demand, budget / c) if c > 0 else demand
         granted[i] = rate
         total += rate
         budget -= rate * c

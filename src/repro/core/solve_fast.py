@@ -46,9 +46,11 @@ the candidate count — no Python tree walks, no per-candidate objects.
 depend on the probe deadline — only *how many* of them are present does
 (a per-group prefix).  The scan order ``(c, W, group, generation)`` and the
 EDF slot order ``(−W, c, scan)`` are therefore precomputed once per
-platform core and shared by every bisection probe; a probe compresses the
+platform core and shared by every deadline probe; a probe compresses the
 prefix masks, runs the block allocator, and — except for the final
 construction — never builds a single Python object.
+
+Star and spider makespans are found by :func:`_least_horizon`.
 
 Bit-identity contract: for integer platforms every schedule produced here
 is equal, element for element, to the oracle's — same assignments, same
@@ -772,36 +774,77 @@ def _star_finish(
     )
 
 
+def _least_horizon(probe, lo: int, start: int, step: int, hi: int):
+    """The least horizon in ``[lo, hi]`` whose probe is feasible, and that
+    probe's outcome — the makespan search of both star and spider kernels.
+
+    ``probe(t)`` returns the deadline probe's outcome when ``n`` tasks fit
+    within ``t`` and ``None`` otherwise; feasibility is monotone in ``t``.
+    The search probes ``start`` (clamped into the range) first.  Above an
+    infeasible start it gallops upward by ``step``, doubling the step after
+    every probe, until a probe fits or ``hi`` does not; below a feasible
+    start it searches down to ``lo``.  Only that last bracket is bisected,
+    and the answer is the least feasible probe's own outcome, never probed
+    twice.  Returns ``None`` when even ``hi`` is infeasible.
+    """
+    t = min(max(start, lo), hi)
+    best = probe(t)
+    while best is None:
+        if t >= hi:
+            return None
+        lo, t = t + 1, min(t + step, hi)
+        step *= 2
+        best = probe(t)
+    # ``t`` fits and nothing below ``lo`` does: bisect [lo, t)
+    while lo < t:
+        mid = (lo + t) // 2
+        res = probe(mid)
+        if res is None:
+            lo = mid + 1
+        else:
+            t, best = mid, res
+    return t, best
+
+
+def _steady_start(n: int, rate) -> int:
+    """``⌈n/ρ⌉``: no schedule completes ``n`` tasks faster than the
+    platform's bandwidth-centric steady-state rate ``ρ`` allows."""
+    return -(-n // rate)
+
+
 def fast_star_schedule(star: Star, n: int) -> tuple[Schedule, dict]:
-    """Kernel of :func:`repro.core.fork.fork_schedule` (makespan)."""
+    """Kernel of :func:`repro.core.fork.fork_schedule` (makespan).
+
+    Same answer as the oracle's bisection over ``[min c+w, best single
+    child's n-task time]``; the search (:func:`_least_horizon`) starts at
+    the steady-state bound instead."""
+    from ..analysis.steady_state import star_steady_state
+
     _require_int_star(star, None)
     if n < 1:
         raise PlatformError(f"need n >= 1 tasks, got {n}")
-    lo = min(ch.c + ch.w for ch in star.children)
+    singles = [ch.c + ch.w for ch in star.children]
     best = min(star.children, key=lambda ch: ch.c + ch.w + (n - 1) * ch.m)
     hi = best.c + best.w + (n - 1) * best.m
     core = _star_core(star)
     ops_total = 0
     candidates_total = 0
 
-    def count_at(t: Time) -> int:
+    def fits(t: Time):
         nonlocal ops_total, candidates_total
-        _, c_s, _, slot, accepted, ops = _star_probe(core, t, n)
+        probe = _star_probe(core, t, n)
+        _, c_s, _, _, accepted, ops = probe
         ops_total += ops
         candidates_total += int(c_s.shape[0])
-        return int(accepted.sum())
+        return probe if int(accepted.sum()) >= n else None
 
-    if count_at(hi) < n:  # pragma: no cover - hi is a valid horizon
+    found = _least_horizon(
+        fits, min(singles),
+        _steady_start(n, star_steady_state(star).throughput), max(singles), hi,
+    )
+    if found is None:  # pragma: no cover - hi is a valid horizon
         raise PlatformError(f"horizon {hi} cannot fit {n} tasks")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if count_at(mid) >= n:
-            hi = mid
-        else:
-            lo = mid + 1
-    child_s, c_s, w_s, slot, accepted, ops = _star_probe(core, lo, n)
-    ops_total += ops
-    candidates_total += int(c_s.shape[0])
+    child_s, c_s, w_s, slot, accepted, _ = found[1]
     _STATS.inc("kernel_solves")
     sched = _star_finish(core, n, child_s, c_s, w_s, slot, accepted)
     stats = {
@@ -1138,7 +1181,14 @@ def _cap_zero(
 
 
 def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
-    """Kernel of :func:`repro.core.spider.spider_schedule`."""
+    """Kernel of :func:`repro.core.spider.spider_schedule`.
+
+    Same answer as the oracle's warm-started bisection over ``[shortest
+    single task, T∞]``; the search (:func:`_least_horizon`) starts at the
+    steady-state bound instead, with the oracle's warm caps and
+    short-circuit on every probe."""
+    from ..analysis.steady_state import spider_steady_state
+
     _require_int_spider(spider, None)
     if n < 1:
         raise PlatformError(f"need n >= 1 tasks, got {n}")
@@ -1149,12 +1199,11 @@ def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
             spider, cols.proc, cols.start, cols.ptr, cols.comm
         )
         return sched, _spider_stats(0, 0, 0, 0, 0, 0, 0, 0)
-    _require(spider.is_integer(), "spider kernel needs integer bisection")
-    lo = min(
+    singles = [
         leg.route_latency(i) + leg.work(i)
         for leg in spider
         for i in range(1, leg.p + 1)
-    )
+    ]
     hi = spider.t_infinity(n)
     core = _spider_core(spider)
 
@@ -1164,7 +1213,7 @@ def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
     legs_scheduled = legs_skipped = 0
     fork_nodes = candidates = ops_total = 0
 
-    def probe_at(t: Time) -> Optional[_SpiderProbe]:
+    def fits(t: Time) -> Optional[_SpiderProbe]:
         nonlocal caps, reach, probes, short, fork_nodes, candidates, ops_total
         nonlocal legs_scheduled, legs_skipped
         reachable: Time = 0
@@ -1187,22 +1236,22 @@ def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
         candidates += int(probe.c_s.shape[0])
         ops_total += probe.ops
         reach = list(map(max, reach, probe.reach))
-        if probe.n_accepted >= n:
-            caps = {li + 1: c for li, c in enumerate(probe.counts)}
+        if probe.n_accepted < n:
+            return None
+        # per-leg counts are monotone in t, so these caps never bind a
+        # lower probe: they only let it skip legs and short-circuit
+        caps = {li + 1: c for li, c in enumerate(probe.counts)}
         return probe
 
-    lo_i, hi_i = int(lo), int(hi)
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        res = probe_at(mid)
-        if res is not None and res.n_accepted >= n:
-            hi_i = mid
-        else:
-            lo_i = mid + 1
-    final = probe_at(hi_i)
-    assert final is not None and final.n_accepted >= n
+    found = _least_horizon(
+        fits, min(singles),
+        _steady_start(n, spider_steady_state(spider).throughput),
+        max(singles), hi,
+    )
+    assert found is not None, "T∞ is a valid horizon"
+    t_final, final = found
     _STATS.inc("kernel_solves")
-    sched = _spider_finish(core, hi_i, n, final)
+    sched = _spider_finish(core, t_final, n, final)
     stats = _spider_stats(
         probes, short, legs_scheduled, legs_skipped,
         fork_nodes, core.elements_to(reach), candidates, ops_total,

@@ -56,7 +56,7 @@ from ..obs import metrics as _obs
 from .engine import cache_key, latency_table
 from .frontend import JsonLinesFrontend
 from .protocol import PROTOCOL_VERSION, op_label
-from .supervisor import Supervisor, WorkerConfig, WorkerDied, WorkerProcess
+from .supervisor import Supervisor, WorkerConfig, WorkerDied
 
 __all__ = ["HashRing", "ShardRouter"]
 

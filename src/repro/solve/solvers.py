@@ -90,7 +90,7 @@ class SpiderSolver(Solver):
     name = "spider"
     platform_type = Spider
     supports_warm_caps = True
-    summary = "optimal on spiders — chain+fork pipeline, warm-started bisection"
+    summary = "optimal on spiders — chain+fork pipeline, warm-started search"
 
     def solve(self, problem: Problem) -> Solution:
         if problem.kind == "makespan":

@@ -27,6 +27,7 @@ from repro.analysis.steady_state import (
     star_steady_state,
     tree_steady_state,
 )
+from repro.cli import main
 from repro.core.chain import chain_makespan, schedule_chain
 from repro.platforms.chain import Chain
 from repro.platforms.spider import Spider
@@ -120,6 +121,18 @@ class TestSteadyState:
         star = Star([(1, 2), (4, 1)])
         sp = Spider.from_star(star)
         assert spider_steady_state(sp).throughput == star_steady_state(star).throughput
+
+    def test_zero_latency_legs_cost_no_port_time(self, capsys):
+        # legs opening with c = 0 get their whole demand: 1/3 + 1/2 and
+        # 1/4 + 1/2, and the port budget is left for the legs that pay
+        sp = Spider([Chain(c=(0, 1), w=(3, 2)), Chain(c=(0, 1), w=(4, 2))])
+        ss = spider_steady_state(sp)
+        assert ss.throughput == Fraction(19, 12)
+        assert ss.child_rates == (Fraction(5, 6), Fraction(3, 4))
+        mixed = Spider([Chain(c=(0,), w=(2,)), Chain(c=(1,), w=(1,))])
+        assert spider_steady_state(mixed).throughput == Fraction(3, 2)
+        assert main(["steady", "--leg", "0/3,1/2", "--leg", "0/4,1/2"]) == 0
+        assert "throughput: 19/12 " in capsys.readouterr().out
 
     def test_tree_consistency_with_chain(self):
         ch = Chain(c=(2, 3), w=(3, 5))

@@ -20,10 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.steady_state import spider_steady_state, star_steady_state
 from repro.core.chain import schedule_chain, schedule_chain_deadline
 from repro.core.fork import fork_schedule, fork_schedule_deadline
 from repro.core.solve_fast import (
     SolveKernelUnsupported,
+    _least_horizon,
     _oracle_spider_deadline,
     _oracle_spider_schedule,
     clear_solve_kernels,
@@ -257,6 +259,109 @@ class TestSpiderDifferential:
                 Problem(spider, "deadline", t_lim=compiled.makespan - 1)
             )
             assert_identical(compiled, obj)
+
+
+# ---------------------------------------------------------------------------
+# the makespan search: gallop up from the steady-state bound
+# ---------------------------------------------------------------------------
+
+
+def miss_star(rng: random.Random) -> Star:
+    """A star of the service miss stream's shape: nine children."""
+    return random_star(9, rng=rng)
+
+
+def miss_spider(rng: random.Random, zero_latency: bool = False) -> Spider:
+    """A spider of the miss stream's shape: five legs of two processors;
+    ``zero_latency`` opens every other leg with a ``c = 0`` link."""
+    legs = [random_chain(2, rng=rng) for _ in range(5)]
+    if zero_latency:
+        legs = [Chain((0, *leg.c[1:]), leg.w) if i % 2 else leg
+                for i, leg in enumerate(legs)]
+    return Spider(legs)
+
+
+class TestMakespanSearch:
+    @pytest.mark.parametrize("answer, lo, start, step, hi, last_step", [
+        # infeasible start, one gallop step: 100 ✗, 108 ✓
+        (105, 10, 100, 8, 1000, 8),
+        # several: 100 ✗, 108 ✗, 124 ✗, 156 ✓
+        (150, 10, 100, 8, 1000, 32),
+        # the gallop stops at the cap: … 604 ✗, 1000 ✓
+        (990, 10, 100, 8, 1000, 512),
+        # the answer one above an infeasible start
+        (101, 10, 100, 8, 1000, 8),
+        # feasible start: searched down to the answer (no gallop step)
+        (60, 10, 100, 8, 1000, None),
+        # start at or above the cap
+        (700, 10, 1000, 8, 1000, None),
+        (700, 10, 5000, 8, 1000, None),
+        # lower bound equal to the cap
+        (50, 50, 40, 8, 50, None),
+        # the answer is the lower bound: from above, and from a start below
+        (10, 10, 100, 8, 1000, None),
+        (10, 10, 3, 8, 1000, None),
+    ])
+    def test_least_feasible_horizon(self, answer, lo, start, step, hi,
+                                    last_step):
+        probes = []
+
+        def probe(t):
+            probes.append(t)
+            return ("outcome", t) if t >= answer else None
+
+        assert _least_horizon(probe, lo, start, step, hi) == (
+            answer, ("outcome", answer)
+        )
+        assert len(probes) == len(set(probes)), "a horizon probed twice"
+        assert all(lo <= t <= hi for t in probes)
+        first = min(max(start, lo), hi)
+        assert probes[0] == first
+        if last_step is None:  # the start fits: nothing above it is probed
+            assert max(probes) == first
+        else:
+            assert max(probes) - answer < last_step
+
+    def test_infeasible_cap(self):
+        probes = []
+
+        def probe(t):
+            probes.append(t)
+
+        assert _least_horizon(probe, 10, 100, 8, 1000) is None
+        assert max(probes) == 1000 and probes.count(1000) == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_miss_shapes_match_the_oracle(self, seed):
+        """Kernel == oracle where the gallop runs far: n = 128 on the miss
+        stream's shapes (the hypothesis differentials stop at n <= 30),
+        and no makespan beats the steady-state bound the search starts
+        from."""
+        rng = random.Random(f"miss-shapes:{seed}")
+        n = 128
+        for platform, rate in (
+            (miss_star(rng), star_steady_state),
+            (miss_spider(rng), spider_steady_state),
+            (miss_spider(rng, zero_latency=seed % 2 == 1),
+             spider_steady_state),
+        ):
+            compiled, obj = solve_both(Problem(platform, "makespan", n=n))
+            assert_identical(compiled, obj)
+            assert compiled.makespan >= n / rate(platform).throughput
+
+    def test_probes_per_makespan_solve(self):
+        """Every star and spider makespan solve at the miss stream's
+        n = 512 takes at most 7 deadline probes (the bisection took 10-13
+        on this set)."""
+        rng = random.Random("miss-probes")
+        platforms = [miss_star(rng) for _ in range(8)]
+        platforms += [miss_spider(rng) for _ in range(8)]
+        for platform in platforms:
+            before = solve_kernel_stats()["kernel_probes"]
+            answer = solve(Problem(platform, "makespan", n=512))
+            assert answer.stats["engine"] == "compiled"
+            probes = solve_kernel_stats()["kernel_probes"] - before
+            assert 1 <= probes <= 7, (platform, probes)
 
 
 # ---------------------------------------------------------------------------
