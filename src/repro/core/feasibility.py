@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from .schedule import Schedule
-from .types import EPS, InfeasibleScheduleError, Time
+from .types import EPS, InfeasibleScheduleError, Time, leq
 
 
 def _overlaps(
@@ -35,7 +35,8 @@ def _overlaps(
     """
     bad = []
     for (s1, e1, t1), (s2, e2, t2) in zip(ivs, ivs[1:]):
-        if s2 < e1 - eps and e1 > s1 and e2 > s2:  # strict overlap, eps slack
+        # strict overlap, eps slack on floats
+        if not leq(e1, s2, eps) and e1 > s1 and e2 > s2:
             bad.append((t1, t2, e1 - s2))
     return bad
 
@@ -54,20 +55,20 @@ def check(
     for a in schedule:
         route = adapter.route(a.processor)
         times = a.comms.times
-        if require_nonnegative and times[0] < -eps:
+        if require_nonnegative and not leq(0, times[0], eps):
             violations.append(
                 f"task {a.task}: first emission at {times[0]} is negative"
             )
         for hop in range(len(route) - 1):
             c_hop = adapter.latency(route[hop])
-            if times[hop] + c_hop > times[hop + 1] + eps:
+            if not leq(times[hop] + c_hop, times[hop + 1], eps):
                 violations.append(
                     f"task {a.task}: re-emitted on link {route[hop + 1]!r} at "
                     f"{times[hop + 1]} before reception completes at "
                     f"{times[hop] + c_hop} (condition 1)"
                 )
         c_last = adapter.latency(route[-1])
-        if times[-1] + c_last > a.start + eps:
+        if not leq(times[-1] + c_last, a.start, eps):
             violations.append(
                 f"task {a.task}: starts at {a.start} on {a.processor!r} before "
                 f"arrival at {times[-1] + c_last} (condition 2)"
@@ -111,7 +112,7 @@ def check_deadline(schedule: Schedule, t_lim: Time, *, eps: float = EPS) -> list
     violations = check(schedule, eps=eps)
     for t in schedule.tasks():
         end = schedule.completion_of(t)
-        if end > t_lim + eps:
+        if not leq(end, t_lim, eps):
             violations.append(f"task {t}: completes at {end} after Tlim={t_lim}")
     return violations
 

@@ -5,8 +5,9 @@ paper-literal **oracle** (:mod:`repro.core.chain`, :mod:`repro.core.fork`,
 :mod:`repro.core.spider`) and the flat-array **kernel** here.  The six
 kernel-then-oracle entries at the bottom of this module (one per platform
 × question) are the only way production code solves: the registered
-solvers and the tree heuristic both call them.  Three numeric cores do
-the work:
+solvers and the tree heuristic both call them.  Two cores do the work:
+the chain sequences, and one fork-graph core that star and spider solves
+share, whose probes run a vectorised port allocator.
 
 **Universal chain sequences.**  The backward chain construction is
 *translation covariant*: every quantity in :class:`_FastState` is built
@@ -29,7 +30,24 @@ Growing the sequence is the only chain work a solve on a new platform
 does: each placement picks the ≺-greatest candidate on the closed form of
 :class:`_FastState`, ties included, and builds only that one vector.
 
-**A vectorised port allocator.**  The fork/spider EDF greedy
+**One fork-graph core.**  The paper solves a spider by turning each
+leg's chain schedule into fork-graph nodes (§7 step 3, Fig. 7) and running
+the §6 fork-graph algorithm on them, and a star is the spider whose legs
+all have one processor.  :class:`_ForkCore` is that fork-graph stage for
+both: its *groups* are a star child's Fig. 6 copies ``W_q = w + q·m`` in
+closed form (:class:`_Copies`) or a spider leg's chain sequence (node
+``i`` of work ``W_i = off[i] − c₁``), and both answer ``count_within`` and
+``works``.  The nodes do not depend on the probe deadline — only *how
+many* of each group are present does (a per-group prefix) — so the scan
+order ``(c, W, group, −index)`` and the EDF slot order ``(−W, c, scan)``
+are precomputed once per platform and shared by every deadline probe; a
+probe compresses the prefix masks, runs the block allocator, and — except
+for the final construction — never builds a single Python object.  Only
+the reconstructions differ, as the oracles' do: a star stacks each
+child's tasks ASAP (:func:`_star_finish`), a spider normalises and
+reverts to its legs by Lemma 3 (:func:`_spider_finish`).
+
+**A vectorised port allocator.**  The fork-graph EDF greedy
 (:func:`repro.core.fork.allocate_greedy`) is replayed in *runs*.  Two
 exact reductions make every step an O(k) array sweep: a rejection leaves
 the greedy state untouched, so one vectorised single-candidate pass skips
@@ -41,24 +59,16 @@ mixed run, a binary search over prefixes finds the first rejection.  Tests
 per probe scale with the number of accept/reject alternations, not with
 the candidate count — no Python tree walks, no per-candidate objects.
 
-**t-independent candidate universes.**  A star child's virtual copies
-``(c, w + q·m)`` and a spider leg's fork nodes ``(c₁, off_i − c₁)`` do not
-depend on the probe deadline — only *how many* of them are present does
-(a per-group prefix).  The scan order ``(c, W, group, generation)`` and the
-EDF slot order ``(−W, c, scan)`` are therefore precomputed once per
-platform core and shared by every deadline probe; a probe compresses the
-prefix masks, runs the block allocator, and — except for the final
-construction — never builds a single Python object.
-
 Star and spider makespans are found by :func:`_least_horizon`.
 
 Bit-identity contract: for integer platforms every schedule produced here
 is equal, element for element, to the oracle's — same assignments, same
 task numbering, same tie-breaks.  The final physical reconstruction reuses
 the oracle's logic verbatim on the (small) accepted set.  Anything outside
-the contract — floats, Fractions — raises :class:`SolveKernelUnsupported`,
-and the entries hand the question to the oracle, counting one
-``fallbacks`` in :func:`solve_kernel_stats`.
+the contract — floats, Fractions, and star or spider integers big enough
+for the fork core's int64 sums to wrap (:func:`_require_int`) — raises
+:class:`SolveKernelUnsupported`, and the entries hand the question to the
+oracle, counting one ``fallbacks`` in :func:`solve_kernel_stats`.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from collections import OrderedDict
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -111,14 +121,13 @@ class SolveKernelUnsupported(Exception):
 # Cache + counters (mirrors the conventions of repro.core.compiled)
 # ---------------------------------------------------------------------------
 
-#: value-keyed caches: chain sequences and star/spider solve cores.
+#: value-keyed caches: chain sequences and fork-graph (star/spider) cores.
 SEQ_CACHE_CAPACITY = 256
 CORE_CACHE_CAPACITY = 512
 
 _LOCK = threading.RLock()
 _SEQ_CACHE: "OrderedDict[tuple, _ChainSeq]" = OrderedDict()
-_STAR_CACHE: "OrderedDict[tuple, _StarCore]" = OrderedDict()
-_SPIDER_CACHE: "OrderedDict[tuple, _SpiderCore]" = OrderedDict()
+_CORE_CACHE: "OrderedDict[tuple, _ForkCore]" = OrderedDict()
 
 #: counters live on the process-wide obs registry (``solve_kernel.*``);
 #: :func:`solve_kernel_stats` is the dict-shaped back-compat view.
@@ -142,7 +151,7 @@ def solve_kernel_stats() -> dict:
     stats = _STATS.to_dict()
     with _LOCK:
         stats["seq_entries"] = len(_SEQ_CACHE)
-        stats["core_entries"] = len(_STAR_CACHE) + len(_SPIDER_CACHE)
+        stats["core_entries"] = len(_CORE_CACHE)
     return stats
 
 
@@ -150,8 +159,7 @@ def clear_solve_kernels() -> None:
     """Drop every cached sequence/core and reset the counters (tests)."""
     with _LOCK:
         _SEQ_CACHE.clear()
-        _STAR_CACHE.clear()
-        _SPIDER_CACHE.clear()
+        _CORE_CACHE.clear()
     _STATS.reset()
 
 
@@ -162,6 +170,34 @@ def _is_int(value: object) -> bool:
 def _require(condition: bool, why: str) -> None:
     if not condition:
         raise SolveKernelUnsupported(why)
+
+
+def _require_int(
+    values: Sequence[Time], horizon: Optional[Time] = None,
+    groups: Optional[int] = None,
+) -> None:
+    """The kernels' one guard: the oracle answers unless every platform
+    value and the ``horizon`` (a deadline, or a makespan search's cap) is
+    an int — and, for a fork-graph solve over ``groups`` groups, small
+    enough for int64.
+
+    The chain kernel computes in Python ints and takes any size.  The fork
+    core and :func:`_run_greedy` compute in int64; with ``M`` the largest
+    value or horizon ``H``, none of their numbers exceeds
+    ``(2·groups + 1)·M``.  Works, deadlines and slacks lie within ``H``.
+    A group's present fork nodes each hold the master's port for the
+    group's ``c`` before ``H``, so their latencies sum to at most
+    ``H + c ≤ 2M``; every load the greedy forms (accepted nodes plus a
+    trial block or candidate) is a sum over present nodes.  Keeping the
+    bound below ``_INF = 2**62`` also keeps the greedy's infinity above
+    every real slack."""
+    _require(all(_is_int(v) for v in values), "the platform is not integer")
+    _require(horizon is None or _is_int(horizon), "the horizon is no int")
+    if groups is not None:
+        _require(
+            (2 * groups + 1) * max(horizon, *values) < _INF,
+            "fork-graph sums could overflow int64",
+        )
 
 
 def _chain_key(chain: Chain) -> tuple:
@@ -353,9 +389,15 @@ class _ChainSeq:
             while len(self.procs) < n:
                 self._extend_one()
 
-    def count_within(self, t_lim: Time, limit: int) -> int:
+    def count_within(
+        self, t_lim: Time, cap: Optional[int] = None
+    ) -> tuple[int, int]:
         """Tasks placed by the deadline construction at horizon ``t_lim``
-        capped at ``limit`` — without running the construction."""
+        capped at ``cap`` (by default at the port bound) — without running
+        the construction; and the placements that construction reaches
+        from a cold sequence: unless the cap stopped it, it also built the
+        first placement past ``t_lim`` (that is how it learns to stop)."""
+        limit = _task_upper_bound(self.chain, t_lim) if cap is None else cap
         # extend until either the limit is generated or an offset exceeds t
         # (the structures are append-only: reads of settled prefixes are
         # safe, only the extension itself needs the lock)
@@ -369,8 +411,15 @@ class _ChainSeq:
                     self._extend_one()
         # first violating placement (prefix-max is monotone; the first
         # offset > t equals the first prefix-max > t)
-        violation = bisect_right(self.max_off, t_lim)
-        return min(limit, violation)
+        count = min(limit, bisect_right(self.max_off, t_lim))
+        return count, (count + 1 if count < limit else count)
+
+    def works(self, count: int) -> np.ndarray:
+        """Fork-node works of placements ``0..count−1`` (§7 step 3): at
+        horizon ``t`` placement ``i`` first emits at ``t − off[i]``, so its
+        work ``t − emission − c₁`` is ``off[i] − c₁`` whatever ``t``."""
+        self.ensure_len(count)
+        return np.asarray(self.off[:count], dtype=np.int64) - self.chain.c[0]
 
     # -- materialisation ---------------------------------------------------
 
@@ -390,20 +439,8 @@ class _ChainSeq:
         procs = np.asarray(self.procs[:count], dtype=np.int64)[rows]
         return procs, horizon - soff, ptr, horizon - voff
 
-    def deadline_schedule(
-        self, t_lim: Time, limit: int
-    ) -> tuple[Schedule, int]:
-        total = self.count_within(t_lim, limit)
-        procs, start, ptr, comm = self.columns(total, t_lim)
-        return Schedule.from_columns(
-            self.chain, procs - 1, start, ptr, comm
-        ), total
-
-    def makespan_schedule(self, n: int) -> Schedule:
-        # horizon cancels: the oracle shifts the first emission
-        # (placement n−1) to zero, so materialise at horizon off[n−1]
-        self.ensure_len(n)
-        procs, start, ptr, comm = self.columns(n, self.off[n - 1])
+    def schedule(self, count: int, horizon: Time) -> Schedule:
+        procs, start, ptr, comm = self.columns(count, horizon)
         return Schedule.from_columns(self.chain, procs - 1, start, ptr, comm)
 
 
@@ -414,21 +451,6 @@ def _chain_seq(chain: Chain) -> _ChainSeq:
     if seq is None:
         seq = _cache_put(_SEQ_CACHE, key, _ChainSeq(chain), SEQ_CACHE_CAPACITY)
     return seq
-
-
-def _require_int_chain(chain: Chain, t_lim: Optional[Time]) -> None:
-    _require(
-        all(_is_int(v) for v in (*chain.c, *chain.w)),
-        "chain kernel needs an integer platform",
-    )
-    _require(t_lim is None or _is_int(t_lim), "chain kernel needs integer t_lim")
-
-
-def _cold_reach(count: int, limit: int) -> int:
-    """Placements a cold sequence holds once ``count_within`` returned
-    ``count``: unless ``limit`` stopped it, the deadline run also built the
-    first placement past ``t_lim`` (that is how it learns to stop)."""
-    return count + 1 if count < limit else count
 
 
 def _chain_stats(seq: _ChainSeq, placed: int, reach: int) -> dict:
@@ -446,12 +468,15 @@ def _chain_stats(seq: _ChainSeq, placed: int, reach: int) -> dict:
 
 def fast_chain_schedule(chain: Chain, n: int) -> tuple[Schedule, dict]:
     """Kernel of :func:`repro.core.chain.schedule_chain`."""
-    _require_int_chain(chain, None)
+    _require_int((*chain.c, *chain.w))
     if n < 1:
         raise PlatformError(f"need n >= 1 tasks, got {n}")
     seq = _chain_seq(chain)
     _STATS.inc("kernel_solves")
-    return seq.makespan_schedule(n), _chain_stats(seq, n, n)
+    # horizon cancels: the oracle shifts the first emission (placement
+    # n−1) to zero, so materialise at horizon off[n−1]
+    seq.ensure_len(n)
+    return seq.schedule(n, seq.off[n - 1]), _chain_stats(seq, n, n)
 
 
 def fast_chain_deadline(
@@ -459,12 +484,11 @@ def fast_chain_deadline(
 ) -> tuple[Schedule, dict]:
     """Kernel of :func:`repro.core.chain.schedule_chain_deadline`
     (unshifted times)."""
-    _require_int_chain(chain, t_lim)
+    _require_int((*chain.c, *chain.w), t_lim)
     seq = _chain_seq(chain)
-    limit = n if n is not None else _task_upper_bound(chain, t_lim)
-    sched, placed = seq.deadline_schedule(t_lim, limit)
+    placed, reach = seq.count_within(t_lim, n)
     _STATS.inc("kernel_solves")
-    return sched, _chain_stats(seq, placed, _cold_reach(placed, limit))
+    return seq.schedule(placed, t_lim), _chain_stats(seq, placed, reach)
 
 
 # ---------------------------------------------------------------------------
@@ -579,74 +603,113 @@ def _run_greedy(c_scan, d_scan, slot_scan) -> tuple["np.ndarray", int]:
 
 
 # ---------------------------------------------------------------------------
-# Star core
+# The fork-graph core: star children and spider legs as groups
 # ---------------------------------------------------------------------------
 
-class _StarCore:
-    """t-independent candidate universe of one star, grown on demand."""
+
+class _Copies:
+    """A star child as a fork-graph group: Fig. 6's virtual copies, copy
+    ``q`` of work ``W_q = w + q·m`` (``m = max(c, w)``), in closed form."""
+
+    __slots__ = ("c", "w", "m")
+
+    def __init__(self, child) -> None:
+        self.c, self.w, self.m = child.c, child.w, child.m
+
+    def count_within(
+        self, t_lim: Time, cap: Optional[int] = None
+    ) -> tuple[int, int]:
+        """``expand_star``'s copies within ``t_lim`` (``c + W_q ≤ t_lim``),
+        at most ``cap``; and the same count as the cold reach: a closed
+        form builds nothing past them."""
+        if self.c + self.w > t_lim:
+            return 0, 0
+        count = (t_lim - self.c - self.w) // self.m + 1
+        if cap is not None and cap < count:
+            count = cap
+        return count, count
+
+    def works(self, count: int) -> np.ndarray:
+        # an integer arange fills w + q·m exactly, in one numpy call per
+        # child: a cold star builds its universe a few times per solve
+        w, m = self.w, self.m
+        return np.arange(w, w + count * m, m, dtype=np.int64)
+
+
+class _ForkCore:
+    """The fork graph of one star or spider, grown on demand.
+
+    Group ``g`` (0-based; a star child's :class:`_Copies` or a spider
+    leg's :class:`_ChainSeq`) contributes its first ``counts[g]`` fork
+    nodes, each holding the master's port for the group's first-link
+    latency ``c[g]``; ``w`` holds each group's first processor's work.
+    The universe holds every node any probe has asked for, in scan order
+    (``group``, ``index`` within it, ``node_c``, ``node_w``) with each
+    node's EDF ``slot_rank``; a probe's present set is a per-group
+    prefix."""
 
     __slots__ = (
-        "star", "child_c", "child_w", "child_m", "built", "lock",
-        "cand_child", "cand_q", "cand_c", "cand_w", "scan", "slot_rank",
+        "platform", "groups", "c", "w", "built", "lock", "group", "index",
+        "node_c", "node_w", "slot_rank",
     )
 
-    def __init__(self, star: Star):
-        self.star = star
+    def __init__(self, platform, groups: list, first: tuple) -> None:
+        self.platform = platform
+        self.groups = groups
+        self.c = np.array([c for c, _ in first], dtype=np.int64)
+        self.w = np.array([w for _, w in first], dtype=np.int64)
         self.lock = threading.RLock()
-        self.child_c = [ch.c for ch in star.children]
-        self.child_w = [ch.w for ch in star.children]
-        self.child_m = [ch.m for ch in star.children]
-        self.built = [0] * star.arity
-        self.cand_child = np.empty(0, dtype=np.int64)
-        self.cand_q = np.empty(0, dtype=np.int64)
-        self.cand_c = np.empty(0, dtype=np.int64)
-        self.cand_w = np.empty(0, dtype=np.int64)
-        self.scan = np.empty(0, dtype=np.int64)
-        self.slot_rank = np.empty(0, dtype=np.int64)
+        self.built = [0] * len(groups)
+        empty = np.empty(0, dtype=np.int64)
+        self.group = self.index = self.node_c = self.node_w = empty
+        self.slot_rank = empty
 
-    def counts_at(self, t_lim: Time, cap: Optional[int]) -> list[int]:
-        """Per-child virtual-copy counts: exactly ``expand_star``'s loop."""
-        counts = []
-        for c, w, mm in zip(self.child_c, self.child_w, self.child_m):
-            if c + w > t_lim:
+    def counts_at(
+        self, t_lim: Time, n: Optional[int],
+        caps: Optional[dict[int, int]] = None,
+    ) -> tuple[list[int], list[int], int]:
+        """Per-group node counts within ``t_lim``, each at most ``n`` and
+        its warm cap in ``caps`` (keyed 1-based, as leg counts are); how
+        far a cold run of each reaches; and how many groups a zero cap
+        skips outright."""
+        counts, reach, skipped = [], [], 0
+        for g, group in enumerate(self.groups, 1):
+            cap = n
+            if caps is not None and g in caps:
+                warm = caps[g]
+                cap = warm if cap is None else min(cap, warm)
+            if cap == 0:
                 counts.append(0)
+                reach.append(0)
+                skipped += 1
                 continue
-            natural = (t_lim - c - w) // mm + 1
-            counts.append(int(natural if cap is None else min(cap, natural)))
-        return counts
+            count, far = group.count_within(t_lim, cap)
+            counts.append(count)
+            reach.append(far)
+        return counts, reach, skipped
 
     def ensure(self, counts: list[int]) -> None:
         if all(b >= c for b, c in zip(self.built, counts)):
             return
         target = [max(b, c) for b, c in zip(self.built, counts)]
-        child_parts, q_parts = [], []
-        for idx, n_q in enumerate(target):
-            child_parts.append(np.full(n_q, idx + 1, dtype=np.int64))
-            q_parts.append(np.arange(n_q, dtype=np.int64))
-        self.cand_child = np.concatenate(child_parts) if child_parts else (
-            np.empty(0, dtype=np.int64)
-        )
-        self.cand_q = np.concatenate(q_parts) if q_parts else (
-            np.empty(0, dtype=np.int64)
-        )
-        c_arr = np.asarray(self.child_c, dtype=np.int64)
-        w_arr = np.asarray(self.child_w, dtype=np.int64)
-        m_arr = np.asarray(self.child_m, dtype=np.int64)
-        ci = self.cand_child - 1
-        self.cand_c = c_arr[ci]
-        self.cand_w = w_arr[ci] + self.cand_q * m_arr[ci]
-        # scan: ascending (c, W), generation (child, q) breaking ties —
-        # exactly the oracle's stable sort over expand_star's order
-        self.scan = np.lexsort(
-            (self.cand_q, self.cand_child, self.cand_w, self.cand_c)
-        )
+        sizes = np.array(target, dtype=np.int64)
+        group = np.repeat(np.arange(sizes.size), sizes)
+        ends = np.cumsum(sizes)
+        index = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+        c = self.c[group]
+        w = np.concatenate([g.works(k) for g, k in zip(self.groups, target)])
+        # scan: ascending (c, W), ties to the lower group, then to the
+        # higher index — a leg's earlier task (its task ids ascend as the
+        # placement index descends).  A star child's works strictly
+        # increase with its copy index (w > 0 makes m > 0), so within one
+        # child (c, W) never ties and the last key never decides: the
+        # order is the fork oracle's stable sort over expand_star's.
+        scan = np.lexsort((-index, group, w, c))
+        self.group, self.index = group[scan], index[scan]
+        self.node_c, self.node_w = c[scan], w[scan]
         # EDF slots: ascending (deadline, c, scan position) = (−W, c, scan)
-        n_cand = self.scan.shape[0]
-        slot_seq = np.lexsort((
-            np.arange(n_cand),
-            self.cand_c[self.scan],
-            -self.cand_w[self.scan],
-        ))
+        n_cand = scan.shape[0]
+        slot_seq = np.lexsort((np.arange(n_cand), self.node_c, -self.node_w))
         self.slot_rank = np.empty(n_cand, dtype=np.int64)
         self.slot_rank[slot_seq] = np.arange(n_cand)
         self.built = target
@@ -654,124 +717,86 @@ class _StarCore:
     def present(self, counts: list[int]):
         """Scan-ordered candidate arrays of the probe's present prefix set.
 
-        Returns ``(child, c, W, slot)`` — materialised copies, so a
+        Returns ``(group, c, W, slot)`` — materialised copies, so a
         concurrent ``ensure`` rebuilding the universe cannot go stale under
         a caller's feet."""
         with self.lock:
             self.ensure(counts)
-            caps = np.asarray(counts, dtype=np.int64)
-            mask = (
-                self.cand_q[self.scan] < caps[self.cand_child[self.scan] - 1]
-            )
-            pres = self.scan[mask]
-            child_s = self.cand_child[pres]
-            c_s = self.cand_c[pres]
-            w_s = self.cand_w[pres]
-            ranks = self.slot_rank[np.flatnonzero(mask)]
+            mask = self.index < np.asarray(counts, dtype=np.int64)[self.group]
+            group = self.group[mask]
+            c = self.node_c[mask]
+            w = self.node_w[mask]
+            ranks = self.slot_rank[mask]
         slot = np.empty(ranks.shape[0], dtype=np.int64)
         slot[np.argsort(ranks, kind="stable")] = np.arange(ranks.shape[0])
-        return child_s, c_s, w_s, slot
+        return group, c, w, slot
 
 
-def _star_core(star: Star) -> _StarCore:
-    key = tuple((ch.c, ch.w) for ch in star.children)
-    core = _cache_get(_STAR_CACHE, key)
+def _fork_core(key: tuple, build) -> _ForkCore:
+    core = _cache_get(_CORE_CACHE, key)
     _STATS.inc("core_hits" if core is not None else "core_misses")
     if core is None:
-        core = _cache_put(_STAR_CACHE, key, _StarCore(star), CORE_CACHE_CAPACITY)
+        core = _cache_put(_CORE_CACHE, key, build(), CORE_CACHE_CAPACITY)
     return core
 
 
-def _require_int_star(star: Star, t_lim: Optional[Time]) -> None:
-    _require(
-        all(_is_int(v) for ch in star.children for v in (ch.c, ch.w)),
-        "star kernel needs an integer platform",
-    )
-    _require(t_lim is None or _is_int(t_lim), "star kernel needs integer t_lim")
+def _star_core(star: Star) -> _ForkCore:
+    # a star's key holds (c, w) pairs, a spider's (c tuple, w tuple)
+    # pairs: the two never collide in the one cache
+    first = tuple((ch.c, ch.w) for ch in star.children)
+    return _fork_core(first, lambda: _ForkCore(
+        star, [_Copies(ch) for ch in star.children], first
+    ))
 
 
-def _star_probe(core: _StarCore, t_lim: Time, cap: Optional[int]):
-    """One allocation probe: present set + accepted mask (+ ops)."""
-    counts = core.counts_at(t_lim, cap)
-    child_s, c_s, w_s, slot = core.present(counts)
-    d_s = t_lim - w_s
-    accepted, ops = _run_greedy(c_s, d_s, slot)
+def _spider_core(spider: Spider) -> _ForkCore:
+    legs = spider.legs
+    return _fork_core(tuple(_chain_key(leg) for leg in legs), lambda: _ForkCore(
+        spider, [_chain_seq(leg) for leg in legs],
+        tuple((leg.c[0], leg.w[0]) for leg in legs),
+    ))
+
+
+class _Probe(NamedTuple):
+    """One deadline probe's raw outcome (arrays, no Python objects): the
+    per-group counts, cold reaches and zero-cap skips of
+    :meth:`_ForkCore.counts_at`, the present nodes in scan order
+    (``group``, ``c``, ``w``, EDF ``slot``), the accepted mask and the
+    allocator's element-op count."""
+
+    counts: list
+    reach: list
+    skipped: int
+    group: np.ndarray
+    c: np.ndarray
+    w: np.ndarray
+    slot: np.ndarray
+    accepted: np.ndarray
+    ops: int
+
+    @property
+    def n_accepted(self) -> int:
+        return int(self.accepted.sum())
+
+
+def _probe(
+    core: _ForkCore, t_lim: Time, n: Optional[int],
+    caps: Optional[dict[int, int]] = None,
+) -> _Probe:
+    """One allocation probe at ``t_lim``: every group capped at ``n`` and
+    its warm cap, the present nodes through the port greedy."""
+    counts, reach, skipped = core.counts_at(t_lim, n, caps)
+    group, c, w, slot = core.present(counts)
+    accepted, ops = _run_greedy(c, t_lim - w, slot)
     _STATS.inc("kernel_probes")
-    return child_s, c_s, w_s, slot, accepted, ops
+    return _Probe(counts, reach, skipped, group, c, w, slot, accepted, ops)
 
 
-def fast_star_deadline(
-    star: Star,
-    t_lim: Time,
-    n: Optional[int] = None,
-) -> tuple[Schedule, dict]:
-    """Kernel of :func:`repro.core.fork.fork_schedule_deadline`."""
-    _require_int_star(star, t_lim)
-    if t_lim < 0:
-        raise PlatformError(f"Tlim must be >= 0, got {t_lim}")
-    core = _star_core(star)
-    child_s, c_s, w_s, slot, accepted, ops = _star_probe(core, t_lim, n)
-    _STATS.inc("kernel_solves")
-    sched = _star_finish(core, n, child_s, c_s, w_s, slot, accepted)
-    stats = {
-        "alloc_candidates": int(c_s.shape[0]),
-        "alloc_structure_ops": int(ops) + 1,
-    }
-    return sched, stats
-
-
-def _star_finish(
-    core: _StarCore, n: Optional[int],
-    child_s, c_s, w_s, slot, accepted,
-) -> Schedule:
-    """Emissions + n-cap + per-child ASAP stacking, exactly as the oracle
-    code does it (``fork_schedule_deadline`` after the allocation)."""
-    acc_pos = np.flatnonzero(accepted)
-    edf = acc_pos[np.argsort(slot[acc_pos], kind="stable")]
-    comm = c_s[edf]
-    emissions = np.concatenate(([0], np.cumsum(comm)[:-1])) if edf.size else (
-        np.empty(0, dtype=np.int64)
-    )
-    work = w_s[edf]
-    child = child_s[edf]
-    if n is not None and edf.size > n:
-        # keep the n easiest slots (smallest virtual work), stable over the
-        # EDF order, then re-serialise EDF from scratch
-        keep = np.lexsort((np.arange(edf.size), comm, work))[:n]
-        keep.sort()  # preserve EDF relative order among the kept
-        kept_w = work[keep]
-        kept_c = comm[keep]
-        kept_child = child[keep]
-        edf2 = np.lexsort((np.arange(keep.size), kept_c, -kept_w))
-        work = kept_w[edf2]
-        comm = kept_c[edf2]
-        child = kept_child[edf2]
-        emissions = (
-            np.concatenate(([0], np.cumsum(comm)[:-1]))
-            if edf2.size else np.empty(0, dtype=np.int64)
-        )
-    m = child.size
-    if not m:
-        return Schedule(core.star)
-    # stack each child's tasks ASAP in emission order: the j-th (0-based)
-    # starts at max(arrival_j, start_{j−1} + w) = j·w + max_{k≤j}(arrival_k
-    # − k·w), a running maximum per child
-    by_child = np.lexsort((emissions, child))
-    child, emit = child[by_child], emissions[by_child]
-    c = np.asarray(core.child_c, dtype=np.int64)[child - 1]
-    w = np.asarray(core.child_w, dtype=np.int64)[child - 1]
-    first = np.flatnonzero(np.r_[True, child[1:] != child[:-1]])
-    ends = np.r_[first[1:], m]
-    rank = np.arange(m) - np.repeat(first, ends - first)
-    lead = emit + c - rank * w
-    for lo, hi in zip(first.tolist(), ends.tolist()):
-        np.maximum.accumulate(lead[lo:hi], out=lead[lo:hi])
-    start = lead + rank * w
-    # tasks numbered in (emission, child, start) order
-    task = np.lexsort((start, child, emit))
-    return Schedule.from_columns(
-        core.star, child[task] - 1, start[task], np.arange(m + 1), emit[task]
-    )
+def _back_to_back(comm: np.ndarray) -> np.ndarray:
+    """Emission times of messages ``comm`` sent back to back from 0."""
+    emissions = np.zeros(comm.size, dtype=np.int64)
+    np.cumsum(comm[:-1], out=emissions[1:])
+    return emissions
 
 
 def _least_horizon(probe, lo: int, start: int, step: int, hi: int):
@@ -812,6 +837,81 @@ def _steady_start(n: int, rate) -> int:
     return -(-n // rate)
 
 
+# ---------------------------------------------------------------------------
+# Stars: Fig. 6's copies, stacked ASAP per child
+# ---------------------------------------------------------------------------
+
+
+def _star_values(star: Star) -> list:
+    return [v for ch in star.children for v in (ch.c, ch.w)]
+
+
+def _star_finish(core: _ForkCore, n: Optional[int], probe: _Probe) -> Schedule:
+    """Emissions + n-cap + per-child ASAP stacking, exactly as the oracle
+    code does it (``fork_schedule_deadline`` after the allocation)."""
+    acc_pos = np.flatnonzero(probe.accepted)
+    edf = acc_pos[np.argsort(probe.slot[acc_pos], kind="stable")]
+    comm = probe.c[edf]
+    emissions = _back_to_back(comm)
+    work = probe.w[edf]
+    child = probe.group[edf]
+    if n is not None and edf.size > n:
+        # keep the n easiest slots (smallest virtual work), stable over the
+        # EDF order, then re-serialise EDF from scratch
+        keep = np.lexsort((np.arange(edf.size), comm, work))[:n]
+        keep.sort()  # preserve EDF relative order among the kept
+        kept_w = work[keep]
+        kept_c = comm[keep]
+        kept_child = child[keep]
+        edf2 = np.lexsort((np.arange(keep.size), kept_c, -kept_w))
+        work = kept_w[edf2]
+        comm = kept_c[edf2]
+        child = kept_child[edf2]
+        emissions = _back_to_back(comm)
+    m = child.size
+    if not m:
+        return Schedule(core.platform)
+    # stack each child's tasks ASAP in emission order: the j-th (0-based)
+    # starts at max(arrival_j, start_{j−1} + w) = j·w + max_{k≤j}(arrival_k
+    # − k·w), a running maximum per child
+    by_child = np.lexsort((emissions, child))
+    child, emit = child[by_child], emissions[by_child]
+    c = core.c[child]
+    w = core.w[child]
+    first = np.flatnonzero(np.r_[True, child[1:] != child[:-1]])
+    ends = np.r_[first[1:], m]
+    rank = np.arange(m) - np.repeat(first, ends - first)
+    lead = emit + c - rank * w
+    for lo, hi in zip(first.tolist(), ends.tolist()):
+        np.maximum.accumulate(lead[lo:hi], out=lead[lo:hi])
+    start = lead + rank * w
+    # tasks numbered in (emission, child, start) order
+    task = np.lexsort((start, child, emit))
+    return Schedule.from_columns(
+        core.platform, child[task], start[task], np.arange(m + 1), emit[task],
+    )
+
+
+def fast_star_deadline(
+    star: Star,
+    t_lim: Time,
+    n: Optional[int] = None,
+) -> tuple[Schedule, dict]:
+    """Kernel of :func:`repro.core.fork.fork_schedule_deadline`."""
+    _require_int(_star_values(star), t_lim, star.arity)
+    if t_lim < 0:
+        raise PlatformError(f"Tlim must be >= 0, got {t_lim}")
+    core = _star_core(star)
+    probe = _probe(core, t_lim, n)
+    _STATS.inc("kernel_solves")
+    sched = _star_finish(core, n, probe)
+    stats = {
+        "alloc_candidates": int(probe.c.shape[0]),
+        "alloc_structure_ops": probe.ops + 1,
+    }
+    return sched, stats
+
+
 def fast_star_schedule(star: Star, n: int) -> tuple[Schedule, dict]:
     """Kernel of :func:`repro.core.fork.fork_schedule` (makespan).
 
@@ -820,23 +920,22 @@ def fast_star_schedule(star: Star, n: int) -> tuple[Schedule, dict]:
     the steady-state bound instead."""
     from ..analysis.steady_state import star_steady_state
 
-    _require_int_star(star, None)
-    if n < 1:
-        raise PlatformError(f"need n >= 1 tasks, got {n}")
     singles = [ch.c + ch.w for ch in star.children]
     best = min(star.children, key=lambda ch: ch.c + ch.w + (n - 1) * ch.m)
     hi = best.c + best.w + (n - 1) * best.m
+    _require_int(_star_values(star), hi, star.arity)
+    if n < 1:
+        raise PlatformError(f"need n >= 1 tasks, got {n}")
     core = _star_core(star)
     ops_total = 0
     candidates_total = 0
 
-    def fits(t: Time):
+    def fits(t: Time) -> Optional[_Probe]:
         nonlocal ops_total, candidates_total
-        probe = _star_probe(core, t, n)
-        _, c_s, _, _, accepted, ops = probe
-        ops_total += ops
-        candidates_total += int(c_s.shape[0])
-        return probe if int(accepted.sum()) >= n else None
+        probe = _probe(core, t, n)
+        ops_total += probe.ops
+        candidates_total += int(probe.c.shape[0])
+        return probe if probe.n_accepted >= n else None
 
     found = _least_horizon(
         fits, min(singles),
@@ -844,9 +943,8 @@ def fast_star_schedule(star: Star, n: int) -> tuple[Schedule, dict]:
     )
     if found is None:  # pragma: no cover - hi is a valid horizon
         raise PlatformError(f"horizon {hi} cannot fit {n} tasks")
-    child_s, c_s, w_s, slot, accepted, _ = found[1]
     _STATS.inc("kernel_solves")
-    sched = _star_finish(core, n, child_s, c_s, w_s, slot, accepted)
+    sched = _star_finish(core, n, found[1])
     stats = {
         "alloc_candidates": candidates_total,
         "alloc_structure_ops": ops_total + 1,
@@ -855,193 +953,25 @@ def fast_star_schedule(star: Star, n: int) -> tuple[Schedule, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Spider core
+# Spiders: leg sequences as fork nodes, reverted by Lemma 3
 # ---------------------------------------------------------------------------
 
 
-class _SpiderCore:
-    """Per-leg sequences + the t-independent fork-node universe."""
-
-    __slots__ = (
-        "spider", "seqs", "c1", "built", "lock", "cand_leg", "cand_idx",
-        "cand_c", "cand_w", "scan", "slot_rank", "leg_base", "str_rank",
-    )
-
-    def __init__(self, spider: Spider):
-        self.spider = spider
-        self.lock = threading.RLock()
-        self.seqs = [_chain_seq(leg) for leg in spider.legs]
-        self.c1 = [leg.latency(1) for leg in spider.legs]
-        # processor indices in adapter order: leg by leg, position by
-        # position; and each processor's rank in str() order, the oracle's
-        # tie-break between equal first emissions
-        self.leg_base = np.cumsum([0] + [leg.p for leg in spider.legs])
-        keys = [(leg, pos) for leg in range(1, spider.arity + 1)
-                for pos in range(1, spider.leg(leg).p + 1)]
-        self.str_rank = np.empty(len(keys), dtype=np.int64)
-        self.str_rank[sorted(range(len(keys)), key=lambda j: str(keys[j]))] = (
-            np.arange(len(keys))
-        )
-        self.built = [0] * spider.arity
-        self.cand_leg = np.empty(0, dtype=np.int64)
-        self.cand_idx = np.empty(0, dtype=np.int64)
-        self.cand_c = np.empty(0, dtype=np.int64)
-        self.cand_w = np.empty(0, dtype=np.int64)
-        self.scan = np.empty(0, dtype=np.int64)
-        self.slot_rank = np.empty(0, dtype=np.int64)
-
-    def ensure(self, counts: list[int]) -> None:
-        if all(b >= c for b, c in zip(self.built, counts)):
-            return
-        target = [max(b, c) for b, c in zip(self.built, counts)]
-        leg_parts, idx_parts, c_parts, w_parts = [], [], [], []
-        for li, (seq, cnt) in enumerate(zip(self.seqs, target)):
-            seq.ensure_len(cnt)
-            leg_parts.append(np.full(cnt, li + 1, dtype=np.int64))
-            idx_parts.append(np.arange(cnt, dtype=np.int64))
-            c_parts.append(np.full(cnt, self.c1[li], dtype=np.int64))
-            # fork node of placement i: work = t − emission − c1
-            #                                = off[i] − c1  (t-independent)
-            w_parts.append(
-                np.asarray(seq.off[:cnt], dtype=np.int64) - self.c1[li]
-            )
-        self.cand_leg = np.concatenate(leg_parts)
-        self.cand_idx = np.concatenate(idx_parts)
-        self.cand_c = np.concatenate(c_parts)
-        self.cand_w = np.concatenate(w_parts)
-        # scan: ascending (c, W); generation order breaks ties — legs
-        # ascending, and within a leg task-id ascending = idx descending
-        self.scan = np.lexsort(
-            (-self.cand_idx, self.cand_leg, self.cand_w, self.cand_c)
-        )
-        n_cand = self.scan.shape[0]
-        slot_seq = np.lexsort((
-            np.arange(n_cand),
-            self.cand_c[self.scan],
-            -self.cand_w[self.scan],
-        ))
-        self.slot_rank = np.empty(n_cand, dtype=np.int64)
-        self.slot_rank[slot_seq] = np.arange(n_cand)
-        self.built = target
-
-    def counts_at(
-        self, t_lim: Time, n: Optional[int],
-        leg_caps: Optional[dict[int, int]],
-    ) -> tuple[list[int], list[int]]:
-        """Per-leg task counts of the capped deadline chain runs, and how
-        far each run reaches into its leg's sequence (:func:`_cold_reach`)."""
-        counts, reach = [], []
-        for li, seq in enumerate(self.seqs):
-            cap = n
-            if leg_caps is not None and (li + 1) in leg_caps:
-                warm = leg_caps[li + 1]
-                cap = warm if cap is None else min(cap, warm)
-            if cap == 0:
-                counts.append(0)
-                reach.append(0)
-                continue
-            limit = cap if cap is not None else _task_upper_bound(
-                self.spider.leg(li + 1), t_lim
-            )
-            count = seq.count_within(t_lim, limit)
-            counts.append(count)
-            reach.append(_cold_reach(count, limit))
-        return counts, reach
-
-    def elements_to(self, reach: list[int]) -> int:
-        """Vector elements a cold cache builds for per-leg reaches
-        ``reach``.  Identical legs share one sequence, built up to the
-        furthest reach among them and counted once per leg."""
-        furthest: dict[_ChainSeq, int] = {}
-        for seq, r in zip(self.seqs, reach):
-            furthest[seq] = max(furthest.get(seq, 0), r)
-        return sum(seq.vbase[furthest[seq]] for seq in self.seqs)
-
-    def present(self, counts: list[int]):
-        with self.lock:
-            self.ensure(counts)
-            caps = np.asarray(counts, dtype=np.int64)
-            mask = (
-                self.cand_idx[self.scan] < caps[self.cand_leg[self.scan] - 1]
-            )
-            pres = self.scan[mask]
-            leg_s = self.cand_leg[pres]
-            c_s = self.cand_c[pres]
-            w_s = self.cand_w[pres]
-            ranks = self.slot_rank[np.flatnonzero(mask)]
-        slot = np.empty(ranks.shape[0], dtype=np.int64)
-        slot[np.argsort(ranks, kind="stable")] = np.arange(ranks.shape[0])
-        return leg_s, c_s, w_s, slot
-
-
-def _spider_core(spider: Spider) -> _SpiderCore:
-    key = tuple((tuple(leg.c), tuple(leg.w)) for leg in spider.legs)
-    core = _cache_get(_SPIDER_CACHE, key)
-    _STATS.inc("core_hits" if core is not None else "core_misses")
-    if core is None:
-        core = _cache_put(
-            _SPIDER_CACHE, key, _SpiderCore(spider), CORE_CACHE_CAPACITY
-        )
-    return core
-
-
-def _require_int_spider(spider: Spider, t_lim: Optional[Time]) -> None:
-    _require(
-        all(
-            _is_int(v) for leg in spider.legs for v in (*leg.c, *leg.w)
-        ),
-        "spider kernel needs an integer platform",
-    )
-    _require(
-        t_lim is None or _is_int(t_lim), "spider kernel needs integer t_lim"
-    )
-
-
-class _SpiderProbe:
-    """One deadline probe's raw outcome (arrays, no Python objects)."""
-
-    __slots__ = (
-        "counts", "reach", "leg_s", "c_s", "w_s", "slot", "accepted", "ops",
-    )
-
-    def __init__(self, counts, reach, leg_s, c_s, w_s, slot, accepted, ops):
-        self.counts = counts
-        self.reach = reach
-        self.leg_s = leg_s
-        self.c_s = c_s
-        self.w_s = w_s
-        self.slot = slot
-        self.accepted = accepted
-        self.ops = ops
-
-    @property
-    def n_accepted(self) -> int:
-        return int(self.accepted.sum())
-
-
-def _spider_probe(
-    core: _SpiderCore, t_lim: Time, n: Optional[int],
-    leg_caps: Optional[dict[int, int]],
-) -> _SpiderProbe:
-    counts, reach = core.counts_at(t_lim, n, leg_caps)
-    leg_s, c_s, w_s, slot = core.present(counts)
-    d_s = t_lim - w_s
-    accepted, ops = _run_greedy(c_s, d_s, slot)
-    _STATS.inc("kernel_probes")
-    return _SpiderProbe(counts, reach, leg_s, c_s, w_s, slot, accepted, ops)
+def _spider_values(spider: Spider) -> list:
+    return [v for leg in spider.legs for v in (*leg.c, *leg.w)]
 
 
 def _spider_finish(
-    core: _SpiderCore, t_lim: Time, n: Optional[int], probe: _SpiderProbe
+    core: _ForkCore, t_lim: Time, n: Optional[int], probe: _Probe
 ) -> Schedule:
     """Normalise + EDF + revert, mirroring ``spider_schedule_deadline``
     steps (4)–(5) and ``_revert`` on the accepted set only."""
-    spider = core.spider
+    spider = core.platform
     acc_pos = np.flatnonzero(probe.accepted)
     edf = acc_pos[np.argsort(probe.slot[acc_pos], kind="stable")]
-    acc_leg = probe.leg_s[edf]
-    acc_w = probe.w_s[edf]
-    acc_c = probe.c_s[edf]
+    acc_leg = probe.group[edf]
+    acc_w = probe.w[edf]
+    acc_c = probe.c[edf]
     if n is not None and edf.size > n:
         keep = np.lexsort((np.arange(edf.size), acc_c, acc_w))[:n]
         # the oracle *keeps* the (work, c)-sorted order here — the
@@ -1057,47 +987,38 @@ def _spider_finish(
     # nodes; within a leg the oracle sorts by work, stable over generation
     # order (task-id ascending = idx descending)
     norm_w, norm_c, norm_leg = [], [], []
-    for leg_idx, count in per_leg_count.items():
-        li = leg_idx - 1
-        cnt_leg = probe.counts[li]
-        # fork-node works of this leg's present prefix, straight from the
-        # (append-only, hence race-free) sequence offsets
-        seq = core.seqs[li]
-        leg_w = (
-            np.asarray(seq.off[:cnt_leg], dtype=np.int64) - core.c1[li]
-        )
-        leg_idx_arr = np.arange(cnt_leg, dtype=np.int64)
+    for leg, count in per_leg_count.items():
+        # the fork-node works of this leg's present prefix, straight from
+        # the (append-only, hence race-free) sequence offsets
+        leg_w = core.groups[leg].works(probe.counts[leg])
+        leg_idx_arr = np.arange(leg_w.size, dtype=np.int64)
         sel = np.lexsort((-leg_idx_arr, leg_w))[:count]
         norm_w.append(leg_w[sel])
-        norm_c.append(np.full(count, core.c1[li], dtype=np.int64))
-        norm_leg.append(np.full(count, leg_idx, dtype=np.int64))
-    if norm_w:
-        norm_w_a = np.concatenate(norm_w)
-        norm_c_a = np.concatenate(norm_c)
-        norm_leg_a = np.concatenate(norm_leg)
-    else:
-        norm_w_a = np.empty(0, dtype=np.int64)
-        norm_c_a = np.empty(0, dtype=np.int64)
-        norm_leg_a = np.empty(0, dtype=np.int64)
+        norm_c.append(np.full(count, core.c[leg], dtype=np.int64))
+        norm_leg.append(np.full(count, leg, dtype=np.int64))
+    none = [np.empty(0, dtype=np.int64)]
+    norm_w_a = np.concatenate(norm_w or none)
+    norm_c_a = np.concatenate(norm_c or none)
+    norm_leg_a = np.concatenate(norm_leg or none)
     # _edf_emissions over the normalised list: stable (deadline, c) sort
     edf_n = np.lexsort((np.arange(norm_w_a.size), norm_c_a, -norm_w_a))
-    emit = np.concatenate(
-        ([0], np.cumsum(norm_c_a[edf_n])[:-1])
-    ) if edf_n.size else np.empty(0, dtype=np.int64)
+    emit = _back_to_back(norm_c_a[edf_n])
     emit_leg = norm_leg_a[edf_n]
     # revert (Lemma 3): per leg, the suffix placements (the leg's tasks
-    # 1..count) get the fork emissions in ascending order
+    # 1..count) get the fork emissions in ascending order.  Processor
+    # indices run leg by leg, position by position (adapter order)
+    leg_base = np.cumsum([0] + [leg.p for leg in spider.legs])
     procs, starts, lengths, comms = [], [], [], []
-    for leg_idx in sorted(per_leg_count):
-        proc, start, ptr, comm = core.seqs[leg_idx - 1].columns(
-            per_leg_count[leg_idx], t_lim
+    for leg in sorted(per_leg_count):
+        proc, start, ptr, comm = core.groups[leg].columns(
+            per_leg_count[leg], t_lim
         )
-        fork = np.sort(emit[emit_leg == leg_idx])
+        fork = np.sort(emit[emit_leg == leg])
         assert (fork <= comm[ptr[:-1]]).all(), (
             "fork emission must not be later than the leg's (Lemma 3)"
         )
         comm[ptr[:-1]] = fork
-        procs.append(core.leg_base[leg_idx - 1] + proc - 1)
+        procs.append(leg_base[leg] + proc - 1)
         starts.append(start)
         lengths.append(np.diff(ptr))
         comms.append(comm)
@@ -1107,8 +1028,15 @@ def _spider_finish(
     ptr = np.zeros(proc.size + 1, dtype=np.int64)
     np.cumsum(np.concatenate(lengths), out=ptr[1:])
     comm = np.concatenate(comms)
-    # global ids in (first emission, str(processor)) order
-    task = np.lexsort((core.str_rank[proc], comm[ptr[:-1]]))
+    # global ids in (first emission, str(processor)) order, the oracle's
+    # tie-break between equal first emissions
+    keys = [str((leg, pos)) for leg in range(1, spider.arity + 1)
+            for pos in range(1, spider.leg(leg).p + 1)]
+    str_rank = np.empty(len(keys), dtype=np.int64)
+    str_rank[sorted(range(len(keys)), key=keys.__getitem__)] = (
+        np.arange(len(keys))
+    )
+    task = np.lexsort((str_rank[proc], comm[ptr[:-1]]))
     ptr, comm = csr_take(ptr, comm, task)
     return Schedule.from_columns(
         spider, proc[task], np.concatenate(starts)[task], ptr, comm
@@ -1118,7 +1046,7 @@ def _spider_finish(
 #: the counters every spider solve reports, kernel or oracle.  The kernel's
 #: values depend only on the problem: ``chain_vector_elements`` counts the
 #: leg-sequence elements up to the furthest placement the solve's own probes
-#: reach (:meth:`_SpiderCore.elements_to`), as a cold cache builds them.
+#: reach (:func:`_spider_elements`), as a cold cache builds them.
 SPIDER_STAT_KEYS = (
     "probes", "probes_short_circuited", "legs_scheduled", "legs_skipped",
     "fork_nodes", "chain_vector_elements", "alloc_candidates",
@@ -1126,13 +1054,25 @@ SPIDER_STAT_KEYS = (
 )
 
 
+def _spider_elements(seqs: list[_ChainSeq], reach: list[int]) -> int:
+    """Vector elements a cold cache builds for per-leg reaches ``reach``.
+    Identical legs share one sequence, built up to the furthest reach
+    among them and counted once per leg."""
+    furthest: dict[_ChainSeq, int] = {}
+    for seq, r in zip(seqs, reach):
+        furthest[seq] = max(furthest.get(seq, 0), r)
+    return sum(seq.vbase[furthest[seq]] for seq in seqs)
+
+
 def _spider_stats(
     probes: int, short_circuited: int, scheduled: int, skipped: int,
-    fork_nodes: int, elements: int, candidates: int, ops: int,
+    fork_nodes: int, elements: int, ops: int,
 ) -> dict:
+    """Every fork node is an allocator candidate: ``alloc_candidates``
+    repeats ``fork_nodes``."""
     return dict(zip(SPIDER_STAT_KEYS, (
         probes, short_circuited, scheduled, skipped, fork_nodes, elements,
-        candidates, ops + 1,
+        fork_nodes, ops + 1,
     )))
 
 
@@ -1149,35 +1089,20 @@ def fast_spider_deadline(
     pre-allocation per-leg chain-run sizes, reusable as warm caps exactly
     like the oracle's.
     """
-    _require_int_spider(spider, t_lim)
+    _require_int(_spider_values(spider), t_lim, spider.arity)
     if t_lim < 0:
         raise PlatformError(f"Tlim must be >= 0, got {t_lim}")
     core = _spider_core(spider)
-    probe = _spider_probe(core, t_lim, n, leg_caps)
+    probe = _probe(core, t_lim, n, leg_caps)
     _STATS.inc("kernel_solves")
     sched = _spider_finish(core, t_lim, n, probe)
     leg_counts = {li + 1: c for li, c in enumerate(probe.counts)}
     stats = _spider_stats(
-        1, 0,
-        sum(1 for li in range(spider.arity) if not _cap_zero(li + 1, n, leg_caps)),
-        sum(1 for li in range(spider.arity) if _cap_zero(li + 1, n, leg_caps)),
-        int(probe.c_s.shape[0]),
-        core.elements_to(probe.reach),
-        int(probe.c_s.shape[0]),
+        1, 0, spider.arity - probe.skipped, probe.skipped,
+        int(probe.c.shape[0]), _spider_elements(core.groups, probe.reach),
         probe.ops,
     )
     return sched, stats, leg_counts
-
-
-def _cap_zero(
-    leg_idx: int, n: Optional[int], leg_caps: Optional[dict[int, int]]
-) -> bool:
-    """True when the oracle would skip this leg outright."""
-    cap = n
-    if leg_caps is not None and leg_idx in leg_caps:
-        warm = leg_caps[leg_idx]
-        cap = warm if cap is None else min(cap, warm)
-    return cap == 0
 
 
 def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
@@ -1189,32 +1114,33 @@ def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
     short-circuit on every probe."""
     from ..analysis.steady_state import spider_steady_state
 
-    _require_int_spider(spider, None)
-    if n < 1:
-        raise PlatformError(f"need n >= 1 tasks, got {n}")
     if spider.is_chain():
-        # leg 1's position k is spider processor index k − 1, as on the chain
+        # leg 1's position k is spider processor index k − 1, as on the
+        # chain, whose kernel runs the guard
         cols = fast_chain_schedule(spider.leg(1), n)[0].columns
         sched = Schedule.from_columns(
             spider, cols.proc, cols.start, cols.ptr, cols.comm
         )
-        return sched, _spider_stats(0, 0, 0, 0, 0, 0, 0, 0)
+        return sched, _spider_stats(0, 0, 0, 0, 0, 0, 0)
+    if n < 1:
+        raise PlatformError(f"need n >= 1 tasks, got {n}")
+    hi = spider.t_infinity(n)
+    _require_int(_spider_values(spider), hi, spider.arity)
     singles = [
         leg.route_latency(i) + leg.work(i)
         for leg in spider
         for i in range(1, leg.p + 1)
     ]
-    hi = spider.t_infinity(n)
     core = _spider_core(spider)
 
     caps: Optional[dict[int, int]] = None
     reach = [0] * spider.arity  # furthest placement each leg's runs reach
     probes = short = 0
     legs_scheduled = legs_skipped = 0
-    fork_nodes = candidates = ops_total = 0
+    fork_nodes = ops_total = 0
 
-    def fits(t: Time) -> Optional[_SpiderProbe]:
-        nonlocal caps, reach, probes, short, fork_nodes, candidates, ops_total
+    def fits(t: Time) -> Optional[_Probe]:
+        nonlocal caps, reach, probes, short, fork_nodes, ops_total
         nonlocal legs_scheduled, legs_skipped
         reachable: Time = 0
         for leg_idx in range(1, spider.arity + 1):
@@ -1225,15 +1151,11 @@ def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
         if reachable < n:
             short += 1
             return None
-        skipped = sum(
-            1 for li in range(spider.arity) if _cap_zero(li + 1, n, caps)
-        )
-        probe = _spider_probe(core, t, n, caps)
+        probe = _probe(core, t, n, caps)
         probes += 1
-        legs_skipped += skipped
-        legs_scheduled += spider.arity - skipped
-        fork_nodes += int(probe.c_s.shape[0])
-        candidates += int(probe.c_s.shape[0])
+        legs_skipped += probe.skipped
+        legs_scheduled += spider.arity - probe.skipped
+        fork_nodes += int(probe.c.shape[0])
         ops_total += probe.ops
         reach = list(map(max, reach, probe.reach))
         if probe.n_accepted < n:
@@ -1253,8 +1175,8 @@ def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
     _STATS.inc("kernel_solves")
     sched = _spider_finish(core, t_final, n, final)
     stats = _spider_stats(
-        probes, short, legs_scheduled, legs_skipped,
-        fork_nodes, core.elements_to(reach), candidates, ops_total,
+        probes, short, legs_scheduled, legs_skipped, fork_nodes,
+        _spider_elements(core.groups, reach), ops_total,
     )
     return sched, stats
 
@@ -1401,7 +1323,7 @@ def spider_deadline(
 def export_solve_cores() -> list[tuple]:
     """Snapshot the cached chain sequences as picklable value tuples.
 
-    Star/spider cores hold numpy state rebuilt in milliseconds; the chain
+    Fork-graph cores hold numpy state rebuilt in milliseconds; the chain
     sequences are the part worth shipping across a fork boundary (they
     embody the per-leg constructions).  Workers re-derive everything else.
     """

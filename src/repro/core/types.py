@@ -72,3 +72,10 @@ def leq(a: Time, b: Time, eps: float = EPS) -> bool:
     if isinstance(a, int) and isinstance(b, int):
         return a <= b
     return a <= b + eps
+
+
+def close(a: Time, b: Time, eps: float = EPS) -> bool:
+    """``a == b`` with ``eps`` slack for float inputs."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a == b
+    return abs(float(a) - float(b)) <= eps

@@ -146,9 +146,16 @@ class WorkerProcess:
         """SIGKILL the worker (idempotent; pending requests fail via the
         reader's EOF)."""
         self._dead = True
+        self._signal(signal.SIGKILL)
+
+    def _signal(self, sig: int) -> None:
+        # os.kill, not Process.kill()/send_signal(): Popen.send_signal
+        # polls first (bpo-38630) and so can reap a worker that has just
+        # exited before asyncio's child watcher does; the watcher then
+        # reports returncode 255 instead of the real exit status
         if self.proc is not None and self.proc.returncode is None:
             with contextlib.suppress(ProcessLookupError):
-                self.proc.kill()
+                os.kill(self.proc.pid, sig)
 
     async def wait(self) -> None:
         if self.proc is not None:
@@ -167,10 +174,13 @@ class WorkerProcess:
                 await asyncio.wait_for(
                     self.request({"op": "shutdown"}), timeout=grace
                 )
+                # acked: the worker exits by itself.  A SIGTERM now could
+                # land after its loop restored the default handler and
+                # kill it mid-exit (returncode -15)
+                await asyncio.wait_for(self.proc.wait(), timeout=grace)
         self._dead = True
         if self.proc.returncode is None:
-            with contextlib.suppress(ProcessLookupError):
-                self.proc.send_signal(signal.SIGTERM)
+            self._signal(signal.SIGTERM)
             try:
                 await asyncio.wait_for(self.proc.wait(), timeout=grace)
             except asyncio.TimeoutError:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from ..core.schedule import Schedule
-from ..core.types import EPS, SimulationError, Time
+from ..core.types import SimulationError, Time, close, leq
 from .engine import Simulator
 from .events import Event, EventKind
 from .trace import Trace
@@ -38,7 +38,7 @@ class _ResourceState:
 
     def claim(self, key: Hashable, start: Time, end: Time, what: str, task: int) -> None:
         free_at = self.busy_until.get(key, float("-inf"))
-        if start + EPS < free_at:
+        if not leq(free_at, start):
             raise SimulationError(
                 f"{what} {key!r} still busy until {free_at} when task {task} "
                 f"claims it at {start}"
@@ -64,7 +64,7 @@ def execute(schedule: Schedule) -> Trace:
             # the message must already be at the sending node
             if hop > 0:
                 t_arr = arrived_at.get((task, prev_node))
-                if t_arr is None or t_arr > s.now + EPS:
+                if t_arr is None or not leq(t_arr, s.now):
                     raise SimulationError(
                         f"task {task}: relayed from {prev_node!r} at {s.now} "
                         f"before arrival ({t_arr})"
@@ -87,7 +87,7 @@ def execute(schedule: Schedule) -> Trace:
 
         def exec_start(s: Simulator) -> None:
             t_arr = arrived_at.get((task, proc))
-            if t_arr is None or t_arr > s.now + EPS:
+            if t_arr is None or not leq(t_arr, s.now):
                 raise SimulationError(
                     f"task {task}: execution on {proc!r} at {s.now} before "
                     f"arrival ({t_arr})"
@@ -122,7 +122,7 @@ def verify_by_execution(schedule: Schedule) -> Trace:
     """Execute and sanity-check that the trace agrees with the schedule's
     static quantities (makespan, completion per task)."""
     trace = execute(schedule)
-    if abs(float(trace.makespan) - float(schedule.makespan)) > EPS:
+    if not close(trace.makespan, schedule.makespan):
         raise SimulationError(
             f"trace makespan {trace.makespan} != schedule makespan {schedule.makespan}"
         )
@@ -130,7 +130,7 @@ def verify_by_execution(schedule: Schedule) -> Trace:
     for t in schedule.tasks():
         expected = schedule.completion_of(t)
         got = completions.get(t)
-        if got is None or abs(float(got) - float(expected)) > EPS:
+        if got is None or not close(got, expected):
             raise SimulationError(
                 f"task {t}: trace completion {got} != schedule {expected}"
             )

@@ -18,8 +18,8 @@ objects:
 * **exclusivity**: the busy intervals of every send port, link and CPU
   are sorted in one pass (in the executor's claim order: time, then task)
   and each is compared with the one before it on the same resource — the
-  executor's running ``busy_until`` — with
-  :data:`~repro.core.types.EPS` slack;
+  executor's running ``busy_until`` — exactly for integer times, with
+  :data:`~repro.core.types.EPS` slack otherwise;
 * **bit-exact accounting**: the makespan is computed with the same
   arithmetic the simulator would use and compared against the schedule's
   claim: ``int64`` for integer columns, Python arithmetic element by
@@ -41,10 +41,12 @@ from ..core.compiled import CompiledPlatform, compile_platform
 from ..core.schedule import Schedule
 from ..obs import metrics as _obs
 from ..obs import tracing as _trace
-from ..core.types import EPS, EventBudgetExceeded, SimulationError, Time
+from ..core.types import EventBudgetExceeded, SimulationError, Time, close, leq
 from .engine import DEFAULT_MAX_EVENTS
 
 __all__ = ["verify_schedule"]
+
+_LEQ = np.frompyfunc(leq, 2, 1)
 
 
 def _scan(schedule: Schedule, cp: CompiledPlatform) -> Time:
@@ -126,8 +128,13 @@ def _scan(schedule: Schedule, cp: CompiledPlatform) -> Time:
     claimant = np.concatenate((row, row, np.arange(n)))
     order = np.lexsort((claimant, begin, resource))
     resource, begin, finish = resource[order], begin[order], finish[order]
-    # the executor's running busy-until: the previous claim's end
-    clash = begin[1:] + EPS < finish[:-1]
+    # the executor's running busy-until: the previous claim's end, compared
+    # as its types.leq does (exact on ints, which an object column may
+    # hold past int64's exact range)
+    if begin.dtype == object:
+        clash = ~_LEQ(finish[:-1], begin[1:]).astype(bool)
+    else:
+        clash = begin[1:] < finish[:-1]
     clash &= resource[1:] == resource[:-1]
     if np.count_nonzero(clash):
         k = int(np.flatnonzero(clash)[0])
@@ -161,7 +168,7 @@ def verify_schedule(schedule: Schedule) -> Time:
     with _trace.span("replay"):
         makespan = _scan(schedule, compile_platform(schedule.platform))
         claimed = schedule.makespan
-        if abs(float(makespan) - float(claimed)) > EPS:
+        if not close(makespan, claimed):
             raise SimulationError(
                 f"trace makespan {makespan} != schedule makespan {claimed}"
             )

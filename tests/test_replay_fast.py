@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.commvector import CommVector
+from repro.core.chain import schedule_chain
 from repro.core.compiled import (
     CompileError,
     clear_compile_cache,
@@ -29,6 +30,7 @@ from repro.core.schedule import (
     TaskAssignment,
     adapter_for,
 )
+from repro.core.feasibility import check
 from repro.core.types import SimulationError
 from repro.platforms.chain import Chain
 from repro.platforms.generators import (
@@ -290,16 +292,18 @@ class TestDifferentialReject:
 
 
 class TestBigIntegers:
-    """Times past int64's exact range: both validators on Python ints."""
+    """Times past int64's exact range: every validator compares Python
+    ints exactly (the EPS slack is for floats)."""
 
     def test_kernel_answer_past_int64_is_exact(self):
         sol = solve(Problem(Chain([1], [2 ** 62]), "makespan", n=2))
         assert sol.solver == "chain" and sol.makespan == 2 ** 63 + 1
-        # 2**62 + 1 is no float: the EPS slack rejects it in both validators
-        assert assert_agree(sol.schedule)[0] == "err"
+        # task 2 claims the CPU at 2**62 + 1, the very instant task 1
+        # frees it: no float holds that time, an int compare accepts it
+        sol.validate()
+        assert assert_agree(sol.schedule) == ("ok", sol.makespan)
 
     def test_exact_big_answer_validates_identically(self):
-        # powers of two are exact floats, so the EPS slack is exact too
         sol = solve(Problem(Chain([2 ** 62, 2 ** 61], [2 ** 62, 2 ** 63]),
                             "makespan", n=4))
         assert sol.solver == "chain" and sol.makespan > 2 ** 64
@@ -315,11 +319,37 @@ class TestBigIntegers:
         assert assert_agree(schedule) == ("ok", schedule.makespan)
 
     def test_hand_built_schedule_rejected_identically(self):
+        # task 2 claims the CPU one unit before task 1 frees it
         schedule = Schedule(Chain([1], [2 ** 62]), {
             1: TaskAssignment(1, 1, 1, CommVector([0])),
-            2: TaskAssignment(2, 1, 2 ** 62 + 1, CommVector([1]))})
+            2: TaskAssignment(2, 1, 2 ** 62, CommVector([1]))})
         assert (outcome(oracle, schedule) == outcome(verify_schedule, schedule)
                 == ("err", SimulationError))
+
+    def test_back_to_back_claims_past_2_54_in_all_three_validators(self):
+        """The kernel's (and the oracle's) answer for ``Chain([2**61, 1],
+        [2**61, 2])``, n = 3, claims processor 1 and processor 2 at the
+        very instants they free up, past 2**62.  ``Solution.validate``,
+        the executor and the static checker accept it; with task 2 moved
+        one unit earlier all three refuse it."""
+        chain = Chain([2 ** 61, 1], [2 ** 61, 2])
+        sol = solve(Problem(chain, "makespan", n=3))
+        assert sol.stats["engine"] == "compiled"
+        assert sol.schedule.assignments == schedule_chain(chain, 3).assignments
+        sol.validate()
+        verify_by_execution(sol.schedule)
+        assert check(sol.schedule) == []
+
+        sol.schedule = Schedule(chain, {
+            a.task: a if a.task != 2 else TaskAssignment(
+                2, a.processor, a.start - 1,
+                CommVector([t - 1 for t in a.comms.times]))
+            for a in sol.schedule})
+        with pytest.raises(ValidationError):
+            sol.validate()
+        with pytest.raises(SimulationError):
+            verify_by_execution(sol.schedule)
+        assert check(sol.schedule)
 
 
 class TestCompileCache:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -311,6 +312,8 @@ async def pipe_router(answer):
     (its real reader included) over a :class:`PipeProc`."""
     worker = WorkerProcess(0, WorkerConfig())
     worker.proc = PipeProc(answer)
+    # no OS process stands behind it: any signal just ends the stand-in
+    worker._signal = lambda sig: worker.proc.kill()
     worker._reader_task = asyncio.ensure_future(worker._read_loop())
     return stub_router({0: worker}), worker
 
@@ -492,6 +495,39 @@ class TestFleetEndToEnd:
         assert report["requests"] == (
             report["ok_answers"] + report["retriable_errors"]
         )
+
+
+class TestWorkerExitStatus:
+    def test_killed_and_drained_workers_keep_their_exit_status(self, caplog):
+        """A worker's returncode is what ended it: -9 after a SIGKILL, 0
+        after a drained shutdown.  The reader's EOF handler signals a
+        worker that has just exited; if that reaped it before asyncio's
+        child watcher, the watcher would log "Unknown child process" and
+        report 255."""
+        caplog.set_level(logging.WARNING, logger="asyncio")
+
+        async def scenario():
+            codes = []
+            for _ in range(3):
+                workers = [WorkerProcess(i, WorkerConfig(threads=1))
+                           for i in range(4)]
+                await asyncio.gather(*(w.start() for w in workers))
+                await asyncio.gather(*(
+                    w.request({"op": "ping"}, timeout=30) for w in workers
+                ))
+                killed, drained = workers[:2], workers[2:]
+                for w in killed:
+                    os.kill(w.pid, signal.SIGKILL)
+                await asyncio.gather(*(w.wait() for w in killed),
+                                     *(w.terminate() for w in drained))
+                codes += [(w.proc.returncode, -signal.SIGKILL) for w in killed]
+                codes += [(w.proc.returncode, 0) for w in drained]
+            return codes
+
+        codes = asyncio.run(scenario())
+        assert [got for got, _ in codes] == [want for _, want in codes]
+        assert not [r for r in caplog.records
+                    if "Unknown child process" in r.getMessage()]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ counterexample, not a statistical drift.
 
 from __future__ import annotations
 
+import asyncio
+import json
 import random
 from fractions import Fraction
 
@@ -25,6 +27,8 @@ from repro.core.chain import schedule_chain, schedule_chain_deadline
 from repro.core.fork import fork_schedule, fork_schedule_deadline
 from repro.core.solve_fast import (
     SolveKernelUnsupported,
+    _chain_seq,
+    _Copies,
     _least_horizon,
     _oracle_spider_deadline,
     _oracle_spider_schedule,
@@ -32,10 +36,18 @@ from repro.core.solve_fast import (
     export_solve_cores,
     seed_solve_cores,
     solve_kernel_stats,
+    spider_deadline,
+    spider_schedule as kernel_spider_schedule,
+    star_deadline,
+    star_schedule,
 )
 from repro.core.spider import spider_schedule, spider_schedule_deadline
 from repro.core.types import PlatformError
-from repro.io.json_io import solution_to_dict
+from repro.io.json_io import (
+    problem_to_dict,
+    solution_from_dict,
+    solution_to_dict,
+)
 from repro.platforms.chain import Chain
 from repro.platforms.generators import (
     random_chain,
@@ -45,6 +57,8 @@ from repro.platforms.generators import (
 )
 from repro.platforms.spider import Spider
 from repro.platforms.star import Star
+from repro.service import ScheduleService, SolutionStore
+from repro.service.protocol import serve_line
 from repro.solve import Problem, Solution, SolveError, register, solve, solver_for
 from repro.solve.solvers import ChainSolver
 
@@ -80,6 +94,20 @@ def oracle(problem):
         res = spider_schedule_deadline(p, t_lim, n, leg_caps=leg_caps)
         sched, caps = res.schedule, dict(res.leg_counts)
     return Solution(problem, sched, "oracle", warm_caps=caps)
+
+
+def serve(problem):
+    """The response to one solve request from a fresh in-process service."""
+    async def ask():
+        service = ScheduleService(store=SolutionStore(), workers=1)
+        try:
+            return await serve_line(service, json.dumps({
+                "id": "r", "op": "solve", "problem": problem_to_dict(problem),
+            }))
+        finally:
+            service.close()
+
+    return json.loads(asyncio.run(ask()))
 
 
 def solve_both(problem):
@@ -203,6 +231,47 @@ class TestStarDifferential:
             return
         assert compiled.replay() == oracle(problem).replay()
         compiled.validate()
+
+    # a star child is a one-processor leg: the fork-graph core's closed
+    # form and its chain sequences agree, and so do the star and spider
+    # kernels on ``S`` and ``Spider([Chain([c], [w]), ...])``
+
+    @staticmethod
+    def stars_and_legs(count):
+        """``count`` random integer stars, each with its spider of
+        one-processor legs (and the generator, for the question)."""
+        rng = random.Random("star-as-spider")
+        for _ in range(count):
+            star = random_star(rng.randint(1, 5), rng=rng)
+            legs = Spider([Chain([ch.c], [ch.w]) for ch in star.children])
+            yield rng, star, legs
+
+    def test_copies_are_the_legs_fork_nodes(self):
+        for _, star, _ in self.stars_and_legs(400):
+            for child in star.children:
+                seq = _chain_seq(Chain([child.c], [child.w]))
+                assert seq.works(40).tolist() == (
+                    _Copies(child).works(40).tolist()
+                )
+
+    def test_deadline_counts_agree(self):
+        for rng, star, legs in self.stars_and_legs(400):
+            t_lim = rng.randint(0, 80)
+            n = rng.choice([None, rng.randint(1, 30)])
+            by_star, by_legs = star_deadline(star, t_lim, n), spider_deadline(
+                legs, t_lim, n
+            )
+            assert by_star[1]["engine"] == by_legs[1]["engine"] == "compiled"
+            assert by_star[0].n_tasks == by_legs[0].n_tasks
+
+    def test_makespans_agree(self):
+        for rng, star, legs in self.stars_and_legs(400):
+            n = rng.randint(1, 40)
+            by_star, by_legs = star_schedule(star, n), kernel_spider_schedule(
+                legs, n
+            )
+            assert by_star[1]["engine"] == by_legs[1]["engine"] == "compiled"
+            assert by_star[0].makespan == by_legs[0].makespan
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +486,33 @@ class TestEdgesAndFallback:
             fork_schedule(star, 7)
         )
         answer.validate()
+
+    @pytest.mark.parametrize("problem, n_tasks, makespan", [
+        (Problem(Star([
+            (432345564227567616, 72057594037927936),
+            (576460752303423488, 432345564227567616),
+            (288230376151711744, 288230376151711744),
+            (432345564227567616, 72057594037927936),
+            (72057594037927936, 576460752303423488),
+            (288230376151711744, 504403158265495552),
+        ]), "deadline", t_lim=9162357014845774145), 42, None),
+        (Problem(Star([(2 ** 61, 3 * 2 ** 61), (2 ** 62, 2 ** 61)]),
+                 "makespan", n=3), 3, 13835058055282163712),
+    ], ids=["deadline", "makespan"])
+    def test_int64_overflow_falls_back_to_the_oracle(
+        self, problem, n_tasks, makespan
+    ):
+        """Integers whose int64 sums in the fork core could wrap are the
+        oracle's: one counted fallback, served ok with its answer."""
+        before = solve_kernel_stats()["fallbacks"]
+        response = serve(problem)
+        assert solve_kernel_stats()["fallbacks"] == before + 1
+        assert response["ok"], response
+        answer = solution_from_dict(response["solution"])
+        assert answer.stats["engine"] == "object"
+        assert answer.n_tasks == n_tasks == oracle(problem).n_tasks
+        if makespan is not None:
+            assert answer.makespan == makespan
 
     def test_kernel_unsupported_is_raisable(self):
         with pytest.raises(SolveKernelUnsupported):
