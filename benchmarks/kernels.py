@@ -387,8 +387,7 @@ REPLAY_TIMING_ROUNDS = 7
 
 def replay_workload_solutions() -> list:
     """One solved Solution per *distinct* platform of the PR 4 zipf
-    workload (the relabeled repeats share fingerprints — and, through the
-    compile cache, cores — with these)."""
+    workload (the relabeled repeats share fingerprints with these)."""
     from repro.service.canon import platform_fingerprint
     from repro.solve import solve
 
@@ -405,11 +404,14 @@ def kernel_replay_zipf() -> dict:
 
     Times exactly what the hot paths run — ``Solution.validate()``, i.e.
     the store's write check and ``repro batch --validate`` — against the
-    oracle, ``verify_by_execution``, with the compile cache warm (the
-    serving regime: platforms live in the store's memory tier).  Both
-    must accept every solution with the same makespan.  ``events`` is the
-    number of trace events the executor emits for the whole workload
-    (``Solution.replay()``), compared exactly by the regression gate."""
+    oracle, ``verify_by_execution`` (the serving regime: platforms live
+    in the store's memory tier).  Both must accept every solution with
+    the same makespan.  ``events`` is the number of trace events the
+    executor emits for the whole workload (``Solution.replay()``),
+    compared exactly by the regression gate.  ``validation_compiles``
+    counts the platform compiles made during the validation loop: a
+    schedule carries its compiled platform, so validating compiles
+    nothing."""
     from statistics import median
 
     from repro.core.compiled import clear_compile_cache, compile_stats
@@ -419,6 +421,7 @@ def kernel_replay_zipf() -> dict:
     def once() -> dict:
         clear_compile_cache()
         solutions = replay_workload_solutions()
+        compiles = compile_stats()["compiles"]
         t0 = time.perf_counter()
         event_times: list[float] = []
         compiled_times: list[float] = []
@@ -426,7 +429,7 @@ def kernel_replay_zipf() -> dict:
         events = 0
         tasks = 0
         for sol in solutions:
-            sol.validate()  # warm the platform's compiled core + bind
+            sol.validate()  # warm-up
             per_event = []
             per_compiled = []
             for _ in range(REPLAY_TIMING_ROUNDS):
@@ -449,14 +452,13 @@ def kernel_replay_zipf() -> dict:
             events += len(trace.events)
             tasks += sol.n_tasks
         seconds = time.perf_counter() - t0
-        stats = compile_stats()
         return {
             "seconds": seconds,
             "platforms": len(solutions),
             "n": SERVICE_N,
             "tasks": tasks,
             "events": events,
-            "compile_core_misses": stats["core_misses"],
+            "validation_compiles": compile_stats()["compiles"] - compiles,
             "event_median_ms": round(median(event_times) * 1e3, 3),
             "compiled_median_ms": round(median(compiled_times) * 1e3, 3),
             "median_speedup": round(median(speedups), 2),
@@ -1197,9 +1199,9 @@ FAMILIES: tuple[Family, ...] = (
             Claim("replay_zipf_validation", "median_speedup", ">=", 10.0,
                   "the compiled kernel validates >= 10x faster than the "
                   "event executor (median per solution)"),
-            Claim("replay_zipf_validation", "compile_core_misses", "==",
-                  lambda k: k["platforms"],
-                  "every isomorphism class compiles exactly once"),
+            Claim("replay_zipf_validation", "validation_compiles", "==", 0,
+                  "validation compiles nothing: a schedule carries its "
+                  "compiled platform"),
         ),
     ),
     Family(

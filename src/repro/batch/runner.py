@@ -34,14 +34,16 @@ cached solves are keyed canonically and return no caps.
 
 ``workers <= 1`` (the default) runs everything inline — deterministic,
 fork-free, and what the unit tests exercise.  ``workers > 1`` fans groups
-over ``concurrent.futures`` (processes by default for CPU-bound Python,
-threads on request — surfaced on the CLI as ``repro batch --executor``).
+over a ``concurrent.futures`` process pool (CPU-bound Python gains no
+parallelism from threads).  Each worker compiles the platforms it meets
+itself: a compile is one pass over the platform, cheaper than shipping
+its arrays across the process boundary.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -57,11 +59,6 @@ _IndexedScenario = tuple[int, Scenario]
 _IndexedResult = tuple[int, ScenarioResult]
 
 _NO_CAPS = object()
-
-#: ``repro batch --executor`` vocabulary → ``BatchRunner.mode`` values.
-#: Processes sidestep the GIL for CPU-bound solves; threads avoid fork
-#: overhead when scenarios are tiny or the platform parses expensively.
-EXECUTOR_MODES = {"processes": "process", "threads": "thread"}
 
 
 def _dispatch_mode(scenario: Scenario) -> str:
@@ -237,50 +234,6 @@ def run_group_with_metrics(
     return results, delta, _trace.take_spans()
 
 
-def _seed_worker(payload: tuple) -> None:
-    """Process-pool initializer: install the parent's caches in the worker.
-
-    Without this every worker recompiles every platform core (and rebuilds
-    every chain sequence) from scratch — the parent precompiles one core
-    per scenario group and ships its fingerprint LRU across the fork
-    boundary instead.  The parent's tracing flag rides along so worker
-    spans exist to be shipped back (spawn-method workers don't inherit a
-    ``set_tracing`` call made at runtime)."""
-    replay_cores, solve_entries, tracing = payload
-    from ..core.compiled import seed_cores
-    from ..core.solve_fast import seed_solve_cores
-
-    seed_cores(replay_cores)
-    seed_solve_cores(solve_entries)
-    _trace.set_tracing(tracing)
-
-
-def _export_caches(
-    group_list: list[list[_IndexedScenario]],
-) -> tuple:
-    """Precompile one replay core per scenario group in the parent and
-    snapshot both caches (replay cores + solve-kernel chain sequences) for
-    :func:`_seed_worker`."""
-    from ..core.compiled import compile_platform, export_cores
-    from ..core.solve_fast import export_solve_cores
-
-    seen: set[str] = set()
-    for group in group_list:
-        if not group:
-            continue
-        key = group[0][1].platform_key
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            compile_platform(platform_from_dict(group[0][1].platform))
-        except Exception:  # noqa: BLE001 - a platform that cannot
-            # parse/compile fails inside run_group with a proper
-            # per-scenario error row; never here
-            continue
-    return export_cores(), export_solve_cores(), _trace.tracing_enabled()
-
-
 def _split_for_workers(
     group_list: list[list[_IndexedScenario]], workers: int
 ) -> list[list[_IndexedScenario]]:
@@ -306,21 +259,18 @@ def _split_for_workers(
 class BatchRunner:
     """Fan a scenario list over workers with per-platform shared state.
 
-    ``workers``: 0/1 = inline serial; N > 1 = N-worker pool.  When the
+    ``workers``: 0/1 = inline serial; N > 1 = N-process pool.  When the
     batch has fewer platforms than workers, large groups are split into
     contiguous chunks so the pool is still saturated (warm caps then reset
     at chunk boundaries).
-    ``mode``: ``"auto"`` (processes when workers > 1), ``"process"``,
-    ``"thread"`` or ``"serial"``.
     ``validate``: replay-validate every successful answer through the
     simulator (a failed replay fails its scenario).
-    ``cache``: solution-store path (any mode; SQLite arbitrates between
-    processes) or a live ``SolutionStore`` (serial/thread only) — offline
-    scenarios on repeated platforms are then served from the store.
+    ``cache``: solution-store path (SQLite arbitrates between processes)
+    or a live ``SolutionStore`` (inline runs only) — offline scenarios on
+    repeated platforms are then served from the store.
     """
 
     workers: int = 1
-    mode: str = "auto"
     validate: bool = False
     cache: object = None
 
@@ -333,33 +283,28 @@ class BatchRunner:
 
         solve_group = partial(run_group, validate=self.validate,
                               cache=self.cache)
-        mode = self.mode
-        if mode not in ("auto", "serial", "thread", "process"):
-            raise BatchError(f"unknown batch mode {self.mode!r}")
-        if mode == "auto":
-            mode = "process" if self.workers > 1 else "serial"
-        if mode == "process" and self.cache is not None and not isinstance(
+        if self.workers > 1 and self.cache is not None and not isinstance(
             self.cache, (str, Path)
         ):
             raise BatchError(
                 "process pools need cache= as a store *path* (a live "
                 "SolutionStore cannot be shared across processes)"
             )
-        if mode != "serial" and self.workers > 1:
+        if self.workers > 1:
             group_list = _split_for_workers(group_list, self.workers)
-        if mode == "serial" or self.workers <= 1 or len(group_list) <= 1:
+        if self.workers <= 1 or len(group_list) <= 1:
             batches = [solve_group(g) for g in group_list]
-        elif mode == "process":
-            # workers inherit the parent's compile caches (precompiled per
-            # scenario group) instead of each recompiling from scratch
-            payload = _export_caches(group_list)
+        else:
             solve_group_metered = partial(
                 run_group_with_metrics, validate=self.validate,
                 cache=self.cache,
             )
+            # the tracing flag rides along so worker spans exist to be
+            # shipped back (spawn-method workers don't inherit a
+            # set_tracing call made at runtime)
             with ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_seed_worker, initargs=(payload,),
+                max_workers=self.workers, initializer=_trace.set_tracing,
+                initargs=(_trace.tracing_enabled(),),
             ) as pool:
                 batches = []
                 # each returned unit carries the worker's metric delta and
@@ -372,9 +317,6 @@ class BatchRunner:
                     _obs.merge_snapshot(delta)
                     _trace.add_spans(worker_spans)
                     batches.append(rows)
-        else:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                batches = list(pool.map(solve_group, group_list))
 
         results: list[Optional[ScenarioResult]] = [None] * len(indexed)
         for batch in batches:
@@ -388,12 +330,11 @@ def run_batch(
     scenarios: Iterable[Scenario],
     *,
     workers: int = 1,
-    mode: str = "auto",
     validate: bool = False,
     cache: object = None,
 ) -> list[ScenarioResult]:
-    """Convenience wrapper: ``BatchRunner(workers, mode, validate,
+    """Convenience wrapper: ``BatchRunner(workers, validate,
     cache).run(...)``."""
     return BatchRunner(
-        workers=workers, mode=mode, validate=validate, cache=cache,
+        workers=workers, validate=validate, cache=cache,
     ).run(scenarios)

@@ -365,23 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
             + _solver_lines()
         ),
     )
-    from .batch.runner import EXECUTOR_MODES
-
     p.add_argument("--scenarios", required=True, metavar="FILE",
                    help="JSON file: {\"scenarios\": [{id, platform, kind, n|t_lim}, ...]}")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker count (1 = inline serial)")
-    p.add_argument(
-        "--executor",
-        choices=sorted(EXECUTOR_MODES),
-        default=None,
-        help="pool flavour when --workers > 1: "
-        + "; ".join(
-            f"'{name}' = concurrent.futures {mode} pool"
-            for name, mode in sorted(EXECUTOR_MODES.items())
-        )
-        + " (default: processes)",
-    )
+                   help="worker processes (1 = inline serial)")
     p.add_argument("--validate", action="store_true",
                    help="replay-validate every answer through the simulator")
     p.add_argument("--cache", metavar="PATH",
@@ -645,17 +632,15 @@ def _run(args) -> int:
 
     if args.command == "batch":
         from .batch import load_scenarios, run_batch, save_results
-        from .batch.runner import EXECUTOR_MODES
 
         scenarios = load_scenarios(args.scenarios)
-        mode = EXECUTOR_MODES[args.executor] if args.executor else "auto"
         from .obs import metrics as obs_metrics
         from .obs import tracing as obs_tracing
 
         obs_before = obs_metrics.snapshot()
 
         def _run_batch():
-            return run_batch(scenarios, workers=args.workers, mode=mode,
+            return run_batch(scenarios, workers=args.workers,
                              validate=args.validate, cache=args.cache)
 
         if args.profile:
@@ -730,8 +715,8 @@ def _run(args) -> int:
               f"seq cache {ks['seq_hits']}/{ks['seq_hits'] + ks['seq_misses']} "
               f"hits, core cache {ks['core_hits']}/"
               f"{ks['core_hits'] + ks['core_misses']} hits")
-        # merged telemetry, scoped to this batch: for --executor processes
-        # the delta includes the workers' numbers (shipped back per group)
+        # merged telemetry, scoped to this batch: with --workers > 1 the
+        # delta includes the workers' numbers (shipped back per group)
         delta = obs_metrics.diff_snapshots(obs_before, obs_metrics.snapshot())
         dispatches = sum(v for k, v in delta["counters"].items()
                          if k.startswith("solve.dispatch"))

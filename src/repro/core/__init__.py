@@ -8,8 +8,9 @@
 * :mod:`repro.core.spider` — the spider algorithm (§7, Thms 2–3)
 * :mod:`repro.core.solve_fast` — the flat-array kernels of all three, and
   the kernel-then-oracle entries every production solve goes through
-* :mod:`repro.core.compiled` — flat-array platform compilation for the
-  fast replay kernel (cached per isomorphism class)
+* :mod:`repro.core.compiled` — flat-array platform compilation: a
+  schedule's key table and the replay kernel's numbers (compiled once per
+  platform object, relabeled on a rebind)
 """
 
 from .commvector import CommVector, greatest

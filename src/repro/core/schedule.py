@@ -15,8 +15,11 @@ kernels emit columns directly (:meth:`Schedule.from_columns`); every other
 builder passes :class:`TaskAssignment` records to the constructor or to
 :meth:`Schedule.add`, and ``schedule[t]``, ``iter(schedule)`` and
 ``schedule.assignments`` hand the same records back as per-task views
-holding Python numbers.  :meth:`Schedule.rebound` moves a schedule onto an
-isomorphic platform by swapping the p-entry key table; the columns are
+holding Python numbers.  The key table is the platform's compiled form
+(:class:`~repro.core.compiled.CompiledPlatform`), which the replay
+validator scans; :meth:`Schedule.rebound` moves a schedule onto an
+isomorphic platform by relabeling it (:meth:`CompiledPlatform.bound
+<repro.core.compiled.CompiledPlatform.bound>`), and the columns are
 shared.
 
 The same container serves chains, stars, spiders and general trees.  What
@@ -417,44 +420,15 @@ class _Rows:
         return cols.take(np.argsort(cols.tasks, kind="stable"))
 
 
-class _KeyTable:
-    """A schedule's processor keys by index, with each processor's route
-    length and work."""
-
-    __slots__ = ("keys", "index", "hops", "work")
-
-    def __init__(self, keys: tuple, hops: tuple, work: np.ndarray) -> None:
-        self.keys = keys
-        self.index = {k: j for j, k in enumerate(keys)}
-        self.hops = hops
-        self.work = work
-
-
-def _key_table(platform: Any, adapter: PlatformAdapter) -> _KeyTable:
-    """The platform's processors in adapter order (memoized on the
-    platform object: platforms are immutable)."""
-    table = getattr(platform, "_repro_key_table", None)
-    if table is None:
-        procs = tuple(adapter.processors())
-        table = _KeyTable(
-            procs, tuple(len(adapter.route_nodes(k)) for k in procs),
-            time_column([adapter.work(k) for k in procs]),
-        )
-        try:  # frozen dataclasses need the object.__setattr__ side door
-            object.__setattr__(platform, "_repro_key_table", table)
-        except (AttributeError, TypeError):  # slotted/exotic: skip the memo
-            pass
-    return table
-
-
 _EMPTY = Columns((), (), (0,), ())
 
 
 class Schedule:
     """A full schedule for ``n`` identical tasks on ``platform``.
 
-    Stored as :class:`Columns` plus a key table mapping each processor
-    index to its key.  The solve kernels build it with
+    Stored as :class:`Columns` plus a key table, the platform's compiled
+    form: ``keys[j]`` is the processor of index ``j``, and the table holds
+    its route, latencies and work.  The solve kernels build it with
     :meth:`from_columns`; other builders pass :class:`TaskAssignment`
     records to the constructor or :meth:`add`.  ``schedule[t]``,
     ``iter(schedule)`` and :attr:`assignments` hand out per-task
@@ -464,15 +438,15 @@ class Schedule:
     and :mod:`repro.viz` renders it.
     """
 
-    __slots__ = ("platform", "_adapter", "_table", "_cols", "_rows")
+    __slots__ = ("_table", "_cols", "_rows")
 
     def __init__(
         self, platform: Any,
         assignments: Optional[Mapping[int, TaskAssignment]] = None,
     ) -> None:
-        self.platform = platform
-        self._adapter = adapter_for(platform)
-        self._table = _key_table(platform, self._adapter)
+        from .compiled import compile_platform  # compiled builds on this module
+
+        self._table = compile_platform(platform)
         self._cols = _EMPTY
         self._rows: Optional[_Rows] = None
         for t in sorted(assignments or ()):
@@ -488,20 +462,16 @@ class Schedule:
     ) -> "Schedule":
         """A schedule straight from its columns (see :class:`Columns`);
         ``proc`` indexes the platform's processors in adapter order."""
-        adapter = adapter_for(platform)
-        self = cls._make(
-            platform, adapter, _key_table(platform, adapter),
-            Columns(proc, start, ptr, comm, tasks),
-        )
+        from .compiled import compile_platform  # compiled builds on this module
+
+        self = cls._make(compile_platform(platform),
+                         Columns(proc, start, ptr, comm, tasks))
         self._check()
         return self
 
     @classmethod
-    def _make(cls, platform: Any, adapter: PlatformAdapter, table: _KeyTable,
-              cols: Columns) -> "Schedule":
+    def _make(cls, table: Any, cols: Columns) -> "Schedule":
         self = cls.__new__(cls)
-        self.platform = platform
-        self._adapter = adapter
         self._table = table
         self._cols = cols
         self._rows = None
@@ -510,30 +480,17 @@ class Schedule:
     def rebound(self, platform: Any, keys: tuple) -> "Schedule":
         """This schedule on an isomorphic ``platform`` whose processor
         ``keys[j]`` plays the role of this schedule's index ``j``: the
-        columns are shared, only the p-entry key table is new.  The keys
-        must be the platform's processors, each with this index's route
-        length: an O(p) check against the platform's compiled form, which
-        its replay then reuses."""
-        from .compiled import compile_platform  # compiled builds on this module
-
-        cp = compile_platform(platform)
-        at = [cp.proc_index.get(k) for k in keys]
-        if None in at or len(set(at)) != len(cp.procs):
-            raise ScheduleError(
-                f"key table {keys!r} is not a permutation of the platform's "
-                f"processors"
-            )
-        hops = tuple((cp.route_start[1:] - cp.route_start[:-1])[at].tolist())
-        if hops != self._table.hops:
-            raise ScheduleError("rebound key table changes route lengths")
-        table = _KeyTable(tuple(keys), hops, cp.works[at])
-        return Schedule._make(platform, adapter_for(platform), table, self._columns())
+        columns are shared, and the key table is relabeled, each key
+        checked on the platform's own adapter (an O(p) check; see
+        :meth:`CompiledPlatform.bound
+        <repro.core.compiled.CompiledPlatform.bound>`)."""
+        return Schedule._make(self._table.bound(platform, keys), self._columns())
 
     # -- construction ---------------------------------------------------------
 
     def add(self, assignment: TaskAssignment) -> None:
         """Append one task (amortised O(1))."""
-        j = self._table.index.get(assignment.processor)
+        j = self._table.proc_index.get(assignment.processor)
         if j is None:
             raise ScheduleError(
                 f"task {assignment.task}: processor {assignment.processor!r} "
@@ -558,14 +515,14 @@ class Schedule:
         if (cols.start.size != n or cols.tasks.size != n
                 or cols.ptr.size != n + 1 or cols.ptr[0] != 0
                 or cols.ptr[-1] != cols.comm.size
-                or (n and not 0 <= cols.proc.min() <= cols.proc.max() < len(table.keys))
+                or (n and not 0 <= cols.proc.min() <= cols.proc.max() < len(table.procs))
                 or (np.diff(cols.tasks) <= 0).any()):
             raise ScheduleError("malformed schedule columns")
         lengths = cols.ptr[1:] - cols.ptr[:-1]
         bad = np.flatnonzero(lengths != np.asarray(table.hops)[cols.proc])
         if bad.size:
             r = int(bad[0])
-            proc = table.keys[cols.proc[r]]
+            proc = table.procs[cols.proc[r]]
             raise ScheduleError(
                 f"task {cols.tasks[r]}: communication vector length "
                 f"{lengths[r]} does not match route length "
@@ -575,13 +532,24 @@ class Schedule:
     # -- accessors --------------------------------------------------------------
 
     @property
+    def platform(self) -> Any:
+        return self._table.platform
+
+    @property
     def adapter(self) -> PlatformAdapter:
-        return self._adapter
+        return self._table.adapter
+
+    @property
+    def compiled(self) -> Any:
+        """The key table: the platform's
+        :class:`~repro.core.compiled.CompiledPlatform`, indexed like
+        ``columns.proc``."""
+        return self._table
 
     @property
     def keys(self) -> tuple:
-        """The key table: ``keys[j]`` is the processor of index ``j``."""
-        return self._table.keys
+        """``keys[j]`` is the processor of index ``j``."""
+        return self._table.procs
 
     @property
     def columns(self) -> Columns:
@@ -608,7 +576,7 @@ class Schedule:
 
     def __iter__(self) -> Iterator[TaskAssignment]:
         cols = self._columns()
-        keys = self._table.keys
+        keys = self._table.procs
         tasks, proc, start, ptr, comm = cols.to_lists()
         for r, task in enumerate(tasks):
             yield TaskAssignment(task, keys[proc[r]], start[r],
@@ -621,7 +589,7 @@ class Schedule:
         if not 0 <= r < len(cols) or cols.tasks.item(r) != task:
             raise ScheduleError(f"no assignment for task {task}")
         return TaskAssignment(
-            cols.tasks.item(r), self._table.keys[cols.proc.item(r)],
+            cols.tasks.item(r), self._table.procs[cols.proc.item(r)],
             cols.start.item(r),
             CommVector(cols.comm[cols.ptr.item(r):cols.ptr.item(r + 1)].tolist()),
         )
@@ -637,7 +605,7 @@ class Schedule:
 
     def completion_of(self, task: int) -> Time:
         a = self[task]
-        return a.start + self._adapter.work(a.processor)
+        return a.start + self.adapter.work(a.processor)
 
     # -- aggregate quantities ------------------------------------------------------
 
@@ -647,7 +615,7 @@ class Schedule:
         cols = self._columns()
         if not len(cols):
             return 0
-        ends = cols.start + self._table.work[cols.proc]
+        ends = cols.start + self._table.works[cols.proc]
         # object columns: Python's max, the first maximum in task order
         return max(ends.tolist()) if ends.dtype == object else ends.max().item()
 
@@ -662,13 +630,13 @@ class Schedule:
     def tasks_on(self, proc: ProcKey) -> list[int]:
         """Tasks executed on ``proc``, ordered by start time."""
         cols = self._columns()
-        mine = np.flatnonzero(cols.proc == self._table.index.get(proc, -1))
+        mine = np.flatnonzero(cols.proc == self._table.proc_index.get(proc, -1))
         return [t for _, t in sorted(zip(cols.start[mine].tolist(),
                                          cols.tasks[mine].tolist()))]
 
     def task_counts(self) -> dict[ProcKey, int]:
         """Tasks per processor, in key-table order."""
-        keys = self._table.keys
+        keys = self._table.procs
         counts = np.bincount(self._columns().proc, minlength=len(keys))
         return {keys[j]: c for j, c in enumerate(counts.tolist()) if c}
 
@@ -678,15 +646,16 @@ class Schedule:
 
     def port_intervals(self) -> dict[PortKey, list[tuple[Time, Time, int]]]:
         """Busy intervals of every *send port* (one-send-at-a-time rule)."""
-        return self._hop_intervals(self._adapter.sender)
+        return self._hop_intervals(self.adapter.sender)
 
     def _hop_intervals(self, resource: Any) -> dict[Any, list[tuple[Time, Time, int]]]:
+        adapter = self.adapter
         out: dict[Any, list[tuple[Time, Time, int]]] = {}
         for a in self:
-            route = self._adapter.route(a.processor)
+            route = adapter.route(a.processor)
             for link, emit in zip(route, a.comms):
                 out.setdefault(resource(link), []).append(
-                    (emit, emit + self._adapter.latency(link), a.task)
+                    (emit, emit + adapter.latency(link), a.task)
                 )
         for ivs in out.values():
             ivs.sort()
@@ -697,7 +666,7 @@ class Schedule:
         out: dict[ProcKey, list[tuple[Time, Time, int]]] = {}
         for a in self:
             out.setdefault(a.processor, []).append(
-                (a.start, a.start + self._adapter.work(a.processor), a.task)
+                (a.start, a.start + self.adapter.work(a.processor), a.task)
             )
         for ivs in out.values():
             ivs.sort()
@@ -706,7 +675,7 @@ class Schedule:
     # -- transformations --------------------------------------------------------------
 
     def _with(self, cols: Columns) -> "Schedule":
-        return Schedule._make(self.platform, self._adapter, self._table, cols)
+        return Schedule._make(self._table, cols)
 
     def shifted(self, delta: Time) -> "Schedule":
         """A copy with all times shifted by ``delta``."""
@@ -750,7 +719,7 @@ class Schedule:
         :meth:`TaskAssignment.to_dict` writes it."""
         cols = self._columns()
         tasks, proc, start, ptr, comm = cols.to_lists()
-        keys = self._table.keys
+        keys = self._table.procs
         return {
             "platform": self.platform.to_dict(),
             "assignments": [

@@ -118,7 +118,7 @@ class SolveKernelUnsupported(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Cache + counters (mirrors the conventions of repro.core.compiled)
+# Cache + counters
 # ---------------------------------------------------------------------------
 
 #: value-keyed caches: chain sequences and fork-graph (star/spider) cores.
@@ -1313,33 +1313,3 @@ def spider_deadline(
         fast_spider_deadline, _oracle_spider_deadline, spider, t_lim, n,
         leg_caps=leg_caps,
     )
-
-
-# ---------------------------------------------------------------------------
-# Cross-process seeding (repro batch --executor processes)
-# ---------------------------------------------------------------------------
-
-
-def export_solve_cores() -> list[tuple]:
-    """Snapshot the cached chain sequences as picklable value tuples.
-
-    Fork-graph cores hold numpy state rebuilt in milliseconds; the chain
-    sequences are the part worth shipping across a fork boundary (they
-    embody the per-leg constructions).  Workers re-derive everything else.
-    """
-    with _LOCK:
-        return [
-            (key, len(seq)) for key, seq in _SEQ_CACHE.items()
-        ]
-
-
-def seed_solve_cores(entries: list[tuple]) -> int:
-    """Rebuild exported chain sequences in this process; returns how many."""
-    built = 0
-    for (c, w), length in entries:
-        if length <= 0:
-            continue
-        seq = _chain_seq(Chain(c, w))
-        seq.ensure_len(length)
-        built += 1
-    return built

@@ -21,8 +21,7 @@ parent's registry.  Hence
   a registry: counters add, histograms add bucket-wise, gauges
   last-write-win.
 
-This mirrors the PR 7 ``export_cores``/``seed_cores`` cache handoff: the
-worker exports, the parent seeds.
+The worker exports its delta; the parent merges it.
 
 Histograms use **fixed bucket edges** (defaulting to
 :data:`LATENCY_EDGES_MS`, a geometric ladder suited to request latencies

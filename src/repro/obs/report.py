@@ -159,16 +159,6 @@ def _cache_section(
                      fmt_num(max(solves - misses, 0)), fmt_num(solves),
                      fmt_num(round((solves - misses) / solves, 4)
                              if solves else 0)])
-    replay = baselines.get("replay", {}).get("kernels", {}).get(
-        "replay_zipf_validation", {}
-    )
-    if replay:
-        n = replay.get("platforms", 0)
-        misses = replay.get("compile_core_misses", 0)
-        # the zipf workload validates many schedules per platform; the
-        # baseline only records misses, so report them against platforms
-        rows.append(["replay compile cores (unique platforms)",
-                     fmt_num(n), fmt_num(misses), ""])
     if snapshot:
         counters = snapshot.get("counters", {})
 
@@ -179,7 +169,6 @@ def _cache_section(
                 rows.append([f"snapshot: {label}", fmt_num(hits),
                              fmt_num(total), fmt_num(round(hits / total, 4))])
 
-        pair("compile core cache", "compile.core_hits", "compile.core_misses")
         pair("solve seq cache", "solve_kernel.seq_hits",
              "solve_kernel.seq_misses")
         pair("solve core cache", "solve_kernel.core_hits",

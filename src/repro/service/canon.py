@@ -232,7 +232,7 @@ def canonical_form(platform: Any) -> CanonicalForm:
 
     The form is memoized on the platform *object* (platforms are immutable
     throughout the package): one request canonicalises once, no matter how
-    many times the cache key, the compiler and the rebind check need it.
+    many times the cache key and the rebind need it.
     """
     cached = getattr(platform, "_repro_canon_cache", None)
     if cached is not None:

@@ -13,10 +13,11 @@ Request flow (both entry points)::
                          rebind onto request platform
 
 *Rebinding* re-expresses a canonical-coordinates solution on the request's
-(isomorphic) platform by mapping its p-entry processor key table through
-the canonical form's relabel maps; the task columns are shared untouched,
-so the rebound schedule replay-validates bit-exactly on the relabeled
-platform.
+(isomorphic) platform by mapping its p processor keys through the
+canonical form's relabel maps and relabeling its compiled platform with
+them, each key checked on the request platform; the task columns are
+shared untouched, so the rebound schedule replay-validates bit-exactly on
+the relabeled platform.
 
 Two entry points share that flow, and one helper for a hit (rebind →
 replay-check → quarantine if either fails):
@@ -120,7 +121,9 @@ def rebind_solution(
 ) -> Solution:
     """Re-express a canonical-coordinates ``solution`` on ``problem``'s
     platform (isomorphic by construction): the schedule's columns are
-    shared, and only its key table is mapped, in O(p).
+    shared, and its compiled key table is relabeled onto the platform,
+    each key checked there, in O(p) (:meth:`Schedule.rebound
+    <repro.core.schedule.Schedule.rebound>`).
 
     ``canon=None`` (repatch answers, keyed by *exact* fingerprints) means
     serve verbatim: the stored schedule already lives on the mutated

@@ -31,7 +31,9 @@ columns, for misses and hits alike.
 A solve request may carry ``"deadline": seconds``; the server also
 enforces its own ``request_timeout`` ceiling (the tighter one wins) and
 answers an expired request with ``error_kind:"timeout"`` instead of
-holding the connection.
+holding the connection.  A solve whose answer could hold more than
+:data:`MAX_SERVED_TASKS` tasks is refused as ``bad_request`` before any
+solver thread sees it.
 
 Errors come back as ``{"ok": false, "error": "…", "error_kind": k}`` with
 ``k`` ∈ ``no_solver`` / ``infeasible`` / ``validation`` / ``bad_request`` /
@@ -52,6 +54,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
+import numbers
 import os
 import random
 import select
@@ -60,6 +64,7 @@ import sys
 import time
 from typing import Any, Mapping, Optional
 
+from ..core.schedule import adapter_for
 from ..core.types import InfeasibleScheduleError, ReproError
 from ..io.json_io import (
     problem_from_dict,
@@ -76,6 +81,7 @@ from .engine import ServiceClosingError
 PROTOCOL_VERSION = 1
 
 __all__ = [
+    "MAX_SERVED_TASKS",
     "PROTOCOL_VERSION",
     "ServiceClient",
     "ServiceError",
@@ -112,6 +118,31 @@ _RETRYABLE_RESPONSE_KINDS = frozenset({"overloaded", "unavailable"})
 #: ops safe to re-send — asking twice computes (at most) twice but answers
 #: identically; ``shutdown`` is excluded (the first one may have landed).
 _IDEMPOTENT_OPS = frozenset({"solve", "stats", "ping"})
+
+
+#: the most tasks a served answer may hold.  A solve request whose answer
+#: could hold more is refused as ``bad_request`` before it reaches a
+#: solver thread: a deadline answer grows with ``t_lim``, and a solve that
+#: outlives its request deadline keeps its thread and its memory.
+MAX_SERVED_TASKS = 2 ** 17
+
+
+def _answer_size_bound(problem: Problem) -> float:
+    """An upper bound on the tasks ``problem``'s answer can hold: ``n``,
+    and for a deadline problem also Σ_p ⌊t_lim / w_p⌋ — every platform
+    has ``w > 0``, so processor ``p`` runs at most ⌊t_lim / w_p⌋ tasks by
+    ``t_lim``.  An absent ``n``, or a ``t_lim`` that is not a finite
+    number, counts as unbounded (``inf``)."""
+    n, t_lim = problem.n, problem.t_lim
+    bound = n if isinstance(n, numbers.Real) else math.inf
+    if problem.kind == "deadline" and (
+        isinstance(t_lim, numbers.Rational)
+        or (isinstance(t_lim, float) and math.isfinite(t_lim))
+    ):
+        adapter = adapter_for(problem.platform)
+        bound = min(bound, sum(t_lim // adapter.work(p)
+                               for p in adapter.processors()))
+    return bound
 
 
 def error_kind_of(exc: BaseException) -> str:
@@ -213,6 +244,12 @@ async def _serve_op(service: Any, request: dict[str, Any], op: str) -> str:
         return json.dumps({
             "id": rid, "ok": False,
             "error": f"bad problem payload: {type(exc).__name__}: {exc}",
+            "error_kind": "bad_request"})
+    if not _answer_size_bound(problem) <= MAX_SERVED_TASKS:
+        return json.dumps({
+            "id": rid, "ok": False,
+            "error": f"the answer could hold more than {MAX_SERVED_TASKS} "
+                     f"tasks; bound n (or t_lim) to ask for fewer",
             "error_kind": "bad_request"})
     # per-request deadline: the service's configured ceiling, tightened
     # (never loosened) by the request's own "deadline" field

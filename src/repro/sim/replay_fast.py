@@ -4,9 +4,10 @@ every production caller runs.
 Where :mod:`repro.sim.executor` (the replay oracle, and the only producer
 of traces) pushes one closure per event through a ``heapq``, this module
 checks a :class:`~repro.core.schedule.Schedule`'s columns against the
-flat arrays of a :class:`~repro.core.compiled.CompiledPlatform` with
-whole-array operations — no heap, no per-task loop, no ``Event``
-objects:
+flat arrays of its own key table, a
+:class:`~repro.core.compiled.CompiledPlatform` compiled from its platform
+or checked against it by a rebind, with whole-array operations — no
+compile, no heap, no per-task loop, no ``Event`` objects:
 
 * **setup pass** (mirrors the executor's scheduling phase): every emission
   and execution start must be ``>= 0``;
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.compiled import CompiledPlatform, compile_platform
+from ..core.compiled import CompiledPlatform
 from ..core.schedule import Schedule
 from ..obs import metrics as _obs
 from ..obs import tracing as _trace
@@ -61,19 +62,7 @@ def _scan(schedule: Schedule, cp: CompiledPlatform) -> Time:
     n = len(cols)
     if not n:
         return 0
-    tasks = cols.tasks
-    # the schedule's key table onto the compiled platform's indices: O(p)
-    proc = cols.proc
-    if schedule.keys != cp.procs:
-        remap = np.array([cp.proc_index.get(k, -1) for k in schedule.keys])
-        proc = remap[proc]
-        if np.count_nonzero(proc < 0):
-            r = int(np.flatnonzero(proc < 0)[0])
-            raise SimulationError(
-                f"task {tasks[r]}: unknown processor "
-                f"{schedule.keys[cols.proc[r]]!r}"
-            )
-    ptr, start = cols.ptr, cols.start
+    tasks, proc, ptr, start = cols.tasks, cols.proc, cols.ptr, cols.start
     first = cp.route_start[proc]
     nlinks = cp.route_start[proc + 1] - first
     m = np.minimum(nlinks, ptr[1:] - ptr[:-1])
@@ -161,12 +150,11 @@ def verify_schedule(schedule: Schedule) -> Time:
     """Validate ``schedule`` against the model and its makespan claim;
     returns the replayed makespan.
 
-    Raises :class:`~repro.core.types.SimulationError` on any violation,
-    and :class:`~repro.core.compiled.CompileError` for a platform the
-    compiler cannot flatten (:meth:`repro.solve.Solution.validate` turns
-    both into a ``ValidationError``)."""
+    Raises :class:`~repro.core.types.SimulationError` on any violation
+    (:meth:`repro.solve.Solution.validate` turns it into a
+    ``ValidationError``)."""
     with _trace.span("replay"):
-        makespan = _scan(schedule, compile_platform(schedule.platform))
+        makespan = _scan(schedule, schedule.compiled)
         claimed = schedule.makespan
         if not close(makespan, claimed):
             raise SimulationError(

@@ -149,10 +149,8 @@ class Solution:
         * schedule-backed solutions (every offline solver, online runs
           without failures or churn) go through the array validator
           (:func:`repro.sim.replay_fast.verify_schedule`), which enforces
-          the model's rules and checks the claimed makespan bit-exactly.
-          A platform it cannot compile fails closed: the
-          :class:`~repro.core.compiled.CompileError` becomes a
-          :class:`ValidationError`;
+          the model's rules and checks the claimed makespan bit-exactly
+          against the numbers of the schedule's own key table;
         * trace-only solutions (failure or churn runs) have their trace
           re-checked against the model's exclusivity rules;
         * deadline problems additionally assert ``makespan <= t_lim``.
@@ -161,7 +159,6 @@ class Solution:
         replay hook still forwards it); the event-driven oracle is
         :mod:`repro.sim.executor`, called directly.
         """
-        from ..core.compiled import CompileError
         from ..core.types import SimulationError
         from ..sim.replay_fast import verify_schedule
         from ..sim.trace import assert_trace_exclusive
@@ -182,11 +179,6 @@ class Solution:
         except SimulationError as exc:
             raise ValidationError(
                 f"solver {self.solver!r} produced an invalid solution: {exc}"
-            ) from exc
-        except CompileError as exc:
-            raise ValidationError(
-                f"solver {self.solver!r}: the replay cannot check this "
-                f"platform (CompileError: {exc})"
             ) from exc
         if self.problem.kind == "deadline" and self.problem.t_lim is not None:
             if not leq(self.makespan, self.problem.t_lim):

@@ -163,33 +163,16 @@ class TestRunnerModes:
             for t in (24, 12, 6)
         ]
 
-    def test_thread_pool_matches_serial(self):
-        scs = self._scenarios()
-        serial = run_batch(scs, workers=1)
-        threaded = run_batch(scs, workers=3, mode="thread")
-        assert [(r.scenario_id, r.n_tasks) for r in serial] == [
-            (r.scenario_id, r.n_tasks) for r in threaded
-        ]
-
     def test_process_pool_matches_serial(self):
         scs = self._scenarios()
         serial = run_batch(scs, workers=1)
-        procs = run_batch(scs, workers=2, mode="process")
+        procs = run_batch(scs, workers=2)
         assert [(r.scenario_id, r.n_tasks) for r in serial] == [
             (r.scenario_id, r.n_tasks) for r in procs
         ]
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(BatchError):
-            BatchRunner(workers=4, mode="quantum").run(self._scenarios())
-
-    def test_unknown_mode_rejected_even_when_serial(self):
-        """Typos must not silently degrade to serial at workers=1."""
-        with pytest.raises(BatchError):
-            BatchRunner(workers=1, mode="processs").run(self._scenarios())
-
     def test_empty_batch_with_workers(self):
-        assert run_batch([], workers=4, mode="thread") == []
+        assert run_batch([], workers=4) == []
 
     def test_single_platform_group_is_split_across_workers(self):
         """A one-platform sweep must still saturate the pool: the group is
@@ -205,7 +188,7 @@ class TestRunnerModes:
         assert len(units) == 4
         assert sorted(i for u in units for i, _ in u) == list(range(len(scs)))
         serial = run_batch(scs, workers=1)
-        pooled = run_batch(scs, workers=4, mode="thread")
+        pooled = run_batch(scs, workers=4)
         assert [(r.scenario_id, r.n_tasks, r.makespan) for r in serial] == [
             (r.scenario_id, r.n_tasks, r.makespan) for r in pooled
         ]
@@ -236,7 +219,7 @@ class TestObsAcrossExecutors:
             "solve_kernel.kernel_solves"
         ).value
         dispatch_before = self._dispatches()
-        results = run_batch(scs, workers=2, mode="process")
+        results = run_batch(scs, workers=2)
         assert all(r.ok for r in results)
         # the solves ran in pool workers, yet both the dispatch counters
         # and the kernel-stat family advanced in *this* process
@@ -252,7 +235,7 @@ class TestObsAcrossExecutors:
         prev = obs_tracing.set_tracing(True)
         obs_tracing.clear_spans()
         try:
-            run_batch(self._scenarios(), workers=2, mode="process")
+            run_batch(self._scenarios(), workers=2)
             spans = obs_tracing.take_spans()
         finally:
             obs_tracing.set_tracing(prev)
@@ -264,11 +247,6 @@ class TestObsAcrossExecutors:
         import os
 
         assert all(s["pid"] != os.getpid() for s in solve_spans)
-
-    def test_thread_pool_counts_once_per_scenario(self):
-        before = self._dispatches()
-        run_batch(self._scenarios(), workers=3, mode="thread")
-        assert self._dispatches() == before + 4
 
     def test_serial_counts_once_per_scenario(self):
         before = self._dispatches()
@@ -438,13 +416,12 @@ class TestCachedBatch:
     def test_process_pool_rejects_live_store(self):
         from repro.service import SolutionStore
 
-        runner = BatchRunner(workers=2, mode="process",
-                             cache=SolutionStore())
+        runner = BatchRunner(workers=2, cache=SolutionStore())
         with pytest.raises(BatchError, match="store \\*path\\*"):
             runner.run(self._scenarios())
 
     def test_process_pool_accepts_path(self, tmp_path):
-        results = run_batch(self._scenarios(), workers=2, mode="process",
+        results = run_batch(self._scenarios(), workers=2,
                             cache=str(tmp_path / "proc.sqlite"))
         assert all(r.ok for r in results)
 

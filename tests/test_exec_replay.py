@@ -362,7 +362,7 @@ class TestCliOnlineDispatch:
         assert "policy: bandwidth_centric" in out
         assert "tasks: 6" in out
 
-    def test_batch_executor_flag(self, capsys, tmp_path):
+    def test_batch_workers_flag(self, capsys, tmp_path):
         import json
 
         from repro.cli import main
@@ -377,10 +377,16 @@ class TestCliOnlineDispatch:
             ],
         }))
         assert main(["batch", "--scenarios", str(path), "--workers", "2",
-                     "--executor", "threads", "--validate"]) == 0
+                     "--validate"]) == 0
         out = capsys.readouterr().out
         assert "2/2 scenarios ok" in out
         assert "replay-validated" in out
+        # the pool is always processes: the old flavour flag is a usage error
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", "--scenarios", str(path), "--workers", "2",
+                  "--executor", "threads"])
+        assert exit_info.value.code == 2
+        assert "--executor" in capsys.readouterr().err
 
     def test_no_simulate_ladders_left(self):
         """Acceptance guard: the CLI's online verbs contain no direct

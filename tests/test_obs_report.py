@@ -21,7 +21,6 @@ BENCH_DIR = Path(__file__).parent.parent / "benchmarks"
 #: of ``repro.obs.metrics.MetricsRegistry.snapshot()``).
 FIXTURE_SNAPSHOT = {
     "counters": {
-        "compile.core_hits": 40, "compile.core_misses": 10,
         "solve_kernel.seq_hits": 30, "solve_kernel.seq_misses": 6,
         "store.memory_hits": 12, "store.sqlite_hits": 3,
         "store.misses": 5, "store.writes": 5,
@@ -75,7 +74,7 @@ class TestDashboard:
             # speedups from the committed baselines show up in the chart
             "median_speedup", "service.op_ms{op=solve}",
             # snapshot-derived cache rows
-            "snapshot: compile core cache", "snapshot: solution store",
+            "snapshot: solve seq cache", "snapshot: solution store",
             # the embedded Gantt SVGs from viz/
             "proc ", "link ",
         ):

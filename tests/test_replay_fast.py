@@ -1,5 +1,6 @@
 """The array replay validator: differential equivalence with the
-event-driven executor, the compile cache, and the replay contract.
+event-driven executor, the compiled platform a schedule carries, its
+relabel on a rebind, and the replay contract.
 
 For every registered solver and for random platforms,
 ``sim.replay_fast.verify_schedule`` (the validator every production
@@ -31,7 +32,7 @@ from repro.core.schedule import (
     adapter_for,
 )
 from repro.core.feasibility import check
-from repro.core.types import SimulationError
+from repro.core.types import ScheduleError, SimulationError
 from repro.platforms.chain import Chain
 from repro.platforms.generators import (
     random_chain,
@@ -205,7 +206,7 @@ def _mutate(schedule, mutation, task, delta):
     for _, _, comms in rows:
         ptr.append(ptr[-1] + len(comms))
     return Schedule._make(
-        schedule.platform, schedule.adapter, schedule._table, Columns(
+        schedule.compiled, Columns(
             [index[p] for p, _, _ in rows], [s for _, s, _ in rows], ptr,
             [t for _, _, c in rows for t in c], tasks,
         ),
@@ -353,24 +354,12 @@ class TestBigIntegers:
 
 
 class TestCompileCache:
-    def test_isomorphs_share_one_core(self):
-        clear_compile_cache()
-        legs = [random_chain(3, seed=s) for s in (1, 2, 3)]
-        from repro.platforms.spider import Spider
-
-        a = Spider(legs)
-        b = Spider(legs[::-1])  # relabeled isomorph
-        ca, cb = compile_platform(a), compile_platform(b)
-        stats = compile_stats()
-        assert stats["core_misses"] == 1 and stats["core_hits"] == 1
-        assert ca.fingerprint == cb.fingerprint
-        # numeric arrays are literally shared; key tables are rebound
-        assert ca.works is cb.works and ca.route_links is cb.route_links
-        assert ca.procs != cb.procs
-
     def test_per_object_memo(self):
         platform = random_tree(6, seed=9)
+        clear_compile_cache()
         assert compile_platform(platform) is compile_platform(platform)
+        assert Schedule(platform).compiled is compile_platform(platform)
+        assert compile_stats() == {"compiles": 1, "binds": 0}
 
     def test_clear_invalidates_per_object_memo(self):
         platform = random_star(3, seed=4)
@@ -378,18 +367,20 @@ class TestCompileCache:
         clear_compile_cache()
         second = compile_platform(platform)  # must recompile, not serve stale
         assert second is not first
-        assert compile_stats()["core_misses"] == 1
+        assert compile_stats()["compiles"] == 1
 
     def test_compiled_arrays_match_adapter(self):
         for family, gen in GENERATORS.items():
             platform = gen(4)
             adapter = adapter_for(platform)
             cp = compile_platform(platform)
+            assert list(cp.procs) == adapter.processors(), family
             for i, proc in enumerate(cp.procs):
                 assert cp.works[i] == adapter.work(proc), family
                 route = adapter.route(proc)
                 links = cp.route_links[cp.route_start[i]:cp.route_start[i + 1]]
                 assert [cp.link_keys[l] for l in links] == route
+                assert cp.hops[i] == len(route)
                 assert [cp.latency[l] for l in links] == [
                     adapter.latency(link) for link in route
                 ]
@@ -398,42 +389,17 @@ class TestCompileCache:
                 ]
             assert cp.port_keys[0] == adapter.master_port()
 
-    def test_uncanonicalisable_platform_compiles_directly(self):
-        class FakePlatform:
-            pass
+    def test_unflattenable_adapter_raises_compile_error(self, monkeypatch):
+        """An adapter that breaks the link-per-processor model is refused
+        by the compiler, so no schedule on its platform can be built,
+        solved or served."""
+        from repro.core import compiled
+        from repro.service.engine import cached_solve
+        from repro.service.store import SolutionStore
 
-        class FakeAdapter(PlatformAdapter):
-            def __init__(self):
-                self.platform = FakePlatform()
-
-            def processors(self):
-                return [1, 2]
-
-            def work(self, proc):
-                return 3
-
-            def latency(self, link):
-                return 2
-
-            def route(self, proc):
-                return [proc]
-
-            def sender(self, link):
-                return "hub"
-
-            def receiver(self, link):
-                return link
-
-        adapter = FakeAdapter()
-        clear_compile_cache()
-        cp = compile_platform(adapter.platform, adapter)
-        assert cp.fingerprint is None
-        assert compile_stats()["direct"] == 1
-        assert cp.latency.tolist() == [2, 2] and cp.works.tolist() == [3, 3]
-
-    def test_unflattenable_adapter_raises_compile_error(self):
         class WeirdAdapter(PlatformAdapter):
-            platform = object()
+            def __init__(self, platform):
+                self.platform = platform
 
             def processors(self):
                 return [1]
@@ -453,8 +419,90 @@ class TestCompileCache:
             def receiver(self, link):
                 return "not-a-proc"
 
+        star = random_star(3, seed=4)  # a fresh object: nothing memoized
+        monkeypatch.setattr(compiled, "adapter_for", WeirdAdapter)
         with pytest.raises(CompileError):
-            compile_platform(WeirdAdapter.platform, WeirdAdapter())
+            compile_platform(star)
+        with pytest.raises(CompileError):
+            Schedule(star)
+        problem = Problem(star, "makespan", n=4)
+        with pytest.raises(CompileError):
+            solve(problem)
+        store = SolutionStore()
+        with pytest.raises(CompileError):
+            cached_solve(problem, store)
+        assert len(store) == 0
+
+
+class TestRebind:
+    """``Schedule.rebound`` relabels the schedule's compiled platform onto
+    an isomorphic platform, checking every key's work, latency and
+    sender there; a hit compiles nothing."""
+
+    @staticmethod
+    def _swapped(schedule, a, b):
+        keys = list(schedule.keys)
+        i, j = keys.index(a), keys.index(b)
+        keys[i], keys[j] = keys[j], keys[i]
+        return tuple(keys)
+
+    @pytest.mark.parametrize("edges, n", [
+        # 3 and 4 differ in latency
+        ([(0, 1, 1, 1), (0, 2, 1, 1), (1, 3, 1, 5), (2, 4, 2, 5)], 6),
+        # equal c and w, but their parents are not isomorphic
+        ([(0, 1, 1, 1), (0, 2, 1, 1), (1, 3, 1, 5), (2, 4, 1, 5),
+          (1, 5, 3, 2)], 8),
+    ])
+    def test_refuses_a_relabel_that_is_no_isomorphism(self, edges, n):
+        from repro.platforms.tree import Tree
+
+        schedule = solve(Problem(Tree(edges), "makespan", n=n)).schedule
+        with pytest.raises(ScheduleError):
+            schedule.rebound(Tree(edges), self._swapped(schedule, 3, 4))
+
+    def test_refuses_keys_that_are_not_the_processors(self):
+        star = random_star(3, seed=4)
+        schedule = solve(Problem(star, "makespan", n=4)).schedule
+        for keys in ((1, 2), (1, 2, 2), (1, 2, 7), (1, 2, 3, 3)):
+            with pytest.raises(ScheduleError, match="permutation"):
+                schedule.rebound(star, keys)
+
+    def test_relabel_shares_every_array(self):
+        from repro.platforms.spider import Spider
+
+        legs = [random_chain(3, seed=s) for s in (1, 2, 3)]
+        schedule = solve(Problem(Spider(legs), "makespan", n=9)).schedule
+        other = Spider(legs[::-1])
+        keys = tuple((4 - leg, pos) for leg, pos in schedule.keys)
+        rebound = schedule.rebound(other, keys)
+        a, b = schedule.compiled, rebound.compiled
+        assert rebound.platform is other and rebound.keys == keys
+        assert b.works is a.works and b.route_links is a.route_links
+        assert b.port_keys[1:] == tuple(
+            keys[a.proc_index[p]] for p in a.port_keys[1:])
+        assert rebound.columns is schedule.columns
+        assert assert_agree(rebound) == ("ok", schedule.makespan)
+
+    def test_a_hit_compiles_nothing(self):
+        import random
+
+        from benchmarks.kernels import relabeled_platform, service_workload
+        from repro.service.engine import cached_solve
+        from repro.service.store import SolutionStore
+
+        problems = service_workload()
+        store = SolutionStore(capacity=64)
+        for problem in problems:  # warm-up: every platform class stored
+            cached_solve(problem, store, verify_rebind=True)
+        rng = random.Random(7)
+        hits = [Problem(relabeled_platform(p.platform, rng), "makespan",
+                        n=p.n) for p in (problems * 2)[:200]]
+        before = compile_stats()
+        outcomes = [cached_solve(p, store, verify_rebind=True) for p in hits]
+        after = compile_stats()
+        assert all(o.cached for o in outcomes)
+        assert after["compiles"] == before["compiles"]
+        assert after["binds"] == before["binds"] + 200
 
 
 @pytest.fixture()
@@ -497,26 +545,6 @@ class TestReplayContract:
         # a usage error, not the solver's fault
         assert not isinstance(err.value, ValidationError)
         assert "repro.sim.executor" in str(err.value)
-
-    def test_compile_error_fails_closed(self, monkeypatch):
-        """A platform the compiler cannot flatten is never answered
-        unchecked: validate raises and the store counts a rejection."""
-        from repro.service.store import SolutionStore
-        from repro.sim import replay_fast
-
-        sol = solve(Problem(random_star(3, seed=4), "makespan", n=4))
-
-        def refuse(platform):
-            raise CompileError("not flattenable")
-
-        monkeypatch.setattr(replay_fast, "compile_platform", refuse)
-        with pytest.raises(ValidationError, match="CompileError"):
-            sol.validate()
-        store = SolutionStore()
-        with pytest.raises(ValidationError, match="CompileError"):
-            store.put("fp", sol)
-        assert store.stats.rejected == 1 and store.stats.writes == 0
-        assert "fp" not in store
 
     def test_perfbench_style_wrapper_sees_every_check(self, validate_calls):
         from repro.service.engine import cached_solve

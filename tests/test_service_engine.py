@@ -34,7 +34,9 @@ from repro.service import (
 from repro.service import engine as engine_module
 from repro.service.engine import cache_key
 from repro.service.frontend import JsonLinesFrontend
-from repro.service.protocol import handle_request, serve_line, smoke
+from repro.service.protocol import (
+    MAX_SERVED_TASKS, handle_request, serve_line, smoke,
+)
 from repro.solve import Problem, Solution, registered_solvers, solve
 
 
@@ -649,6 +651,53 @@ class TestOversizedRequests:
         assert len(sent) == 1
         assert not sent[0]["ok"] and sent[0]["error_kind"] == "bad_request"
         assert "too long" in sent[0]["error"]
+
+
+class TestAnswerSizeBound:
+    """A solve whose answer could hold more than ``MAX_SERVED_TASKS``
+    tasks is refused before it reaches a solver thread."""
+
+    STAR = {"kind": "star", "children": [{"c": 1, "w": 1}]}
+
+    def _serve(self, problem):
+        """``(response, seconds, solver threads started)``."""
+        service = ScheduleService(store=SolutionStore(), workers=1,
+                                  request_timeout=3)
+        try:
+            t0 = time.perf_counter()
+            response = asyncio.run(handle_request(service, json.dumps(
+                {"id": "b", "op": "solve", "problem": problem})))
+            seconds = time.perf_counter() - t0
+            threads = len(service._pool._threads)
+        finally:
+            service.close()
+        return response, seconds, threads
+
+    @pytest.mark.parametrize("t_lim", [1e300, float("inf"), 1e6])
+    def test_unbounded_deadline_is_refused_without_a_solve(self, t_lim):
+        response, seconds, threads = self._serve(
+            {"platform": self.STAR, "kind": "deadline", "t_lim": t_lim})
+        assert response["error_kind"] == "bad_request"
+        assert str(MAX_SERVED_TASKS) in response["error"]
+        assert seconds < 0.5 and threads == 0
+
+    def test_n_bounds_the_deadline_answer(self):
+        response, _, _ = self._serve(
+            {"platform": self.STAR, "kind": "deadline", "t_lim": 1e300,
+             "n": 10})
+        assert response["ok"]
+        assert len(response["solution"]["schedule"]["assignments"]) == 10
+
+    def test_int_deadline_under_the_bound_answers(self):
+        response, _, _ = self._serve(
+            {"platform": self.STAR, "kind": "deadline", "t_lim": 10 ** 5})
+        assert response["ok"]
+        assert len(response["solution"]["schedule"]["assignments"]) == 99_999
+
+    def test_large_makespan_n_is_refused(self):
+        response, _, threads = self._serve(
+            {"platform": self.STAR, "kind": "makespan", "n": 10 ** 6})
+        assert response["error_kind"] == "bad_request" and threads == 0
 
 
 class LineFrontend(JsonLinesFrontend):

@@ -33,8 +33,6 @@ from repro.core.solve_fast import (
     _oracle_spider_deadline,
     _oracle_spider_schedule,
     clear_solve_kernels,
-    export_solve_cores,
-    seed_solve_cores,
     solve_kernel_stats,
     spider_deadline,
     spider_schedule as kernel_spider_schedule,
@@ -520,7 +518,7 @@ class TestEdgesAndFallback:
 
 
 # ---------------------------------------------------------------------------
-# kernel cache counters and cross-process seeding (satellites 1 + 6)
+# kernel cache counters
 # ---------------------------------------------------------------------------
 
 
@@ -543,23 +541,6 @@ class TestKernelCaches:
         after = solve_kernel_stats()
         assert after["kernel_solves"] == 2
         assert after["seq_hits"] > mid["seq_hits"]
-
-    def test_export_seed_roundtrip(self):
-        clear_solve_kernels()
-        chain = random_chain(4, seed=11)
-        compiled, obj = solve_both(Problem(chain, "makespan", n=8))
-        assert_identical(compiled, obj)
-        exported = export_solve_cores()
-        assert exported
-
-        clear_solve_kernels()
-        assert seed_solve_cores(exported) == len(exported)
-        seeded = solve_kernel_stats()
-        assert seeded["seq_entries"] == len(exported)
-        # a seeded cache answers without re-deriving the sequence
-        again = solve(Problem(chain, "makespan", n=8))
-        assert schedule_key(again.schedule) == schedule_key(obj.schedule)
-        assert solve_kernel_stats()["seq_hits"] >= 1
 
     def test_stats_independent_of_cache_history(self):
         """An answer, stats included, depends only on its problem: solved
