@@ -704,7 +704,8 @@ def kernel_solve_batch() -> dict:
             # so the run's totals stay whole
             stats = solve_kernel_stats()
             totals.update({key: stats[key] for key in (
-                "kernel_solves", "kernel_probes", "fallbacks", "seq_misses",
+                "kernel_solves", "kernel_probes", "placements", "fallbacks",
+                "seq_misses",
             )})
             clear_solve_kernels()
 
@@ -749,6 +750,7 @@ def kernel_solve_batch() -> dict:
             "tasks": tasks,
             "kernel_solves": totals["kernel_solves"],
             "kernel_probes": totals["kernel_probes"],
+            "placements": totals["placements"],
             "kernel_fallbacks": totals["fallbacks"],
             "seq_misses": totals["seq_misses"],
             "object_median_ms": round(median(object_times) * 1e3, 3),

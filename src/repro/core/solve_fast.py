@@ -10,10 +10,10 @@ the chain sequences, and one fork-graph core that star and spider solves
 share, whose probes run a vectorised port allocator.
 
 **Universal chain sequences.**  The backward chain construction is
-*translation covariant*: every quantity in :class:`_FastState` is built
-from ``min``/``+`` over the horizon-initialised hull/occupancy vectors, so
-running the construction at horizon ``t`` equals running it at horizon
-``0`` and adding ``t`` to every time.  One placement sequence per chain
+*translation covariant*: every quantity in it is built from ``min``/``+``
+over the horizon-initialised hull/occupancy vectors, so running the
+construction at horizon ``t`` equals running it at horizon ``0`` and
+adding ``t`` to every time.  One placement sequence per chain
 (cached by the chain's value tuple, shared across spider legs, batches
 and relabeled isomorphs) therefore answers *every* makespan and deadline
 query on that chain:
@@ -27,8 +27,9 @@ query on that chain:
   horizon cancels against the final shift-to-zero).
 
 Growing the sequence is the only chain work a solve on a new platform
-does: each placement picks the ≺-greatest candidate on the closed form of
-:class:`_FastState`, ties included, and builds only that one vector.
+does: one loop (:meth:`_ChainSeq._extend`) places task after task, each
+time picking the ≺-greatest candidate on a closed form of the hull and
+occupancy, ties included, and building only that one vector.
 
 **One fork-graph core.**  The paper solves a spider by turning each
 leg's chain schedule into fork-graph nodes (§7 step 3, Fig. 7) and running
@@ -60,6 +61,35 @@ per probe scale with the number of accept/reject alternations, not with
 the candidate count — no Python tree walks, no per-candidate objects.
 
 Star and spider makespans are found by :func:`_least_horizon`.
+
+**Makespan probes build only what the port accepts.**  At a makespan
+search's horizons the port greedy rejects most of a group's nodes, so
+there each probe presents group ``g`` only up to a guess and accepts that
+cut once one of the group's present nodes is rejected.  The cut is exact.
+A group's nodes share one latency ``c > 0`` and have strictly increasing
+works: a leg's node ``i`` has work ``off[i] − c₁``, and each first
+emission is at least ``c₁`` before the previous one
+(``ᵏC₁ ≤ h₁ − c₁``); a star child's copy ``q`` has work ``w + q·m``,
+``m > 0``.  So the present prefix by index is the prefix in scan order,
+and each later node has the same ``c`` and an earlier deadline.  The
+greedy rejects a node when the accepted set plus that node is not
+EDF-feasible; more accepted nodes, or the same ``c`` due earlier, only
+add load below each deadline, so every node past a rejected one is
+rejected too, and since a rejection leaves the greedy's state untouched,
+leaving those nodes out changes nothing.  A cut group whose present
+nodes were all accepted doubles its guess, and the probe reruns
+(:func:`_probe`).  The guesses come from the steady state the search
+already starts from (:func:`_guesser`): group ``g``'s guess at horizon
+``t`` is ``⌊1.25 · R_g · t⌋ + 2·p_g + 4``, where ``p_g`` is its processor
+count and ``R_g`` sums the granted steady-state rates of every group that
+shares its first-link latency (the finite greedy interleaves
+equal-latency groups by work, so the steady state's split between them
+is no guide).  Presented whole are groups whose first-link latency is 0
+(their nodes hold no port time, so none is rejected while its deadline
+holds) and every group of the deadline entries: a spider deadline's
+per-leg counts are the oracle's warm caps, and a star deadline is a
+single probe.  Inside the spider search only whole groups' counts become
+warm caps: a cut count is no chain-run size.
 
 Bit-identity contract: for integer platforms every schedule produced here
 is equal, element for element, to the oracle's — same assignments, same
@@ -141,13 +171,15 @@ _STATS = _obs.REGISTRY.counter_group(
         "kernel_solves",
         "kernel_probes",
         "fallbacks",
+        "placements",
     ),
 )
 
 
 def solve_kernel_stats() -> dict:
-    """Counters of the solve-kernel caches (hits/misses/solves/fallbacks)
-    — a view over the obs registry's ``solve_kernel.*`` counters."""
+    """Counters of the solve kernels (cache hits/misses, solves, deadline
+    probes, fallbacks, and ``placements``: chain-sequence placements
+    built) — a view over the obs registry's ``solve_kernel.*`` counters."""
     stats = _STATS.to_dict()
     with _LOCK:
         stats["seq_entries"] = len(_SEQ_CACHE)
@@ -226,117 +258,6 @@ def _cache_put(cache: OrderedDict, key: tuple, entry, capacity: int):
 # ---------------------------------------------------------------------------
 
 
-class _FastState:
-    """Hull/occupancy state of one backward chain construction at horizon
-    0.  A task costs O(p) plus O(p) per tie-break position; ties resolve
-    within one or two positions on average (on random and homogeneous
-    chains alike), so O(p) in practice against the oracle's O(p²).  The
-    worst case, ties through every position, is O(p²).
-
-    Write ``S_j = c_1 + ... + c_j`` (prefix latencies, ``S_0 = 0``) and,
-    for the current hull/occupancy state,
-
-    * ``E_m = (h_m − c_m) − S_{m−1}``            (hull-limited term at hop m)
-    * ``F_m = min(o_m − w_m − c_m, h_m − c_m) − S_{m−1}``   (target term at m)
-
-    Unrolling the oracle's recurrence
-    ``ᵏC_j = min(ᵏC_{j+1} − c_j, h_j − c_j)`` gives
-    ``ᵏC_j = S_{j−1} + min(F_k, min_{j ≤ m < k} E_m)``.  Definition 3
-    compares candidates element by element, and ``S_{j−1}`` is common to
-    every candidate at position ``j``, so :meth:`choose` ranks candidates
-    on the ``min(…)`` term alone: one O(p) sweep finds the first-emission
-    argmax, and ties (most tasks tie on their first emission on integer
-    chains) are broken one position at a time among the survivors, on the
-    same closed form.  Only the winner's vector is ever built.
-    """
-
-    __slots__ = ("chain", "h", "o", "prefix")
-
-    def __init__(self, chain: Chain):
-        self.chain = chain
-        p = chain.p
-        self.h: list[Time] = [0] * (p + 1)
-        self.o: list[Time] = [0] * (p + 1)
-        prefix: list[Time] = [0] * (p + 1)
-        for j in range(1, p + 1):
-            prefix[j] = prefix[j - 1] + chain.c[j - 1]
-        self.prefix = prefix  # prefix[j] = S_j
-
-    def choose(self) -> tuple[Time, ...]:
-        """The ≺-greatest candidate vector, built once.
-
-        ``c_k + S_{k−1} = S_k``, so ``E_k = h_k − S_k`` and
-        ``F_k = min(o_k − w_k, h_k) − S_k``.  Pass 1 keeps the targets
-        whose first emission ``min(F_k, min_{m<k} E_m)`` is largest, in
-        ascending ``k``.  At position ``j ≥ 2`` a survivor with ``k = j−1``
-        has run out of elements: its vector is a prefix of every other
-        survivor's, hence ≺-greater, and it wins.  Otherwise the survivors
-        with the largest ``min(F_k, min_{j≤m<k} E_m)`` stay.
-        """
-        h, o, S, w = self.h, self.o, self.prefix, self.chain.w
-        p = len(S) - 1
-        E: list[Time] = [0] * (p + 1)
-        F: list[Time] = [0] * (p + 1)
-        run: Time = float("inf")  # min of E_m, m < k
-        top: Time = float("-inf")
-        tied: list[int] = []
-        for k in range(1, p + 1):
-            hk = h[k]
-            sk = S[k]
-            e = hk - sk
-            ow = o[k] - w[k - 1]
-            f = (ow if ow < hk else hk) - sk
-            E[k] = e
-            F[k] = f
-            first = f if f < run else run
-            if first > top:
-                top = first
-                tied = [k]
-            elif first == top:
-                tied.append(k)
-            if e < run:
-                run = e
-        j = 2
-        while len(tied) > 1:
-            if tied[0] == j - 1:
-                break
-            run = float("inf")  # min of E_m, j <= m < k
-            m = j
-            top = float("-inf")
-            keep: list[int] = []
-            for k in tied:
-                while m < k:
-                    if E[m] < run:
-                        run = E[m]
-                    m += 1
-                f = F[k]
-                value = f if f < run else run
-                if value > top:
-                    top = value
-                    keep = [k]
-                elif value == top:
-                    keep.append(k)
-            tied = keep
-            j += 1
-        k = tied[0]
-        run = F[k]
-        vector: list[Time] = [0] * k
-        vector[k - 1] = S[k - 1] + run
-        for j in range(k - 1, 0, -1):
-            e = E[j]
-            if e < run:
-                run = e
-            vector[j - 1] = S[j - 1] + run
-        return tuple(vector)
-
-    def commit(self, vector: tuple[Time, ...]) -> tuple[int, Time]:
-        k = len(vector)
-        start = self.o[k] - self.chain.w[k - 1]
-        self.o[k] = start
-        self.h[1:k + 1] = vector
-        return k, start
-
-
 class _ChainSeq:
     """The horizon-0 placement sequence of one chain, extended on demand.
 
@@ -349,17 +270,31 @@ class _ChainSeq:
     ``max_off[i] = max(off[0..i])`` makes the deadline stop rule a binary
     search: the construction at horizon ``t`` stops right before the first
     placement with ``off > t``.
+
+    The construction's state, 1-based like the oracle's, is kept shifted
+    by the prefix latencies ``S_j = c_1 + ... + c_j`` (``prefix[j]``,
+    ``S_0 = 0``): with ``h`` and ``o`` the oracle's hull and occupancy at
+    horizon 0, ``hull[m] = h_m − S_m`` and ``occ[m] = o_m − w_m − S_m``.
+    :meth:`_extend` places tasks on it.
     """
 
     __slots__ = (
-        "chain", "state", "procs", "soff", "voff", "vbase", "off",
-        "max_off", "lock",
+        "chain", "hull", "occ", "prefix", "procs", "soff", "voff", "vbase",
+        "off", "max_off", "lock",
     )
 
     def __init__(self, chain: Chain):
         self.chain = chain
         self.lock = threading.RLock()
-        self.state = _FastState(chain)
+        p = chain.p
+        prefix: list[Time] = [0] * (p + 1)
+        for j in range(1, p + 1):
+            prefix[j] = prefix[j - 1] + chain.c[j - 1]
+        self.prefix = prefix
+        self.hull: list[Time] = [-s for s in prefix]
+        self.occ: list[Time] = [0] + [
+            -chain.w[m - 1] - prefix[m] for m in range(1, p + 1)
+        ]
         self.procs: list[int] = []
         self.soff: list[Time] = []
         self.voff: list[Time] = []   # CSR-flattened comm offsets
@@ -370,24 +305,120 @@ class _ChainSeq:
     def __len__(self) -> int:
         return len(self.procs)
 
-    def _extend_one(self) -> None:
-        vector = self.state.choose()
-        proc, start = self.state.commit(vector)
-        self.procs.append(proc)
-        self.soff.append(-start)
-        self.voff.extend([-v for v in vector])
-        self.vbase.append(len(self.voff))
-        first = -vector[0]
-        self.off.append(first)
-        prev = self.max_off[-1] if self.max_off else first
-        self.max_off.append(first if first > prev else prev)
+    def _extend(self, limit: int, t_lim: Optional[Time] = None) -> None:
+        """Place tasks until ``limit`` are placed or, given ``t_lim``, one
+        first emits past it (``max_off[-1] > t_lim``).  The caller holds
+        ``lock``.  A task costs O(p) plus O(p) per tie-break position;
+        ties resolve within one or two positions on average (on random and
+        homogeneous chains alike), so O(p) in practice against the
+        oracle's O(p²).  The worst case, ties through every position, is
+        O(p²).
+
+        The shifted state is the closed form's two terms:
+
+        * ``E_m = (h_m − c_m) − S_{m−1} = hull[m]``       (hull-limited
+          term at hop m)
+        * ``F_m = min(o_m − w_m − c_m, h_m − c_m) − S_{m−1}
+          = min(occ[m], hull[m])``                        (target term at m)
+
+        Unrolling the oracle's recurrence
+        ``ᵏC_j = min(ᵏC_{j+1} − c_j, h_j − c_j)`` gives
+        ``ᵏC_j = S_{j−1} + min(F_k, min_{j ≤ m < k} E_m)``.  Definition 3
+        compares candidates element by element, and ``S_{j−1}`` is common
+        to every candidate at position ``j``, so the ≺-greatest candidate
+        is ranked on the ``min(…)`` term alone.  Pass 1 keeps the targets
+        whose first emission ``min(F_k, min_{m<k} E_m)`` is largest, in
+        ascending ``k``.  At position ``j ≥ 2`` a survivor with
+        ``k = j−1`` has run out of elements: its vector is a prefix of
+        every other survivor's, hence ≺-greater, and it wins.  Otherwise
+        the survivors with the largest ``min(F_k, min_{j≤m<k} E_m)`` stay
+        (most tasks tie on their first emission on integer chains).
+
+        Only the winner's vector is built.  Committing it on target ``k``
+        sets ``h_j = ᵏC_j = S_{j−1} + run_j`` (``run_j`` the minimum
+        above), so ``hull[j] = run_j − c_j`` for ``j ≤ k``, and
+        ``o_k`` to the task's start ``o_k − w_k``, so ``occ[k]`` drops by
+        ``w_k``.  The lists stay in locals across placements."""
+        E, G, S = self.hull, self.occ, self.prefix
+        c, w = self.chain.c, self.chain.w
+        procs, soff, voff, vbase = self.procs, self.soff, self.voff, self.vbase
+        off, max_off = self.off, self.max_off
+        targets = range(1, len(S))
+        inf = float("inf")
+        placed = before = len(procs)
+        top_off = max_off[-1] if max_off else None
+        while placed < limit and (
+            t_lim is None or top_off is None or top_off <= t_lim
+        ):
+            run: Time = inf  # min of E_m, m < k
+            top: Time = -inf
+            for k in targets:
+                e = E[k]
+                g = G[k]
+                f = g if g < e else e
+                first = f if f < run else run
+                if first > top:
+                    top = first
+                    tied = [k]
+                elif first == top:
+                    tied.append(k)
+                if e < run:
+                    run = e
+            j = 2
+            while len(tied) > 1:
+                if tied[0] == j - 1:
+                    break
+                run = inf  # min of E_m, j <= m < k
+                m = j
+                top = -inf
+                for k in tied:
+                    while m < k:
+                        if E[m] < run:
+                            run = E[m]
+                        m += 1
+                    e = E[k]
+                    g = G[k]
+                    f = g if g < e else e
+                    value = f if f < run else run
+                    if value > top:
+                        top = value
+                        keep = [k]
+                    elif value == top:
+                        keep.append(k)
+                tied = keep
+                j += 1
+            k = tied[0]
+            e = E[k]
+            g = G[k]
+            run = g if g < e else e
+            procs.append(k)
+            soff.append(-(g + S[k]))  # start o_k − w_k, negated
+            G[k] = g - w[k - 1]
+            vector = [0] * k  # comm offsets, −ᵏC_j
+            vector[k - 1] = -(S[k - 1] + run)
+            E[k] = run - c[k - 1]
+            for j in range(k - 1, 0, -1):
+                e = E[j]
+                if e < run:
+                    run = e
+                vector[j - 1] = -(S[j - 1] + run)
+                E[j] = run - c[j - 1]
+            voff += vector
+            vbase.append(len(voff))
+            first = vector[0]
+            off.append(first)
+            if top_off is None or first > top_off:
+                top_off = first
+            max_off.append(top_off)
+            placed += 1
+        if placed > before:
+            _STATS.inc("placements", placed - before)
 
     def ensure_len(self, n: int) -> None:
         if len(self.procs) >= n:
             return
         with self.lock:
-            while len(self.procs) < n:
-                self._extend_one()
+            self._extend(n)
 
     def count_within(
         self, t_lim: Time, cap: Optional[int] = None
@@ -405,10 +436,7 @@ class _ChainSeq:
             not self.max_off or self.max_off[-1] <= t_lim
         ):
             with self.lock:
-                while len(self.procs) < limit and (
-                    not self.max_off or self.max_off[-1] <= t_lim
-                ):
-                    self._extend_one()
+                self._extend(limit, t_lim)
         # first violating placement (prefix-max is monotone; the first
         # offset > t equals the first prefix-max > t)
         count = min(limit, bisect_right(self.max_off, t_lim))
@@ -667,26 +695,32 @@ class _ForkCore:
     def counts_at(
         self, t_lim: Time, n: Optional[int],
         caps: Optional[dict[int, int]] = None,
-    ) -> tuple[list[int], list[int], int]:
-        """Per-group node counts within ``t_lim``, each at most ``n`` and
-        its warm cap in ``caps`` (keyed 1-based, as leg counts are); how
-        far a cold run of each reaches; and how many groups a zero cap
-        skips outright."""
-        counts, reach, skipped = [], [], 0
-        for g, group in enumerate(self.groups, 1):
+        guesses: Optional[list[Optional[int]]] = None,
+    ) -> tuple[list[int], list[int], int, list[int]]:
+        """Per-group node counts within ``t_lim``, each at most ``n``, its
+        warm cap in ``caps`` (keyed 1-based, as leg counts are) and its
+        guess in ``guesses`` (``None``: the group is presented whole); how
+        far a cold run of each reaches; how many groups a zero cap skips
+        outright; and the groups their guess cut (0-based)."""
+        counts, reach, skipped, cut = [], [], 0, []
+        for g, group in enumerate(self.groups):
             cap = n
-            if caps is not None and g in caps:
-                warm = caps[g]
+            if caps is not None and g + 1 in caps:
+                warm = caps[g + 1]
                 cap = warm if cap is None else min(cap, warm)
             if cap == 0:
                 counts.append(0)
                 reach.append(0)
                 skipped += 1
                 continue
-            count, far = group.count_within(t_lim, cap)
+            guess = None if guesses is None else guesses[g]
+            cuts = guess is not None and (cap is None or guess < cap)
+            count, far = group.count_within(t_lim, guess if cuts else cap)
+            if cuts and count == guess:
+                cut.append(g)
             counts.append(count)
             reach.append(far)
-        return counts, reach, skipped
+        return counts, reach, skipped, cut
 
     def ensure(self, counts: list[int]) -> None:
         if all(b >= c for b, c in zip(self.built, counts)):
@@ -759,19 +793,21 @@ def _spider_core(spider: Spider) -> _ForkCore:
 
 class _Probe(NamedTuple):
     """One deadline probe's raw outcome (arrays, no Python objects): the
-    per-group counts, cold reaches and zero-cap skips of
+    per-group counts, cold reaches, zero-cap skips and guess cuts of
     :meth:`_ForkCore.counts_at`, the present nodes in scan order
-    (``group``, ``c``, ``w``, EDF ``slot``), the accepted mask and the
-    allocator's element-op count."""
+    (``group``, ``c``, ``w``, EDF ``slot``), the accepted mask, and the
+    candidates and element ops of every allocator run the probe made."""
 
     counts: list
     reach: list
     skipped: int
+    cut: list
     group: np.ndarray
     c: np.ndarray
     w: np.ndarray
     slot: np.ndarray
     accepted: np.ndarray
+    candidates: int
     ops: int
 
     @property
@@ -782,14 +818,35 @@ class _Probe(NamedTuple):
 def _probe(
     core: _ForkCore, t_lim: Time, n: Optional[int],
     caps: Optional[dict[int, int]] = None,
+    guesses: Optional[list[Optional[int]]] = None,
 ) -> _Probe:
-    """One allocation probe at ``t_lim``: every group capped at ``n`` and
-    its warm cap, the present nodes through the port greedy."""
-    counts, reach, skipped = core.counts_at(t_lim, n, caps)
-    group, c, w, slot = core.present(counts)
-    accepted, ops = _run_greedy(c, t_lim - w, slot)
+    """One allocation probe at ``t_lim``: every group capped at ``n``, its
+    warm cap and its guess (see :func:`_guesser`), the present nodes
+    through the port greedy.  A group the guess cut is final once one of
+    its present nodes is rejected: every node past it would be rejected
+    too.  A cut group whose present nodes were all accepted doubles its
+    guess, and the greedy reruns on the larger prefix."""
+    guesses = None if guesses is None else list(guesses)
+    candidates = ops = 0
+    while True:
+        counts, reach, skipped, cut = core.counts_at(t_lim, n, caps, guesses)
+        group, c, w, slot = core.present(counts)
+        accepted, run_ops = _run_greedy(c, t_lim - w, slot)
+        candidates += int(c.shape[0])
+        ops += run_ops
+        if not cut:
+            break
+        rejected = np.bincount(group[~accepted], minlength=len(counts))
+        grow = [g for g in cut if not rejected[g]]
+        if not grow:
+            break
+        for g in grow:
+            guesses[g] *= 2
     _STATS.inc("kernel_probes")
-    return _Probe(counts, reach, skipped, group, c, w, slot, accepted, ops)
+    return _Probe(
+        counts, reach, skipped, cut, group, c, w, slot, accepted,
+        candidates, ops,
+    )
 
 
 def _back_to_back(comm: np.ndarray) -> np.ndarray:
@@ -835,6 +892,28 @@ def _steady_start(n: int, rate) -> int:
     """``⌈n/ρ⌉``: no schedule completes ``n`` tasks faster than the
     platform's bandwidth-centric steady-state rate ``ρ`` allows."""
     return -(-n // rate)
+
+
+def _guesser(core: _ForkCore, rates: Sequence, procs: Sequence[int]):
+    """A makespan search's per-group guesses as a function of the horizon
+    ``t`` (see the module docstring): ``⌊1.25 · R_g · t⌋ + 2·p_g + 4`` for
+    group ``g`` of ``procs[g]`` processors, ``R_g`` the granted
+    steady-state ``rates`` pooled over the groups sharing its first-link
+    latency, and ``None`` (presented whole) at latency 0.  A guess only
+    sizes the work, so the rates are floats, converted once."""
+    latencies = core.c.tolist()
+    pooled: dict = {}
+    for c, rate in zip(latencies, rates):
+        pooled[c] = pooled.get(c, 0) + rate
+    slopes = [None if c == 0 else 1.25 * float(pooled[c]) for c in latencies]
+    bases = [2 * p + 4 for p in procs]
+
+    def at(t: Time) -> list[Optional[int]]:
+        t = float(t)
+        return [None if s is None else int(s * t) + b
+                for s, b in zip(slopes, bases)]
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +985,7 @@ def fast_star_deadline(
     _STATS.inc("kernel_solves")
     sched = _star_finish(core, n, probe)
     stats = {
-        "alloc_candidates": int(probe.c.shape[0]),
+        "alloc_candidates": probe.candidates,
         "alloc_structure_ops": probe.ops + 1,
     }
     return sched, stats
@@ -917,7 +996,8 @@ def fast_star_schedule(star: Star, n: int) -> tuple[Schedule, dict]:
 
     Same answer as the oracle's bisection over ``[min c+w, best single
     child's n-task time]``; the search (:func:`_least_horizon`) starts at
-    the steady-state bound instead."""
+    the steady-state bound instead, and each probe presents every child
+    up to its guess (:func:`_guesser`)."""
     from ..analysis.steady_state import star_steady_state
 
     singles = [ch.c + ch.w for ch in star.children]
@@ -927,19 +1007,21 @@ def fast_star_schedule(star: Star, n: int) -> tuple[Schedule, dict]:
     if n < 1:
         raise PlatformError(f"need n >= 1 tasks, got {n}")
     core = _star_core(star)
+    steady = star_steady_state(star)
+    guesses_at = _guesser(core, steady.child_rates, [1] * star.arity)
     ops_total = 0
     candidates_total = 0
 
     def fits(t: Time) -> Optional[_Probe]:
         nonlocal ops_total, candidates_total
-        probe = _probe(core, t, n)
+        probe = _probe(core, t, n, guesses=guesses_at(t))
         ops_total += probe.ops
-        candidates_total += int(probe.c.shape[0])
+        candidates_total += probe.candidates
         return probe if probe.n_accepted >= n else None
 
     found = _least_horizon(
-        fits, min(singles),
-        _steady_start(n, star_steady_state(star).throughput), max(singles), hi,
+        fits, min(singles), _steady_start(n, steady.throughput),
+        max(singles), hi,
     )
     if found is None:  # pragma: no cover - hi is a valid horizon
         raise PlatformError(f"horizon {hi} cannot fit {n} tasks")
@@ -1099,7 +1181,7 @@ def fast_spider_deadline(
     leg_counts = {li + 1: c for li, c in enumerate(probe.counts)}
     stats = _spider_stats(
         1, 0, spider.arity - probe.skipped, probe.skipped,
-        int(probe.c.shape[0]), _spider_elements(core.groups, probe.reach),
+        probe.candidates, _spider_elements(core.groups, probe.reach),
         probe.ops,
     )
     return sched, stats, leg_counts
@@ -1111,7 +1193,8 @@ def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
     Same answer as the oracle's warm-started bisection over ``[shortest
     single task, T∞]``; the search (:func:`_least_horizon`) starts at the
     steady-state bound instead, with the oracle's warm caps and
-    short-circuit on every probe."""
+    short-circuit on every probe, and each probe presents every leg up to
+    its guess (:func:`_guesser`)."""
     from ..analysis.steady_state import spider_steady_state
 
     if spider.is_chain():
@@ -1132,42 +1215,50 @@ def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
         for i in range(1, leg.p + 1)
     ]
     core = _spider_core(spider)
+    steady = spider_steady_state(spider)
+    guesses_at = _guesser(
+        core, steady.child_rates, [leg.p for leg in spider.legs]
+    )
 
-    caps: Optional[dict[int, int]] = None
+    caps: dict[int, int] = {}
     reach = [0] * spider.arity  # furthest placement each leg's runs reach
     probes = short = 0
     legs_scheduled = legs_skipped = 0
     fork_nodes = ops_total = 0
 
     def fits(t: Time) -> Optional[_Probe]:
-        nonlocal caps, reach, probes, short, fork_nodes, ops_total
+        nonlocal reach, probes, short, fork_nodes, ops_total
         nonlocal legs_scheduled, legs_skipped
         reachable: Time = 0
         for leg_idx in range(1, spider.arity + 1):
             bound = _task_upper_bound(spider.leg(leg_idx), t)
-            if caps is not None and leg_idx in caps:
+            if leg_idx in caps:
                 bound = min(bound, caps[leg_idx])
             reachable += bound
         if reachable < n:
             short += 1
             return None
-        probe = _probe(core, t, n, caps)
+        probe = _probe(core, t, n, caps, guesses_at(t))
         probes += 1
         legs_skipped += probe.skipped
         legs_scheduled += spider.arity - probe.skipped
-        fork_nodes += int(probe.c.shape[0])
+        fork_nodes += probe.candidates
         ops_total += probe.ops
         reach = list(map(max, reach, probe.reach))
         if probe.n_accepted < n:
             return None
         # per-leg counts are monotone in t, so these caps never bind a
-        # lower probe: they only let it skip legs and short-circuit
-        caps = {li + 1: c for li, c in enumerate(probe.counts)}
+        # lower probe: they only let it skip legs and short-circuit.  A
+        # cut leg's count is no chain-run size (as a cap it would bind), so
+        # only the legs presented whole update their caps
+        caps.update(
+            (li + 1, c) for li, c in enumerate(probe.counts)
+            if li not in probe.cut
+        )
         return probe
 
     found = _least_horizon(
-        fits, min(singles),
-        _steady_start(n, spider_steady_state(spider).throughput),
+        fits, min(singles), _steady_start(n, steady.throughput),
         max(singles), hi,
     )
     assert found is not None, "T∞ is a valid horizon"

@@ -16,7 +16,7 @@ from repro.core.chain import (
 )
 from repro.core.feasibility import check
 from repro.core.solve_fast import (
-    _FastState,
+    _ChainSeq,
     clear_solve_kernels,
     fast_chain_deadline,
     fast_chain_schedule,
@@ -116,32 +116,45 @@ class TestLongRuns:
             assert ref.to_dict() == fast.to_dict(), ch
 
 
+def placement(seq: _ChainSeq, i: int) -> tuple:
+    """Placement ``i`` of a sequence at horizon 0, as the oracle's
+    ``commit`` reports it and the vector it committed:
+    ``(processor, start, vector)``."""
+    lo, hi = seq.vbase[i], seq.vbase[i + 1]
+    return seq.procs[i], -seq.soff[i], tuple(-v for v in seq.voff[lo:hi])
+
+
 class TestFastPathInternals:
     def test_first_emissions_match_full_vectors(self, fig2_chain):
-        """Each step's winner is the oracle's, and its first emission is
-        the largest over every candidate the oracle builds."""
-        state = _FastState(fig2_chain)
+        """Each step's placement is the oracle's, and its first emission
+        is the largest over every candidate the oracle builds."""
+        seq = _ChainSeq(fig2_chain)
         ref = _BackwardState(fig2_chain, 0)
-        for _ in range(6):  # fresh state, then after each placement
-            winner = state.choose()
+        for i in range(6):  # fresh state, then after each placement
+            seq.ensure_len(i + 1)
+            proc, start, vector = placement(seq, i)
             firsts = [
                 ref.candidate(k, None)[0]
                 for k in range(1, fig2_chain.p + 1)
             ]
-            assert winner == ref.best_candidate(None)
-            assert winner[0] == max(firsts)
-            assert state.commit(winner) == ref.commit(winner)
+            assert vector == ref.best_candidate(None)
+            assert vector[0] == max(firsts)
+            assert (proc, start) == ref.commit(vector)
 
     def test_every_step_matches_the_oracle(self):
-        """Step-level pin: from horizon 0, ``choose()`` equals the oracle's
-        ``best_candidate()`` at each of 640 consecutive placements."""
+        """Step-level pin: from horizon 0, the sequence's placement ``i``
+        (processor, start offset, vector), all 640 built by one extension
+        loop, is the oracle's ``best_candidate()`` and ``commit`` at each
+        of 640 consecutive placements."""
         for ch in tie_heavy_chains(seed=11):
-            state = _FastState(ch)
+            seq = _ChainSeq(ch)
+            seq.ensure_len(640)
+            assert len(seq) == 640
             ref = _BackwardState(ch, 0)
             for step in range(640):
-                winner = state.choose()
-                assert winner == ref.best_candidate(None), (ch, step)
-                assert state.commit(winner) == ref.commit(winner)
+                proc, start, vector = placement(seq, step)
+                assert vector == ref.best_candidate(None), (ch, step)
+                assert (proc, start) == ref.commit(vector), (ch, step)
 
     def test_rejects_zero_tasks(self, fig2_chain):
         with pytest.raises(PlatformError):

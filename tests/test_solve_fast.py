@@ -32,6 +32,9 @@ from repro.core.solve_fast import (
     _least_horizon,
     _oracle_spider_deadline,
     _oracle_spider_schedule,
+    _probe,
+    _spider_core,
+    _star_core,
     clear_solve_kernels,
     solve_kernel_stats,
     spider_deadline,
@@ -432,6 +435,90 @@ class TestMakespanSearch:
 
 
 # ---------------------------------------------------------------------------
+# makespan probes present each group up to a guess
+# ---------------------------------------------------------------------------
+
+#: platforms where a guess is most likely wrong: children and legs that
+#: share a first-link latency (the steady state splits their pooled rate
+#: arbitrarily), a port-saturating group (``(1, 1)``: it alone fills the
+#: master's port, so every other group's steady-state rate is 0), and
+#: spider legs opening with a ``c = 0`` link (presented whole).  The last
+#: spider's makespan search grows a cut leg once: a rerun is rare (1 of
+#: 3,000 random stars and spiders at n = 16–512).
+CUT_STARS = (
+    Star([(1, 1), (2, 3), (2, 5), (2, 4), (3, 2), (3, 7), (5, 2), (1, 6)]),
+    Star([(2, 3), (2, 3), (2, 5), (3, 2), (4, 1), (6, 1)]),
+)
+CUT_SPIDERS = (
+    Spider([Chain((1, 1), (1, 1)), Chain((1, 3), (2, 2)),
+            Chain((0, 2), (4, 3)), Chain((2, 1), (3, 2)),
+            Chain((2, 2), (5, 1))]),
+    Spider([Chain((4, 1, 2), (9, 2, 4)), Chain((1, 1, 3), (4, 1, 6)),
+            Chain((4, 4), (9, 8)), Chain((3, 4, 2), (4, 4, 9)),
+            Chain((2, 3), (9, 5))]),
+)
+
+
+class TestCutGroups:
+    @pytest.mark.parametrize(
+        "platform", CUT_STARS + CUT_SPIDERS,
+        ids=["star-saturated", "star-shared", "spider-saturated",
+             "spider-regrown"],
+    )
+    def test_makespans_match_the_oracle_at_512(self, platform):
+        compiled, obj = solve_both(Problem(platform, "makespan", n=512))
+        assert_identical(compiled, obj)
+
+    @staticmethod
+    def accepted(probe):
+        keep = probe.accepted
+        return (probe.group[keep].tolist(), probe.c[keep].tolist(),
+                probe.w[keep].tolist())
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_forced_growth_accepts_what_whole_groups_do(self, n):
+        """Every guess set to 1 makes every group grow from one node, by
+        reruns, to its first rejected node; the accepted nodes must be the
+        ones the probe accepts with every group presented whole, at
+        horizons below, at and above the makespan."""
+        rng = random.Random(f"cut-groups:{n}")
+        platforms = [*CUT_STARS, *CUT_SPIDERS, miss_star(rng),
+                     miss_spider(rng), miss_spider(rng, zero_latency=True)]
+        for platform in platforms:
+            core = (_star_core(platform) if isinstance(platform, Star)
+                    else _spider_core(platform))
+            ones = [1] * len(core.groups)
+            makespan = solve(Problem(platform, "makespan", n=n)).makespan
+            for t in (makespan // 2, makespan - 1, makespan, makespan + 3,
+                      2 * makespan):
+                whole = _probe(core, t, n)
+                cut = _probe(core, t, n, guesses=ones)
+                assert self.accepted(cut) == self.accepted(whole), (
+                    platform, t
+                )
+                assert cut.candidates > cut.c.shape[0], "no group grew"
+                assert all(a <= b for a, b in zip(cut.counts, whole.counts))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_spider_makespans_build_what_they_use(self, seed):
+        """Cold miss-shaped spider makespans (5 legs of 2 processors,
+        n = 512) build a median of at most 1.4 chain placements per task
+        they answer (1.16 and 1.14 here; 2.48 and 2.33 when every probe
+        ran each leg to n or its horizon)."""
+        rng = random.Random(f"miss-placements:{seed}")
+        per_task = []
+        for _ in range(15):
+            clear_solve_kernels()
+            answer = solve(Problem(miss_spider(rng), "makespan", n=512))
+            assert answer.stats["engine"] == "compiled"
+            per_task.append(
+                solve_kernel_stats()["placements"] / answer.n_tasks
+            )
+        per_task.sort()
+        assert per_task[len(per_task) // 2] <= 1.4, per_task
+
+
+# ---------------------------------------------------------------------------
 # edge cases and the fallback contract
 # ---------------------------------------------------------------------------
 
@@ -527,7 +614,7 @@ class TestKernelCaches:
         stats = solve_kernel_stats()
         for key in ("seq_hits", "seq_misses", "core_hits", "core_misses",
                     "kernel_solves", "kernel_probes", "fallbacks",
-                    "seq_entries", "core_entries"):
+                    "placements", "seq_entries", "core_entries"):
             assert key in stats, key
 
     def test_solves_and_hits_accumulate(self):
