@@ -17,43 +17,32 @@ Quickstart::
     print(sched.makespan)                     # 14, as in the paper
     from repro.viz import render_gantt
     print(render_gantt(sched))
+
+The names below load their subpackage on first use (:mod:`repro._lazy`).
 """
 
-from .core import (
-    CommVector,
-    Schedule,
-    TaskAssignment,
-    assert_feasible,
-    chain_makespan,
-    is_feasible,
-    max_tasks_within,
-    schedule_chain,
-    schedule_chain_deadline,
-)
-from .platforms import Chain, ProcessorSpec, Spider, Star, Tree
-from .solve import Problem, Solution, registered_solvers, solve, solver_for
+from ._lazy import lazy_exports
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "CommVector",
-    "Problem",
-    "Schedule",
-    "Solution",
-    "TaskAssignment",
-    "assert_feasible",
-    "chain_makespan",
-    "is_feasible",
-    "max_tasks_within",
-    "registered_solvers",
-    "schedule_chain",
-    "schedule_chain_deadline",
-    "solve",
-    "solver_for",
-    "Chain",
-    "ProcessorSpec",
-    "Spider",
-    "Star",
-    "Tree",
-    "__version__",
-]
+__all__ = lazy_exports(__name__, {
+    "core": (
+        "CommVector",
+        "Schedule",
+        "TaskAssignment",
+        "assert_feasible",
+        "chain_makespan",
+        "is_feasible",
+        "max_tasks_within",
+        "schedule_chain",
+        "schedule_chain_deadline",
+    ),
+    "platforms": ("Chain", "ProcessorSpec", "Spider", "Star", "Tree"),
+    "solve": (
+        "Problem",
+        "Solution",
+        "registered_solvers",
+        "solve",
+        "solver_for",
+    ),
+}) + ["__version__"]

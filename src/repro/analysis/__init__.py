@@ -1,85 +1,58 @@
-"""Analysis toolkit: metrics, steady-state throughput, complexity fits."""
+"""Analysis toolkit: metrics, steady-state throughput, complexity fits.
 
-from .metrics import (
-    ComparisonRow,
-    ScheduleMetrics,
-    comparison_table,
-    compute_metrics,
-    format_table,
-    optimality_ratio,
-    speedup_over_single,
-)
-from .steady_state import (
-    SteadyState,
-    chain_steady_state,
-    register_steady_state,
-    spider_steady_state,
-    star_steady_state,
-    steady_state,
-    tree_steady_state,
-)
-from .complexity import (
-    PowerFit,
-    chain_opcount_in_n,
-    chain_opcount_in_p,
-    fit_power_law,
-    timed,
-    wallclock_in_n,
-)
-from .periodic import (
-    PeriodicPattern,
-    achieved_rate,
-    periodic_star_schedule,
-    star_periodic_pattern,
-)
-from .bounds import (
-    makespan_lower_bound,
-    port_bound,
-    processor_bound,
-    route_bound,
-    steady_state_bound,
-)
-from .profiles import StaircaseProfile, makespan_profile, verify_staircase_duality
-from .regret import DEFAULT_POLICIES, Regret, regret, regret_table
-from .report import ExperimentReport, build_report
+Every name loads its submodule on first use (:mod:`repro._lazy`): the
+solve kernels need only :mod:`~repro.analysis.steady_state`, while the
+report, regret and profile modules pull in the baselines, the online
+simulator and the oracles.
+"""
 
-__all__ = [
-    "ComparisonRow",
-    "ScheduleMetrics",
-    "comparison_table",
-    "compute_metrics",
-    "format_table",
-    "optimality_ratio",
-    "speedup_over_single",
-    "SteadyState",
-    "chain_steady_state",
-    "register_steady_state",
-    "spider_steady_state",
-    "star_steady_state",
-    "steady_state",
-    "tree_steady_state",
-    "PowerFit",
-    "chain_opcount_in_n",
-    "chain_opcount_in_p",
-    "fit_power_law",
-    "timed",
-    "wallclock_in_n",
-    "PeriodicPattern",
-    "achieved_rate",
-    "periodic_star_schedule",
-    "star_periodic_pattern",
-    "makespan_lower_bound",
-    "port_bound",
-    "processor_bound",
-    "route_bound",
-    "steady_state_bound",
-    "StaircaseProfile",
-    "makespan_profile",
-    "verify_staircase_duality",
-    "DEFAULT_POLICIES",
-    "Regret",
-    "regret",
-    "regret_table",
-    "ExperimentReport",
-    "build_report",
-]
+from .._lazy import lazy_exports
+
+__all__ = lazy_exports(__name__, {
+    "metrics": (
+        "ComparisonRow",
+        "ScheduleMetrics",
+        "comparison_table",
+        "compute_metrics",
+        "format_table",
+        "optimality_ratio",
+        "speedup_over_single",
+    ),
+    "steady_state": (
+        "SteadyState",
+        "chain_steady_state",
+        "register_steady_state",
+        "spider_steady_state",
+        "star_steady_state",
+        "steady_state",
+        "tree_steady_state",
+    ),
+    "complexity": (
+        "PowerFit",
+        "chain_opcount_in_n",
+        "chain_opcount_in_p",
+        "fit_power_law",
+        "timed",
+        "wallclock_in_n",
+    ),
+    "periodic": (
+        "PeriodicPattern",
+        "achieved_rate",
+        "periodic_star_schedule",
+        "star_periodic_pattern",
+    ),
+    "bounds": (
+        "makespan_lower_bound",
+        "port_bound",
+        "processor_bound",
+        "route_bound",
+        "steady_state_bound",
+    ),
+    "profiles": (
+        "StaircaseProfile",
+        "makespan_profile",
+        "verify_staircase_duality",
+    ),
+    "regret": ("DEFAULT_POLICIES", "Regret", "regret", "regret_table"),
+    "report": ("ExperimentReport", "build_report"),
+})

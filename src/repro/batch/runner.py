@@ -43,7 +43,6 @@ its arrays across the process boundary.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -114,6 +113,9 @@ def run_group(
             for index, sc in group
         ]
     store, own_store = _open_store(cache)
+    if store is not None:
+        # before the first row's timer starts, which must not pay for it
+        from ..service.engine import cached_solve
 
     solvers: dict[str, Solver] = {}
 
@@ -165,8 +167,6 @@ def run_group(
                 solver.check_claims(problem)
                 cached: Optional[bool] = None
                 if store is not None and problem.mode in ("offline", "repatch"):
-                    from ..service.engine import cached_solve
-
                     outcome = cached_solve(problem, store)
                     solution, cached = outcome.solution, outcome.cached
                 else:
@@ -295,6 +295,8 @@ class BatchRunner:
         if self.workers <= 1 or len(group_list) <= 1:
             batches = [solve_group(g) for g in group_list]
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             solve_group_metered = partial(
                 run_group_with_metrics, validate=self.validate,
                 cache=self.cache,

@@ -65,19 +65,14 @@ import argparse
 import sys
 from typing import Any, Sequence
 
-from .analysis.metrics import comparison_table, compute_metrics, format_table
-from .analysis.steady_state import steady_state
-from .baselines.heuristics import ALL_HEURISTICS
-from .core.feasibility import assert_feasible
-from .io.json_io import load_platform, save_schedule
+# Only what every command needs loads here: each command imports the rest
+# itself, so `repro serve` and `repro batch` start without the
+# visualisers, baselines, report and online simulator.
+from .io.json_io import load_platform
 from .platforms.chain import Chain
-from .platforms.presets import paper_fig2_chain
 from .platforms.spider import Spider
 from .platforms.star import Star
-from .sim.online import ONLINE_POLICIES
 from .solve import Problem, registered_solvers, solve
-from .viz.gantt import render_gantt
-from .viz.svg import save_svg
 
 
 # distinct exit codes so scripted callers (CI gates, the service smoke
@@ -102,6 +97,56 @@ def _version() -> str:
         return __version__
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: reads the package metadata only when asked."""
+
+    def __init__(self, option_strings, dest, **kwargs) -> None:
+        super().__init__(option_strings, dest=argparse.SUPPRESS,
+                         default=argparse.SUPPRESS, nargs=0,
+                         help="show program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {_version()}")
+        parser.exit()
+
+
+class _OnlinePolicies:
+    """``--policy`` choices, read from the online simulator only when a
+    command checks or lists them."""
+
+    @staticmethod
+    def _names() -> list[str]:
+        from .sim.online import ONLINE_POLICIES
+
+        return sorted(ONLINE_POLICIES)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
+
+
+def _positive(kind):
+    """An argparse ``type`` admitting only values of ``kind`` above 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _parse_ints_or_floats(text: str) -> list:
     out = []
     for tok in text.split(","):
@@ -121,6 +166,11 @@ def _parse_leg(text: str) -> Chain:
 
 
 def _emit(schedule, args) -> None:
+    from .analysis.metrics import compute_metrics
+    from .io.json_io import save_schedule
+    from .viz.gantt import render_gantt
+    from .viz.svg import save_svg
+
     print(f"makespan: {schedule.makespan}   tasks: {schedule.n_tasks}")
     m = compute_metrics(schedule)
     print(f"task counts: {m.counts}")
@@ -223,9 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Master-slave tasking on heterogeneous processors (Dutot, IPPS 2003)",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {_version()}"
-    )
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fig2", help="reproduce the paper's worked example")
@@ -266,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--platform")
     p.add_argument("-n", type=int, required=True)
     p.add_argument(
-        "--policy", default="demand_driven", choices=sorted(ONLINE_POLICIES)
+        "--policy", default="demand_driven", choices=_OnlinePolicies(),
+        metavar="POLICY", help="%(choices)s (default %(default)s)",
     )
 
     p = sub.add_parser("steady", help="steady-state throughput")
@@ -300,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--platform")
     p.add_argument("-n", type=int, required=True)
     p.add_argument(
-        "--policy", default="demand_driven", choices=sorted(ONLINE_POLICIES)
+        "--policy", default="demand_driven", choices=_OnlinePolicies(),
+        metavar="POLICY", help="%(choices)s (default %(default)s)",
     )
     p.add_argument(
         "--kill",
@@ -391,24 +441,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--store", metavar="PATH",
                    help="persistent SQLite solution store (default: memory only)")
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=_positive(int), default=2,
                    help="solver thread-pool size (default 2)")
-    p.add_argument("--capacity", type=int, default=256,
+    p.add_argument("--capacity", type=_positive(int), default=256,
                    help="in-memory LRU capacity (default 256)")
     p.add_argument("--tcp", metavar="HOST:PORT",
                    help="serve over TCP instead of stdio (PORT 0 = ephemeral)")
-    p.add_argument("--request-timeout", type=float, default=None,
+    p.add_argument("--request-timeout", type=_positive(float), default=None,
                    metavar="SECONDS",
                    help="per-request solve deadline; slower requests answer "
                    "with error kind 'timeout' (default: unbounded)")
     p.add_argument("--no-verify-rebinds", action="store_true",
                    help="skip the compiled replay check of rebound answers "
                    "(served answers are then only validated on store write)")
-    p.add_argument("--shards", type=int, default=0, metavar="N",
+    p.add_argument("--shards", type=_non_negative_int, default=0,
+                   metavar="N",
                    help="run a self-healing fleet of N supervised worker "
                    "subprocesses behind a consistent-hash router "
                    "(default 0 = single process)")
-    p.add_argument("--max-queue", type=int, default=64,
+    p.add_argument("--max-queue", type=_positive(int), default=64,
                    help="per-worker in-flight bound before the router sheds "
                    "load with error kind 'overloaded' (default 64)")
     p.add_argument("--chaos-ops", action="store_true",
@@ -483,6 +534,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run(args) -> int:
     if args.command == "fig2":
+        from .core.feasibility import assert_feasible
+        from .platforms.presets import paper_fig2_chain
+
         chain = paper_fig2_chain()
         sched = solve(Problem(chain, "makespan", n=5)).schedule
         assert_feasible(sched)
@@ -493,6 +547,8 @@ def _run(args) -> int:
         return 0
 
     if args.command in ("chain", "spider", "star"):
+        from .core.feasibility import assert_feasible
+
         platform = _platform_from_args(args)
         sched = solve(Problem(platform, "makespan", n=args.n)).schedule
         assert_feasible(sched)
@@ -500,6 +556,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "compare":
+        from .analysis.metrics import comparison_table, format_table
+        from .baselines.heuristics import ALL_HEURISTICS
         from .solve import solver_for
 
         platform = _platform_from_args(args)
@@ -520,6 +578,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "simulate":
+        from .core.feasibility import assert_feasible
+
         platform = _platform_from_args(args)
         sol = solve(Problem(platform, "makespan", n=args.n, mode="online",
                             options={"policy": args.policy}))
@@ -531,12 +591,16 @@ def _run(args) -> int:
         return 0
 
     if args.command == "steady":
+        from .analysis.steady_state import steady_state
+
         ss = steady_state(_platform_from_args(args))
         print(f"throughput: {ss.throughput} tasks/unit  (= {float(ss.throughput):.4f})")
         print(f"child rates: {[str(r) for r in ss.child_rates]}")
         return 0
 
     if args.command == "tree":
+        from .analysis.steady_state import steady_state
+        from .core.feasibility import assert_feasible
         from .platforms.generators import random_tree
         from .platforms.tree import Tree
         from .trees.heuristic import best_path_cover
@@ -631,6 +695,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "batch":
+        from .analysis.metrics import format_table
         from .batch import load_scenarios, run_batch, save_results
 
         scenarios = load_scenarios(args.scenarios)
@@ -763,6 +828,8 @@ def _run(args) -> int:
             async def fleet_main():
                 router.install_signal_handlers()
                 await router.start()
+                if router.closing:  # shut down during the boot
+                    return
                 try:
                     if args.tcp:
                         await router.serve_tcp(host or "127.0.0.1",
@@ -778,7 +845,8 @@ def _run(args) -> int:
                 pass
             return 0
 
-        from .service import ScheduleService, SolutionStore
+        from .service.engine import ScheduleService
+        from .service.store import SolutionStore
 
         store = SolutionStore(path=args.store, capacity=args.capacity)
         service = ScheduleService(store=store, workers=args.workers,

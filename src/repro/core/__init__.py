@@ -11,61 +11,40 @@
 * :mod:`repro.core.compiled` — flat-array platform compilation: a
   schedule's key table and the replay kernel's numbers (compiled once per
   platform object, relabeled on a rebind)
+
+Every name loads its submodule on first use (:mod:`repro._lazy`), so the
+platform modules can import :mod:`repro.core.types` without pulling in the
+schedule and compiler that import them back.
 """
 
-from .commvector import CommVector, greatest
-from .compiled import (
-    CompileError,
-    CompiledPlatform,
-    clear_compile_cache,
-    compile_platform,
-    compile_stats,
-)
-from .schedule import Schedule, TaskAssignment, adapter_for
-from .feasibility import assert_feasible, check, is_feasible
-from .chain import (
-    ChainRunStats,
-    chain_makespan,
-    max_tasks_within,
-    schedule_chain,
-    schedule_chain_deadline,
-)
-from .types import (
-    EPS,
-    EventBudgetExceeded,
-    InfeasibleScheduleError,
-    PlatformError,
-    ReproError,
-    ScheduleError,
-    SimulationError,
-    Time,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CommVector",
-    "greatest",
-    "CompileError",
-    "CompiledPlatform",
-    "clear_compile_cache",
-    "compile_platform",
-    "compile_stats",
-    "Schedule",
-    "TaskAssignment",
-    "adapter_for",
-    "assert_feasible",
-    "check",
-    "is_feasible",
-    "ChainRunStats",
-    "chain_makespan",
-    "max_tasks_within",
-    "schedule_chain",
-    "schedule_chain_deadline",
-    "EPS",
-    "InfeasibleScheduleError",
-    "PlatformError",
-    "ReproError",
-    "ScheduleError",
-    "EventBudgetExceeded",
-    "SimulationError",
-    "Time",
-]
+__all__ = lazy_exports(__name__, {
+    "commvector": ("CommVector", "greatest"),
+    "compiled": (
+        "CompileError",
+        "CompiledPlatform",
+        "clear_compile_cache",
+        "compile_platform",
+        "compile_stats",
+    ),
+    "schedule": ("Schedule", "TaskAssignment", "adapter_for"),
+    "feasibility": ("assert_feasible", "check", "is_feasible"),
+    "chain": (
+        "ChainRunStats",
+        "chain_makespan",
+        "max_tasks_within",
+        "schedule_chain",
+        "schedule_chain_deadline",
+    ),
+    "types": (
+        "EPS",
+        "InfeasibleScheduleError",
+        "PlatformError",
+        "ReproError",
+        "ScheduleError",
+        "EventBudgetExceeded",
+        "SimulationError",
+        "Time",
+    ),
+})

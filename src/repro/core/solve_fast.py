@@ -106,22 +106,23 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from collections import OrderedDict
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ..analysis.steady_state import spider_steady_state, star_steady_state
 from ..obs import metrics as _obs
 from ..platforms.chain import Chain
 from ..platforms.spider import Spider
 from ..platforms.star import Star
 from . import chain as _chain_oracle
-from . import fork as _fork_oracle
-from . import spider as _spider_oracle
 from .chain import ChainRunStats, _task_upper_bound
-from .fork import AllocStats
 from .schedule import INT_TIME_LIMIT, Schedule, csr_take, time_column
-from .spider import SpiderRunStats
 from .types import PlatformError, Time
+
+if TYPE_CHECKING:
+    from .fork import AllocStats
+    from .spider import SpiderRunStats
 
 __all__ = [
     "SPIDER_STAT_KEYS",
@@ -998,8 +999,6 @@ def fast_star_schedule(star: Star, n: int) -> tuple[Schedule, dict]:
     child's n-task time]``; the search (:func:`_least_horizon`) starts at
     the steady-state bound instead, and each probe presents every child
     up to its guess (:func:`_guesser`)."""
-    from ..analysis.steady_state import star_steady_state
-
     singles = [ch.c + ch.w for ch in star.children]
     best = min(star.children, key=lambda ch: ch.c + ch.w + (n - 1) * ch.m)
     hi = best.c + best.w + (n - 1) * best.m
@@ -1195,8 +1194,6 @@ def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
     steady-state bound instead, with the oracle's warm caps and
     short-circuit on every probe, and each probe presents every leg up to
     its guess (:func:`_guesser`)."""
-    from ..analysis.steady_state import spider_steady_state
-
     if spider.is_chain():
         # leg 1's position k is spider processor index k − 1, as on the
         # chain, whose kernel runs the guard
@@ -1330,21 +1327,31 @@ def _oracle_chain_deadline(chain: Chain, t_lim: Time, n: Optional[int] = None):
     return sched, _chain_stats_dict(stats)
 
 
+# The fork and spider oracles load on the first fallback (floats,
+# Fractions, integers past the fork core's int64 bound): a process that
+# solves only integer stars and spiders never imports them.
+
 def _oracle_star_schedule(star: Star, n: int):
+    from .fork import AllocStats, fork_schedule
+
     stats = AllocStats()
-    sched = _fork_oracle.fork_schedule(star, n, stats=stats)
+    sched = fork_schedule(star, n, stats=stats)
     return sched, _alloc_stats_dict(stats)
 
 
 def _oracle_star_deadline(star: Star, t_lim: Time, n: Optional[int] = None):
+    from .fork import AllocStats, fork_schedule_deadline
+
     stats = AllocStats()
-    sched = _fork_oracle.fork_schedule_deadline(star, t_lim, n, stats=stats)
+    sched = fork_schedule_deadline(star, t_lim, n, stats=stats)
     return sched, _alloc_stats_dict(stats)
 
 
 def _oracle_spider_schedule(spider: Spider, n: int):
+    from .spider import SpiderRunStats, spider_schedule
+
     stats = SpiderRunStats()
-    sched = _spider_oracle.spider_schedule(spider, n, stats=stats)
+    sched = spider_schedule(spider, n, stats=stats)
     return sched, _spider_stats_dict(stats)
 
 
@@ -1352,8 +1359,10 @@ def _oracle_spider_deadline(
     spider: Spider, t_lim: Time, n: Optional[int] = None, *,
     leg_caps: Optional[dict[int, int]] = None,
 ):
+    from .spider import SpiderRunStats, spider_schedule_deadline
+
     stats = SpiderRunStats()
-    res = _spider_oracle.spider_schedule_deadline(
+    res = spider_schedule_deadline(
         spider, t_lim, n, stats=stats, leg_caps=leg_caps
     )
     return res.schedule, _spider_stats_dict(stats), dict(res.leg_counts)

@@ -19,46 +19,31 @@ Turns the solver registry into a long-lived, cache-backed service:
   ``repro serve --shards N``;
 * :mod:`repro.service.chaos` — the fault-injection harness behind
   ``repro chaos``.
+
+Every name loads its submodule on first use (:mod:`repro._lazy`): one
+``repro serve`` process runs the engine, never the fleet's router and
+supervisor.
 """
 
-from .canon import (
-    CanonError,
-    CanonicalForm,
-    canonical_form,
-    platform_fingerprint,
-    problem_fingerprint,
-)
-from .engine import (
-    CachedOutcome,
-    ScheduleService,
-    cache_key,
-    cached_solve,
-    rebind_solution,
-)
-from .protocol import PROTOCOL_VERSION, ServiceClient, ServiceError
-from .shard import HashRing, ShardRouter
-from .store import SolutionStore, StoreStats
-from .supervisor import Supervisor, WorkerConfig, WorkerDied
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CachedOutcome",
-    "CanonError",
-    "CanonicalForm",
-    "HashRing",
-    "PROTOCOL_VERSION",
-    "ScheduleService",
-    "ServiceClient",
-    "ServiceError",
-    "ShardRouter",
-    "SolutionStore",
-    "StoreStats",
-    "Supervisor",
-    "WorkerConfig",
-    "WorkerDied",
-    "cache_key",
-    "cached_solve",
-    "canonical_form",
-    "platform_fingerprint",
-    "problem_fingerprint",
-    "rebind_solution",
-]
+__all__ = lazy_exports(__name__, {
+    "canon": (
+        "CanonError",
+        "CanonicalForm",
+        "canonical_form",
+        "platform_fingerprint",
+        "problem_fingerprint",
+    ),
+    "engine": (
+        "CachedOutcome",
+        "ScheduleService",
+        "cache_key",
+        "cached_solve",
+        "rebind_solution",
+    ),
+    "protocol": ("PROTOCOL_VERSION", "ServiceClient", "ServiceError"),
+    "shard": ("HashRing", "ShardRouter"),
+    "store": ("SolutionStore", "StoreStats"),
+    "supervisor": ("Supervisor", "WorkerConfig", "WorkerDied"),
+})

@@ -47,7 +47,13 @@ from ..obs import metrics as _obs
 from ..obs import tracing as _trace
 from ..solve import Problem, Solution, solve
 from .canon import CanonError, CanonicalForm, canonical_form, problem_fingerprint
-from .frontend import LINE_LIMIT, ChaosState, JsonLinesFrontend
+from .frontend import (
+    LINE_LIMIT,
+    ChaosState,
+    JsonLinesFrontend,
+    ServiceClosingError,
+)
+from .protocol import serve_line
 from .store import SolutionStore
 
 __all__ = [
@@ -71,10 +77,6 @@ __all__ = [
 #: spider hit: 0.14 ms rebind, 3.1 ms replay, 1.0 ms write on a 2-vCPU
 #: x86 container), so the inline worst case stays near 1 ms.
 INLINE_REBIND_TASKS = 1024
-
-
-class ServiceClosingError(RuntimeError):
-    """The service is draining for shutdown and takes no new work."""
 
 
 @dataclass(frozen=True)
@@ -419,11 +421,9 @@ class ScheduleService(JsonLinesFrontend):
             self._pool, step, *args
         )
 
-    # -- protocol (local imports: the protocol module imports this one) -----
+    # -- protocol -------------------------------------------------------------
 
     async def render_line(self, raw_line: str) -> str:
-        from .protocol import serve_line
-
         return await serve_line(self, raw_line)
 
     def stats(self) -> dict[str, Any]:

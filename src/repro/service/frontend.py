@@ -44,7 +44,8 @@ import sys
 import traceback
 from typing import Any, Optional
 
-__all__ = ["ChaosState", "JsonLinesFrontend", "LINE_LIMIT", "READ_SIZE"]
+__all__ = ["ChaosState", "JsonLinesFrontend", "LINE_LIMIT", "READ_SIZE",
+           "ServiceClosingError"]
 
 #: max bytes of one protocol line (asyncio's 64 KiB default chokes on big
 #: platforms — a large tree's solve request is one long JSON line).
@@ -57,6 +58,10 @@ LINE_LIMIT = 16 * 2**20
 #: on x86-64 Linux).  64 KiB reads come from the heap; a long line just
 #: takes more reads.
 READ_SIZE = 64 * 2**10
+
+
+class ServiceClosingError(RuntimeError):
+    """The service is draining for shutdown and takes no new work."""
 
 
 class ChaosState:

@@ -76,7 +76,7 @@ from ..obs import metrics as _obs
 from ..obs import tracing as _trace
 from ..solve import Problem, Solution
 from ..solve.problem import NoSolverError, ValidationError
-from .engine import ServiceClosingError
+from .frontend import ServiceClosingError
 
 PROTOCOL_VERSION = 1
 
@@ -252,10 +252,12 @@ async def _serve_op(service: Any, request: dict[str, Any], op: str) -> str:
                      f"tasks; bound n (or t_lim) to ask for fewer",
             "error_kind": "bad_request"})
     # per-request deadline: the service's configured ceiling, tightened
-    # (never loosened) by the request's own "deadline" field
+    # (never loosened) by the request's own "deadline" field; a boolean
+    # is no number of seconds, though Python counts it as an int
     deadline = getattr(service, "request_timeout", None)
     requested = request.get("deadline")
-    if isinstance(requested, (int, float)) and requested > 0:
+    if (isinstance(requested, (int, float))
+            and not isinstance(requested, bool) and requested > 0):
         deadline = requested if deadline is None else min(deadline, requested)
     try:
         if deadline is not None:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import contextlib
 import hashlib
 import json
 import time
@@ -178,7 +179,25 @@ class ShardRouter(JsonLinesFrontend):
     # -- fleet lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        await self.supervisor.start()
+        """Boot every shard.  A shutdown requested before the boot ends
+        (SIGTERM, :meth:`request_shutdown`) abandons it: the workers
+        started so far are stopped and the router is left
+        :attr:`closing`, with nothing to serve."""
+        boot = asyncio.ensure_future(self.supervisor.start())
+        stop = asyncio.ensure_future(self._stop_event().wait())
+        if self._closing:  # requested before the stop event existed
+            self._stop_event().set()
+        try:
+            await asyncio.wait({boot, stop},
+                               return_when=asyncio.FIRST_COMPLETED)
+        finally:
+            stop.cancel()
+            if not boot.done():
+                boot.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await boot  # a failed boot raises here
+        if self._closing:
+            await self.supervisor.aclose()
 
     def _on_up(self, shard_id: int) -> None:
         self.live.add(shard_id)

@@ -376,7 +376,8 @@ class Supervisor:
             raise ReproError("fleet failed to boot: no worker came up")
 
     async def aclose(self) -> None:
-        """Stop supervising, then drain and stop every worker."""
+        """Stop supervising, then drain and stop every worker; a worker
+        still booting has served nothing, so it is killed, not drained."""
         self._closing = True
         for task in self._tasks:
             task.cancel()
@@ -384,9 +385,17 @@ class Supervisor:
             with contextlib.suppress(asyncio.CancelledError):
                 await task
         await asyncio.gather(*(
-            slot.worker.terminate() for slot in self.slots
+            self._stop(slot) for slot in self.slots
             if slot.worker is not None
         ), return_exceptions=True)
+
+    @staticmethod
+    async def _stop(slot: WorkerSlot) -> None:
+        if slot.state == "starting":
+            slot.worker.kill()
+            await slot.worker.wait()
+        else:
+            await slot.worker.terminate()
 
     # -- supervision ---------------------------------------------------------
 

@@ -13,38 +13,26 @@
   (a fail-stop failure is a leave);
 * :mod:`repro.sim.trace` — traces, utilisation, trace→schedule round-trip,
   exclusivity checks on trace-only runs.
+
+Every name loads its submodule on first use (:mod:`repro._lazy`), so the
+validator's callers do not import the online simulator and churn model.
 """
 
-from .engine import Simulator
-from .events import Event, EventKind
-from .executor import execute, verify_by_execution
-from .replay_fast import verify_schedule
-from .online import (
-    ONLINE_POLICIES,
-    OnlineResult,
-    OnlineState,
-    policy_bandwidth_centric,
-    policy_demand_driven,
-    policy_round_robin,
-    simulate_online,
-)
-from .trace import Trace, assert_trace_exclusive, trace_to_schedule
+from .._lazy import lazy_exports
 
-__all__ = [
-    "assert_trace_exclusive",
-    "Simulator",
-    "Event",
-    "EventKind",
-    "execute",
-    "verify_by_execution",
-    "verify_schedule",
-    "ONLINE_POLICIES",
-    "OnlineResult",
-    "OnlineState",
-    "policy_bandwidth_centric",
-    "policy_demand_driven",
-    "policy_round_robin",
-    "simulate_online",
-    "Trace",
-    "trace_to_schedule",
-]
+__all__ = lazy_exports(__name__, {
+    "engine": ("Simulator",),
+    "events": ("Event", "EventKind"),
+    "executor": ("execute", "verify_by_execution"),
+    "replay_fast": ("verify_schedule",),
+    "online": (
+        "ONLINE_POLICIES",
+        "OnlineResult",
+        "OnlineState",
+        "policy_bandwidth_centric",
+        "policy_demand_driven",
+        "policy_round_robin",
+        "simulate_online",
+    ),
+    "trace": ("Trace", "assert_trace_exclusive", "trace_to_schedule"),
+})

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from ..core.schedule import Schedule
-from ..core.types import ReproError, Time, leq
+from ..core.types import ReproError, SimulationError, Time, leq
+from ..sim.replay_fast import verify_schedule
 
 KINDS = ("makespan", "deadline")
 MODES = ("offline", "online", "repatch")
@@ -159,10 +160,6 @@ class Solution:
         replay hook still forwards it); the event-driven oracle is
         :mod:`repro.sim.executor`, called directly.
         """
-        from ..core.types import SimulationError
-        from ..sim.replay_fast import verify_schedule
-        from ..sim.trace import assert_trace_exclusive
-
         if engine is not None:
             raise SolveError(
                 f"Solution.validate's 'engine' parameter is retired (got "
@@ -173,6 +170,8 @@ class Solution:
             if self.schedule is not None:
                 verify_schedule(self.schedule)
             elif self.trace is not None:
+                from ..sim.trace import assert_trace_exclusive
+
                 assert_trace_exclusive(self.trace)
             else:
                 raise SolveError("solution carries neither schedule nor trace")

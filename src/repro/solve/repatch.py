@@ -44,15 +44,16 @@ far below 1.2 (see PERFORMANCE.md).
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..core.commvector import CommVector
 from ..core.schedule import PlatformAdapter, ProcKey, Schedule, TaskAssignment, adapter_for
 from ..core.types import Time
-from ..sim.churn import ChurnTrace, apply_churn, parse_churn_events
+from ..sim.churn import ChurnTrace
 from .problem import Problem, Solution, SolveError
-from .registry import Solver, solve
+from .registry import solve
+from .solvers import RepatchSolver  # registered with the built-ins
 
 __all__ = [
     "REPATCH_TOLERANCE",
@@ -497,72 +498,3 @@ def cold_resolve(
     )
     solution = solve(problem)
     return solution, remaining, t + solution.makespan
-
-
-# ---------------------------------------------------------------------------
-# The registered solver
-# ---------------------------------------------------------------------------
-
-
-class RepatchSolver(Solver):
-    """Churn repair through the registry (``mode="repatch"``).
-
-    Claims ``object`` like the online solver: any platform with an offline
-    solver and an adapter can be repaired.  Options:
-
-    * ``churn`` — the event list (required; see
-      :func:`repro.sim.churn.parse_churn_events`);
-    * ``base`` — options dict forwarded to the base offline solve (the
-      base solver checks it like its own).
-
-    The answer's schedule lives on the **mutated** platform
-    (``extra["platform_after"]``); its ``stats`` carry the repair
-    categories and ``extra["completed_makespan"]`` the completion of all
-    ``n`` tasks including the pre-churn prefix.
-    """
-
-    name = "repatch"
-    mode = "repatch"
-    platform_type = object
-    kinds = ("makespan",)
-    exact = False  # the repaired suffix is greedy, not optimal
-    option_keys = ("churn", "base")
-    summary = (
-        "incremental churn repair — classify kept/orphaned work, greedily "
-        "re-route around the committed prefix, cancel-&-reissue when beneficial"
-    )
-
-    def solve(self, problem: Problem) -> Solution:
-        events = parse_churn_events(problem.options.get("churn") or ())
-        if not events:
-            raise SolveError(
-                "repatch needs options['churn'] with at least one event"
-            )
-        base_options = dict(problem.options.get("base") or {})
-        base_problem = replace(
-            problem, mode="offline", options=base_options, warm_caps=None
-        )
-        base = solve(base_problem)
-        churn = apply_churn(problem.platform, events)
-        result = repatch_schedule(base.schedule, churn)
-        return Solution(
-            problem,
-            result.schedule,
-            self.name,
-            stats={
-                "kept": len(result.kept),
-                "kept_done": len(result.kept_done),
-                "replanned": len(result.replanned),
-                "moved": len(result.moved),
-                "done_off": len(result.done_off),
-                "placements": result.placements,
-            },
-            extra={
-                "base_solver": base.solver,
-                "base_makespan": base.makespan,
-                "churn": [step.to_dict() for step in churn.steps],
-                "instant": result.t,
-                "completed_makespan": result.completed_makespan,
-                "platform_after": churn.platform_after.to_dict(),
-            },
-        )

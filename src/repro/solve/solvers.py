@@ -13,11 +13,15 @@ running a policy (round-robin / demand-driven / bandwidth-centric) through
 the one online event loop, with any mix of release times, fail-stop
 failures and churn, so `repro simulate`, `repro failures` and batch
 ``kind:"online"`` scenarios all dispatch through the same registry as the
-static algorithms.
+static algorithms.  The *repatch* solver (``mode="repatch"``) repairs a
+committed schedule against churn.  Both import their machinery (the
+online event loop, the churn model and the repair) when they first solve,
+so importing the registry loads only the offline kernels.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Mapping
 
 from ..core.solve_fast import (
@@ -33,12 +37,10 @@ from ..platforms.chain import Chain
 from ..platforms.spider import Spider
 from ..platforms.star import Star
 from ..platforms.tree import Tree
-from ..sim.online import ONLINE_POLICIES, simulate_online
 from ..trees.construction import tree_deadline, tree_schedule
 from ..trees.heuristic import cover_efficiency
 from .problem import Problem, Solution, SolveError
-from .registry import Solver, register
-from .repatch import RepatchSolver
+from .registry import Solver, register, solve
 
 
 def _count_spider_totals(stats: dict) -> dict:
@@ -210,12 +212,14 @@ class OnlineSolver(Solver):
     exact = False  # a policy's makespan is achieved, not optimal
     option_keys = ("policy", "arrivals", "failures", "churn", "max_events")
     summary = (
-        "online policies via the simulator — "
-        f"{', '.join(sorted(ONLINE_POLICIES))}; release times, failures and "
-        "churn in one event loop"
+        "online policies via the simulator — bandwidth_centric, "
+        "demand_driven, round_robin; release times, failures and churn in "
+        "one event loop"
     )
 
     def solve(self, problem: Problem) -> Solution:
+        from ..sim.online import ONLINE_POLICIES, simulate_online
+
         opts = problem.options
         policy = opts.get("policy", "demand_driven")
         if isinstance(policy, str) and policy not in ONLINE_POLICIES:
@@ -258,6 +262,74 @@ class OnlineSolver(Solver):
                 "reissue_of": res.reissue_of,
             },
             trace=res.trace,
+        )
+
+
+class RepatchSolver(Solver):
+    """Churn repair through the registry (``mode="repatch"``; the repair
+    is :func:`repro.solve.repatch.repatch_schedule`).
+
+    Claims ``object`` like the online solver: any platform with an offline
+    solver and an adapter can be repaired.  Options:
+
+    * ``churn`` — the event list (required; see
+      :func:`repro.sim.churn.parse_churn_events`);
+    * ``base`` — options dict forwarded to the base offline solve (the
+      base solver checks it like its own).
+
+    The answer's schedule lives on the **mutated** platform
+    (``extra["platform_after"]``); its ``stats`` carry the repair
+    categories and ``extra["completed_makespan"]`` the completion of all
+    ``n`` tasks including the pre-churn prefix.
+    """
+
+    name = "repatch"
+    mode = "repatch"
+    platform_type = object
+    kinds = ("makespan",)
+    exact = False  # the repaired suffix is greedy, not optimal
+    option_keys = ("churn", "base")
+    summary = (
+        "incremental churn repair — classify kept/orphaned work, greedily "
+        "re-route around the committed prefix, cancel-&-reissue when beneficial"
+    )
+
+    def solve(self, problem: Problem) -> Solution:
+        from ..sim.churn import apply_churn, parse_churn_events
+        from .repatch import repatch_schedule
+
+        events = parse_churn_events(problem.options.get("churn") or ())
+        if not events:
+            raise SolveError(
+                "repatch needs options['churn'] with at least one event"
+            )
+        base_options = dict(problem.options.get("base") or {})
+        base_problem = replace(
+            problem, mode="offline", options=base_options, warm_caps=None
+        )
+        base = solve(base_problem)
+        churn = apply_churn(problem.platform, events)
+        result = repatch_schedule(base.schedule, churn)
+        return Solution(
+            problem,
+            result.schedule,
+            self.name,
+            stats={
+                "kept": len(result.kept),
+                "kept_done": len(result.kept_done),
+                "replanned": len(result.replanned),
+                "moved": len(result.moved),
+                "done_off": len(result.done_off),
+                "placements": result.placements,
+            },
+            extra={
+                "base_solver": base.solver,
+                "base_makespan": base.makespan,
+                "churn": [step.to_dict() for step in churn.steps],
+                "instant": result.t,
+                "completed_makespan": result.completed_makespan,
+                "platform_after": churn.platform_after.to_dict(),
+            },
         )
 
 

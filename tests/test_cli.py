@@ -425,6 +425,19 @@ class TestServeParser:
         out = capsys.readouterr().out
         assert "--store" in out and "--tcp" in out and "--workers" in out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"), ("--capacity", "0"), ("--capacity", "-3"),
+        ("--request-timeout", "0"), ("--request-timeout", "-1"),
+        ("--shards", "-1"), ("--max-queue", "0"),
+    ])
+    def test_sizes_out_of_range_are_usage_errors(self, capsys, flag, value):
+        """Rejected before anything starts: a fleet of workers that each
+        die on the flag would restart them forever."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestImportFootprint:
     def test_cli_import_does_not_load_networkx(self):

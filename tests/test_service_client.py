@@ -286,13 +286,25 @@ class TestRequestDeadlines:
         )
         assert response["error_kind"] == "timeout"
 
-    def test_bogus_deadline_field_is_ignored(self):
+    def test_bogus_deadline_field_is_ignored(self, monkeypatch):
+        # with no ceiling configured, an ignored field leaves the solve
+        # unbounded: no asyncio.wait_for at all (True would read as 1 s)
+        timeouts = []
+        wait_for = asyncio.wait_for
+
+        async def recording_wait_for(awaitable, timeout):
+            timeouts.append(timeout)
+            return await wait_for(awaitable, timeout)
+
+        monkeypatch.setattr(asyncio, "wait_for", recording_wait_for)
         service = ScheduleService(store=SolutionStore(), workers=1)
         try:
-            response = asyncio.run(
-                handle_request(service, solve_line(deadline="soon"))
-            )
-            assert response["ok"] is True
+            for bogus in ("soon", True, False, 0, -1, float("nan")):
+                response = asyncio.run(
+                    handle_request(service, solve_line(deadline=bogus))
+                )
+                assert response["ok"] is True, bogus
+                assert timeouts == [], bogus
         finally:
             service.close()
 

@@ -724,6 +724,72 @@ class TestServedReadSize:
             proc.stdout.close()
 
 
+class TestBootAbort:
+    """A shutdown requested while the fleet boots (SIGTERM to ``repro
+    serve --shards N``) ends the boot, with every worker it spawned gone,
+    even when no worker can ever come up."""
+
+    @staticmethod
+    def never_up(monkeypatch, script: str):
+        """Workers running ``script`` instead of ``repro serve``, and the
+        list every spawned worker process lands in."""
+        spawned = []
+        start = WorkerProcess.start
+
+        async def recording_start(self):
+            await start(self)
+            spawned.append(self.proc)
+
+        monkeypatch.setattr(WorkerProcess, "start", recording_start)
+        config = WorkerConfig(threads=1)
+        object.__setattr__(config, "argv", lambda shard_id: [
+            sys.executable, "-c", script])
+        return config, spawned
+
+    @pytest.mark.parametrize("script", [
+        "raise SystemExit(2)",  # dies on its flag, as --workers 0 did
+        "import time; time.sleep(60)",  # never answers its ping
+    ], ids=["crash-loop", "hang"])
+    def test_shutdown_during_boot_stops_every_worker(self, monkeypatch,
+                                                     script):
+        config, spawned = self.never_up(monkeypatch, script)
+
+        async def scenario():
+            router = ShardRouter(2, config, backoff_base=0.01,
+                                 backoff_cap=0.05, boot_deadline=60)
+            boot = asyncio.ensure_future(router.start())
+            try:
+                while len(spawned) < 2:
+                    await asyncio.sleep(0.01)
+                router.request_shutdown()
+                t0 = time.monotonic()
+                await asyncio.wait_for(boot, 10)
+                return (router, time.monotonic() - t0,
+                        [p.pid for p in spawned if p.returncode is None])
+            finally:
+                await router.supervisor.aclose()  # a no-op once stopped
+
+        router, elapsed, running = asyncio.run(scenario())
+        assert router.closing and not router.live
+        assert elapsed < 5, f"the boot took {elapsed:.1f}s to stop"
+        assert running == []
+
+    def test_shutdown_before_boot_leaves_no_worker(self, monkeypatch):
+        config, spawned = self.never_up(monkeypatch, "raise SystemExit(2)")
+
+        async def scenario():
+            router = ShardRouter(2, config)
+            router.request_shutdown()
+            try:
+                await asyncio.wait_for(router.start(), 10)
+                return router, [p.pid for p in spawned if p.returncode is None]
+            finally:
+                await router.supervisor.aclose()
+
+        router, running = asyncio.run(scenario())
+        assert router.closing and running == []
+
+
 class TestRestartBudget:
     def test_crash_loop_exhausts_budget_and_fails_permanently(self):
         async def scenario():

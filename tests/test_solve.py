@@ -49,6 +49,12 @@ class TestRegistry:
         }
         assert [s.name for s in registered_solvers("online")] == ["online"]
 
+    def test_online_summary_names_every_policy(self):
+        from repro.sim.online import ONLINE_POLICIES
+
+        summary = solver_for(object(), "online").summary
+        assert all(policy in summary for policy in ONLINE_POLICIES)
+
     def test_solver_for_each_platform(self):
         assert solver_for(random_chain(3, seed=1)).name == "chain"
         assert solver_for(random_star(3, seed=1)).name == "star"
