@@ -355,9 +355,10 @@ class Columns:
     ``comm[ptr[r]:ptr[r + 1]]``).  Every array is read-only: a rebound
     schedule shares its columns with the answer it was rebound from.
     ``text`` is the response writer's memo of the rows' JSON text
-    (:func:`repro.io.json_io.schedule_to_json`)."""
+    (:func:`repro.io.json_io.schedule_to_json`), ``verdict`` the replay
+    validator's memo of a passing scan (:mod:`repro.sim.replay_fast`)."""
 
-    __slots__ = ("tasks", "proc", "start", "ptr", "comm", "text")
+    __slots__ = ("tasks", "proc", "start", "ptr", "comm", "text", "verdict")
 
     def __init__(self, proc: Any, start: Any, ptr: Any, comm: Any,
                  tasks: Any = None) -> None:
@@ -369,6 +370,7 @@ class Columns:
             np.arange(1, self.proc.size + 1) if tasks is None else tasks
         )
         self.text: Optional[str] = None
+        self.verdict: Optional[tuple] = None
 
     def __len__(self) -> int:
         return self.proc.size

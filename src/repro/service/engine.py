@@ -15,9 +15,10 @@ Request flow (both entry points)::
 *Rebinding* re-expresses a canonical-coordinates solution on the request's
 (isomorphic) platform by mapping its p processor keys through the
 canonical form's relabel maps and relabeling its compiled platform with
-them, each key checked on the request platform; the task columns are
-shared untouched, so the rebound schedule replay-validates bit-exactly on
-the relabeled platform.
+them, each key checked on the request platform; the task columns and
+compiled arrays are shared untouched, so the rebound schedule
+replay-validates bit-exactly on the relabeled platform, reusing the
+store's write-check verdict (:mod:`repro.sim.replay_fast`).
 
 Two entry points share that flow, and one helper for a hit (rebind →
 replay-check → quarantine if either fails):
@@ -27,8 +28,7 @@ replay-check → quarantine if either fails):
 * :class:`ScheduleService` — the asyncio front-end behind ``repro serve``:
   a bounded worker pool for the solves, plus **request coalescing** —
   concurrent requests with the same fingerprint await one in-flight solve
-  instead of each paying for it.  Rebinds of answers up to
-  :data:`INLINE_REBIND_TASKS` tasks run on the event loop itself.
+  instead of each paying for it.  Every rebind runs on the event loop.
 
 Uncacheable requests (online mode — policy runs carry traces and
 callables; options with no canonical encoding) fall through to a direct
@@ -58,7 +58,6 @@ from .store import SolutionStore
 
 __all__ = [
     "CachedOutcome",
-    "INLINE_REBIND_TASKS",
     "LINE_LIMIT",
     "ScheduleService",
     "ServiceClosingError",
@@ -67,17 +66,6 @@ __all__ = [
     "latency_table",
     "rebind_solution",
 ]
-
-#: largest answer (in tasks) the service rebinds and replay-checks on the
-#: event loop instead of the thread pool.  The pool gives no CPU
-#: parallelism under the GIL, but it keeps the loop answering while a big
-#: rebind runs, and the fleet supervisor declares a worker dead when a
-#: ping waits past its 1 s deadline.  The rebind itself is O(p); a served
-#: hit costs about 1 µs per task, mostly the replay check (a 4,096-task
-#: spider hit: 0.14 ms rebind, 3.1 ms replay, 1.0 ms write on a 2-vCPU
-#: x86 container), so the inline worst case stays near 1 ms.
-INLINE_REBIND_TASKS = 1024
-
 
 @dataclass(frozen=True)
 class CachedOutcome:
@@ -244,7 +232,7 @@ def cached_solve(
 
     ``verify_rebind=True`` replay-validates every *rebound* answer on the
     request's own platform before returning it — affordable because the
-    compiled replay kernel does it in one linear scan."""
+    check reuses the verdict the store's write check reached."""
     key = cache_key(problem)
     if key is None:
         return CachedOutcome(solve(problem), cached=False)
@@ -265,12 +253,12 @@ class ScheduleService(JsonLinesFrontend):
 
     ``workers`` bounds the thread pool that every solve runs on.  A
     rebind with its replay check — a hit, a coalesced waiter, or the
-    requester's own after a miss — runs on the event loop when the answer
-    has at most :data:`INLINE_REBIND_TASKS` tasks, and on the pool above
-    that, so one large rebind cannot stall every other connection.  A
-    small hit therefore never leaves the loop: lookup, rebind, replay
-    check and (in the protocol layer) rendering from the columns run in
-    one step.  Identical concurrent fingerprints are coalesced:
+    requester's own after a miss — is O(p) and reuses the stored answer's
+    verdict, so it runs on the event loop at any size (damaged evidence
+    scans, in far less than the fleet's 1 s ping deadline at
+    ``MAX_SERVED_TASKS``).  A hit never leaves the loop: lookup, rebind,
+    replay check and (in the protocol layer) rendering from the columns
+    run in one step.  Identical concurrent fingerprints are coalesced:
     the first request solves, the rest await its future and rebind the
     shared canonical solution onto their own platforms.
 
@@ -299,8 +287,8 @@ class ScheduleService(JsonLinesFrontend):
         self.store = store if store is not None else SolutionStore()
         self.workers = workers
         #: replay-validate every rebound answer on the request's platform
-        #: before serving it — one linear scan through the compiled replay
-        #: kernel, so "nothing corrupt is ever served" extends to rebinds.
+        #: before serving it, so "nothing corrupt is ever served" extends
+        #: to rebinds; the check reuses the stored answer's verdict.
         self.verify_rebinds = verify_rebinds
         #: per-request deadline in seconds applied by the protocol layer
         #: (``None`` → unbounded); a request may tighten it with its own
@@ -354,8 +342,8 @@ class ScheduleService(JsonLinesFrontend):
             if inflight is not None:
                 self._record("coalesced")
                 solution = await asyncio.shield(inflight)
-                rebound = await self._rebind(
-                    _checked_rebind, solution, problem, canon
+                rebound = _checked_rebind(
+                    solution, problem, canon, self.verify_rebinds
                 )
                 return CachedOutcome(
                     rebound, cached=False,
@@ -363,10 +351,8 @@ class ScheduleService(JsonLinesFrontend):
                 )
             hit = self.store.get(fingerprint)
             if hit is not None:
-                rebound = await self._rebind(
-                    _serve_hit, hit, problem, canon,
-                    self.store, fingerprint,
-                )
+                rebound = _serve_hit(hit, problem, canon, self.verify_rebinds,
+                                     self.store, fingerprint)
                 if rebound is not None:
                     return CachedOutcome(
                         rebound, cached=True, fingerprint=fingerprint,
@@ -395,8 +381,8 @@ class ScheduleService(JsonLinesFrontend):
             )
             exec_future.add_done_callback(_transfer)
             solution = await asyncio.shield(future)
-            rebound = await self._rebind(
-                _checked_rebind, solution, problem, canon
+            rebound = _checked_rebind(
+                solution, problem, canon, self.verify_rebinds
             )
             return CachedOutcome(
                 rebound, cached=False, fingerprint=fingerprint,
@@ -407,20 +393,6 @@ class ScheduleService(JsonLinesFrontend):
             self._record("errors")
             raise
 
-    async def _rebind(self, step, solution: Solution, problem: Problem,
-                      canon: Optional[CanonicalForm], *extra: Any) -> Any:
-        """Run one rebind ``step`` (:func:`_checked_rebind` or
-        :func:`_serve_hit`, which takes ``extra``) of ``solution`` onto
-        ``problem``: right here on the loop when the answer is small
-        (:data:`INLINE_REBIND_TASKS`), on the thread pool when not."""
-        args = (solution, problem, canon, self.verify_rebinds, *extra)
-        schedule = solution.schedule
-        if schedule is None or schedule.n_tasks <= INLINE_REBIND_TASKS:
-            return step(*args)
-        return await asyncio.get_running_loop().run_in_executor(
-            self._pool, step, *args
-        )
-
     # -- protocol -------------------------------------------------------------
 
     async def render_line(self, raw_line: str) -> str:
@@ -429,6 +401,7 @@ class ScheduleService(JsonLinesFrontend):
     def stats(self) -> dict[str, Any]:
         from ..core.compiled import compile_stats
         from ..core.solve_fast import solve_kernel_stats
+        from ..sim.replay_fast import replay_stats
 
         return {
             "requests": self.requests,
@@ -442,6 +415,7 @@ class ScheduleService(JsonLinesFrontend):
             "latency": latency_table(self.metrics),
             "store": self.store.stats.to_dict(),
             "compile": compile_stats(),
+            "replay": replay_stats(),
             "solve_kernels": solve_kernel_stats(),
         }
 

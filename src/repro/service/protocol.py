@@ -599,28 +599,35 @@ def smoke() -> dict[str, Any]:
     """End-to-end liveness check (the CI smoke job): spawn ``repro serve``,
     issue three requests — identical, identical again (must be a cache
     hit), and a leg-relabeled isomorphic platform (must also hit) — and
-    assert the answers agree.  Returns a summary dict."""
+    assert the answers agree and that only the miss scanned (``replay.scans``
+    in ``stats``).  Returns a summary dict."""
     from ..platforms.chain import Chain
     from ..platforms.spider import Spider
 
     legs = [Chain([2, 3], [3, 5]), Chain([1], [4]), Chain([2, 2], [2, 6])]
     spider = Spider(legs)
     relabeled = Spider([legs[2], legs[0], legs[1]])
+    answers, scans = [], []
     with ServiceClient.spawn(workers=2) as client:
         assert client.ping(), "service did not answer ping"
-        sol1, meta1 = client.solve(Problem(spider, "makespan", n=16))
-        assert meta1["cached"] is False, "first request cannot be a hit"
-        sol2, meta2 = client.solve(Problem(spider, "makespan", n=16))
-        assert meta2["cached"] is True, "second identical request must hit"
-        sol3, meta3 = client.solve(Problem(relabeled, "makespan", n=16))
-        assert meta3["cached"] is True, "relabeled isomorphic request must hit"
-        assert sol1.makespan == sol2.makespan == sol3.makespan
-        assert meta1["fingerprint"] == meta2["fingerprint"] == meta3["fingerprint"]
-        sol3.validate()  # bit-exact replay on the *relabeled* platform
+        for platform in (spider, spider, relabeled):
+            scans.append(client.stats()["replay"]["scans"])
+            answers.append(client.solve(Problem(platform, "makespan", n=16)))
         stats = client.stats()
+    (sol1, meta1), (sol2, meta2), (sol3, meta3) = answers
+    assert meta1["cached"] is False, "first request cannot be a hit"
+    assert meta2["cached"] is True, "second identical request must hit"
+    assert meta3["cached"] is True, "relabeled isomorphic request must hit"
+    assert sol1.makespan == sol2.makespan == sol3.makespan
+    assert meta1["fingerprint"] == meta2["fingerprint"] == meta3["fingerprint"]
+    sol3.validate()  # bit-exact replay on the *relabeled* platform
+    scans.append(stats["replay"]["scans"])
+    added = [b - a for a, b in zip(scans, scans[1:])]
+    assert added == [1, 0, 0], f"scans per request: {added}"
     return {
         "requests": 3,
         "hits": stats["store"]["hits"],
+        "scans": added,
         "makespan": sol1.makespan,
         "fingerprint": meta1["fingerprint"],
     }

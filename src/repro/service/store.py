@@ -19,6 +19,10 @@ Two tiers:
 **Nothing corrupt is ever served**: every write replay-validates the
 solution (:meth:`~repro.solve.problem.Solution.validate`) before either
 tier accepts it; a solution that fails replay raises and is not stored.
+A rebind's check may reuse that scan's verdict, kept on the columns: it
+shares the read-only columns and compiled arrays the scan read, after
+checking each key on the request platform, so a second scan would reach
+the same makespan.  Replaced columns carry no verdict and scan again.
 The read path holds the same line against *external* damage — a SQLite row
 that no longer deserialises or replays (truncated file, bit rot, foreign
 writer) is quarantined and the lookup degrades to a miss; a locked or

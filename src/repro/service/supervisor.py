@@ -21,8 +21,8 @@ bytes with the id spliced in, not re-encoded.
 The :class:`Supervisor` owns one slot per shard and runs a lifecycle
 loop per slot: spawn → wait ready (ping) → health-check loop (ping with
 deadline every ``ping_interval``) → on death, kill + restart with
-exponential backoff.  Restarts draw on a sliding-window **budget**: a
-shard that keeps dying (crash loop) is marked *failed* and permanently
+exponential backoff.  A slot whose workers crash ``restart_budget``
+times in a row (a crash loop) is marked *failed* and permanently
 removed from the ring instead of burning CPU forever.  ``on_up`` /
 ``on_down`` callbacks keep the router's live-shard view current, so
 requests fail over the instant a worker is declared dead — not at the
@@ -38,8 +38,7 @@ import os
 import signal
 import sys
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..core.types import ReproError
@@ -299,10 +298,9 @@ class WorkerSlot:
     #: ``starting`` → ``up`` → (``backoff`` → ``up``)* → ``failed``
     state: str = "starting"
     restarts: int = 0
-    #: restart timestamps inside the sliding budget window.
-    window: deque = field(default_factory=deque)
-    #: consecutive failed *boots* (drives the exponential backoff; a
-    #: worker that came up healthy resets it).
+    #: consecutive crashes: failed boots and workers that died young
+    #: (drives the exponential backoff and the restart budget; a worker
+    #: that served healthily for a while resets it).
     crash_streak: int = 0
     #: garbled frames of the workers this slot has already replaced.
     garbled_before: int = 0
@@ -326,8 +324,12 @@ class Supervisor:
     ``on_up(shard_id)`` / ``on_down(shard_id)`` fire on every liveness
     transition; ``ping_interval``/``ping_deadline`` shape the health
     probe; ``backoff_base``/``backoff_cap`` the restart delay
-    (``base * 2^crash_streak``, capped); ``restart_budget`` restarts per
-    ``budget_window`` seconds before a slot is declared *failed*."""
+    (``base * 2^crash_streak``, capped).  A slot is *failed* after
+    ``restart_budget`` crashes in a row (boots that never answer their
+    ping, or workers dead within 5 ping intervals), however spaced: with
+    the defaults, a worker that dies at once fails after 60 boots and
+    113.1 s of backoff (0.1 s doubling to the 2 s cap), under three
+    minutes with the boots."""
 
     def __init__(
         self,
@@ -341,7 +343,6 @@ class Supervisor:
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
         restart_budget: int = 60,
-        budget_window: float = 60.0,
     ) -> None:
         if n < 1:
             raise ValueError(f"fleet needs >= 1 worker, got {n}")
@@ -354,7 +355,6 @@ class Supervisor:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.restart_budget = restart_budget
-        self.budget_window = budget_window
         self.slots = [WorkerSlot(i) for i in range(n)]
         self._tasks: list[asyncio.Task] = []
         self._closing = False
@@ -405,16 +405,10 @@ class Supervisor:
             return slot.worker
         return None
 
-    def _budget_left(self, slot: WorkerSlot) -> bool:
-        now = time.monotonic()
-        while slot.window and now - slot.window[0] > self.budget_window:
-            slot.window.popleft()
-        return len(slot.window) < self.restart_budget
-
     async def _slot_loop(self, slot: WorkerSlot, first: asyncio.Future) -> None:
         try:
             while not self._closing:
-                if not self._budget_left(slot):
+                if slot.crash_streak >= self.restart_budget:
                     slot.state = "failed"
                     self.on_down(slot.shard_id)
                     return
@@ -430,7 +424,6 @@ class Supervisor:
                     worker.kill()
                     await worker.wait()
                     slot.crash_streak += 1
-                    slot.window.append(time.monotonic())
                     await asyncio.sleep(self._backoff(slot))
                     continue
                 slot.state = "up"
@@ -457,7 +450,6 @@ class Supervisor:
                 worker.kill()
                 await worker.wait()
                 slot.restarts += 1
-                slot.window.append(time.monotonic())
                 await asyncio.sleep(self._backoff(slot))
         finally:
             if not first.done():

@@ -32,6 +32,11 @@ may name a different violation first (the executor reports whichever
 event fires first, the scan reports per rule), which is why the
 differential suite compares accept/reject and makespan rather than
 message strings.
+
+A scan runs once per answer: a passing scan's makespan is kept on the
+columns (``Columns.verdict``) with the read-only compiled arrays it read,
+by reference, and a call on those very arrays (a rebind shares them)
+reuses it, exactly the scan's output on unchanged inputs.
 """
 
 from __future__ import annotations
@@ -45,9 +50,15 @@ from ..obs import tracing as _trace
 from ..core.types import EventBudgetExceeded, SimulationError, Time, close, leq
 from .engine import DEFAULT_MAX_EVENTS
 
-__all__ = ["verify_schedule"]
+__all__ = ["replay_stats", "verify_schedule"]
 
 _LEQ = np.frompyfunc(leq, 2, 1)
+_STATS = _obs.REGISTRY.counter_group("replay", ("verify", "scans"))
+
+
+def replay_stats() -> dict[str, int]:
+    """Accepted :func:`verify_schedule` calls; scans run, passing or not."""
+    return _STATS.to_dict()
 
 
 def _scan(schedule: Schedule, cp: CompiledPlatform) -> Time:
@@ -152,13 +163,23 @@ def verify_schedule(schedule: Schedule) -> Time:
 
     Raises :class:`~repro.core.types.SimulationError` on any violation
     (:meth:`repro.solve.Solution.validate` turns it into a
-    ``ValidationError``)."""
+    ``ValidationError``); a verdict kept for these arrays skips the scan."""
     with _trace.span("replay"):
-        makespan = _scan(schedule, schedule.compiled)
+        cols, cp = schedule.columns, schedule.compiled
+        read = (len(cp.port_keys), cp.works, cp.latency, cp.sender_port,
+                cp.route_start, cp.route_links)
+        verdict = cols.verdict
+        if (verdict is not None and verdict[1] == read[0]
+                and all(a is b for a, b in zip(verdict[2:], read[1:]))):
+            makespan = verdict[0]
+        else:
+            _STATS.inc("scans")
+            makespan = _scan(schedule, cp)
+            cols.verdict = (makespan, *read)
         claimed = schedule.makespan
         if not close(makespan, claimed):
             raise SimulationError(
                 f"trace makespan {makespan} != schedule makespan {claimed}"
             )
-        _obs.counter("replay.verify").inc()
+        _STATS.inc("verify")
     return makespan

@@ -10,8 +10,10 @@ schedule's own number type — including mutated/corrupted schedules,
 which must be *rejected* by both.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,8 +46,15 @@ from repro.platforms.spider import Spider
 from repro.platforms.star import Star
 from repro.sim.executor import execute, verify_by_execution
 from repro.sim.online import ONLINE_POLICIES
-from repro.sim.replay_fast import verify_schedule
-from repro.solve import Problem, Solution, SolveError, ValidationError, solve
+from repro.sim.replay_fast import replay_stats, verify_schedule
+from repro.solve import (
+    Problem,
+    Solution,
+    SolveError,
+    ValidationError,
+    registered_solvers,
+    solve,
+)
 
 GENERATORS = {
     "chain": lambda seed: random_chain(5, profile="balanced", seed=seed),
@@ -650,6 +659,174 @@ class TestRebindVerification:
         service, first, second = asyncio.run(go())
         assert service.verify_rebinds
         assert not first.cached and second.cached
+
+
+def _scans() -> int:
+    return replay_stats()["scans"]
+
+
+def _read_only(array) -> bool:
+    """``array`` and every array under it (``base``) are read-only."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return True
+
+
+def _scaled_any(platform, to):
+    """:func:`_scaled`, trees included."""
+    from repro.platforms.tree import Tree
+
+    if isinstance(platform, Tree):
+        return Tree([(platform.parent(v), v, to(platform.latency(v)),
+                      to(platform.work(v))) for v in platform.workers])
+    return _scaled(platform, to)
+
+
+class TestVerdictMemo:
+    """A passing scan is kept on the columns with the compiled arrays it
+    read; a call on those very arrays reuses it, and nothing else does.
+    ``replay.scans`` counts the scans run."""
+
+    def test_the_same_arrays_reuse_the_verdict(self):
+        legs = [random_chain(3, seed=s) for s in (1, 2, 3)]
+        schedule = solve(Problem(Spider(legs), "makespan", n=9)).schedule
+        keys = tuple((4 - leg, pos) for leg, pos in schedule.keys)
+        rebound = schedule.rebound(Spider(legs[::-1]), keys)
+        before = _scans()
+        for checked in (schedule, schedule, rebound, rebound):
+            assert verify_schedule(checked) == schedule.makespan
+        assert _scans() - before == 1
+
+    @pytest.mark.parametrize("field", [
+        "works", "latency", "sender_port", "route_start", "route_links",
+        "port_keys",
+    ])
+    def test_other_arrays_scan_again(self, field):
+        schedule = solve(Problem(random_spider(3, 2, seed=4), "makespan",
+                                 n=8)).schedule
+        verify_schedule(schedule)
+        cp = schedule.compiled
+        value = getattr(cp, field)
+        if field == "port_keys":  # same arrays, another port count
+            value = (*value, "spare")
+        else:  # equal values in another array
+            value = value.copy()
+            value.flags.writeable = False
+        other = Schedule._make(replace(cp, **{field: value}), schedule.columns)
+        before = _scans()
+        assert verify_schedule(other) == schedule.makespan
+        assert verify_schedule(other) == schedule.makespan
+        assert verify_schedule(schedule) == schedule.makespan
+        # the verdict follows the last scan: back on the first arrays, the
+        # schedule scans again
+        assert _scans() - before == 2
+
+    def test_threads_sharing_columns_get_their_own_tables_verdict(self):
+        """Threads check one answer's columns under two key tables whose
+        works differ, so the verdict flips between them and each table
+        has its own makespan: a verdict read across a flip would fail the
+        makespan claim."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        schedule = solve(Problem(random_star(4, seed=5), "makespan",
+                                 n=12)).schedule
+        cp = schedule.compiled
+        works = np.maximum(cp.works - 1, 1)
+        works.flags.writeable = False
+        lighter = Schedule._make(replace(cp, works=works), schedule.columns)
+        expected = {id(schedule): schedule.makespan,
+                    id(lighter): lighter.makespan}
+        assert len(set(expected.values())) == 2
+        checks = [(schedule, lighter)[i % 2] for i in range(400)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(verify_schedule, checks, timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        assert got == [expected[id(s)] for s in checks]
+
+    def test_a_failing_scan_memoizes_nothing(self):
+        sol = solve(Problem(random_star(4, seed=3), "makespan", n=5))
+        verify_schedule(sol.schedule)
+        bad = _mutate(sol.schedule, "negative_start", 1, 2)
+        for _ in range(2):
+            before = _scans()
+            with pytest.raises(SimulationError):
+                verify_schedule(bad)
+            assert _scans() - before == 1
+            assert bad.columns.verdict is None
+
+    def test_a_sqlite_load_scans_once_then_reuses_its_verdict(self, tmp_path):
+        from repro.service.engine import cached_solve
+        from repro.service.store import SolutionStore
+
+        star = random_star(5, seed=11)
+        problem = Problem(star, "makespan", n=6)
+        relabeled = Problem(Star(star.children[::-1]), "makespan", n=6)
+        path = tmp_path / "store.sqlite"
+        with SolutionStore(path) as store:
+            before = _scans()
+            assert not cached_solve(problem, store, verify_rebind=True).cached
+            assert _scans() - before == 1  # the write check only
+        with SolutionStore(path) as store:  # a new process's store
+            before = _scans()
+            for p in (relabeled, problem, relabeled):
+                outcome = cached_solve(p, store, verify_rebind=True)
+                assert outcome.cached
+            assert store.stats.sqlite_hits == 1
+            assert store.stats.memory_hits == 2
+            assert _scans() - before == 1  # the load only
+
+    @pytest.mark.parametrize("numeric", ["int", "float", "fraction"])
+    @pytest.mark.parametrize(
+        "solver", registered_solvers("offline"), ids=lambda s: s.name
+    )
+    def test_every_array_a_verdict_rests_on_is_read_only(self, solver,
+                                                         numeric):
+        """The memo's premise: for each offline solver's answer, as solved,
+        as rebound on a hit and as loaded from JSON, every column and
+        compiled array and its base is read-only."""
+        from repro.io.json_io import solution_from_dict, solution_to_dict
+        from repro.service.engine import cached_solve
+        from repro.service.store import SolutionStore
+
+        to = NUMERICS.get(numeric, lambda v: v)
+        platform = _scaled_any(GENERATORS[solver.name](3), to)
+        # a Fraction spider answers deadlines only (see non_integer_problem)
+        kinds = (("deadline",) if (numeric, solver.name) == ("fraction",
+                                                             "spider")
+                 else ("makespan", "deadline"))
+        answers = []
+        for kind in kinds:
+            problem = Problem(platform, kind, n=12,
+                              t_lim=to(40) if kind == "deadline" else None)
+            store = SolutionStore()
+            cached_solve(problem, store)
+            answers += [
+                solve(problem),
+                cached_solve(problem, store, verify_rebind=True).solution,
+                solution_from_dict(solution_to_dict(solve(problem))),
+            ]
+        for sol in answers:
+            cols, cp = sol.schedule.columns, sol.schedule.compiled
+            assert len(cols)
+            if numeric != "int":
+                assert cols.start.dtype == object and cp.works.dtype == object
+            for owner, names in (
+                (cols, ("tasks", "proc", "start", "ptr", "comm")),
+                (cp, ("works", "latency", "sender_port", "route_start",
+                      "route_links")),
+            ):
+                for name in names:
+                    assert _read_only(getattr(owner, name)), (
+                        f"{solver.name} {numeric} {sol.problem.kind}: "
+                        f"{name} is writable"
+                    )
 
 
 class TestSimulatorErrorContext:

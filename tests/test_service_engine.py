@@ -31,7 +31,6 @@ from repro.service import (
     SolutionStore,
     cached_solve,
 )
-from repro.service import engine as engine_module
 from repro.service.engine import cache_key
 from repro.service.frontend import JsonLinesFrontend
 from repro.service.protocol import (
@@ -376,9 +375,9 @@ def replay_threads(monkeypatch):
 
 
 class TestHitPath:
-    """The served hit path: one replay per hit, template-rendered bytes
-    that equal the full encoder's, quarantine of damaged hits, and the
-    loop/pool split by answer size."""
+    """The served hit path: one replay check per hit and one scan per
+    answer, template-rendered bytes that equal the full encoder's,
+    quarantine of damaged hits, and every rebind on the event loop."""
 
     @pytest.mark.parametrize(
         "solver", registered_solvers("offline"), ids=lambda s: s.name
@@ -434,17 +433,22 @@ class TestHitPath:
                           "makespan", n=10)
         relabeled = Problem(_relabel(problem.platform), "makespan", n=10)
         service = ScheduleService(store=SolutionStore(), workers=1)
-        counts = []
+        counts, scans = [], []
         try:
             for rid, p in enumerate((problem, problem, relabeled)):
-                before = len(replay_threads)
+                before = len(replay_threads), service.stats()["replay"]
                 response = asyncio.run(
                     handle_request(service, _solve_line(rid, p)))
                 assert response["ok"]
-                counts.append(len(replay_threads) - before)
+                after = service.stats()["replay"]
+                counts.append(len(replay_threads) - before[0])
+                scans.append(after["scans"] - before[1]["scans"])
+                assert after["verify"] - before[1]["verify"] == counts[-1]
         finally:
             service.close()
         assert counts == [2, 1, 1]  # store write + rebind, then rebind only
+        # the store write scans; every rebind reuses its verdict
+        assert scans == [1, 0, 0]
 
     def test_damaged_hit_is_quarantined_and_resolved_inline(
         self, replay_threads
@@ -483,29 +487,26 @@ class TestHitPath:
         assert second.cached  # ... and the fresh answer replaced it
         assert store.get(fingerprint) is not damaged
 
-    def test_rebinds_run_on_the_loop_up_to_the_task_bound(
-        self, replay_threads, monkeypatch
-    ):
-        problem = Problem(Chain([2, 3], [3, 5]), "makespan", n=6)
+    @pytest.mark.parametrize("n", [6, 3000])
+    def test_rebinds_run_on_the_loop_at_any_size(self, replay_threads, n):
+        star = Star([(2, 3), (1, 5), (3, 2)])
+        problems = [Problem(platform, "makespan", n=n)
+                    for platform in (star, star, _relabel(star))]
 
-        def serve_twice():
-            async def go():
-                service = ScheduleService(store=SolutionStore(), workers=1)
-                try:
+        async def go():
+            service = ScheduleService(store=SolutionStore(), workers=1)
+            try:
+                for problem in problems:
                     await service.submit(problem)
-                    await service.submit(problem)
-                finally:
-                    service.close()
+            finally:
+                service.close()
 
-            replay_threads.clear()
-            asyncio.run(go())
-            # [store write (pool), miss rebind, hit rebind]
-            return replay_threads[1:]
-
+        asyncio.run(go())
+        # the store write ran with its solve on the pool; the miss's own
+        # rebind and both hits' ran on the loop
         loop_thread = threading.main_thread().name
-        assert serve_twice() == [loop_thread, loop_thread]
-        monkeypatch.setattr(engine_module, "INLINE_REBIND_TASKS", 5)
-        assert all(name.startswith("repro-serve") for name in serve_twice())
+        assert replay_threads[0].startswith("repro-serve")
+        assert replay_threads[1:] == [loop_thread] * 3
 
     def test_served_hit_emits_decode_canon_rebind_encode_spans(self):
         problem = Problem(Chain([2, 3], [3, 5]), "makespan", n=5)
@@ -533,6 +534,7 @@ class TestServeEndToEnd:
         summary = smoke()
         assert summary["requests"] == 3
         assert summary["hits"] == 2
+        assert summary["scans"] == [1, 0, 0]
 
     def test_client_error_response(self):
         with ServiceClient.spawn(workers=1) as client:

@@ -20,13 +20,16 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.types import ReproError
 from repro.io.json_io import problem_to_dict, solution_to_dict
 from repro.platforms.chain import Chain
 from repro.platforms.generators import random_spider
 from repro.platforms.spider import Spider
+from repro.service import supervisor as supervisor_module
 from repro.service.shard import HashRing, ShardRouter
 from repro.service.supervisor import (
     Supervisor,
@@ -791,6 +794,42 @@ class TestBootAbort:
 
 
 class TestRestartBudget:
+    def test_default_budget_fails_a_crash_loop_within_its_bound(
+        self, monkeypatch
+    ):
+        """With the default budget and backoff cap, a worker that dies at
+        once is failed after 60 boots and the 113.1 s of backoff the
+        ``Supervisor`` docstring states.  The sleeps are recorded, not
+        slept, and the supervisor's clock runs as if they were."""
+        slept = []
+        backoff = Supervisor._backoff
+
+        def recorded(self, slot):
+            slept.append(backoff(self, slot))
+            if len(slept) > self.restart_budget:  # past its budget: stop
+                self._closing = True
+            return 0.0
+
+        monkeypatch.setattr(Supervisor, "_backoff", recorded)
+        monkeypatch.setattr(supervisor_module, "time", SimpleNamespace(
+            monotonic=lambda: time.monotonic() + sum(slept)))
+        config, spawned = TestBootAbort.never_up(monkeypatch,
+                                                 "raise SystemExit(3)")
+
+        async def scenario():
+            supervisor = Supervisor(1, config, on_up=lambda s: None,
+                                    on_down=lambda s: None)
+            with pytest.raises(ReproError, match="no worker came up"):
+                await asyncio.wait_for(supervisor.start(), 120)
+            return supervisor
+
+        supervisor = asyncio.run(scenario())
+        assert supervisor.stats()["failed"] == 1
+        assert len(spawned) == supervisor.restart_budget == 60
+        assert all(p.returncode is not None for p in spawned)
+        assert len(slept) == 60
+        assert sum(slept) == pytest.approx(113.1)
+
     def test_crash_loop_exhausts_budget_and_fails_permanently(self):
         async def scenario():
             # a worker that can never come up: unknown CLI flag, instant exit
@@ -803,7 +842,7 @@ class TestRestartBudget:
             supervisor = Supervisor(
                 1, broken, on_up=lambda s: None, on_down=lambda s: None,
                 boot_deadline=0.2, backoff_base=0.01, backoff_cap=0.02,
-                restart_budget=3, budget_window=60.0,
+                restart_budget=3,
             )
             with pytest.raises(Exception):
                 await supervisor.start()
