@@ -782,8 +782,9 @@ def acceptance_spider() -> Spider:
 
 
 def kernel_batch_deadline_sweep() -> dict:
-    """A warm deadline sweep on the acceptance spider through the batch
-    engine (serial: measures engine + warm-cap reuse, not the pool)."""
+    """A deadline sweep on the acceptance spider through the batch engine
+    (serial: measures the engine and the kernels' shared caches, not the
+    pool)."""
 
     def once() -> dict:
         spider = acceptance_spider()

@@ -35,8 +35,8 @@ from repro.solve import (
 
 print("registered solvers:")
 for s in registered_solvers():
-    caps = "warm-caps" if s.supports_warm_caps else "stateless"
-    print(f"  {s.name:<8}[{caps}]  {s.summary}")
+    label = "optimal" if s.exact else "heuristic"
+    print(f"  {s.name:<8}{f'[{label}]':<13}{s.summary}")
 
 platforms = {
     "chain": random_chain(4, seed=7),
@@ -55,16 +55,14 @@ for label, platform in platforms.items():
 print("\nthe same call on four platform types (makespan of 12 tasks):")
 print(format_table(["platform", "solver", "makespan", "tasks", "notes"], rows))
 
-# deadline mode with warm caps: a spider sweep reusing monotone leg counts
+# deadline mode: the most tasks done by each deadline
 spider = platforms["spider"]
-caps = None
 sweep_rows = []
 for t_lim in (40, 30, 20, 10):
-    sol = solve(Problem(spider, "deadline", t_lim=t_lim, warm_caps=caps))
-    caps = sol.warm_caps  # valid for every smaller deadline
-    sweep_rows.append((t_lim, sol.n_tasks, sol.stats["legs_skipped"]))
-print("\nwarm deadline sweep on the spider (caps carried downward):")
-print(format_table(["t_lim", "tasks", "legs skipped via caps"], sweep_rows))
+    sol = solve(Problem(spider, "deadline", t_lim=t_lim))
+    sweep_rows.append((t_lim, sol.n_tasks, sol.stats["fork_nodes"]))
+print("\ndeadline sweep on the spider:")
+print(format_table(["t_lim", "tasks", "fork nodes"], sweep_rows))
 
 
 # -- registering a custom platform ------------------------------------------

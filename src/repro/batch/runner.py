@@ -1,4 +1,4 @@
-"""The batch runner: grouped, warm-started, worker-parallel solving.
+"""The batch runner: grouped, worker-parallel solving.
 
 Execution model
 ---------------
@@ -8,11 +8,9 @@ the unit of dispatch: a worker parses the platform once, resolves the
 registered solver per dispatch *mode* through
 :func:`repro.solve.solver_for` (the *only* platform dispatch in the
 engine — offline kinds resolve the platform's solver, ``kind:"online"``
-scenarios the online solver), and answers every scenario of the group.
-For *deadline* scenarios on solvers with ``supports_warm_caps`` the group
-runs in descending-``t_lim`` order so each run's warm caps prime the next
-(smaller) deadline, exactly like the bisection probes inside
-:func:`repro.core.spider.spider_schedule`.
+scenarios the online solver), and answers every scenario of the group in
+input order.  Each scenario is solved on its own; the kernels' caches keep
+the platform's chain sequences and fork graph between them.
 
 With ``validate=True`` every successful answer is additionally
 replay-validated (:meth:`repro.solve.Solution.validate`), which
@@ -27,10 +25,10 @@ With ``cache=`` (a solution-store path, or a live
 the platform is canonically fingerprinted and repeated — including
 relabeled-isomorphic — platforms are served from the store instead of
 re-solved, which is what makes deadline/policy sweeps over a fixed
-platform pool cheap.  Cache-served rows carry ``cached=True``.  Online
-scenarios always solve fresh (their answers carry run-specific traces).
-When the cache is active the warm-cap hand-off is retired in its favour —
-cached solves are keyed canonically and return no caps.
+platform pool cheap.  Every rebound hit is replay-checked on its own
+platform before it is used.  Cache-served rows carry ``cached=True``.
+Online scenarios always solve fresh (their answers carry run-specific
+traces).
 
 ``workers <= 1`` (the default) runs everything inline — deterministic,
 fork-free, and what the unit tests exercise.  ``workers > 1`` fans groups
@@ -57,8 +55,6 @@ from .scenarios import BatchError, Scenario, ScenarioResult
 _IndexedScenario = tuple[int, Scenario]
 _IndexedResult = tuple[int, ScenarioResult]
 
-_NO_CAPS = object()
-
 
 def _dispatch_mode(scenario: Scenario) -> str:
     """The registry mode a scenario dispatches through."""
@@ -67,16 +63,6 @@ def _dispatch_mode(scenario: Scenario) -> str:
     if scenario.kind == "churn":
         return "repatch"
     return "offline"
-
-
-def _caps_cover(caps_budget: object, n: Optional[int]) -> bool:
-    """Warm caps recorded under ``caps_budget`` stay valid for budget ``n``
-    iff the recording budget was at least as permissive."""
-    if caps_budget is _NO_CAPS:
-        return False
-    if caps_budget is None:  # recorded without a budget: counts are uncapped
-        return True
-    return n is not None and n <= caps_budget  # type: ignore[operator]
 
 
 def _open_store(cache):
@@ -95,12 +81,8 @@ def run_group(
     validate: bool = False,
     cache=None,
 ) -> list[_IndexedResult]:
-    """Solve one platform group (module-level so process pools can pickle).
-
-    Deadline scenarios on warm-cap-capable solvers run in descending
-    ``t_lim`` order and carry warm caps forward — the caps are monotone in
-    ``t_lim``, so a larger deadline's counts bound every smaller one.
-    """
+    """Solve one platform group (module-level so process pools can
+    pickle), in input order."""
     if not group:
         return []
     try:
@@ -124,37 +106,12 @@ def run_group(
             solvers[mode] = solver_for(platform, mode)
         return solvers[mode]
 
-    try:
-        warm_capable = solver_of("offline").supports_warm_caps
-    except Exception:  # noqa: BLE001 - unclaimed offline type: per-scenario errors
-        warm_capable = False
-
-    ordered: list[_IndexedScenario] = list(group)
-    if warm_capable:
-        # warm sweep: big deadlines first (makespan/online scenarios sort
-        # last, they warm themselves internally via the bisection)
-        ordered.sort(
-            key=lambda item: (
-                item[1].kind != "deadline",
-                -(item[1].t_lim or 0),
-            )
-        )
-
     out: list[_IndexedResult] = []
-    caps: Optional[dict[int, int]] = None
-    caps_budget: object = _NO_CAPS
     try:
-        for index, sc in ordered:
+        for index, sc in group:
             t0 = time.perf_counter()
             try:
                 solver = solver_of(_dispatch_mode(sc))
-                warm = (
-                    caps
-                    if solver.supports_warm_caps
-                    and sc.kind == "deadline"
-                    and _caps_cover(caps_budget, sc.n)
-                    else None
-                )
                 problem = Problem(
                     platform,
                     "makespan" if sc.kind in ("online", "churn") else sc.kind,
@@ -162,7 +119,6 @@ def run_group(
                     t_lim=sc.t_lim,
                     mode=_dispatch_mode(sc),
                     options=sc.options,
-                    warm_caps=warm,
                 )
                 solver.check_claims(problem)
                 cached: Optional[bool] = None
@@ -202,8 +158,6 @@ def run_group(
                     cached=cached,
                     reissue_of=solution.extra.get("reissue_of"),
                 )
-                if sc.kind == "deadline" and solution.warm_caps is not None:
-                    caps, caps_budget = dict(solution.warm_caps), sc.n
             except Exception as exc:  # noqa: BLE001 - one bad scenario must not sink the batch
                 result = ScenarioResult(
                     sc.id, False, sc.kind, error=f"{type(exc).__name__}: {exc}"
@@ -238,12 +192,8 @@ def _split_for_workers(
     group_list: list[list[_IndexedScenario]], workers: int
 ) -> list[list[_IndexedScenario]]:
     """Split oversized platform groups so ``workers`` units exist even when
-    every scenario shares one platform (the common sweep shape).
-
-    Each chunk keeps contiguous scenarios, so ``run_group``'s internal
-    descending-``t_lim`` sort still warms runs within the chunk; only the
-    cap hand-off *between* chunks is given up in exchange for parallelism.
-    """
+    every scenario shares one platform (the common sweep shape).  Each
+    chunk keeps contiguous scenarios."""
     if not group_list or len(group_list) >= workers:
         return group_list
     chunks_per_group = -(-workers // len(group_list))  # ceil
@@ -261,8 +211,7 @@ class BatchRunner:
 
     ``workers``: 0/1 = inline serial; N > 1 = N-process pool.  When the
     batch has fewer platforms than workers, large groups are split into
-    contiguous chunks so the pool is still saturated (warm caps then reset
-    at chunk boundaries).
+    contiguous chunks so the pool is still saturated.
     ``validate``: replay-validate every successful answer through the
     simulator (a failed replay fails its scenario).
     ``cache``: solution-store path (SQLite arbitrates between processes)

@@ -147,6 +147,21 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _open_store(path, **options):
+    """The solution store at ``path`` (``None``: memory only).  A path no
+    store opens at is a usage error: one stderr line naming it, exit 2."""
+    import sqlite3
+
+    from .service.store import SolutionStore
+
+    try:
+        return SolutionStore(path=path, **options)
+    except sqlite3.Error as exc:
+        print(f"error: cannot open a solution store at {path}: {exc}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
+
+
 def _parse_ints_or_floats(text: str) -> list:
     out = []
     for tok in text.split(","):
@@ -451,9 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="per-request solve deadline; slower requests answer "
                    "with error kind 'timeout' (default: unbounded)")
-    p.add_argument("--no-verify-rebinds", action="store_true",
-                   help="skip the compiled replay check of rebound answers "
-                   "(served answers are then only validated on store write)")
     p.add_argument("--shards", type=_non_negative_int, default=0,
                    metavar="N",
                    help="run a self-healing fleet of N supervised worker "
@@ -699,6 +711,8 @@ def _run(args) -> int:
         from .batch import load_scenarios, run_batch, save_results
 
         scenarios = load_scenarios(args.scenarios)
+        if args.cache is not None:
+            _open_store(args.cache).close()
         from .obs import metrics as obs_metrics
         from .obs import tracing as obs_tracing
 
@@ -817,10 +831,13 @@ def _run(args) -> int:
             config = WorkerConfig(
                 threads=args.workers, capacity=args.capacity,
                 store_path=args.store,
-                verify_rebinds=not args.no_verify_rebinds,
                 request_timeout=args.request_timeout,
                 chaos_ops=args.chaos_ops,
             )
+            if args.store is not None:
+                # each worker would die opening it, over and over
+                for shard in range(args.shards):
+                    _open_store(config.shard_store(shard)).close()
             router = ShardRouter(args.shards, config,
                                  max_queue=args.max_queue,
                                  request_timeout=args.request_timeout)
@@ -846,11 +863,9 @@ def _run(args) -> int:
             return 0
 
         from .service.engine import ScheduleService
-        from .service.store import SolutionStore
 
-        store = SolutionStore(path=args.store, capacity=args.capacity)
+        store = _open_store(args.store, capacity=args.capacity)
         service = ScheduleService(store=store, workers=args.workers,
-                                  verify_rebinds=not args.no_verify_rebinds,
                                   request_timeout=args.request_timeout,
                                   chaos_ops=args.chaos_ops)
 

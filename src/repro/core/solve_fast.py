@@ -86,10 +86,9 @@ shares its first-link latency (the finite greedy interleaves
 equal-latency groups by work, so the steady state's split between them
 is no guide).  Presented whole are groups whose first-link latency is 0
 (their nodes hold no port time, so none is rejected while its deadline
-holds) and every group of the deadline entries: a spider deadline's
-per-leg counts are the oracle's warm caps, and a star deadline is a
-single probe.  Inside the spider search only whole groups' counts become
-warm caps: a cut count is no chain-run size.
+holds) and every group of the deadline entries, which take no guesses.
+Inside the spider search only whole groups' counts become caps for the
+lower probes: a cut count is no chain-run size.
 
 Bit-identity contract: for integer platforms every schedule produced here
 is equal, element for element, to the oracle's — same assignments, same
@@ -1158,32 +1157,22 @@ def _spider_stats(
 
 
 def fast_spider_deadline(
-    spider: Spider,
-    t_lim: Time,
-    n: Optional[int] = None,
-    *,
-    leg_caps: Optional[dict[int, int]] = None,
-) -> tuple[Schedule, dict, dict[int, int]]:
-    """Kernel of :func:`repro.core.spider.spider_schedule_deadline`.
-
-    Returns ``(schedule, stats, leg_counts)`` — the leg counts are the
-    pre-allocation per-leg chain-run sizes, reusable as warm caps exactly
-    like the oracle's.
-    """
+    spider: Spider, t_lim: Time, n: Optional[int] = None
+) -> tuple[Schedule, dict]:
+    """Kernel of :func:`repro.core.spider.spider_schedule_deadline`."""
     _require_int(_spider_values(spider), t_lim, spider.arity)
     if t_lim < 0:
         raise PlatformError(f"Tlim must be >= 0, got {t_lim}")
     core = _spider_core(spider)
-    probe = _probe(core, t_lim, n, leg_caps)
+    probe = _probe(core, t_lim, n)
     _STATS.inc("kernel_solves")
     sched = _spider_finish(core, t_lim, n, probe)
-    leg_counts = {li + 1: c for li, c in enumerate(probe.counts)}
     stats = _spider_stats(
         1, 0, spider.arity - probe.skipped, probe.skipped,
         probe.candidates, _spider_elements(core.groups, probe.reach),
         probe.ops,
     )
-    return sched, stats, leg_counts
+    return sched, stats
 
 
 def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
@@ -1274,18 +1263,18 @@ def fast_spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _answer(kernel, oracle, *args, **kwargs) -> tuple:
-    """``kernel(*args, **kwargs)``, or — when it raises
+def _answer(kernel, oracle, *args) -> tuple:
+    """``kernel(*args)``, or — when it raises
     :class:`SolveKernelUnsupported` — one counted fallback to the
     paper-literal ``oracle`` with the same arguments.  Both return
-    ``(schedule, stats, ...)``; ``stats["engine"]`` records which one
+    ``(schedule, stats)``; ``stats["engine"]`` records which one
     answered (``"compiled"`` or ``"object"``)."""
     try:
-        out = kernel(*args, **kwargs)
+        out = kernel(*args)
         engine = "compiled"
     except SolveKernelUnsupported:
         _STATS.inc("fallbacks")
-        out = oracle(*args, **kwargs)
+        out = oracle(*args)
         engine = "object"
     out[1]["engine"] = engine
     return out
@@ -1356,16 +1345,13 @@ def _oracle_spider_schedule(spider: Spider, n: int):
 
 
 def _oracle_spider_deadline(
-    spider: Spider, t_lim: Time, n: Optional[int] = None, *,
-    leg_caps: Optional[dict[int, int]] = None,
+    spider: Spider, t_lim: Time, n: Optional[int] = None
 ):
     from .spider import SpiderRunStats, spider_schedule_deadline
 
     stats = SpiderRunStats()
-    res = spider_schedule_deadline(
-        spider, t_lim, n, stats=stats, leg_caps=leg_caps
-    )
-    return res.schedule, _spider_stats_dict(stats), dict(res.leg_counts)
+    res = spider_schedule_deadline(spider, t_lim, n, stats=stats)
+    return res.schedule, _spider_stats_dict(stats)
 
 
 def chain_schedule(chain: Chain, n: int) -> tuple[Schedule, dict]:
@@ -1400,16 +1386,9 @@ def spider_schedule(spider: Spider, n: int) -> tuple[Schedule, dict]:
 
 
 def spider_deadline(
-    spider: Spider,
-    t_lim: Time,
-    n: Optional[int] = None,
-    *,
-    leg_caps: Optional[dict[int, int]] = None,
-) -> tuple[Schedule, dict, dict[int, int]]:
-    """Most tasks (at most ``n``) completing on ``spider`` by ``t_lim``,
-    plus the per-leg counts reusable as ``leg_caps`` at a smaller
-    deadline."""
+    spider: Spider, t_lim: Time, n: Optional[int] = None
+) -> tuple[Schedule, dict]:
+    """Most tasks (at most ``n``) completing on ``spider`` by ``t_lim``."""
     return _answer(
-        fast_spider_deadline, _oracle_spider_deadline, spider, t_lim, n,
-        leg_caps=leg_caps,
+        fast_spider_deadline, _oracle_spider_deadline, spider, t_lim, n
     )

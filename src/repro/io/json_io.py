@@ -142,9 +142,6 @@ def problem_to_dict(problem: Any) -> dict[str, Any]:
         d["t_lim"] = problem.t_lim
     if problem.options:
         d["options"] = dict(problem.options)
-    if problem.warm_caps is not None:
-        # list-of-pairs keeps the integer keys JSON dicts would stringify
-        d["warm_caps"] = sorted(problem.warm_caps.items())
     return d
 
 
@@ -154,7 +151,7 @@ def problem_from_dict(d: Mapping[str, Any]) -> Any:
     if d.get("record", "problem") != "problem":
         raise ReproError(f"not a problem payload: {d.get('record')!r}")
     check_legacy_allocator(d)
-    warm = d.get("warm_caps")
+    # unknown keys, such as the retired caps list, are dropped
     return Problem(
         platform_from_dict(d["platform"]),
         kind=d.get("kind", "makespan"),
@@ -162,7 +159,6 @@ def problem_from_dict(d: Mapping[str, Any]) -> Any:
         t_lim=d.get("t_lim"),
         mode=d.get("mode", "offline"),
         options=d.get("options", {}),
-        warm_caps=None if warm is None else {int(k): v for k, v in warm},
     )
 
 
@@ -205,10 +201,6 @@ def _solution_record(solution: Any, schedule: Any) -> dict[str, Any]:
         "schedule": schedule,
         "solver": solution.solver,
         "stats": dict(solution.stats),
-        "warm_caps": (
-            None if solution.warm_caps is None
-            else sorted(solution.warm_caps.items())
-        ),
         "extra": dict(solution.extra),
         "trace": None if solution.trace is None else trace_to_dict(solution.trace),
     }
@@ -313,14 +305,14 @@ def solution_from_dict(d: Mapping[str, Any]) -> Any:
     else:
         # repatch answers live on the *mutated* platform, not the problem's
         schedule = Schedule.from_dict(raw_sched)
-    warm = d.get("warm_caps")
+    # unknown keys, such as the retired caps list of older stores, are
+    # dropped, so those entries still serve
     raw_trace = d.get("trace")
     return Solution(
         problem,
         schedule,
         d["solver"],
         stats=dict(d.get("stats", {})),
-        warm_caps=None if warm is None else {int(k): v for k, v in warm},
         extra=dict(d.get("extra", {})),
         trace=None if raw_trace is None else trace_from_dict(raw_trace),
     )

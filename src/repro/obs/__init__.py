@@ -2,8 +2,8 @@
 
 Three pieces:
 
-* :mod:`repro.obs.metrics` — the process-wide metrics registry (counters,
-  gauges, fixed-bucket histograms, timers) with snapshot / merge / diff
+* :mod:`repro.obs.metrics` — the process-wide metrics registry (counters
+  and fixed-bucket histograms) with snapshot / merge / diff
   semantics so executors can ship their numbers back to the parent;
 * :mod:`repro.obs.tracing` — ``span(...)`` context managers with
   parent/child nesting and JSON-lines export, off by default;
@@ -25,18 +25,15 @@ from .metrics import (
     REGISTRY,
     Counter,
     CounterGroup,
-    Gauge,
     Histogram,
     MetricsRegistry,
     counter,
     diff_snapshots,
-    gauge,
     histogram,
     merge_snapshot,
     reset,
     set_enabled,
     snapshot,
-    timer,
 )
 from .tracing import (
     SPAN_CAPACITY,
@@ -56,7 +53,6 @@ __all__ = [
     "SPAN_CAPACITY",
     "Counter",
     "CounterGroup",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "add_spans",
@@ -64,7 +60,6 @@ __all__ = [
     "counter",
     "diff_snapshots",
     "export_spans",
-    "gauge",
     "histogram",
     "merge_snapshot",
     "reset",
@@ -74,6 +69,5 @@ __all__ = [
     "span",
     "spans",
     "take_spans",
-    "timer",
     "tracing_enabled",
 ]

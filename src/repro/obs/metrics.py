@@ -1,4 +1,4 @@
-"""Process-wide metrics: counters, gauges, histograms, timers.
+"""Process-wide metrics: counters and histograms.
 
 One :class:`MetricsRegistry` holds every metric of a process (the
 module-level :data:`REGISTRY` is the default instance; components that
@@ -18,8 +18,7 @@ parent's registry.  Hence
   registry (what a worker ships back, so repeated handoffs never double
   count);
 * :meth:`MetricsRegistry.merge` — fold a snapshot (usually a delta) into
-  a registry: counters add, histograms add bucket-wise, gauges
-  last-write-win.
+  a registry: counters add, histograms add bucket-wise.
 
 The worker exports its delta; the parent merges it.
 
@@ -37,26 +36,22 @@ obs``) uses to price the instrumentation itself.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Iterable, Mapping, Optional
 
 __all__ = [
     "Counter",
     "CounterGroup",
-    "Gauge",
     "Histogram",
     "LATENCY_EDGES_MS",
     "MetricsRegistry",
     "REGISTRY",
     "counter",
     "diff_snapshots",
-    "gauge",
     "histogram",
     "merge_snapshot",
     "reset",
     "set_enabled",
     "snapshot",
-    "timer",
 ]
 
 #: default histogram edges — request/solve latencies in milliseconds.
@@ -65,7 +60,7 @@ LATENCY_EDGES_MS = (
     100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
 )
 
-#: global kill switch — ``False`` makes every inc/set/observe a no-op.
+#: global kill switch — ``False`` makes every inc/observe a no-op.
 _ENABLED = True
 
 
@@ -103,23 +98,6 @@ class Counter:
 
     def set(self, value: int) -> None:
         """Force the running value (merge/restore paths only)."""
-        with self._lock:
-            self.value = value
-
-
-class Gauge:
-    """A point-in-time value (last write wins, also across merges)."""
-
-    __slots__ = ("name", "value", "_lock")
-
-    def __init__(self, name: str, lock: threading.RLock) -> None:
-        self.name = name
-        self.value: float = 0
-        self._lock = lock
-
-    def set(self, value: float) -> None:
-        if not _ENABLED:
-            return
         with self._lock:
             self.value = value
 
@@ -211,31 +189,12 @@ class Histogram:
                 setattr(self, bound, other if ours is None else pick(ours, other))
 
 
-class Timer:
-    """Context manager observing elapsed wall time (ms) into a histogram."""
-
-    __slots__ = ("histogram", "_t0", "elapsed_ms")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self.histogram = histogram
-        self.elapsed_ms: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.elapsed_ms = (time.perf_counter() - self._t0) * 1000.0
-        self.histogram.observe(self.elapsed_ms)
-
-
 class MetricsRegistry:
     """Name → metric, with snapshot/merge semantics (module docstring)."""
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # -- get-or-create -------------------------------------------------------
@@ -247,14 +206,6 @@ class MetricsRegistry:
             if c is None:
                 c = self._counters[key] = Counter(key, self._lock)
             return c
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        key = _metric_key(name, labels)
-        with self._lock:
-            g = self._gauges.get(key)
-            if g is None:
-                g = self._gauges[key] = Gauge(key, self._lock)
-            return g
 
     def histogram(
         self,
@@ -271,9 +222,6 @@ class MetricsRegistry:
                     self._lock,
                 )
             return h
-
-    def timer(self, name: str, **labels: Any) -> Timer:
-        return Timer(self.histogram(name, **labels))
 
     def counter_group(self, prefix: str, keys: Iterable[str]) -> "CounterGroup":
         return CounterGroup(self, prefix, keys)
@@ -293,7 +241,6 @@ class MetricsRegistry:
         with self._lock:
             return {
                 "counters": {k: c.value for k, c in sorted(self._counters.items())},
-                "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
                 "histograms": {
                     k: h.to_dict() for k, h in sorted(self._histograms.items())
                 },
@@ -301,14 +248,13 @@ class MetricsRegistry:
 
     def merge(self, snap: Mapping[str, Any]) -> None:
         """Fold a snapshot (usually a :func:`diff_snapshots` delta) in:
-        counters add, histograms add bucket-wise, gauges last-write-win."""
+        counters add, histograms add bucket-wise.  Other keys (an older
+        snapshot's ``gauges``) are ignored."""
         with self._lock:
             for key, value in snap.get("counters", {}).items():
                 if value:
                     counter = self.counter(key)
                     counter.value += value
-            for key, value in snap.get("gauges", {}).items():
-                self._gauges.setdefault(key, Gauge(key, self._lock)).value = value
             for key, hsnap in snap.get("histograms", {}).items():
                 h = self._histograms.get(key)
                 if h is None:
@@ -321,7 +267,7 @@ class MetricsRegistry:
         """Zero (and forget) every metric whose key starts with ``prefix``
         (the empty prefix resets the whole registry)."""
         with self._lock:
-            for table in (self._counters, self._gauges, self._histograms):
+            for table in (self._counters, self._histograms):
                 for key in [k for k in table if k.startswith(prefix)]:
                     del table[key]
 
@@ -392,7 +338,6 @@ def diff_snapshots(
         }
     return {
         "counters": {k: v for k, v in counters.items() if v},
-        "gauges": dict(after.get("gauges", {})),
         "histograms": histograms,
     }
 
@@ -405,16 +350,8 @@ def counter(name: str, **labels: Any) -> Counter:
     return REGISTRY.counter(name, **labels)
 
 
-def gauge(name: str, **labels: Any) -> Gauge:
-    return REGISTRY.gauge(name, **labels)
-
-
 def histogram(name: str, edges: Optional[Iterable[float]] = None, **labels: Any) -> Histogram:
     return REGISTRY.histogram(name, edges, **labels)
-
-
-def timer(name: str, **labels: Any) -> Timer:
-    return REGISTRY.timer(name, **labels)
 
 
 def snapshot() -> dict[str, Any]:

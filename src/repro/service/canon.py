@@ -34,9 +34,7 @@ Tree      AHU-style canonical form: each subtree encodes to a string
 
 Problem fingerprints fold the platform fingerprint together with the
 question (kind, mode, ``n``, ``t_lim``) and the canonically-encoded
-solver options.  ``warm_caps`` are deliberately **excluded**: they are a
-performance hint that never changes the answer (the warm-started spider
-bisection is bit-identical to the cold one).
+solver options.
 
 Values are tokenised by *type and value* (``5`` ≠ ``5.0`` ≠ ``Fraction(5)``)
 so the bit-exact replay guarantee survives the cache: a float platform
@@ -275,9 +273,8 @@ def _encode_value(v: Any) -> str:
 
 def problem_fingerprint(problem: Any, canon: CanonicalForm | None = None) -> str:
     """Content address of one solve request: platform fingerprint + the
-    question + options.  ``warm_caps`` are excluded — they are
-    a hint that never changes the answer.  Pass ``canon`` when the
-    platform's canonical form is already at hand."""
+    question + options.  Pass ``canon`` when the platform's canonical form
+    is already at hand."""
     if canon is None:
         canon = canonical_form(problem.platform)
     parts = [

@@ -119,8 +119,8 @@ def rebind_solution(
     serve verbatim: the stored schedule already lives on the mutated
     platform the request implies, so only the problem record is swapped.
 
-    ``warm_caps`` are dropped (they index canonical legs) and solver
-    ``extra`` detail is kept as-is — it reports canonical coordinates.
+    Solver ``extra`` detail is kept as-is — it reports canonical
+    coordinates.
     """
     if solution.schedule is None:
         raise CanonError("cannot rebind a trace-only solution")
@@ -130,7 +130,6 @@ def rebind_solution(
             solution.schedule,
             solution.solver,
             stats=dict(solution.stats),
-            warm_caps=None,
             extra=dict(solution.extra),
         )
     schedule = solution.schedule
@@ -140,7 +139,6 @@ def rebind_solution(
         schedule.rebound(problem.platform, keys),
         solution.solver,
         stats=dict(solution.stats),
-        warm_caps=None,
         extra=dict(solution.extra),
     )
 
@@ -176,10 +174,7 @@ def _solve_canonical(
         if canon is None:
             solution = solve(problem)
         else:
-            canonical_problem = replace(
-                problem, platform=canon.platform, warm_caps=None
-            )
-            solution = solve(canonical_problem)
+            solution = solve(replace(problem, platform=canon.platform))
         with _trace.span("service.store_put"):
             store.put(fingerprint, solution)  # replay-validates before admitting
     return solution
@@ -189,16 +184,14 @@ def _checked_rebind(
     solution: Solution,
     problem: Problem,
     canon: Optional[CanonicalForm],
-    verify: bool,
 ) -> Solution:
-    """Rebind ``solution`` onto ``problem``'s platform and, with
-    ``verify``, replay-validate the result there (raises if it fails)."""
-    with _trace.span("service.rebind", verify=verify):
+    """Rebind ``solution`` onto ``problem``'s platform and replay-validate
+    the result there (raises if it fails)."""
+    with _trace.span("service.rebind"):
         rebound = rebind_solution(solution, problem, canon)
-        if verify:
-            # looked up on the instance at call time, so a wrapped
-            # Solution.validate (replay counting) sees every check
-            rebound.validate()
+        # looked up on the instance at call time, so a wrapped
+        # Solution.validate (replay counting) sees every check
+        rebound.validate()
     return rebound
 
 
@@ -206,7 +199,6 @@ def _serve_hit(
     hit: Solution,
     problem: Problem,
     canon: Optional[CanonicalForm],
-    verify: bool,
     store: SolutionStore,
     fingerprint: str,
 ) -> Optional[Solution]:
@@ -215,36 +207,31 @@ def _serve_hit(
     evidence: it is quarantined and ``None`` returned, so the caller
     answers by solving fresh."""
     try:
-        return _checked_rebind(hit, problem, canon, verify)
+        return _checked_rebind(hit, problem, canon)
     except Exception as exc:
         store.quarantine(fingerprint, f"{type(exc).__name__}: {exc}")
         return None
 
 
-def cached_solve(
-    problem: Problem,
-    store: SolutionStore,
-    verify_rebind: bool = False,
-) -> CachedOutcome:
+def cached_solve(problem: Problem, store: SolutionStore) -> CachedOutcome:
     """Answer ``problem`` through ``store``: hit → rebind, miss → solve the
     canonical form, validate, store, rebind.  Uncacheable problems solve
     directly (``fingerprint=None``).
 
-    ``verify_rebind=True`` replay-validates every *rebound* answer on the
-    request's own platform before returning it — affordable because the
-    check reuses the verdict the store's write check reached."""
+    Every *rebound* answer is replay-validated on the request's own
+    platform before it is returned — affordable because the check reuses
+    the verdict the store's write check reached."""
     key = cache_key(problem)
     if key is None:
         return CachedOutcome(solve(problem), cached=False)
     fingerprint, canon = key
     hit = store.get(fingerprint)
     if hit is not None:
-        rebound = _serve_hit(hit, problem, canon, verify_rebind,
-                             store, fingerprint)
+        rebound = _serve_hit(hit, problem, canon, store, fingerprint)
         if rebound is not None:
             return CachedOutcome(rebound, cached=True, fingerprint=fingerprint)
     solution = _solve_canonical(problem, fingerprint, canon, store)
-    rebound = _checked_rebind(solution, problem, canon, verify_rebind)
+    rebound = _checked_rebind(solution, problem, canon)
     return CachedOutcome(rebound, cached=False, fingerprint=fingerprint)
 
 
@@ -270,11 +257,14 @@ class ScheduleService(JsonLinesFrontend):
     chaos'd).
     """
 
+    #: every rebound answer is replay-validated before it is served.  Not
+    #: a setting: perfbench's per-layer pass reads it.
+    verify_rebinds = True
+
     def __init__(
         self,
         store: Optional[SolutionStore] = None,
         workers: int = 2,
-        verify_rebinds: bool = True,
         request_timeout: Optional[float] = None,
         chaos_ops: bool = False,
     ) -> None:
@@ -286,10 +276,6 @@ class ScheduleService(JsonLinesFrontend):
             )
         self.store = store if store is not None else SolutionStore()
         self.workers = workers
-        #: replay-validate every rebound answer on the request's platform
-        #: before serving it, so "nothing corrupt is ever served" extends
-        #: to rebinds; the check reuses the stored answer's verdict.
-        self.verify_rebinds = verify_rebinds
         #: per-request deadline in seconds applied by the protocol layer
         #: (``None`` → unbounded); a request may tighten it with its own
         #: ``deadline`` field but never loosen past this.
@@ -342,17 +328,15 @@ class ScheduleService(JsonLinesFrontend):
             if inflight is not None:
                 self._record("coalesced")
                 solution = await asyncio.shield(inflight)
-                rebound = _checked_rebind(
-                    solution, problem, canon, self.verify_rebinds
-                )
+                rebound = _checked_rebind(solution, problem, canon)
                 return CachedOutcome(
                     rebound, cached=False,
                     fingerprint=fingerprint, coalesced=True,
                 )
             hit = self.store.get(fingerprint)
             if hit is not None:
-                rebound = _serve_hit(hit, problem, canon, self.verify_rebinds,
-                                     self.store, fingerprint)
+                rebound = _serve_hit(hit, problem, canon, self.store,
+                                     fingerprint)
                 if rebound is not None:
                     return CachedOutcome(
                         rebound, cached=True, fingerprint=fingerprint,
@@ -381,9 +365,7 @@ class ScheduleService(JsonLinesFrontend):
             )
             exec_future.add_done_callback(_transfer)
             solution = await asyncio.shield(future)
-            rebound = _checked_rebind(
-                solution, problem, canon, self.verify_rebinds
-            )
+            rebound = _checked_rebind(solution, problem, canon)
             return CachedOutcome(
                 rebound, cached=False, fingerprint=fingerprint,
             )

@@ -63,19 +63,22 @@ class WorkerConfig:
     #: base SQLite path; worker ``i`` gets ``<store_path>.shard<i>`` so
     #: every shard owns its own SQLite tier (``None`` = memory-only).
     store_path: Optional[str] = None
-    verify_rebinds: bool = True
     request_timeout: Optional[float] = None
     #: arm the fault-injection op in the workers (chaos harness only).
     chaos_ops: bool = False
+
+    def shard_store(self, shard_id: int) -> Optional[str]:
+        """Worker ``shard_id``'s SQLite path (``None``: memory only)."""
+        if self.store_path is None:
+            return None
+        return f"{self.store_path}.shard{shard_id}"
 
     def argv(self, shard_id: int) -> list[str]:
         cmd = [sys.executable, "-m", "repro", "serve",
                "--workers", str(self.threads),
                "--capacity", str(self.capacity)]
         if self.store_path is not None:
-            cmd += ["--store", f"{self.store_path}.shard{shard_id}"]
-        if not self.verify_rebinds:
-            cmd += ["--no-verify-rebinds"]
+            cmd += ["--store", self.shard_store(shard_id)]
         if self.request_timeout is not None:
             cmd += ["--request-timeout", str(self.request_timeout)]
         if self.chaos_ops:

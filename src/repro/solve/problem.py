@@ -3,8 +3,7 @@
 A *problem* is one scheduling question about one platform: either
 "minimise the makespan of ``n`` tasks" (``kind="makespan"``) or "complete
 as many tasks as possible — at most ``n``, if given — by ``t_lim``"
-(``kind="deadline"``), plus per-solver tuning in ``options`` and
-warm-start caps for solvers that support them.
+(``kind="deadline"``), plus per-solver tuning in ``options``.
 
 Orthogonal to the *kind* is the *mode*: ``"offline"`` problems are answered
 by the paper's static algorithms (the solver sees the whole future),
@@ -17,9 +16,8 @@ cold.  All modes dispatch through the same registry; consumers never
 branch on it.
 
 A *solution* wraps the schedule with the answer headline (makespan, task
-count), the solver's operation counters, optional warm caps for the next
-smaller-deadline problem on the same platform, and solver-specific
-``extra`` detail (e.g. which method answered a tree problem, and how many
+count), the solver's operation counters, and solver-specific ``extra``
+detail (e.g. which method answered a tree problem, and how many
 of its workers compute).  Online solutions additionally carry the
 execution ``trace`` they were produced from; runs with failures or churn
 carry *only* the trace (a reissued task legitimately appears twice, which
@@ -73,11 +71,16 @@ class Problem:
     #: solver-specific knobs, e.g. ``{"policy": "round_robin",
     #: "failures": [...]}`` online.
     options: Mapping[str, Any] = field(default_factory=dict)
-    #: warm-start caps from a previous solve at a looser deadline; only
-    #: meaningful for solvers with ``supports_warm_caps``.
-    warm_caps: Optional[Mapping[int, int]] = None
+    #: retired: accepts only ``None`` and nothing reads it (perfbench
+    #: still passes ``warm_caps=None`` to ``dataclasses.replace``).
+    warm_caps: None = None
 
     def __post_init__(self) -> None:
+        if self.warm_caps is not None:
+            raise SolveError(
+                "Problem's 'warm_caps' field is retired; deadline solves "
+                "take no caps"
+            )
         if self.kind not in KINDS:
             raise SolveError(f"unknown problem kind {self.kind!r}; expected {KINDS}")
         if self.mode not in MODES:
@@ -99,8 +102,6 @@ class Solution:
     schedule: Optional[Schedule]
     solver: str
     stats: dict[str, Any] = field(default_factory=dict)
-    #: caps reusable by the same solver at a smaller deadline (same platform).
-    warm_caps: Optional[dict[int, int]] = None
     #: solver-specific detail, e.g. {"rounds": [...], "coverage": 0.8}.
     extra: dict[str, Any] = field(default_factory=dict)
     #: the execution trace this answer was *produced* from (online mode);

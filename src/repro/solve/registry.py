@@ -13,8 +13,7 @@ orthogonal — the online solver claims ``object``, so every platform with
 an adapter gets online answers without per-platform registrations.
 
 Beyond the claim a solver declares which question kinds it answers and
-whether it can reuse warm-start caps across a descending deadline sweep
-(``supports_warm_caps`` — the batch runner keys its cap hand-off on it).
+which options it understands.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ class Solver:
     mode: str = "offline"
     #: question kinds the solver answers.
     kinds: tuple[str, ...] = ("makespan", "deadline")
-    #: True if deadline solves accept/produce warm caps (monotone in t_lim).
-    supports_warm_caps: bool = False
     #: True when the solver is provably optimal (the paper's algorithms);
     #: False for heuristics (trees) and simulated policies (online) —
     #: consumers use this for honest labels.

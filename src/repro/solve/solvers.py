@@ -87,27 +87,20 @@ class StarSolver(Solver):
 
 
 class SpiderSolver(Solver):
-    """Optimal spider scheduling (§7, Theorems 2–3), warm-cap capable."""
+    """Optimal spider scheduling (§7, Theorems 2–3)."""
 
     name = "spider"
     platform_type = Spider
-    supports_warm_caps = True
     summary = "optimal on spiders — chain+fork pipeline, warm-started search"
 
     def solve(self, problem: Problem) -> Solution:
         if problem.kind == "makespan":
             sched, stats = spider_schedule(problem.platform, problem.n)
-            return Solution(
-                problem, sched, self.name, _count_spider_totals(stats)
+        else:
+            sched, stats = spider_deadline(
+                problem.platform, problem.t_lim, problem.n
             )
-        caps = dict(problem.warm_caps) if problem.warm_caps is not None else None
-        sched, stats, leg_counts = spider_deadline(
-            problem.platform, problem.t_lim, problem.n, leg_caps=caps
-        )
-        return Solution(
-            problem, sched, self.name, _count_spider_totals(stats),
-            warm_caps=leg_counts,
-        )
+        return Solution(problem, sched, self.name, _count_spider_totals(stats))
 
 
 #: Options of the retired multi-round tree scheduler, with the values it
@@ -304,10 +297,7 @@ class RepatchSolver(Solver):
                 "repatch needs options['churn'] with at least one event"
             )
         base_options = dict(problem.options.get("base") or {})
-        base_problem = replace(
-            problem, mode="offline", options=base_options, warm_caps=None
-        )
-        base = solve(base_problem)
+        base = solve(replace(problem, mode="offline", options=base_options))
         churn = apply_churn(problem.platform, events)
         result = repatch_schedule(base.schedule, churn)
         return Solution(

@@ -155,6 +155,6 @@ def tree_deadline(
     ``n``) by ``t_lim``; ``stats`` are the cover's spider counters."""
     built = construction_deadline(tree, t_lim, n)
     cover = best_path_cover(tree)
-    sched, stats, _ = spider_deadline(cover.spider, t_lim, n)
+    sched, stats = spider_deadline(cover.spider, t_lim, n)
     covered = cover.to_tree(sched)
     return _best_of(built, covered, stats, covered.n_tasks > built.n_tasks)

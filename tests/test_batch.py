@@ -99,8 +99,8 @@ class TestRunnerCorrectness:
                                                       min_size=1, max_size=6))
     @settings(max_examples=25, deadline=None)
     def test_warm_deadline_sweep_matches_cold_runs(self, sp, t_lims):
-        """The descending-Tlim warm sweep must answer exactly like isolated
-        cold runs — warm caps are a pure optimisation."""
+        """A deadline sweep on one platform, whose rows share the kernels'
+        caches, answers exactly like isolated oracle runs."""
         pdict = platform_to_dict(sp)
         scs = [
             Scenario(f"t{i}", pdict, "deadline", t_lim=t)
@@ -113,7 +113,7 @@ class TestRunnerCorrectness:
             assert r.makespan == cold.schedule.makespan
 
     def test_budgeted_and_unbudgeted_mix(self):
-        """A budgeted scenario's caps must not clip a later unbudgeted one."""
+        """A budgeted scenario must not clip a later unbudgeted one."""
         sp = random_spider(3, 2, seed=4)
         pdict = platform_to_dict(sp)
         scs = [
@@ -176,7 +176,7 @@ class TestRunnerModes:
 
     def test_single_platform_group_is_split_across_workers(self):
         """A one-platform sweep must still saturate the pool: the group is
-        chunked (losing only cross-chunk warm caps), answers unchanged."""
+        chunked, answers unchanged."""
         from repro.batch.runner import _split_for_workers
 
         pdict = _spider_dict(5)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.io.json_io import load_schedule, save_platform
+from repro.io.json_io import load_schedule, platform_to_dict, save_platform
 from repro.platforms.chain import Chain
 
 
@@ -437,6 +437,50 @@ class TestServeParser:
             main(["serve", flag, value])
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+class TestUnopenableStore:
+    """A store path no SQLite store opens at is a usage error: exit 2 and
+    one stderr line naming the path, before anything is served."""
+
+    @staticmethod
+    def _refused(capsys, argv, path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err
+
+    @pytest.mark.parametrize("where", ["missing_dir", "a_dir", "not_a_db"])
+    def test_serve(self, capsys, tmp_path, where):
+        path = {"missing_dir": tmp_path / "missing" / "x",
+                "a_dir": tmp_path,
+                "not_a_db": tmp_path / "notes.txt"}[where]
+        if where == "not_a_db":
+            path.write_text("not a database\n" * 10)
+        self._refused(capsys, ["serve", "--store", str(path)], path)
+
+    def test_batch(self, capsys, tmp_path):
+        import json
+
+        scenarios = tmp_path / "s.json"
+        scenarios.write_text(json.dumps({"schema": 1, "scenarios": [{
+            "id": "a", "kind": "makespan", "n": 3,
+            "platform": platform_to_dict(Chain([2], [3]))}]}))
+        path = tmp_path / "missing" / "c.sqlite"
+        self._refused(capsys, ["batch", "--scenarios", str(scenarios),
+                               "--cache", str(path)], path)
+
+    def test_fleet_spawns_no_worker(self, capsys, tmp_path, monkeypatch):
+        from repro.service.shard import ShardRouter
+
+        async def boot(self):
+            raise AssertionError("the fleet started booting")
+
+        monkeypatch.setattr(ShardRouter, "start", boot)
+        path = tmp_path / "missing" / "x"
+        self._refused(capsys, ["serve", "--shards", "2", "--store",
+                               str(path)], path)
 
 
 class TestImportFootprint:

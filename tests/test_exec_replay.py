@@ -311,7 +311,7 @@ class TestBatchOnlineScenarios:
 
     def test_mixed_group_warm_sweep_unaffected_by_online_rows(self):
         """Online scenarios in a spider group must not disturb the
-        deadline sweep's warm-cap answers."""
+        deadline sweep's answers."""
         from repro.core.spider import spider_schedule_deadline
 
         sp = random_spider(3, 2, seed=4)

@@ -6,6 +6,7 @@ must survive ``to_dict → json → from_dict`` bit-exactly.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +23,7 @@ from repro.platforms.chain import Chain
 from repro.platforms.spider import Spider
 from repro.platforms.star import Star
 from repro.platforms.tree import Tree
-from repro.solve import Problem, solve
+from repro.solve import Problem, SolveError, solve
 
 
 def roundtrip(d):
@@ -48,16 +49,27 @@ class TestProblemRoundTrip:
         assert back.platform.to_dict() == platform.to_dict()
         assert back.mode == "offline"
 
-    def test_deadline_problem_with_options_and_caps(self):
+    def test_deadline_problem_with_options(self):
         spider = Spider([Chain([2, 3], [3, 5]), Chain([1], [4])])
         problem = Problem(
             spider, "deadline", n=20, t_lim=35,
-            options={"a": 1, "b": [1, 2]}, warm_caps={1: 9, 2: 4},
+            options={"a": 1, "b": [1, 2]},
         )
         back = problem_from_dict(roundtrip(problem_to_dict(problem)))
         assert back.t_lim == 35 and back.n == 20
         assert dict(back.options) == {"a": 1, "b": [1, 2]}
-        assert back.warm_caps == {1: 9, 2: 4}  # int keys survive JSON
+
+    def test_retired_warm_caps(self):
+        """Problems take no caps; an older record's cap list is dropped."""
+        spider = Spider([Chain([2, 3], [3, 5]), Chain([1], [4])])
+        problem = Problem(spider, "deadline", t_lim=35)
+        assert replace(problem, warm_caps=None) == problem
+        with pytest.raises(SolveError, match="retired"):
+            Problem(spider, "deadline", t_lim=35, warm_caps={1: 9, 2: 4})
+        d = problem_to_dict(problem)
+        assert "warm_caps" not in d
+        assert problem_from_dict({**d, "warm_caps": [[1, 9], [2, 4]]}) == \
+            problem_from_dict(d)
 
     def test_legacy_allocator_key(self):
         d = problem_to_dict(Problem(Chain([2], [3]), "makespan", n=3))
@@ -94,13 +106,23 @@ class TestSolutionRoundTrip:
         assert back.schedule.platform is back.problem.platform
         back.validate()  # the round trip must preserve replayability
 
-    def test_warm_caps_and_extra_survive(self):
+    def test_extra_survives(self):
+        tree = Tree([(0, 1, 2, 3), (0, 2, 1, 4), (1, 3, 1, 2)])
+        solution = solve(Problem(tree, "deadline", t_lim=35))
+        assert solution.extra
+        back = solution_from_dict(roundtrip(solution_to_dict(solution)))
+        assert back.extra == solution.extra
+
+    def test_legacy_warm_caps_record_loads(self):
+        """A spider deadline answer written with its leg counts (as stores
+        held them) loads to the same answer, and none is written now."""
         spider = Spider([Chain([2, 3], [3, 5]), Chain([1], [4])])
         solution = solve(Problem(spider, "deadline", t_lim=35))
-        assert solution.warm_caps is not None
-        back = solution_from_dict(roundtrip(solution_to_dict(solution)))
-        assert back.warm_caps == solution.warm_caps
-        assert back.extra == solution.extra
+        d = roundtrip(solution_to_dict(solution))
+        assert "warm_caps" not in d
+        back = solution_from_dict({**d, "warm_caps": [[1, 9], [2, 4]]})
+        assert solution_to_dict(back) == d
+        back.validate()
 
     def test_online_solution_with_trace(self):
         spider = Spider([Chain([2, 3], [3, 5]), Chain([1], [4])])

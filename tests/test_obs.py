@@ -20,7 +20,7 @@ def registry() -> MetricsRegistry:
     return MetricsRegistry()
 
 
-class TestCountersAndGauges:
+class TestCounters:
     def test_counter_get_or_create(self, registry):
         registry.counter("a").inc()
         registry.counter("a").inc(4)
@@ -37,22 +37,15 @@ class TestCountersAndGauges:
         assert registry.counter("d", a=2, b=1).value == 1
         assert "d{a=2,b=1}" in registry.snapshot()["counters"]
 
-    def test_gauge_last_write_wins(self, registry):
-        registry.gauge("g").set(3)
-        registry.gauge("g").set(7)
-        assert registry.gauge("g").value == 7
-
     def test_set_enabled_noops_mutation(self, registry):
         prev = obs_metrics.set_enabled(False)
         try:
             registry.counter("k").inc()
-            registry.gauge("g").set(9)
             registry.histogram("h").observe(1.0)
         finally:
             obs_metrics.set_enabled(prev)
         snap = registry.snapshot()
         assert snap["counters"]["k"] == 0
-        assert snap["gauges"]["g"] == 0
         assert snap["histograms"]["h"]["count"] == 0
 
 
@@ -83,12 +76,6 @@ class TestHistograms:
     def test_default_edges_are_the_latency_ladder(self, registry):
         assert registry.histogram("h").edges == LATENCY_EDGES_MS
 
-    def test_timer_observes_elapsed_ms(self, registry):
-        with registry.timer("t") as t:
-            pass
-        assert t.elapsed_ms is not None and t.elapsed_ms >= 0
-        assert registry.histogram("t").count == 1
-
 
 class TestSnapshotMergeDiff:
     def test_snapshot_is_json_roundtrippable(self, registry):
@@ -110,6 +97,18 @@ class TestSnapshotMergeDiff:
         assert snap["histograms"]["h"]["counts"] == [1, 1]
         assert snap["histograms"]["h"]["min"] == 0.5
         assert snap["histograms"]["h"]["max"] == 5.0
+
+    def test_snapshot_holds_counters_and_histograms_only(self, registry):
+        registry.counter("c").inc()
+        assert set(registry.snapshot()) == {"counters", "histograms"}
+        assert set(diff_snapshots({}, registry.snapshot())) == {
+            "counters", "histograms"}
+
+    def test_merge_ignores_an_older_snapshots_gauges(self, registry):
+        registry.merge({"counters": {"c": 2}, "gauges": {"pool.size": 8},
+                        "histograms": {}})
+        assert registry.snapshot() == {"counters": {"c": 2},
+                                       "histograms": {}}
 
     def test_merge_rejects_mismatched_edges(self, registry):
         other = MetricsRegistry()

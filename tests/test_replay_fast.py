@@ -502,12 +502,12 @@ class TestRebind:
         problems = service_workload()
         store = SolutionStore(capacity=64)
         for problem in problems:  # warm-up: every platform class stored
-            cached_solve(problem, store, verify_rebind=True)
+            cached_solve(problem, store)
         rng = random.Random(7)
         hits = [Problem(relabeled_platform(p.platform, rng), "makespan",
                         n=p.n) for p in (problems * 2)[:200]]
         before = compile_stats()
-        outcomes = [cached_solve(p, store, verify_rebind=True) for p in hits]
+        outcomes = [cached_solve(p, store) for p in hits]
         after = compile_stats()
         assert all(o.cached for o in outcomes)
         assert after["compiles"] == before["compiles"]
@@ -561,9 +561,9 @@ class TestReplayContract:
 
         store = SolutionStore()
         problem = Problem(random_spider(2, 2, seed=4), "makespan", n=5)
-        assert not cached_solve(problem, store, verify_rebind=True).cached
+        assert not cached_solve(problem, store).cached
         assert validate_calls == [None, None]  # store write + rebind
-        assert cached_solve(problem, store, verify_rebind=True).cached
+        assert cached_solve(problem, store).cached
         assert validate_calls == [None] * 3  # the hit: rebind only
 
     def test_batch_validated_by_column(self):
@@ -609,14 +609,26 @@ class TestReplayContract:
 
 
 class TestRebindVerification:
-    def test_cached_solve_verify_rebind(self):
+    def test_cached_solve_verify_rebind(self, monkeypatch):
+        """Every rebind is replay-checked: a miss validates twice (the
+        store's write check, then the rebound answer), a hit once."""
         from repro.service.engine import cached_solve
         from repro.service.store import SolutionStore
 
+        checked = []
+        validate = Solution.validate
+
+        def counting(self, engine=None):
+            checked.append(self)
+            return validate(self, engine)
+
+        monkeypatch.setattr(Solution, "validate", counting)
         store = SolutionStore()
         problem = Problem(random_star(5, seed=11), "makespan", n=6)
-        miss = cached_solve(problem, store, verify_rebind=True)
-        hit = cached_solve(problem, store, verify_rebind=True)
+        miss = cached_solve(problem, store)
+        assert len(checked) == 2 and checked[-1] is miss.solution
+        hit = cached_solve(problem, store)
+        assert len(checked) == 3 and checked[-1] is hit.solution
         assert not miss.cached and hit.cached
         assert hit.solution.makespan == miss.solution.makespan
 
@@ -633,11 +645,11 @@ class TestRebindVerification:
         stored.schedule = _mutate(stored.schedule, "early_emit", 1, 6)
         # the corrupt hit is detected on rebind, quarantined, and answered
         # by a fresh solve instead of raising through the serving loop
-        outcome = cached_solve(problem, store, verify_rebind=True)
+        outcome = cached_solve(problem, store)
         assert not outcome.cached
         outcome.solution.validate()
         # the fresh (valid) answer replaced the quarantined entry
-        again = cached_solve(problem, store, verify_rebind=True)
+        again = cached_solve(problem, store)
         assert again.cached
 
     def test_service_verifies_rebinds_by_default(self):
@@ -771,12 +783,12 @@ class TestVerdictMemo:
         path = tmp_path / "store.sqlite"
         with SolutionStore(path) as store:
             before = _scans()
-            assert not cached_solve(problem, store, verify_rebind=True).cached
+            assert not cached_solve(problem, store).cached
             assert _scans() - before == 1  # the write check only
         with SolutionStore(path) as store:  # a new process's store
             before = _scans()
             for p in (relabeled, problem, relabeled):
-                outcome = cached_solve(p, store, verify_rebind=True)
+                outcome = cached_solve(p, store)
                 assert outcome.cached
             assert store.stats.sqlite_hits == 1
             assert store.stats.memory_hits == 2
@@ -809,7 +821,7 @@ class TestVerdictMemo:
             cached_solve(problem, store)
             answers += [
                 solve(problem),
-                cached_solve(problem, store, verify_rebind=True).solution,
+                cached_solve(problem, store).solution,
                 solution_from_dict(solution_to_dict(solve(problem))),
             ]
         for sol in answers:

@@ -202,12 +202,6 @@ class TestProblemFingerprints:
         assert problem_fingerprint(a) == problem_fingerprint(b)
         assert problem_fingerprint(a) != problem_fingerprint(c)
 
-    def test_warm_caps_excluded(self):
-        spider = Spider([Chain([2, 3], [3, 5]), Chain([1], [4])])
-        cold = Problem(spider, "deadline", t_lim=30)
-        warm = Problem(spider, "deadline", t_lim=30, warm_caps={1: 9, 2: 4})
-        assert problem_fingerprint(cold) == problem_fingerprint(warm)
-
     def test_relabeled_platforms_share_problem_fingerprint(self):
         legs = [Chain([2, 3], [3, 5]), Chain([1], [4])]
         a = Problem(Spider(legs), "makespan", n=8)

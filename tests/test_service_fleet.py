@@ -416,16 +416,15 @@ class TestVerbatimForwarding:
 class TestWorkerConfig:
     def test_argv_carries_every_option(self):
         config = WorkerConfig(threads=3, capacity=99, store_path="/tmp/s",
-                              verify_rebinds=False, request_timeout=1.5,
-                              chaos_ops=True)
+                              request_timeout=1.5, chaos_ops=True)
         argv = config.argv(7)
         assert argv[:4] == [sys.executable, "-m", "repro", "serve"]
         for flag, value in (("--workers", "3"), ("--capacity", "99"),
                             ("--store", "/tmp/s.shard7"),
                             ("--request-timeout", "1.5")):
             assert value == argv[argv.index(flag) + 1]
-        assert "--no-verify-rebinds" in argv
         assert "--chaos-ops" in argv
+        assert len(argv) == 4 + 2 * 4 + 1  # nothing else is forwarded
 
     def test_env_makes_repro_importable(self):
         env = WorkerConfig.env()

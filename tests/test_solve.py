@@ -65,13 +65,6 @@ class TestRegistry:
         with pytest.raises(NoSolverError, match="chain, spider, star, tree"):
             solver_for(object())
 
-    def test_warm_cap_capability_flags(self):
-        flags = {s.name: s.supports_warm_caps for s in registered_solvers()}
-        assert flags == {
-            "chain": False, "star": False, "spider": True, "tree": False,
-            "online": False, "repatch": False,
-        }
-
     def test_double_registration_rejected(self):
         class Dummy(Solver):
             name = "dummy-chain"
@@ -129,18 +122,7 @@ class TestSolveMatchesDirectCalls:
         assert solve(Problem(spider, "makespan", n=7)).makespan == \
             spider_makespan(spider, 7)
         sol = solve(Problem(spider, "deadline", t_lim=25))
-        cold = spider_schedule_deadline(spider, 25)
-        assert sol.n_tasks == cold.n_tasks
-        assert sol.warm_caps == dict(cold.leg_counts)
-
-    def test_spider_warm_caps_are_output_transparent(self):
-        spider = random_spider(3, 2, seed=4)
-        warm_src = solve(Problem(spider, "deadline", t_lim=30))
-        warm = solve(Problem(spider, "deadline", t_lim=20,
-                             warm_caps=warm_src.warm_caps))
-        cold = solve(Problem(spider, "deadline", t_lim=20))
-        assert warm.n_tasks == cold.n_tasks
-        assert warm.makespan == cold.makespan
+        assert sol.n_tasks == spider_schedule_deadline(spider, 25).n_tasks
 
     def test_tree_extra_fields(self):
         tree = random_tree(8, profile="cpu_heavy", seed=310)

@@ -4,7 +4,7 @@ Every chain/star/spider solve runs on the flat-array kernels of
 :mod:`repro.core.solve_fast`, which must be *bit-identical* to the
 paper-literal oracles (:mod:`repro.core.chain`, :mod:`repro.core.fork`,
 :mod:`repro.core.spider`) — same schedules, same makespans, same replay
-traces, same warm caps, same error messages on infeasible inputs.  Every
+traces, same error messages on infeasible inputs.  Every
 property here answers the same problem through ``solve`` (asserting the
 kernel answered) and through the oracle directly, and compares the full
 answer, so any divergence in the array kernels shows up as a
@@ -77,9 +77,8 @@ def schedule_key(schedule):
 
 
 def oracle(problem):
-    """The paper-literal oracle's answer: ``Solution`` with warm caps."""
+    """The paper-literal oracle's answer as a ``Solution``."""
     p, n, t_lim = problem.platform, problem.n, problem.t_lim
-    caps = None
     if problem.kind == "makespan":
         solver = {Chain: schedule_chain, Star: fork_schedule}.get(
             type(p), spider_schedule
@@ -91,10 +90,8 @@ def oracle(problem):
         )
         sched = solver(p, t_lim, n)
     else:
-        leg_caps = None if problem.warm_caps is None else dict(problem.warm_caps)
-        res = spider_schedule_deadline(p, t_lim, n, leg_caps=leg_caps)
-        sched, caps = res.schedule, dict(res.leg_counts)
-    return Solution(problem, sched, "oracle", warm_caps=caps)
+        sched = spider_schedule_deadline(p, t_lim, n).schedule
+    return Solution(problem, sched, "oracle")
 
 
 def serve(problem):
@@ -121,7 +118,6 @@ def assert_identical(kernel, obj):
     assert schedule_key(kernel.schedule) == schedule_key(obj.schedule)
     assert kernel.makespan == obj.makespan
     assert kernel.n_tasks == obj.n_tasks
-    assert kernel.warm_caps == obj.warm_caps
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +287,6 @@ class TestSpiderDifferential:
     @settings(max_examples=60, deadline=None)
     def test_deadline(self, spider, t_lim):
         compiled, obj = solve_both(Problem(spider, "deadline", t_lim=t_lim))
-        assert_identical(compiled, obj)
-
-    @given(spiders(max_legs=3, max_depth=2), st.integers(0, 40),
-           st.lists(st.integers(0, 5), min_size=0, max_size=3))
-    @settings(max_examples=60, deadline=None)
-    def test_warm_caps(self, spider, t_lim, caps_list):
-        caps = {i + 1: cap for i, cap in enumerate(caps_list)
-                if i < len(list(spider.legs))}
-        compiled, obj = solve_both(
-            Problem(spider, "deadline", t_lim=t_lim, warm_caps=caps)
-        )
         assert_identical(compiled, obj)
 
     @given(spiders(max_legs=3, max_depth=2), st.integers(1, 15))

@@ -106,7 +106,7 @@ class TestFeasibleAndNeverBelowTheCover:
         sol = solve(Problem(tree, "deadline", n=n, t_lim=t_lim))
         assert check_deadline(sol.schedule, t_lim) == []
         assert n is None or sol.n_tasks <= n
-        single, _, _ = spider_deadline(best_path_cover(tree).spider, t_lim, n)
+        single, _ = spider_deadline(best_path_cover(tree).spider, t_lim, n)
         assert sol.n_tasks >= single.n_tasks
         sol.validate()
 
